@@ -1,28 +1,19 @@
 """Build glue for the optional compiled kernels.
 
 The package is fully functional without the extension; conelab._backend
-falls back to the pure-Python kernels when the import fails.
+falls back to the pure-Python kernels when the import fails, and
+optional=True lets the build succeed when no C compiler is available.
+-ffp-contract=off keeps the compiler from fusing multiply-adds, so the
+compiled kernels round exactly as their pure-Python mirror does.
 """
-
-import sys
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "conelab._kernels",
-                ["src/conelab/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
+setup(ext_modules=[
+    Extension(
+        "conelab._kernels",
+        ["src/conelab/_kernels.c"],
+        extra_compile_args=["-O3", "-ffp-contract=off"],
+        optional=True,
     )
-except Exception as exc:  # missing Cython or compiler: ship pure Python
-    print(f"conelab: skipping compiled kernels ({exc})", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+])

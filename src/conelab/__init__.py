@@ -7,8 +7,8 @@ criterion), riccati (log-derivative ODE and comparison barriers),
 spectrum (Robin link eigenvalues), lemmas (asymptotic bound checks),
 checks (verification batteries), cli (command-line front end).
 
-The hot kernels are compiled (Cython) with a pure-Python fallback
-selected at import; see conelab._backend and BACKEND_NAME.
+The hot kernels are compiled (hand-written C) with a pure-Python
+fallback selected at import; see conelab._backend and BACKEND_NAME.
 """
 
 from conelab._backend import BACKEND_NAME

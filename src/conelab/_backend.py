@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
-The compiled extension (conelab._kernels, Cython) is preferred; the
-pure-Python mirror (conelab._pykernels) is the fallback.  Set
+The compiled extension (conelab._kernels, built from the hand-written
+_kernels.c when a C compiler is available) is preferred; the pure-Python
+mirror (conelab._pykernels) is the fallback.  Set
 CONELAB_PURE=1 to force the fallback, e.g. for the backend benchmark or
 to reproduce results on a build without a C compiler.
 """

@@ -1,7 +1,9 @@
 """Pure-Python fallback for the compiled kernels (conelab._kernels).
 
-Mirrors the Cython module statement for statement so the two backends
-produce the same floating-point trajectories up to roundoff; keep in sync.
+Mirrors the C source (_kernels.c) statement for statement so the two
+backends produce the same floating-point results; keep the two in sync.
+Squares are written as products: Python's x ** 2 calls pow(), which can
+differ from x * x in the last bit.
 """
 
 from math import fabs, sqrt
@@ -113,7 +115,7 @@ def robin_shoot(u0, v0, t_start, t_end, n, k, lam, p2, q2,
                   + _E6 * k6v + _E7 * k7v)
         sc_u = atol + rtol * max(fabs(u), fabs(un))
         sc_v = atol + rtol * max(fabs(v), fabs(vn))
-        err = sqrt(0.5 * ((eu / sc_u) ** 2 + (ev / sc_v) ** 2))
+        err = sqrt(0.5 * ((eu / sc_u) * (eu / sc_u) + (ev / sc_v) * (ev / sc_v)))
         if err <= 1.0:
             u_prev = u
             t += h

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from conelab import reference
@@ -24,22 +23,13 @@ from conelab.checks import SUITES, run_suites
 from conelab.cone import ConeParams, Verdict, find_root, verdict
 from conelab.errors import ConelabError
 from conelab.riccati import check_4_minus_n
-from conelab.spectrum import (
-    Mode,
-    ShootingConfig,
-    _thread_count,
-    family_scan,
-    find_eigenvalue,
-)
+from conelab.spectrum import Mode, ShootingConfig, family_scan, find_eigenvalue
 from conelab.specfun import SeriesControl
 
-_SERIES_KEYS = {"series.rel_tol": ("rel_tol", float),
-                "series.abs_tol": ("abs_tol", float),
-                "series.max_terms": ("max_terms", int),
-                "series.switch_point": ("switch_point", float)}
-_SHOOT_KEYS = {"shooting.t_launch": ("t_launch", float),
-               "shooting.ode_tol": ("ode_tol", float),
-               "shooting.max_bisections": ("max_bisections", int)}
+_CONTROL_KEYS = {"series.rel_tol": float, "series.abs_tol": float,
+                 "series.max_terms": int, "series.switch_point": float,
+                 "shooting.t_launch": float, "shooting.ode_tol": float,
+                 "shooting.max_bisections": int}
 
 
 def _parse_kv(text: str) -> Tuple[str, str]:
@@ -67,18 +57,30 @@ def _load_overrides(config_path: Optional[str],
     return merged
 
 
-def _build_controls(overrides: Dict[str, str]) -> Tuple[SeriesControl, ShootingConfig]:
-    series_kw, shoot_kw = {}, {}
-    for key, raw in overrides.items():
-        if key in _SERIES_KEYS:
-            field, cast = _SERIES_KEYS[key]
-            series_kw[field] = cast(raw)
-        elif key in _SHOOT_KEYS:
-            field, cast = _SHOOT_KEYS[key]
-            shoot_kw[field] = cast(raw)
-        else:
+def _build_controls(args, used: Sequence[str] = ("series", "shooting")
+                    ) -> Tuple[SeriesControl, ShootingConfig]:
+    """Controls from --config and --tol-override.  Raises ValueError
+    naming the key when it is unknown, belongs to a section the command
+    does not use, or has a rejected value."""
+    kwargs: Dict[str, dict] = {"series": {}, "shooting": {}}
+    for key, raw in _load_overrides(args.config, args.tol_override).items():
+        cast = _CONTROL_KEYS.get(key)
+        if cast is None:
             raise ValueError(f"unknown configuration key {key!r}")
-    return SeriesControl(**series_kw), ShootingConfig(**shoot_kw)
+        section, field = key.split(".")
+        if section not in used:
+            raise ValueError(f"configuration key {key!r} is not used by {args.command}")
+        try:
+            kwargs[section][field] = cast(raw)
+        except ValueError:
+            raise ValueError(f"{key}: expected {cast.__name__}, got {raw!r}") from None
+    controls = []
+    for section, cls in (("series", SeriesControl), ("shooting", ShootingConfig)):
+        try:
+            controls.append(cls(**kwargs[section]))
+        except ValueError as exc:  # the message begins with the field name
+            raise ValueError(f"{section}.{exc}") from None
+    return controls[0], controls[1]
 
 
 def _fmt_cell(x) -> str:
@@ -137,8 +139,7 @@ def cmd_analyze(args) -> int:
         print(f"error: k must lie in [1, n-2] and n >= 3; got n={args.n}, k={args.k}",
               file=sys.stderr)
         return 2
-    series, shooting = _build_controls(
-        _load_overrides(args.config, args.tol_override))
+    series, shooting = _build_controls(args)
     rec = _cone_record(args.n, args.k, series, shooting)
     if args.format == "json":
         _emit_json([rec], rec["flags"])
@@ -200,16 +201,9 @@ def cmd_table(args) -> int:
         print(f"error: table range must satisfy 3 <= n_min <= n_max <= 40, "
               f"got {n_min}..{n_max}", file=sys.stderr)
         return 2
-    series, shooting = _build_controls(
-        _load_overrides(args.config, args.tol_override))
-    cells = [(n, k) for n in range(n_min, n_max + 1) for k in range(1, n - 1)]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda nk: _cone_record(nk[0], nk[1], series, shooting), cells))
-    else:
-        records = [_cone_record(n, k, series, shooting) for (n, k) in cells]
+    series, shooting = _build_controls(args)
+    records = [_cone_record(n, k, series, shooting)
+               for n in range(n_min, n_max + 1) for k in range(1, n - 1)]
     flags: List[str] = []
     exit_code = 0
     if args.compare:
@@ -233,6 +227,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _build_controls(args, used=())
     names = list(SUITES) if args.suite == "all" else [args.suite]
     records = run_suites(names)
     failed = [r.name for r in records if not r.passed]
@@ -251,8 +246,7 @@ def cmd_scan(args) -> int:
         print(f"error: --n-max must lie in [3, 40], got {args.n_max}",
               file=sys.stderr)
         return 2
-    series, shooting = _build_controls(
-        _load_overrides(args.config, args.tol_override))
+    _, shooting = _build_controls(args, used=("shooting",))
     rep = family_scan((3, args.n_max), shooting)
     failed = sorted(name for name, ok in rep.flags.items() if not ok)
     if args.format == "json":

@@ -8,8 +8,8 @@ entries are compared informationally, never fatally.
 
 Recomputation (cross-checked against 40-digit arithmetic) shows the
 printed t column deviates beyond its rounding width on five further
-cells, listed in KNOWN_T_DEVIATIONS; the comparison command surfaces
-them as ordinary mismatches.
+unflagged cells, (8,3), (8,4), (9,3), (9,4) and (9,5); the comparison
+command surfaces them as ordinary mismatches.
 """
 
 from typing import Dict, List, Tuple
@@ -47,12 +47,6 @@ FLAGGED_ENTRIES = frozenset({
     ("t", 9, 6),
     ("t", 12, 3),
     ("neg_gamma_plus", 10, 8),
-})
-
-# Unflagged t cells where the printed value disagrees with recomputation
-# by more than the comparison tolerance; kept for reporting only.
-KNOWN_T_DEVIATIONS = frozenset({
-    (8, 3), (8, 4), (9, 3), (9, 4), (9, 5),
 })
 
 TOL_T = 0.01

@@ -56,7 +56,9 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Tolerances and budgets for series evaluation."""
+    """Tolerances and budgets for series evaluation; every field must be
+    finite.  A rejected value raises ValueError with a message that begins
+    with the field name."""
 
     rel_tol: float = 1e-15
     abs_tol: float = 1e-280
@@ -65,13 +67,13 @@ class SeriesControl:
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1e-3:
-            raise ValueError("rel_tol must lie in (0, 1e-3)")
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 64:
-            raise ValueError("max_terms must be at least 64")
+            raise ValueError(f"rel_tol must lie in (0, 1e-3), got {self.rel_tol}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
+        if not (isinstance(self.max_terms, int) and self.max_terms >= 64):
+            raise ValueError(f"max_terms must be an integer >= 64, got {self.max_terms}")
         if not 0.0 < self.switch_point < 1.0:
-            raise ValueError("switch_point must lie in (0, 1)")
+            raise ValueError(f"switch_point must lie in (0, 1), got {self.switch_point}")
 
 
 DEFAULT_CONTROL = SeriesControl()

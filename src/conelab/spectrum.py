@@ -16,8 +16,6 @@ for the first eigenvalue.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root
-from conelab.errors import BracketExhausted, IntegrationFailure
+from conelab.errors import BracketExhausted, IntegrationFailure, NonConvergenceError
 from conelab.specfun import DEFAULT_CONTROL, SeriesControl
 
 __all__ = [
@@ -57,6 +55,9 @@ class Mode:
 
 @dataclass(frozen=True)
 class ShootingConfig:
+    """Shooting controls; a rejected value raises ValueError with a
+    message that begins with the field name."""
+
     t_launch: float = 1e-6
     ode_tol: float = 1e-11
     lambda_bracket: Optional[Tuple[float, float]] = None
@@ -64,9 +65,12 @@ class ShootingConfig:
 
     def __post_init__(self):
         if not 0.0 < self.t_launch <= 1e-4:
-            raise ValueError("t_launch must lie in (0, 1e-4]")
-        if self.ode_tol > 1e-10:
-            raise ValueError("ode_tol must be at most 1e-10")
+            raise ValueError(f"t_launch must lie in (0, 1e-4], got {self.t_launch}")
+        if not 0.0 < self.ode_tol <= 1e-10:
+            raise ValueError(f"ode_tol must lie in (0, 1e-10], got {self.ode_tol}")
+        if not (isinstance(self.max_bisections, int) and self.max_bisections >= 1):
+            raise ValueError(
+                f"max_bisections must be an integer >= 1, got {self.max_bisections}")
 
 
 DEFAULT_SHOOTING = ShootingConfig()
@@ -150,7 +154,9 @@ def find_eigenvalue(pars: ConeParams, mode: Mode = Mode(), index: int = 0,
 
     Bisection on the lexicographic predicate: lambda is below the target
     when the shot has fewer than `index` interior zeros, or exactly
-    `index` with the log-derivative mismatch still positive.
+    `index` with the log-derivative mismatch still positive.  Raises
+    NonConvergenceError when cfg.max_bisections steps leave the bracket
+    wider than its relative tolerance of 1e-13.
     """
     if index < 0:
         raise ValueError("index must be nonnegative")
@@ -186,7 +192,13 @@ def find_eigenvalue(pars: ConeParams, mode: Mode = Mode(), index: int = 0,
         widenings += 1
 
     iters = 0
-    while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)) and iters < cfg.max_bisections:
+    while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
+        if iters == cfg.max_bisections:
+            raise NonConvergenceError(
+                f"eigenvalue bracket [{lo!r}, {hi!r}] still wider than its 1e-13 "
+                f"tolerance after max_bisections={iters} steps at "
+                f"(n,k)=({pars.n},{pars.k})", value=0.5 * (lo + hi),
+                err_estimate=hi - lo, terms_used=iters)
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid
@@ -302,15 +314,7 @@ class ScanReport:
     notes: Tuple[str, ...]
 
 
-def _thread_count() -> int:
-    env = os.environ.get("CONELAB_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _scan_cell(args) -> ScanRow:
-    n, k, cfg = args
+def _scan_cell(n: int, k: int, cfg: ShootingConfig) -> ScanRow:
     pars = ConeParams(n, k)
     root = find_root(pars)
     res = find_eigenvalue(pars, Mode(), 0, cfg, root)
@@ -323,22 +327,14 @@ def family_scan(n_range: Tuple[int, int],
     """First-eigenvalue table over n in [n_lo, n_hi], k in [1, n-2], with
     the monotonicity and range flags of the conjecture-evidence scan.
 
-    Cells are independent and may be computed concurrently (CONELAB_THREADS
-    caps the pool); rows are assembled in (n, k) order regardless of
-    schedule.  The bound flags are evaluated on the n >= 7 rows, where the
-    family is strictly stable.
+    Rows come in (n, k) order.  The bound flags are evaluated on the n >= 7
+    rows, where the family is strictly stable.
     """
     n_lo, n_hi = n_range
     if not 3 <= n_lo <= n_hi <= 40:
         raise ValueError("n_range must satisfy 3 <= n_lo <= n_hi <= 40")
-    cells = [(n, k, cfg) for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_cell, cells))
-    else:
-        rows = [_scan_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r.n, r.k))
+    rows = [_scan_cell(n, k, cfg)
+            for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
 
     notes: List[str] = []
     stable_rows = [r for r in rows if r.n >= 7]

@@ -138,6 +138,37 @@ class TestConfig:
                              "--tol-override", "series.rel_tol=0.5")
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["0", "5"])
+    def test_unconverged_eigenvalue_rejected(self, capsys, value):
+        # 0 bisections used to print lambda1 = -3.308 (true -5.698) and exit 0
+        rc, out, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
+                               "--tol-override", f"shooting.max_bisections={value}")
+        assert rc == 2 and out == ""
+        assert "max_bisections" in err
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_ode_tol_must_be_finite_and_in_range(self, capsys, value):
+        rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
+                             "--tol-override", f"shooting.ode_tol={value}")
+        assert rc == 2
+        assert "shooting.ode_tol" in err
+
+    def test_series_controls_must_be_finite(self, capsys):
+        rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
+                             "--tol-override", "series.abs_tol=inf")
+        assert rc == 2
+        assert "series.abs_tol" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (("verify", "--suite", "specfun"), "bogus"),
+        (("verify", "--suite", "specfun"), "series.max_terms"),
+        (("scan", "--n-max", "5"), "series.max_terms"),
+    ])
+    def test_unknown_or_unused_key_rejected(self, capsys, argv, key):
+        rc, out, err = run_cli(capsys, *argv, "--tol-override", f"{key}=100")
+        assert rc == 2 and out == ""
+        assert repr(key) in err
+
 
 class TestVerifySuites:
     def test_single_suite_json(self, capsys):

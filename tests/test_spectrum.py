@@ -205,10 +205,3 @@ class TestFamilyScan:
             family_scan((2, 10))
         with pytest.raises(ValueError):
             family_scan((7, 41))
-
-    def test_thread_determinism(self, monkeypatch):
-        monkeypatch.setenv("CONELAB_THREADS", "4")
-        a = family_scan((7, 9))
-        monkeypatch.setenv("CONELAB_THREADS", "1")
-        b = family_scan((7, 9))
-        assert a.rows == b.rows
