@@ -198,15 +198,16 @@ def riccati_suite() -> List[CheckRecord]:
     # subsolution exponent margins
     margins7 = []
     for k in range(1, 6):
-        ok_k, m = check_4_minus_n(ConeParams(7, k))
-        margins7.append(m)
+        pars = ConeParams(7, k)
+        margins7.append(check_4_minus_n(pars, find_root(pars))[1])
     out.append(_rec("riccati", "l7k_margin_above_3em2",
                     min(margins7) > 3e-2,
                     f"min L_(7,k)(s_(7,k)) = {min(margins7):.5f} (must exceed 0.03)"))
     all_ok = True
     for n in range(7, 21):
         for k in range(1, n - 1):
-            ok_nk, _ = check_4_minus_n(ConeParams(n, k))
+            pars = ConeParams(n, k)
+            ok_nk, _ = check_4_minus_n(pars, find_root(pars))
             all_ok = all_ok and ok_nk
     out.append(_rec("riccati", "exponent_4mn_admissible_n7_20",
                     all_ok, "L(s_(n,k)) > 0 at the subsolution exponent, n = 7..20"))

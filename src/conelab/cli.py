@@ -109,15 +109,17 @@ def _emit_json(rows: List[dict], flags: List[str]) -> None:
 def _cone_record(n: int, k: int, series: SeriesControl,
                  shooting: ShootingConfig) -> dict:
     pars = ConeParams(n, k)
-    rep = verdict(pars, series)
     root = find_root(pars, series)
-    eig = find_eigenvalue(pars, Mode(), 0, shooting, root, series)
-    _, margin4 = check_4_minus_n(pars, series)
+    rep = verdict(pars, root, series)
+    eig = find_eigenvalue(pars, root, Mode(), 0, shooting)
+    _, margin4 = check_4_minus_n(pars, root, series)
     flags: List[str] = []
     if eig.gamma_plus is None:
         flags.append("complex_indicial_roots")
     if rep.verdict is Verdict.BORDERLINE_STABLE:
         flags.append("borderline_margin")
+    if margin4 is None:
+        flags.append("margin_4_minus_n_undefined")
     for col in ("t", "neg_lambda1", "neg_gamma_plus"):
         if (col, n, k) in reference.FLAGGED_ENTRIES:
             flags.append(f"reference_flagged:{col}")
@@ -154,7 +156,9 @@ def cmd_analyze(args) -> int:
         else:
             print(f"  decay rates gamma- = {gm:.6f}, gamma+ = {gp:.6f}")
         print(f"  verdict: {rec['verdict']}")
-        print(f"  subsolution margin at degree 4-n: {rec['margin_4_minus_n']:.6f}")
+        m4 = rec["margin_4_minus_n"]
+        print("  subsolution margin at degree 4-n: "
+              + ("undefined" if m4 is None else f"{m4:.6f}"))
         if rec["flags"]:
             print("  flags: " + ", ".join(rec["flags"]))
     return 0

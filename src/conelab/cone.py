@@ -1,6 +1,7 @@
 """Cone geometry for the invariant one-phase family: profile functions,
 free-boundary root, normalization, boundary mean curvature, the strict
-stability criterion and the admissible homogeneity interval.
+stability criterion and the admissible homogeneity interval.  Functions
+evaluated at the free boundary take the RootResult of find_root.
 
 Profiles are hypergeometric in s = t^2: the degree-alpha harmonic profile
 is 2F1((n+alpha-2)/2, -alpha/2; k/2; t^2), and the solution profile is its
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-9  # borderline band on the criterion margin
+ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
+ALPHA_TOL = 1e-10  # bisection width for the admissible-interval endpoint
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,6 @@ class StabilityReport:
     rhs: float
     margin: float
     verdict: Verdict
-    admissible: Optional[Tuple[float, float]]
 
 
 def profile_params(p: ConeParams, alpha: float) -> HypParams:
@@ -155,8 +157,7 @@ def _cubic_root_in_s(p: ConeParams) -> Optional[float]:
 _S_CAP = 1.0 - 2e-9  # largest admitted s; t stays below 1 - 1e-9
 
 
-def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL,
-              scan_points: int = 64) -> RootResult:
+def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> RootResult:
     """Locate the free-boundary root t_{n,k} of f_{n,k}.
 
     The upper bracket end comes from the quadratic truncation
@@ -174,7 +175,7 @@ def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL,
         return hyp2f1(profile_params(p, 1.0), s, ctrl).value
 
     # descending scan: f -> -inf at 1 and f(0) = 1, so a sign change exists
-    grid = [s_up * (1.0 - j / scan_points) for j in range(scan_points + 1)]
+    grid = [s_up * (1.0 - j / ROOT_SCAN_POINTS) for j in range(ROOT_SCAN_POINTS + 1)]
     s_lo = s_hi = None
     prev = s_up
     v_hi = F(s_up)
@@ -246,24 +247,22 @@ def stability_margin(p: ConeParams, alpha: float, r: RootResult,
     return 2.0 * r.t_nk * Fp / F - rhs
 
 
-def admissible_interval(p: ConeParams, r: Optional[RootResult] = None,
-                        ctrl: SeriesControl = DEFAULT_CONTROL,
-                        alpha_tol: float = 1e-10) -> Optional[Tuple[float, float]]:
+def admissible_interval(p: ConeParams, r: RootResult,
+                        ctrl: SeriesControl = DEFAULT_CONTROL
+                        ) -> Optional[Tuple[float, float]]:
     """Endpoints of the admissible homogeneity interval, or None when empty.
 
     The margin is symmetric about (2-n)/2 and decreases away from it, so
     one bisection on ((2-n)/2, 0) locates the upper endpoint and the lower
     endpoint is its mirror image.
     """
-    if r is None:
-        r = find_root(p, ctrl)
     mid = (2.0 - p.n) / 2.0
     if stability_margin(p, mid, r, ctrl) <= 0.0:
         return None
     lo, hi = mid, -1e-12
     if stability_margin(p, hi, r, ctrl) >= 0.0:
         return (2.0 - p.n - hi, hi)
-    while hi - lo > alpha_tol:
+    while hi - lo > ALPHA_TOL:
         m = 0.5 * (lo + hi)
         if stability_margin(p, m, r, ctrl) > 0.0:
             lo = m
@@ -273,24 +272,20 @@ def admissible_interval(p: ConeParams, r: Optional[RootResult] = None,
     return (2.0 - p.n - alpha_hi, alpha_hi)
 
 
-def verdict(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> StabilityReport:
-    """Full stability report; the criterion is evaluated at alpha = (2-n)/2."""
-    r = find_root(p, ctrl)
+def verdict(p: ConeParams, r: RootResult,
+            ctrl: SeriesControl = DEFAULT_CONTROL) -> StabilityReport:
+    """Stability report at the root r; the criterion is evaluated at alpha = (2-n)/2."""
     c_nk = normalization_c(p, r, ctrl)
     link_H, rhs = boundary_rhs(p, r)
     margin = stability_margin(p, (2.0 - p.n) / 2.0, r, ctrl)
     if margin > MARGIN_TOL:
         v = Verdict.STRICTLY_STABLE
-        adm = admissible_interval(p, r, ctrl)
     elif margin < -MARGIN_TOL:
         v = Verdict.UNSTABLE
-        adm = None
     else:
         v = Verdict.BORDERLINE_STABLE
-        adm = None
     return StabilityReport(t_nk=r.t_nk, c_nk=c_nk, link_H=link_H,
-                           lhs=margin + rhs, rhs=rhs, margin=margin,
-                           verdict=v, admissible=adm)
+                           lhs=margin + rhs, rhs=rhs, margin=margin, verdict=v)
 
 
 def eval_homogeneous(p: ConeParams, alpha: float, scale: float, rho: float,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from conelab.cone import ConeParams, find_root, profile_params
+from conelab.cone import ConeParams, RootResult, profile_params
 from conelab.errors import (
     IntegrationFailure,
     PoleEncounteredError,
@@ -44,6 +44,8 @@ __all__ = [
 ODE_LAUNCH_S = 1e-3  # series launch interval for the singular s = 0 end
 ODE_LAUNCH_TERMS = 6
 ODE_S_MAX = 1.0 - 1e-6  # the s = 1 end is singular again; Direct rules there
+CROSS_CHECK_POINTS = 33  # grid of the CrossCheck trace
+BARRIER_GRID = 512  # Chebyshev points per smooth barrier piece
 
 
 class RiccatiMode(Enum):
@@ -161,8 +163,7 @@ def L_ode(p: ConeParams, alpha: float, s: float) -> float:
 
 def L_eval(p: ConeParams, alpha: float, s: float,
            mode: RiccatiMode = RiccatiMode.DIRECT,
-           ctrl: SeriesControl = DEFAULT_CONTROL,
-           grid_points: int = 33):
+           ctrl: SeriesControl = DEFAULT_CONTROL):
     """Evaluate L at s (Direct or OdeIntegrate), or return a RiccatiTrace
     comparing both along a grid in CrossCheck mode."""
     if not s < 1.0:
@@ -173,7 +174,7 @@ def L_eval(p: ConeParams, alpha: float, s: float,
         return L_ode(p, alpha, s)
     ahat_ = alpha_hat(p, alpha)
     s_end = min(s, ODE_S_MAX)
-    grid = np.linspace(0.0, s_end, grid_points)
+    grid = np.linspace(0.0, s_end, CROSS_CHECK_POINTS)
     sol = _L_ode_solution(p, ahat_, s_end)
     launch = _launch_series(p, ahat_)
     direct = [L_direct(p, alpha, g, ctrl) for g in grid]
@@ -294,8 +295,7 @@ def linear_root_relation(p: ConeParams) -> Tuple[float, float, bool]:
     return s_star, linear_zero, s_star <= linear_zero
 
 
-def verify_barrier(p: ConeParams, grid_size: int = 512,
-                   ctrl: SeriesControl = DEFAULT_CONTROL) -> BarrierReport:
+def verify_barrier(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> BarrierReport:
     """Machine verification of the barrier properties at alpha = 4-n.
 
     Checks, on Chebyshev grids per smooth piece: the subsolution residual
@@ -319,10 +319,10 @@ def verify_barrier(p: ConeParams, grid_size: int = 512,
     # refined variant (terminal condition), so both grids stay strictly
     # inside those endpoints.
     # linear piece: R[phi] telescopes to 2 s (k - n + 4) exactly
-    lin = cheb(k / n * 1e-9, k / n * (1.0 - 1e-12), grid_size)
+    lin = cheb(k / n * 1e-9, k / n * (1.0 - 1e-12), BARRIER_GRID)
     res_lin = 2.0 * lin * (k - n + 4.0)
     # curved piece: R[phi] = (ns - k - B) phi + (P(s) - C)
-    cur = cheb(k / n, s_star - (s_star - k / n) * 1e-9, grid_size)
+    cur = cheb(k / n, s_star - (s_star - k / n) * 1e-9, BARRIER_GRID)
     phi_cur = np.array([phi(s) for s in cur])
     res_cur = (n * cur - k - B_const) * phi_cur + \
         np.array([_P4(p, s) for s in cur]) - C_const
@@ -330,8 +330,7 @@ def verify_barrier(p: ConeParams, grid_size: int = 512,
     jump_left = 4.0 * k / n - 1.0
     jump_right = phi(k / n)
 
-    sample = np.concatenate([lin[:: max(1, grid_size // 64)],
-                             cur[:: max(1, grid_size // 64)]])
+    sample = np.concatenate([lin[:: BARRIER_GRID // 64], cur[:: BARRIER_GRID // 64]])
     l_minus_phi = min(L_direct(p, alpha, float(s), ctrl) - phi(float(s))
                       for s in sample)
     L_star = L_direct(p, alpha, s_star, ctrl)
@@ -349,10 +348,13 @@ def verify_barrier(p: ConeParams, grid_size: int = 512,
                          L_at_s_star=float(L_star), passed=passed)
 
 
-def check_4_minus_n(p: ConeParams,
-                    ctrl: SeriesControl = DEFAULT_CONTROL) -> Tuple[bool, float]:
+def check_4_minus_n(p: ConeParams, r: RootResult,
+                    ctrl: SeriesControl = DEFAULT_CONTROL
+                    ) -> Tuple[bool, Optional[float]]:
     """Is 4-n an admissible exponent?  True iff L(s_{n,k}) > 0 at alpha = 4-n;
-    the margin returned is that L value."""
-    r = find_root(p, ctrl)
+    the margin returned is that L value.  At n = 3 the degree-(4-n) profile
+    is f itself, so L has a pole at the root: (False, None) is returned."""
+    if p.n == 3:
+        return False, None
     margin = L_direct(p, 4.0 - p.n, r.s_nk, ctrl)
     return margin > 0.0, margin

@@ -25,7 +25,6 @@ from scipy.linalg import eigh_tridiagonal
 from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root
 from conelab.errors import BracketExhausted, IntegrationFailure, NonConvergenceError
-from conelab.specfun import DEFAULT_CONTROL, SeriesControl
 
 __all__ = [
     "Mode",
@@ -60,7 +59,6 @@ class ShootingConfig:
 
     t_launch: float = 1e-6
     ode_tol: float = 1e-11
-    lambda_bracket: Optional[Tuple[float, float]] = None
     max_bisections: int = 200
 
     def __post_init__(self):
@@ -74,6 +72,7 @@ class ShootingConfig:
 
 
 DEFAULT_SHOOTING = ShootingConfig()
+BC_RESIDUAL_MAX = 1e-9  # largest accepted |Phi'/Phi - Robin side| at the root
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,11 @@ def _frobenius_launch(p_: ConeParams, mode: Mode, lam: float,
     return u, v
 
 
-def shoot(pars: ConeParams, lam: float, mode: Mode = Mode(),
-          cfg: ShootingConfig = DEFAULT_SHOOTING,
-          root: Optional[RootResult] = None) -> Tuple[float, int]:
+def shoot(pars: ConeParams, root: RootResult, lam: float, mode: Mode = Mode(),
+          cfg: ShootingConfig = DEFAULT_SHOOTING) -> Tuple[float, int]:
     """Integrate the mode ODE to the root; return (Phi'/Phi there, number
     of interior sign changes of Phi).  The log-derivative is +-inf when the
     shot lands exactly on a zero."""
-    if root is None:
-        root = find_root(pars)
     P2, Q2 = _mode_potentials(pars, mode)
     u0, v0 = _frobenius_launch(pars, mode, lam, cfg.t_launch)
     # resolve the local oscillation scale so step-wise sign counting is exact
@@ -146,36 +142,30 @@ def shoot(pars: ConeParams, lam: float, mode: Mode = Mode(),
     return v / u, zeros
 
 
-def find_eigenvalue(pars: ConeParams, mode: Mode = Mode(), index: int = 0,
-                    cfg: ShootingConfig = DEFAULT_SHOOTING,
-                    root: Optional[RootResult] = None,
-                    ctrl: SeriesControl = DEFAULT_CONTROL) -> EigenResult:
+def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
+                    index: int = 0, cfg: ShootingConfig = DEFAULT_SHOOTING) -> EigenResult:
     """Locate the index-th eigenvalue of the mode (index 0 = lowest).
 
     Bisection on the lexicographic predicate: lambda is below the target
     when the shot has fewer than `index` interior zeros, or exactly
     `index` with the log-derivative mismatch still positive.  Raises
     NonConvergenceError when cfg.max_bisections steps leave the bracket
-    wider than its relative tolerance of 1e-13.
+    wider than its relative tolerance of 1e-13, or when the boundary
+    residual |mismatch| at the result exceeds BC_RESIDUAL_MAX.
     """
     if index < 0:
         raise ValueError("index must be nonnegative")
-    if root is None:
-        root = find_root(pars, ctrl)
     _, rhs_bc = boundary_rhs(pars, root)
 
     def mismatch(lam: float) -> Tuple[float, int]:
-        d, z = shoot(pars, lam, mode, cfg, root)
+        d, z = shoot(pars, root, lam, mode, cfg)
         return d - rhs_bc, z
 
     def below(lam: float) -> bool:
         dm, z = mismatch(lam)
         return z < index or (z == index and dm > 0.0)
 
-    if cfg.lambda_bracket is not None:
-        lo, hi = cfg.lambda_bracket
-    else:
-        lo, hi = -float((pars.n - 2) ** 2) - 1.0, 0.0
+    lo, hi = -float((pars.n - 2) ** 2) - 1.0, 0.0
     widenings = 0
     while not below(lo):
         if widenings >= 2:
@@ -218,6 +208,11 @@ def find_eigenvalue(pars: ConeParams, mode: Mode = Mode(), index: int = 0,
                 dm3, z3 = mismatch(lam3)
                 if abs(dm3) < abs(dm) and z3 == zeros:
                     lam, dm, zeros = lam3, dm3, z3
+    if not abs(dm) <= BC_RESIDUAL_MAX:
+        raise NonConvergenceError(
+            f"eigenvalue {index} of mode ({mode.p},{mode.q}) at (n,k)=({pars.n},{pars.k}) "
+            f"leaves boundary residual {abs(dm):.3e} above {BC_RESIDUAL_MAX:g}",
+            value=lam, err_estimate=abs(dm))
     roots_pm = indicial_roots(lam, pars.n)
     gm, gp = (roots_pm if roots_pm is not None else (None, None))
     return EigenResult(lam=lam, zeros_interior=zeros, gamma_minus=gm,
@@ -229,9 +224,8 @@ def _link_weight(pars: ConeParams, t: np.ndarray) -> np.ndarray:
     return t ** (pars.k - 1) * (1.0 - t * t) ** ((pars.n - pars.k) / 2.0)
 
 
-def fd_oracle_lambda1(pars: ConeParams, mode: Mode = Mode(),
-                      grid_n: int = 2000,
-                      root: Optional[RootResult] = None) -> float:
+def fd_oracle_lambda1(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
+                      grid_n: int = 2000) -> float:
     """First eigenvalue from a symmetric tridiagonal finite-volume
     discretization of the weighted Sturm-Liouville form; independent of
     the shooting code path.
@@ -242,8 +236,6 @@ def fd_oracle_lambda1(pars: ConeParams, mode: Mode = Mode(),
     """
     if grid_n < 200:
         raise ValueError("grid_n must be at least 200")
-    if root is None:
-        root = find_root(pars)
     t0 = root.t_nk
     _, rhs_bc = boundary_rhs(pars, root)
     P2, Q2 = _mode_potentials(pars, mode)
@@ -317,7 +309,7 @@ class ScanReport:
 def _scan_cell(n: int, k: int, cfg: ShootingConfig) -> ScanRow:
     pars = ConeParams(n, k)
     root = find_root(pars)
-    res = find_eigenvalue(pars, Mode(), 0, cfg, root)
+    res = find_eigenvalue(pars, root, Mode(), 0, cfg)
     return ScanRow(n=n, k=k, t_nk=root.t_nk, lambda1=res.lam,
                    gamma_plus=res.gamma_plus, gamma_minus=res.gamma_minus)
 

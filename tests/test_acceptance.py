@@ -48,7 +48,7 @@ def eigen_row(n: int, k: int):
     if key not in _EIGEN_CACHE:
         pars = ConeParams(n, k)
         root = find_root(pars)
-        _EIGEN_CACHE[key] = (root, find_eigenvalue(pars, root=root))
+        _EIGEN_CACHE[key] = (root, find_eigenvalue(pars, root))
     return _EIGEN_CACHE[key]
 
 
@@ -115,11 +115,13 @@ class TestC03Verdicts:
         assert len(unstable) == 10
         bad = []
         for (n, k) in unstable:
-            if verdict(ConeParams(n, k)).verdict is not Verdict.UNSTABLE:
+            p = ConeParams(n, k)
+            if verdict(p, find_root(p)).verdict is not Verdict.UNSTABLE:
                 bad.append((n, k))
         for n in range(7, 13):
             for k in range(1, n - 1):
-                if verdict(ConeParams(n, k)).verdict is not Verdict.STRICTLY_STABLE:
+                p = ConeParams(n, k)
+                if verdict(p, find_root(p)).verdict is not Verdict.STRICTLY_STABLE:
                     bad.append((n, k))
         report("3 (verdicts)", not bad, f"10 unstable + 45 stable cones; wrong: {bad or 'none'}")
         assert not bad
@@ -127,12 +129,14 @@ class TestC03Verdicts:
 
 class TestC04SubsolutionMargin:
     def test_c04(self):
-        margins = [check_4_minus_n(ConeParams(7, k))[1] for k in range(1, 6)]
+        pars = [ConeParams(7, k) for k in range(1, 6)]
+        margins = [check_4_minus_n(p, find_root(p))[1] for p in pars]
         ok7 = min(margins) > 3e-2
         bad = []
         for n in range(7, 21):
             for k in range(1, n - 1):
-                ok, _ = check_4_minus_n(ConeParams(n, k))
+                p = ConeParams(n, k)
+                ok, _ = check_4_minus_n(p, find_root(p))
                 if not ok:
                     bad.append((n, k))
         ok_all = ok7 and not bad
@@ -209,9 +213,9 @@ class TestC08OracleEquivalence:
         worst = 0.0
         for (n, k) in [(7, 1), (7, 5), (9, 4), (12, 6), (15, 13)]:
             pars = ConeParams(n, k)
-            _, eig = eigen_row(n, k)
-            l1 = fd_oracle_lambda1(pars, grid_n=2000)
-            l2 = fd_oracle_lambda1(pars, grid_n=4000)
+            root, eig = eigen_row(n, k)
+            l1 = fd_oracle_lambda1(pars, root, grid_n=2000)
+            l2 = fd_oracle_lambda1(pars, root, grid_n=4000)
             rich = (4.0 * l2 - l1) / 3.0
             worst = max(worst, abs(rich - eig.lam) / abs(eig.lam))
         ok = worst <= 1e-4

@@ -3,10 +3,15 @@ comparison behavior, configuration precedence."""
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
+import conelab.cone
 from conelab.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +42,18 @@ class TestAnalyze:
         assert rc == 2
         assert "k must lie" in err
 
+    def test_n3_margin_undefined(self, capsys):
+        # at n = 3 the degree-(4-n) profile is f itself, so L has a pole at
+        # the root; this used to exit 2 on PoleEncounteredError
+        rc, out, _ = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
+        assert rc == 0
+        assert "subsolution margin at degree 4-n: undefined" in out
+        rc, out, _ = run_cli(capsys, "table", "--n", "3", "4", "--format", "json")
+        assert rc == 0
+        row = json.loads(out)["rows"][0]
+        assert (row["n"], row["margin_4_minus_n"]) == (3, None)
+        assert "margin_4_minus_n_undefined" in row["flags"]
+
     def test_json_roundtrip(self, capsys):
         rc, out, _ = run_cli(capsys, "analyze", "--n", "8", "--k", "3",
                              "--format", "json")
@@ -60,6 +77,26 @@ class TestTable:
         _, out2, _ = run_cli(capsys, "table", "--n", "7", "8", "--format", "csv")
         assert out1 == out2
         assert "\r" not in out1
+
+    def test_golden_csv(self, capsys):
+        rc, out, _ = run_cli(capsys, "table", "--n", "7", "9")
+        assert rc == 0
+        assert out.encode("utf-8") == (DATA / "table_n7_9.csv").read_bytes()
+
+    def test_one_root_per_cone(self, capsys, monkeypatch):
+        raw = conelab.cone.find_root
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return raw(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("conelab.") and getattr(mod, "find_root", None) is raw:
+                monkeypatch.setattr(mod, "find_root", counted)
+        rc, _, _ = run_cli(capsys, "table", "--n", "7", "8")
+        assert rc == 0
+        assert len(calls) == 11 and len(set(calls)) == 11
 
     def test_compare_clean_rows(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--n", "7", "7", "--compare")
@@ -97,6 +134,11 @@ class TestScan:
         stable = [r for r in rows if r["n"] >= 7]
         for r in stable:
             assert r["lambda1"] > 8 - 2 * r["n"]
+
+    def test_golden_csv(self, capsys):
+        rc, out, _ = run_cli(capsys, "scan", "--n-max", "9")
+        assert rc == 0
+        assert out.encode("utf-8") == (DATA / "scan_nmax9.csv").read_bytes()
 
     def test_csv_nan_for_complex_roots(self, capsys):
         rc, out, _ = run_cli(capsys, "scan", "--n-max", "5", "--format", "csv")

@@ -249,16 +249,20 @@ class TestMarginsAndVerdicts:
             L_direct(p, -7.0, 0.5)
 
     def test_verdict_examples(self):
-        assert verdict(ConeParams(6, 1)).verdict is Verdict.UNSTABLE
-        assert verdict(ConeParams(7, 1)).verdict is Verdict.STRICTLY_STABLE
-        assert verdict(ConeParams(7, 5)).verdict is Verdict.STRICTLY_STABLE
+        for (n, k, want) in [(6, 1, Verdict.UNSTABLE), (7, 1, Verdict.STRICTLY_STABLE),
+                             (7, 5, Verdict.STRICTLY_STABLE)]:
+            p = ConeParams(n, k)
+            assert verdict(p, find_root(p)).verdict is want
 
     def test_report_fields(self):
-        rep = verdict(ConeParams(7, 1))
+        p = ConeParams(7, 1)
+        r = find_root(p)
+        rep = verdict(p, r)
         assert rep.link_H > 0.0
         assert math.isclose(rep.lhs - rep.rhs, rep.margin, rel_tol=1e-12)
-        assert rep.admissible is not None
-        lo, hi = rep.admissible
+        adm = admissible_interval(p, r)
+        assert adm is not None
+        lo, hi = adm
         assert abs(lo + hi - (2.0 - 7.0)) < 1e-8
 
 
@@ -266,17 +270,19 @@ class TestAdmissibleInterval:
     def test_seven_one_endpoints(self):
         # endpoints solve alpha(alpha + n - 2) = lambda1; frozen from the
         # spectral dual computed independently (lambda1 = -5.6984022):
-        lo, hi = admissible_interval(ConeParams(7, 1))
+        p = ConeParams(7, 1)
+        lo, hi = admissible_interval(p, find_root(p))
         assert abs(hi - (-1.7573037)) < 1e-6
         assert abs(lo - (-3.2426963)) < 1e-6
 
     def test_empty_for_unstable(self):
-        assert admissible_interval(ConeParams(5, 2)) is None
-        assert admissible_interval(ConeParams(6, 3)) is None
+        for p in (ConeParams(5, 2), ConeParams(6, 3)):
+            assert admissible_interval(p, find_root(p)) is None
 
     def test_contains_4_minus_n(self):
         for (n, k) in [(7, 2), (9, 5), (12, 7), (15, 1)]:
-            lo, hi = admissible_interval(ConeParams(n, k))
+            p = ConeParams(n, k)
+            lo, hi = admissible_interval(p, find_root(p))
             assert lo < 4.0 - n < hi
 
     def test_margin_sign_inside_outside(self):

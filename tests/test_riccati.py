@@ -35,7 +35,8 @@ class TestLEval:
             assert abs(v + 1.0) < 1e-3
 
     def test_subsolution_margins_seven(self):
-        vals = [check_4_minus_n(ConeParams(7, k))[1] for k in range(1, 6)]
+        pars = [ConeParams(7, k) for k in range(1, 6)]
+        vals = [check_4_minus_n(p, find_root(p))[1] for p in pars]
         assert min(vals) > 3e-2
 
     def test_modes_agree(self):
@@ -208,11 +209,13 @@ class TestCheck4MinusN:
     def test_true_for_stable_range(self):
         for n in range(7, 21):
             for k in (1, n // 2, n - 2):
-                ok, margin = check_4_minus_n(ConeParams(n, k))
+                p = ConeParams(n, k)
+                ok, margin = check_4_minus_n(p, find_root(p))
                 assert ok and margin > 0.0
 
     def test_false_below_seven(self):
         for n in (5, 6):
             for k in range(1, n - 1):
-                ok, margin = check_4_minus_n(ConeParams(n, k))
+                p = ConeParams(n, k)
+                ok, margin = check_4_minus_n(p, find_root(p))
                 assert not ok and margin < 0.0

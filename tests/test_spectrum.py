@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conelab.cone import ConeParams, Verdict, boundary_rhs, find_root, stability_margin, verdict
-from conelab.errors import BracketExhausted
+from conelab.errors import BracketExhausted, NonConvergenceError
 from conelab.spectrum import (
     Mode,
     ShootingConfig,
@@ -21,7 +21,8 @@ from conelab.spectrum import (
 
 class TestShoot:
     def test_constant_solution_at_zero(self):
-        d, zeros = shoot(ConeParams(8, 3), 0.0)
+        p = ConeParams(8, 3)
+        d, zeros = shoot(p, find_root(p), 0.0)
         assert d == 0.0 and zeros == 0
 
     def test_profile_identity(self):
@@ -30,7 +31,7 @@ class TestShoot:
         p = ConeParams(9, 4)
         root = find_root(p)
         lam = (4.0 - 9.0) * (4.0 - 9.0 + 9.0 - 2.0)
-        d, zeros = shoot(p, lam, root=root)
+        d, zeros = shoot(p, root, lam)
         _, rhs = boundary_rhs(p, root)
         margin = stability_margin(p, 4.0 - 9.0, root)
         assert zeros == 0
@@ -40,25 +41,27 @@ class TestShoot:
         # zero counts are monotone in lambda: disconjugate far below the
         # first eigenvalue, oscillatory above the second
         p = ConeParams(9, 4)
-        _, zeros_low = shoot(p, -240.0)
+        root = find_root(p)
+        _, zeros_low = shoot(p, root, -240.0)
         assert zeros_low == 0
-        lam2 = find_eigenvalue(p, index=1).lam
-        _, zeros_high = shoot(p, lam2 + 2.0)
+        lam2 = find_eigenvalue(p, root, index=1).lam
+        _, zeros_high = shoot(p, root, lam2 + 2.0)
         assert zeros_high >= 1
 
     def test_launch_insensitive(self):
         for (n, k) in [(7, 3), (12, 10)]:
             p = ConeParams(n, k)
             root = find_root(p)
-            a = find_eigenvalue(p, cfg=ShootingConfig(t_launch=1e-6), root=root)
-            b = find_eigenvalue(p, cfg=ShootingConfig(t_launch=5e-7), root=root)
+            a = find_eigenvalue(p, root, cfg=ShootingConfig(t_launch=1e-6))
+            b = find_eigenvalue(p, root, cfg=ShootingConfig(t_launch=5e-7))
             assert abs(a.lam - b.lam) <= 1e-11
 
 
 class TestFindEigenvalue:
     def test_table_values(self):
         for (n, k, neg_lam) in [(7, 1, 5.698), (12, 10, 10.531), (10, 8, 8.536)]:
-            res = find_eigenvalue(ConeParams(n, k))
+            p = ConeParams(n, k)
+            res = find_eigenvalue(p, find_root(p))
             assert abs(-res.lam - neg_lam) < 5e-4
             assert res.zeros_interior == 0
             assert res.bc_residual <= 1e-9
@@ -66,10 +69,12 @@ class TestFindEigenvalue:
     def test_boundary_residual_contract_across_family(self):
         for n in (5, 9, 14, 20):
             for k in (1, n // 2, n - 2):
-                assert find_eigenvalue(ConeParams(n, k)).bc_residual <= 1e-9
+                p = ConeParams(n, k)
+                assert find_eigenvalue(p, find_root(p)).bc_residual <= 1e-9
 
     def test_gamma_from_table_seven_one(self):
-        res = find_eigenvalue(ConeParams(7, 1))
+        p = ConeParams(7, 1)
+        res = find_eigenvalue(p, find_root(p))
         # gamma+ = -5/2 + sqrt(25/4 + lambda1)
         want = -2.5 + math.sqrt(6.25 + res.lam)
         assert math.isclose(res.gamma_plus, want, rel_tol=1e-12)
@@ -77,35 +82,54 @@ class TestFindEigenvalue:
 
     def test_higher_index_ordering(self):
         p = ConeParams(7, 2)
-        l0 = find_eigenvalue(p, index=0)
-        l1 = find_eigenvalue(p, index=1)
-        l2 = find_eigenvalue(p, index=2)
+        root = find_root(p)
+        l0 = find_eigenvalue(p, root, index=0)
+        l1 = find_eigenvalue(p, root, index=1)
+        l2 = find_eigenvalue(p, root, index=2)
         assert l0.lam < l1.lam < l2.lam
         assert (l0.zeros_interior, l1.zeros_interior, l2.zeros_interior) == (0, 1, 2)
 
     def test_bracket_widening_small_n(self):
-        res = find_eigenvalue(ConeParams(3, 1))
+        p = ConeParams(3, 1)
+        res = find_eigenvalue(p, find_root(p))
         assert res.lam < -((3 - 2) / 2.0) ** 2  # unstable cone
 
     def test_mode_monotonicity(self):
         p = ConeParams(8, 4)
-        base = find_eigenvalue(p, Mode(0, 0)).lam
-        assert find_eigenvalue(p, Mode(1, 0)).lam >= base - 1e-10
-        assert find_eigenvalue(p, Mode(0, 1)).lam >= base - 1e-10
-        assert find_eigenvalue(p, Mode(0, 2)).lam >= find_eigenvalue(p, Mode(0, 1)).lam - 1e-10
-        assert find_eigenvalue(p, Mode(2, 0)).lam >= find_eigenvalue(p, Mode(1, 0)).lam - 1e-10
+        r = find_root(p)
+        base = find_eigenvalue(p, r, Mode(0, 0)).lam
+        assert find_eigenvalue(p, r, Mode(1, 0)).lam >= base - 1e-10
+        assert find_eigenvalue(p, r, Mode(0, 1)).lam >= base - 1e-10
+        assert find_eigenvalue(p, r, Mode(0, 2)).lam >= find_eigenvalue(p, r, Mode(0, 1)).lam - 1e-10
+        assert find_eigenvalue(p, r, Mode(2, 0)).lam >= find_eigenvalue(p, r, Mode(1, 0)).lam - 1e-10
 
     def test_first_eigenfunction_positive(self):
         for (n, k) in [(7, 1), (10, 5), (13, 11)]:
-            res = find_eigenvalue(ConeParams(n, k))
+            p = ConeParams(n, k)
+            res = find_eigenvalue(p, find_root(p))
             assert res.zeros_interior == 0
 
     def test_exhausted_bracket(self):
-        # eigenvalues grow like index^2; two widenings from a tiny bracket
-        # cannot reach the 50th one
-        cfg = ShootingConfig(lambda_bracket=(-1.0, -0.5))
-        with pytest.raises(BracketExhausted):
-            find_eigenvalue(ConeParams(7, 1), cfg=cfg, index=50)
+        # eigenvalues grow like index^2; two widenings from the default
+        # bracket cannot reach the 50th one
+        p = ConeParams(7, 1)
+        with pytest.raises(BracketExhausted, match="above lambda=3684.0"):
+            find_eigenvalue(p, find_root(p), index=50)
+
+    def test_boundary_residual_bound_enforced(self, monkeypatch):
+        # a log-derivative that jumps over the Robin side by +-1e-6 has no
+        # root: bisection converges onto the jump and must not report it
+        p = ConeParams(7, 1)
+        root = find_root(p)
+        _, rhs = boundary_rhs(p, root)
+
+        def jumping_shoot(pars, root, lam, *rest):
+            return rhs + (1e-6 if lam < -5.0 else -1e-6), 0
+
+        monkeypatch.setattr("conelab.spectrum.shoot", jumping_shoot)
+        with pytest.raises(NonConvergenceError,
+                           match=r"mode \(0,0\) at \(n,k\)=\(7,1\).*1\.000e-06"):
+            find_eigenvalue(p, root)
 
 
 class TestIndicialRoots:
@@ -133,20 +157,23 @@ class TestFdOracle:
     def test_matches_shooting(self):
         for (n, k) in [(7, 1), (9, 4)]:
             p = ConeParams(n, k)
-            lam_shoot = find_eigenvalue(p).lam
-            l1 = fd_oracle_lambda1(p, grid_n=2000)
-            l2 = fd_oracle_lambda1(p, grid_n=4000)
+            root = find_root(p)
+            lam_shoot = find_eigenvalue(p, root).lam
+            l1 = fd_oracle_lambda1(p, root, grid_n=2000)
+            l2 = fd_oracle_lambda1(p, root, grid_n=4000)
             rich = (4.0 * l2 - l1) / 3.0
             assert abs(rich - lam_shoot) <= 1e-4 * abs(lam_shoot)
 
     def test_negative_for_all(self):
         for (n, k) in [(3, 1), (6, 2), (7, 5), (12, 6)]:
-            assert fd_oracle_lambda1(ConeParams(n, k), grid_n=800) < 0.0
+            p = ConeParams(n, k)
+            assert fd_oracle_lambda1(p, find_root(p), grid_n=800) < 0.0
 
     def test_second_order_convergence(self):
         p = ConeParams(8, 3)
-        exact = find_eigenvalue(p).lam
-        errs = [abs(fd_oracle_lambda1(p, grid_n=g) - exact)
+        root = find_root(p)
+        exact = find_eigenvalue(p, root).lam
+        errs = [abs(fd_oracle_lambda1(p, root, grid_n=g) - exact)
                 for g in (500, 1000, 2000)]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for o in orders:
@@ -156,24 +183,27 @@ class TestFdOracle:
         # coordinate translations produce degree-0 Jacobi fields, so the
         # first eigenvalue of the (1,0) and (0,1) modes vanishes exactly
         p = ConeParams(8, 4)
-        assert abs(find_eigenvalue(p, Mode(0, 1)).lam) < 1e-9
-        assert abs(find_eigenvalue(p, Mode(1, 0)).lam) < 1e-9
-        rich = (4.0 * fd_oracle_lambda1(p, Mode(0, 1), grid_n=4000)
-                - fd_oracle_lambda1(p, Mode(0, 1), grid_n=2000)) / 3.0
+        root = find_root(p)
+        assert abs(find_eigenvalue(p, root, Mode(0, 1)).lam) < 1e-9
+        assert abs(find_eigenvalue(p, root, Mode(1, 0)).lam) < 1e-9
+        rich = (4.0 * fd_oracle_lambda1(p, root, Mode(0, 1), grid_n=4000)
+                - fd_oracle_lambda1(p, root, Mode(0, 1), grid_n=2000)) / 3.0
         assert abs(rich) < 1e-6
 
     def test_q_mode_dirichlet_path(self):
         # a genuinely nonzero q-mode eigenvalue agrees with the oracle
         p = ConeParams(8, 4)
-        lam_shoot = find_eigenvalue(p, Mode(0, 2)).lam
-        l1 = fd_oracle_lambda1(p, Mode(0, 2), grid_n=2000)
-        l2 = fd_oracle_lambda1(p, Mode(0, 2), grid_n=4000)
+        root = find_root(p)
+        lam_shoot = find_eigenvalue(p, root, Mode(0, 2)).lam
+        l1 = fd_oracle_lambda1(p, root, Mode(0, 2), grid_n=2000)
+        l2 = fd_oracle_lambda1(p, root, Mode(0, 2), grid_n=4000)
         rich = (4.0 * l2 - l1) / 3.0
         assert abs(rich - lam_shoot) <= 2e-4 * max(1.0, abs(lam_shoot))
 
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
-            fd_oracle_lambda1(ConeParams(7, 1), grid_n=100)
+            p = ConeParams(7, 1)
+            fd_oracle_lambda1(p, find_root(p), grid_n=100)
 
 
 class TestVerdictDuality:
@@ -181,9 +211,10 @@ class TestVerdictDuality:
         for n in range(3, 16):
             for k in range(1, n - 1):
                 p = ConeParams(n, k)
-                lam = find_eigenvalue(p).lam
+                root = find_root(p)
+                lam = find_eigenvalue(p, root).lam
                 stable = lam > -((n - 2) / 2.0) ** 2
-                assert stable == (verdict(p).verdict is Verdict.STRICTLY_STABLE)
+                assert stable == (verdict(p, root).verdict is Verdict.STRICTLY_STABLE)
 
 
 class TestFamilyScan:
