@@ -6,9 +6,30 @@ Squares are written as products: Python's x ** 2 calls pow(), which can
 differ from x * x in the last bit.
 """
 
-from math import fabs, sqrt
+from math import fabs, inf, sqrt
 
 BACKEND = "python"
+
+
+def _ratio_sup(x, y, i):
+    """Supremum of |x + j| / (y + j) over j >= i, for y + i > 0."""
+    d = x - y
+    if d < 0.0 and x + i >= 0.0:
+        d = 0.0
+    return 1.0 + fabs(d) / (y + i)
+
+
+def _tail_bound(a, b, c, s, i, nxt):
+    """Bound nxt / (1 - q) on the series tail whose first term, of size nxt,
+    has index i; q bounds the term ratio |s| (a+j)(b+j) / ((c+j)(j+1)) over
+    j >= i.  Infinite when no such q below 1 is found."""
+    if c + i <= 0.0:
+        return inf
+    q = fabs(s) * min(_ratio_sup(a, c, i) * _ratio_sup(b, 1.0, i),
+                      _ratio_sup(a, 1.0, i) * _ratio_sup(b, c, i))
+    if q >= 1.0:
+        return inf
+    return nxt / (1.0 - q)
 
 
 def hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms):
@@ -18,12 +39,18 @@ def hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms):
     predicted next term both clear the tolerance, which avoids premature
     exits when a Pochhammer factor passes near zero.
 
+    The error estimate is a first-order bound: the m-th term has been
+    through 8m roundings and the compensated sum adds two per term, so
+    `rounds` sums |term| times its rounding count, in units of 2^-53
+    (1.12e-16 leaves 1% for higher orders); the truncated tail adds a
+    geometric bound, infinite when the term ratio cannot be bounded below 1.
+
     Returns (value, err_estimate, terms_used, converged).
     """
     term = 1.0
     total = 1.0
     comp = 0.0
-    sum_abs = 1.0
+    rounds = 2.0
     if s == 0.0:
         return (1.0, 0.0, 0, True)
     for m in range(max_terms):
@@ -32,16 +59,17 @@ def hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms):
         tnew = total + y
         comp = (tnew - total) - y
         total = tnew
-        sum_abs += fabs(term)
+        rounds += (8.0 * m + 10.0) * fabs(term)
         if term == 0.0:
-            return (total, 1.2e-16 * sum_abs, m + 1, True)
+            return (total, 1.12e-16 * rounds, m + 1, True)
         tol = max(abs_tol, rel_tol * fabs(total))
         if fabs(term) <= tol:
             ratio_next = (a + m + 1.0) * (b + m + 1.0) / ((c + m + 1.0) * (m + 2.0)) * s
             nxt = fabs(term * ratio_next)
             if nxt <= tol:
-                return (total, fabs(term) + nxt + 1.2e-16 * sum_abs, m + 1, True)
-    return (total, fabs(term) + 1.2e-16 * sum_abs, max_terms, False)
+                return (total, _tail_bound(a, b, c, s, m + 2.0, nxt) + 1.12e-16 * rounds,
+                        m + 1, True)
+    return (total, fabs(term) + 1.12e-16 * rounds, max_terms, False)
 
 
 # Dormand-Prince 5(4) tableau

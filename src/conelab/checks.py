@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
-import numpy as np
-
 from conelab import lemmas, riccati
 from conelab.cone import ConeParams, find_root, profile_params, stability_margin
 from conelab.errors import RangeUnsupported
@@ -56,6 +54,8 @@ def _rec(suite: str, name: str, passed: bool, detail: str) -> CheckRecord:
 # ---------------------------------------------------------------------- specfun
 
 def specfun_suite() -> List[CheckRecord]:
+    import numpy as np
+
     out: List[CheckRecord] = []
     rng = np.random.default_rng(SEED)
 
@@ -134,6 +134,8 @@ def specfun_suite() -> List[CheckRecord]:
 # ---------------------------------------------------------------------- riccati
 
 def riccati_suite() -> List[CheckRecord]:
+    import numpy as np
+
     out: List[CheckRecord] = []
     rng = np.random.default_rng(SEED + 1)
 
@@ -217,6 +219,8 @@ def riccati_suite() -> List[CheckRecord]:
 # ----------------------------------------------------------------------- lemmas
 
 def lemmas_suite() -> List[CheckRecord]:
+    import numpy as np
+
     out: List[CheckRecord] = []
 
     for chk in lemmas.proof_constants_check():

@@ -85,7 +85,6 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class StabilityReport:
     t_nk: float
-    c_nk: float
     link_H: float
     lhs: float
     rhs: float
@@ -275,7 +274,6 @@ def admissible_interval(p: ConeParams, r: RootResult,
 def verdict(p: ConeParams, r: RootResult,
             ctrl: SeriesControl = DEFAULT_CONTROL) -> StabilityReport:
     """Stability report at the root r; the criterion is evaluated at alpha = (2-n)/2."""
-    c_nk = normalization_c(p, r, ctrl)
     link_H, rhs = boundary_rhs(p, r)
     margin = stability_margin(p, (2.0 - p.n) / 2.0, r, ctrl)
     if margin > MARGIN_TOL:
@@ -284,7 +282,7 @@ def verdict(p: ConeParams, r: RootResult,
         v = Verdict.UNSTABLE
     else:
         v = Verdict.BORDERLINE_STABLE
-    return StabilityReport(t_nk=r.t_nk, c_nk=c_nk, link_H=link_H,
+    return StabilityReport(t_nk=r.t_nk, link_H=link_H,
                            lhs=margin + rhs, rhs=rhs, margin=margin, verdict=v)
 
 

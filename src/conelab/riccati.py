@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy.integrate import solve_ivp
-
 from conelab.cone import ConeParams, RootResult, profile_params
 from conelab.errors import (
     IntegrationFailure,
@@ -135,6 +132,8 @@ def _launch_eval(ell: list, s: float) -> float:
 
 def _L_ode_solution(p: ConeParams, ahat: float, s_end: float):
     """Integrate the Riccati ODE from the series launch to s_end."""
+    from scipy.integrate import solve_ivp
+
     n, k = float(p.n), float(p.k)
     s0 = ODE_LAUNCH_S
     l0 = _launch_eval(_launch_series(p, ahat), s0)
@@ -172,6 +171,8 @@ def L_eval(p: ConeParams, alpha: float, s: float,
         return L_direct(p, alpha, s, ctrl)
     if mode is RiccatiMode.ODE_INTEGRATE:
         return L_ode(p, alpha, s)
+    import numpy as np
+
     ahat_ = alpha_hat(p, alpha)
     s_end = min(s, ODE_S_MAX)
     grid = np.linspace(0.0, s_end, CROSS_CHECK_POINTS)
@@ -302,6 +303,8 @@ def verify_barrier(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> Barr
     R[phi] < 0, the decreasing jump at k/n, the comparison L >= phi, and
     the payoff L(s_star) > 0.
     """
+    import numpy as np
+
     spec, phi = barrier_phi(p)
     n, k = float(p.n), float(p.k)
     s_star = spec.s_star

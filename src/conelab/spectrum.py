@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
 from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root
 from conelab.errors import BracketExhausted, IntegrationFailure, NonConvergenceError
@@ -219,7 +216,7 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
                        gamma_plus=gp, bc_residual=abs(dm))
 
 
-def _link_weight(pars: ConeParams, t: np.ndarray) -> np.ndarray:
+def _link_weight(pars: ConeParams, t):
     """Sturm-Liouville weight p(t) = t^(k-1) (1-t^2)^((n-k)/2)."""
     return t ** (pars.k - 1) * (1.0 - t * t) ** ((pars.n - pars.k) / 2.0)
 
@@ -236,6 +233,9 @@ def fd_oracle_lambda1(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
     """
     if grid_n < 200:
         raise ValueError("grid_n must be at least 200")
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
     t0 = root.t_nk
     _, rhs_bc = boundary_rhs(pars, root)
     P2, Q2 = _mode_potentials(pars, mode)

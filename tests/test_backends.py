@@ -60,6 +60,7 @@ def test_series_kernel_agreement(_kernels):
         assert okc and okp
         assert tc == tp
         assert vc == vp  # statement-identical summation
+        assert ec == ep  # and error bound
 
 
 def test_shoot_kernel_agreement(_kernels):

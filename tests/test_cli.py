@@ -3,6 +3,8 @@ comparison behavior, configuration precedence."""
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -220,3 +222,26 @@ class TestVerifySuites:
         assert payload["schema_version"] == 1
         assert payload["flags"] == []
         assert all(r["passed"] for r in payload["rows"])
+
+
+class TestColdImport:
+    def test_no_scipy_or_numpy_on_the_evaluation_path(self):
+        # analyze (16,14) takes the log case of the connection formula,
+        # analyze (31,24) the non-integer one; run both and a table in a
+        # fresh interpreter and list what got imported
+        script = "\n".join([
+            "import sys",
+            "from conelab.cli import main",
+            "for argv in (['analyze', '--n', '16', '--k', '14'],",
+            "             ['analyze', '--n', '31', '--k', '24'],",
+            "             ['table', '--n', '7', '9']):",
+            "    assert main(argv) == 0",
+            "print(sorted(m for m in sys.modules",
+            "             if m.split('.')[0] in ('scipy', 'numpy')), file=sys.stderr)",
+        ])
+        src = str(Path(conelab.cone.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stderr.strip() == "[]"

@@ -128,7 +128,7 @@ class TestHyp2f1:
                 is Strategy.CONNECTION_AT_1)
         # integer c - a - b (log case) far beyond the direct window
         assert (hyp2f1(HypParams(5.5, -0.5, 5.0), 0.995).strategy
-                is Strategy.ODE_CONTINUATION)
+                is Strategy.CONNECTION_AT_1)
 
     def test_near_one_log_case_against_mpmath_value(self):
         # frozen from mpmath.hyp2f1 at 50 digits, evaluated at the exact
