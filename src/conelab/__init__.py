@@ -26,10 +26,10 @@ from conelab.specfun import EvalResult, HypParams, SeriesControl, hyp2f1
 from conelab.spectrum import (
     EigenResult,
     Mode,
-    ShootingConfig,
     family_scan,
     fd_oracle_lambda1,
     find_eigenvalue,
+    first_eigenvalue,
     indicial_roots,
 )
 
@@ -55,9 +55,9 @@ __all__ = [
     "hyp2f1",
     "EigenResult",
     "Mode",
-    "ShootingConfig",
     "family_scan",
     "fd_oracle_lambda1",
     "find_eigenvalue",
+    "first_eigenvalue",
     "indicial_roots",
 ]

@@ -13,7 +13,6 @@ from typing import Callable, Dict, List, Sequence
 
 from conelab import lemmas, riccati
 from conelab.cone import ConeParams, find_root, profile_params, stability_margin
-from conelab.errors import RangeUnsupported
 from conelab.riccati import (
     BarrierVariant,
     RiccatiMode,

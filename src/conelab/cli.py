@@ -23,13 +23,10 @@ from conelab.checks import SUITES, run_suites
 from conelab.cone import ConeParams, Verdict, find_root, verdict
 from conelab.errors import ConelabError
 from conelab.riccati import check_4_minus_n
-from conelab.spectrum import Mode, ShootingConfig, family_scan, find_eigenvalue
+from conelab.spectrum import family_scan, first_eigenvalue
 from conelab.specfun import SeriesControl
 
-_CONTROL_KEYS = {"series.rel_tol": float, "series.abs_tol": float,
-                 "series.max_terms": int, "series.switch_point": float,
-                 "shooting.t_launch": float, "shooting.ode_tol": float,
-                 "shooting.max_bisections": int}
+_CONTROL_KEYS = {f"series.{f.name}": type(f.default) for f in dataclasses.fields(SeriesControl)}
 
 
 def _parse_kv(text: str) -> Tuple[str, str]:
@@ -57,30 +54,25 @@ def _load_overrides(config_path: Optional[str],
     return merged
 
 
-def _build_controls(args, used: Sequence[str] = ("series", "shooting")
-                    ) -> Tuple[SeriesControl, ShootingConfig]:
-    """Controls from --config and --tol-override.  Raises ValueError
-    naming the key when it is unknown, belongs to a section the command
-    does not use, or has a rejected value."""
-    kwargs: Dict[str, dict] = {"series": {}, "shooting": {}}
+def _build_controls(args, used: bool = True) -> SeriesControl:
+    """Series controls from --config and --tol-override.  Raises
+    ValueError naming the key when it is unknown, the command uses no
+    controls, or the value is rejected."""
+    kwargs: Dict[str, object] = {}
     for key, raw in _load_overrides(args.config, args.tol_override).items():
         cast = _CONTROL_KEYS.get(key)
         if cast is None:
             raise ValueError(f"unknown configuration key {key!r}")
-        section, field = key.split(".")
-        if section not in used:
+        if not used:
             raise ValueError(f"configuration key {key!r} is not used by {args.command}")
         try:
-            kwargs[section][field] = cast(raw)
+            kwargs[key.split(".")[1]] = cast(raw)
         except ValueError:
             raise ValueError(f"{key}: expected {cast.__name__}, got {raw!r}") from None
-    controls = []
-    for section, cls in (("series", SeriesControl), ("shooting", ShootingConfig)):
-        try:
-            controls.append(cls(**kwargs[section]))
-        except ValueError as exc:  # the message begins with the field name
-            raise ValueError(f"{section}.{exc}") from None
-    return controls[0], controls[1]
+    try:
+        return SeriesControl(**kwargs)
+    except ValueError as exc:  # the message begins with the field name
+        raise ValueError(f"series.{exc}") from None
 
 
 def _fmt_cell(x) -> str:
@@ -106,12 +98,11 @@ def _emit_json(rows: List[dict], flags: List[str]) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _cone_record(n: int, k: int, series: SeriesControl,
-                 shooting: ShootingConfig) -> dict:
+def _cone_record(n: int, k: int, series: SeriesControl) -> dict:
     pars = ConeParams(n, k)
     root = find_root(pars, series)
     rep = verdict(pars, root, series)
-    eig = find_eigenvalue(pars, root, Mode(), 0, shooting)
+    eig = first_eigenvalue(pars, root, series)
     _, margin4 = check_4_minus_n(pars, root, series)
     flags: List[str] = []
     if eig.gamma_plus is None:
@@ -141,8 +132,7 @@ def cmd_analyze(args) -> int:
         print(f"error: k must lie in [1, n-2] and n >= 3; got n={args.n}, k={args.k}",
               file=sys.stderr)
         return 2
-    series, shooting = _build_controls(args)
-    rec = _cone_record(args.n, args.k, series, shooting)
+    rec = _cone_record(args.n, args.k, _build_controls(args))
     if args.format == "json":
         _emit_json([rec], rec["flags"])
     else:
@@ -205,8 +195,8 @@ def cmd_table(args) -> int:
         print(f"error: table range must satisfy 3 <= n_min <= n_max <= 40, "
               f"got {n_min}..{n_max}", file=sys.stderr)
         return 2
-    series, shooting = _build_controls(args)
-    records = [_cone_record(n, k, series, shooting)
+    series = _build_controls(args)
+    records = [_cone_record(n, k, series)
                for n in range(n_min, n_max + 1) for k in range(1, n - 1)]
     flags: List[str] = []
     exit_code = 0
@@ -231,7 +221,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _build_controls(args, used=())
+    _build_controls(args, used=False)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     records = run_suites(names)
     failed = [r.name for r in records if not r.passed]
@@ -250,8 +240,7 @@ def cmd_scan(args) -> int:
         print(f"error: --n-max must lie in [3, 40], got {args.n_max}",
               file=sys.stderr)
         return 2
-    _, shooting = _build_controls(args, used=("shooting",))
-    rep = family_scan((3, args.n_max), shooting)
+    rep = family_scan((3, args.n_max), _build_controls(args))
     failed = sorted(name for name, ok in rep.flags.items() if not ok)
     if args.format == "json":
         rows = [dataclasses.asdict(r) for r in rep.rows]

@@ -45,7 +45,6 @@ __all__ = [
 
 MARGIN_TOL = 1e-9  # borderline band on the criterion margin
 ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
-ALPHA_TOL = 1e-10  # bisection width for the admissible-interval endpoint
 
 
 @dataclass(frozen=True)
@@ -252,23 +251,26 @@ def admissible_interval(p: ConeParams, r: RootResult,
     """Endpoints of the admissible homogeneity interval, or None when empty.
 
     The margin is symmetric about (2-n)/2 and decreases away from it, so
-    one bisection on ((2-n)/2, 0) locates the upper endpoint and the lower
-    endpoint is its mirror image.
+    its root on ((2-n)/2, 0) is the upper endpoint gamma_+ and the lower
+    endpoint is its mirror image.  Illinois steps (regula falsi, halving
+    the value kept at one end twice) shrink the bracket to a few ulps.
     """
-    mid = (2.0 - p.n) / 2.0
-    if stability_margin(p, mid, r, ctrl) <= 0.0:
+    lo, hi = (2.0 - p.n) / 2.0, -1e-12
+    f_lo = stability_margin(p, lo, r, ctrl)
+    if f_lo <= 0.0:
         return None
-    lo, hi = mid, -1e-12
-    if stability_margin(p, hi, r, ctrl) >= 0.0:
-        return (2.0 - p.n - hi, hi)
-    while hi - lo > ALPHA_TOL:
-        m = 0.5 * (lo + hi)
-        if stability_margin(p, m, r, ctrl) > 0.0:
-            lo = m
+    f_hi = stability_margin(p, hi, r, ctrl)
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    while f_hi < 0.0 and hi - lo > 4.0 * math.ulp(lo):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f_x = stability_margin(p, x, r, ctrl)
+        if f_x > 0.0:
+            lo, f_lo, f_hi, moved = x, f_x, f_hi * (0.5 if moved == 1 else 1.0), 1
         else:
-            hi = m
-    alpha_hi = 0.5 * (lo + hi)
-    return (2.0 - p.n - alpha_hi, alpha_hi)
+            hi, f_hi, f_lo, moved = x, f_x, f_lo * (0.5 if moved == -1 else 1.0), -1
+    return (2.0 - p.n - hi, hi)
 
 
 def verdict(p: ConeParams, r: RootResult,

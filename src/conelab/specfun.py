@@ -103,31 +103,45 @@ def pochhammer(q: float, m: int) -> float:
     Large m is accumulated in log space with sign tracking, so the result
     saturates to +-inf only when the true value overflows binary64.
     """
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if m == 0:
-        return 1.0
-    if m <= 150:
-        out = 1.0
-        for i in range(m):
-            out *= q + i
-        if math.isfinite(out):
-            return out
-    sign = 1.0
-    log_abs = 0.0
-    for i in range(m):
-        f = q + i
-        if f == 0.0:
-            return 0.0
-        if f < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(f))
-    if log_abs > 709.0:
-        return sign * math.inf
-    return sign * math.exp(log_abs)
+    return _pochhammer(q, m)[0]
 
 
 _U = 2.0 ** -53  # unit roundoff of binary64
+_ETA = 2.0 ** -1075  # largest absolute rounding error of a subnormal product
+
+
+def _pochhammer(q: float, m: int) -> Tuple[float, float]:
+    """(q)_m and a first-order bound on its error: each factor q+i, product
+    and, in log space, each log and partial sum rounds by 2^-53 relative,
+    and a subnormal product by up to _ETA more."""
+    if m < 0:
+        raise ValueError("m must be a nonnegative integer")
+    if m == 0:
+        return 1.0, 0.0
+    if m <= 150:
+        out, err = 1.0, 0.0
+        for i in range(m):
+            f = q + i
+            err = (err + _U * abs(out)) * abs(f) + _U * abs(out * f) + _ETA
+            out *= f
+        if math.isfinite(out):
+            return out, err
+    sign = 1.0
+    log_abs = log_mag = 0.0
+    for i in range(m):
+        f = q + i
+        if f == 0.0:
+            return 0.0, 0.0
+        if f < 0.0:
+            sign = -sign
+        log_abs += math.log(abs(f))
+        log_mag += abs(math.log(abs(f)))
+    if log_abs > 709.0:
+        return sign * math.inf, math.inf
+    value = sign * math.exp(log_abs)
+    return value, _U * (m + 1.0) * (2.0 + log_mag) * abs(value) + _ETA
+
+
 _EULER_GAMMA = 0.57721566490153286061
 # error models, in units of 2^-53, with about 3x margin over the worst
 # error seen against 40-digit mpmath on 20k-40k draws (13 and 10):
@@ -218,37 +232,35 @@ def _safe_pow(base: float, expo: float) -> float:
 
 
 def _run_series(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
-                max_terms: Optional[int] = None):
+                dp=(0.0, 0.0, 0.0), max_terms: Optional[int] = None):
+    """hyp2f1_series, its error bound grown for parameters p = a, b, c
+    that lie up to dp from the intended ones: a term of index m moves by at
+    most m |term| max_j dp / |p + j|, and the kernel's bound already
+    exceeds 8 * 2^-53 * sum m |term|."""
     budget = ctrl.max_terms if max_terms is None else max_terms
     value, err, terms, ok = _series_kernel(a, b, c, s, ctrl.rel_tol,
                                            ctrl.abs_tol, budget)
-    return value, err, terms, ok
-
-
-def _param_slack(err: float, params: Iterable[Tuple[float, float]]) -> float:
-    """Grow a series error bound err from hyp2f1_series for parameters p
-    that carry an absolute rounding error dp: a term of index m moves by at
-    most m |term| max_j dp / |p + j|, and err already exceeds 8 * 2^-53 *
-    sum m |term|."""
     grow = 0.0
-    for p, dp in params:
+    for p, d in zip((a, b, c), dp):
         gap = p if p > 0.0 else abs(p - round(p))
-        if dp > 0.0:
-            grow += dp / gap if gap > 0.0 else math.inf
-    return err * (1.0 + grow / (8.0 * _U))
+        if d > 0.0:
+            grow += d / gap if gap > 0.0 else math.inf
+    return value, err * (1.0 + grow / (8.0 * _U)), terms, ok
 
 
-def _gauss_at_one(a: float, b: float, c: float) -> Tuple[float, float]:
+def _gauss_at_one(a: float, b: float, c: float, dp) -> Tuple[float, float]:
     """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
-    with an error bound."""
+    with an error bound for inputs within dp of the intended (a, b, c)."""
+    da, db, dc = dp
     ca, cb = c - a, c - b
     cab = ca - b
     sign, log, lerr = _gamma_ratio((c, cab), (ca, cb))
     value = _scaled(sign, log, 1.0)
     if value == 0.0:
         return value, 0.0
-    lerr += (_psi_shift(cab, _rounding((c, -a, -b), cab))
-             + _psi_shift(ca, _rounding((c, -a), ca)) + _psi_shift(cb, _rounding((c, -b), cb)))
+    lerr += (_psi_shift(c, dc) + _psi_shift(cab, _rounding((c, -a, -b), cab) + da + db + dc)
+             + _psi_shift(ca, _rounding((c, -a), ca) + da + dc)
+             + _psi_shift(cb, _rounding((c, -b), cb) + db + dc))
     return value, (lerr + 2.0 * _U) * abs(value)
 
 
@@ -268,14 +280,14 @@ def _psi_shift(x: float, dx: float) -> float:
     return dx * abs(digamma(x))
 
 
-def _connection_at_one(a: float, b: float, c: float, s: float,
-                       ctrl: SeriesControl) -> EvalResult:
+def _connection_at_one(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
+                       dp) -> EvalResult:
     """DLMF 15.8.4 evaluation through 1-s; requires c-a-b non-integer.
 
     Each term is assembled as sign * exp(log magnitude) * series so the
     (1-s)^(c-a-b) prefactor cannot overflow before it is compensated by
     the gamma ratio.  The error bound covers the two series, the gamma
-    ratios and the rounding of the derived parameters c-a, c-b and c-a-b,
+    ratios and the rounding of c-a, c-b, c-a-b and, up to dp, of (a, b, c),
     whose effect near an integer c-a-b grows like psi(c-a-b).
     """
     ca, cb = c - a, c - b
@@ -283,34 +295,32 @@ def _connection_at_one(a: float, b: float, c: float, s: float,
     c1, cab1 = a + b - c + 1.0, cab + 1.0
     u = 1.0 - s
     lu = math.log(u)
-    v1, e1, t1, ok1 = _run_series(a, b, c1, u, ctrl)
-    v2, e2, t2, ok2 = _run_series(ca, cb, cab1, u, ctrl)
+    da, db, dc = dp
+    d_ca, d_cb = _rounding((c, -a), ca) + da + dc, _rounding((c, -b), cb) + db + dc
+    d_cab = _rounding((c, -a, -b), cab) + da + db + dc
+    v1, e1, t1, ok1 = _run_series(a, b, c1, u, ctrl,
+                                  (da, db, _rounding((a, b, -c, 1.0), c1) + da + db + dc))
+    v2, e2, t2, ok2 = _run_series(ca, cb, cab1, u, ctrl,
+                                  (d_ca, d_cb, _rounding((c, -a, -b, 1.0), cab1) + da + db + dc))
     if not (ok1 and ok2):
         raise NonConvergenceError(
             f"connection series stalled for (a,b,c,s)=({a},{b},{c},{s})")
-    d_ca, d_cb = _rounding((c, -a), ca), _rounding((c, -b), cb)
-    d_cab = _rounding((c, -a, -b), cab)
-    e1 = _param_slack(e1, ((c1, _rounding((a, b, -c, 1.0), c1)),))
-    e2 = _param_slack(e2, ((ca, d_ca), (cb, d_cb),
-                           (cab1, _rounding((c, -a, -b, 1.0), cab1))))
-    sign_a, log_a, lerr_a = _gamma_ratio((c, cab), (ca, cb))
+    gauss, gauss_err = _gauss_at_one(a, b, c, dp)  # the first coefficient
     sign_b, log_b, lerr_b = _gamma_ratio((c, -cab), (a, b))
     log_b += cab * lu
-    lerr_b += _U * (2.0 * abs(cab * lu) + abs(log_b))
-    # each log prefactor moves with the rounding of its arguments
-    lerr_a += _psi_shift(cab, d_cab) + _psi_shift(ca, d_ca) + _psi_shift(cb, d_cb)
-    lerr_b += _psi_shift(-cab, d_cab) + d_cab * abs(lu)
-    term_a = _scaled(sign_a, log_a, v1)
+    # the log prefactor moves with the rounding of its arguments
+    lerr_b += (_U * (2.0 * abs(cab * lu) + abs(log_b)) + _psi_shift(c, dc) + _psi_shift(a, da)
+               + _psi_shift(b, db) + _psi_shift(-cab, d_cab) + d_cab * abs(lu))
+    term_a = gauss * v1
     term_b = _scaled(sign_b, log_b, v2)
     value = term_a + term_b
-    err = (abs(_scaled(sign_a, log_a, e1)) + abs(_scaled(sign_b, log_b, e2))
-           + (lerr_a + 2.0 * _U) * abs(term_a) + (lerr_b + 2.0 * _U) * abs(term_b)
-           + _U * abs(value))
+    err = (abs(gauss * e1) + gauss_err * abs(v1) + abs(_scaled(sign_b, log_b, e2))
+           + (lerr_b + 2.0 * _U) * abs(term_b) + _U * (abs(term_a) + abs(value)))
     return EvalResult(value, err, t1 + t2, Strategy.CONNECTION_AT_1)
 
 
-def _log_case(a: float, b: float, c: float, s: float,
-              ctrl: SeriesControl) -> EvalResult:
+def _log_case(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
+              dp) -> EvalResult:
     """2F1 when c-a-b is an integer m, beyond the direct window.
 
     For m < 0, Euler's transformation F(a,b;c;s) = u^m F(c-a,c-b;c;s),
@@ -325,21 +335,21 @@ def _log_case(a: float, b: float, c: float, s: float,
     with psi advanced by psi(x+1) = psi(x) + 1/x.  The series stops once a
     geometric bound on its tail clears the tolerance.  The error bound
     adds the rounding of every term, psi value and gamma ratio, and the
-    first-order effect of the distance between (a, b, c) and a triple
-    with c-a-b exactly an integer, which grows like log(u)^2.
+    first-order effect of the distance from the intended (a, b, c), up to dp
+    away, to a triple with c-a-b exactly an integer, growing like log(u)^2.
     """
     u = 1.0 - s
     lu = math.log(u)
     m = int(round(c - a - b))
+    da, db, dc = dp
     euler = 1.0
-    shift = 0.0  # distance from the inputs to the (a, b, c) summed below
+    shift = da + db + dc  # distance from the intended (a, b, c) to the one summed
     if m < 0:
         ca, cb = c - a, c - b
-        d_ca, d_cb = _rounding((c, -a), ca), _rounding((c, -b), cb)
-        a, b, m, euler, shift = ca, cb, -m, _safe_pow(u, m), d_ca + d_cb
+        d_ca, d_cb = _rounding((c, -a), ca) + da + dc, _rounding((c, -b), cb) + db + dc
+        a, b, m, euler, shift = ca, cb, -m, _safe_pow(u, m), d_ca + d_cb + dc
         if _nonpos_int(a) is not None or _nonpos_int(b) is not None:
-            v, err, terms, _ = _run_series(a, b, c, s, ctrl)
-            err = _param_slack(err, ((a, d_ca), (b, d_cb)))
+            v, err, terms, _ = _run_series(a, b, c, s, ctrl, (d_ca, d_cb, dc))
             value = euler * v
             return EvalResult(value, abs(euler) * err + 4.0 * _U * abs(value),
                               terms, Strategy.EULER_TRANSFORM)
@@ -416,12 +426,14 @@ def _log_case(a: float, b: float, c: float, s: float,
     return EvalResult(value, err, m + k, Strategy.CONNECTION_AT_1)
 
 
-def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> EvalResult:
+def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL,
+           dp: Tuple[float, float, float] = (0.0, 0.0, 0.0)) -> EvalResult:
     """Evaluate 2F1(a, b; c; s) on (-1, 1] with strategy bookkeeping.
 
     At s = 1 the Gauss summation value is returned and requires
     c - a - b > 0.  Raises NonConvergenceError when every applicable
-    strategy exhausts its budget.
+    strategy exhausts its budget.  The err_estimate also covers (a, b, c)
+    lying up to dp from the intended parameters, e.g. by rounding.
     """
     a, b, c = p.a, p.b, p.c
     if not -1.0 < s <= 1.0:
@@ -432,12 +444,12 @@ def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> Eva
         if c - a - b <= 0.0:
             raise DomainError(
                 f"2F1 at s=1 requires c-a-b > 0, got {c - a - b}")
-        value, err = _gauss_at_one(a, b, c)
+        value, err = _gauss_at_one(a, b, c, dp)
         return EvalResult(value, err, 0, Strategy.CONNECTION_AT_1)
 
     terminating = _nonpos_int(a) is not None or _nonpos_int(b) is not None
     if terminating or abs(s) <= ctrl.switch_point or s < 0.0:
-        value, err, terms, ok = _run_series(a, b, c, s, ctrl)
+        value, err, terms, ok = _run_series(a, b, c, s, ctrl, dp)
         if not ok:
             raise NonConvergenceError(
                 f"direct series exhausted {ctrl.max_terms} terms at s={s}",
@@ -449,40 +461,50 @@ def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> Eva
     euler_deg = min(d for d in (deg_ca, deg_cb) if d is not None) \
         if (deg_ca is not None or deg_cb is not None) else None
     if euler_deg is not None and euler_deg <= 2:
-        v, err, terms, _ = _run_series(c - a, c - b, c, s, ctrl)
-        err = _param_slack(err, ((c - a, _rounding((c, -a), c - a)),
-                                 (c - b, _rounding((c, -b), c - b))))
+        da, db, dc = dp
+        v, err, terms, _ = _run_series(c - a, c - b, c, s, ctrl, (
+            _rounding((c, -a), c - a) + da + dc, _rounding((c, -b), c - b) + db + dc, dc))
         cab = c - a - b
         lu = math.log(1.0 - s)
         pref = _safe_pow(1.0 - s, cab)
-        rel = _U * (4.0 + 2.0 * abs(cab * lu)) + _rounding((c, -a, -b), cab) * abs(lu)
+        rel = (_U * (4.0 + 2.0 * abs(cab * lu))
+               + (_rounding((c, -a, -b), cab) + da + db + dc) * abs(lu))
         return EvalResult(pref * v, pref * err + rel * abs(pref * v),
                           terms, Strategy.EULER_TRANSFORM)
 
     if s <= 0.99:
-        value, err, terms, ok = _run_series(a, b, c, s, ctrl,
+        value, err, terms, ok = _run_series(a, b, c, s, ctrl, dp,
                                             max_terms=min(ctrl.max_terms, 8000))
         if ok:
             return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
 
     if not _near_int(c - a - b):
-        return _connection_at_one(a, b, c, s, ctrl)
-    return _log_case(a, b, c, s, ctrl)
+        return _connection_at_one(a, b, c, s, ctrl, dp)
+    return _log_case(a, b, c, s, ctrl, dp)
 
 
 def hyp2f1_deriv(p: HypParams, s: float, m: int,
                  ctrl: SeriesControl = DEFAULT_CONTROL) -> EvalResult:
     """m-th derivative of 2F1 via the parameter-shift identity
-    d^m/ds^m F(a,b;c;s) = (a)_m (b)_m / (c)_m * F(a+m, b+m; c+m; s)."""
+    d^m/ds^m F(a,b;c;s) = (a)_m (b)_m / (c)_m * F(a+m, b+m; c+m; s).
+
+    The error bound adds to that of the shifted 2F1 the rounding of the
+    shifted parameters and of the prefactor, which may be subnormal."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    pref = pochhammer(p.a, m) * pochhammer(p.b, m) / pochhammer(p.c, m)
+    if any(d is not None and d < m for d in (_nonpos_int(p.a), _nonpos_int(p.b))):
+        return EvalResult(0.0, 0.0, 0, Strategy.DIRECT_SERIES)  # degree below m
+    (pa, ea), (pb, eb), (pc, ec) = (_pochhammer(x, m) for x in (p.a, p.b, p.c))
+    ab = pa * pb
+    pref = ab / pc
+    pref_err = ((ea * abs(pb) + abs(pa) * eb + _U * abs(ab) + _ETA + abs(pref) * ec) / pc
+                + _U * abs(pref) + _ETA)
     shifted = HypParams(p.a + m, p.b + m, p.c + m)
-    if pref == 0.0:
-        return EvalResult(0.0, 0.0, 0, Strategy.DIRECT_SERIES)
-    inner = hyp2f1(shifted, s, ctrl)
-    return EvalResult(pref * inner.value, abs(pref) * inner.err_estimate,
-                      inner.terms_used, inner.strategy)
+    inner = hyp2f1(shifted, s, ctrl, tuple(_rounding((x, m), x + m) for x in (p.a, p.b, p.c)))
+    value = pref * inner.value
+    err = (abs(pref) * inner.err_estimate + pref_err * abs(inner.value)
+           + _U * abs(value) + _ETA)
+    return EvalResult(value, err, inner.terms_used, inner.strategy)
 
 
 def hyp2f1_integral(p: HypParams, s: float, quad_tol: float = 1e-12) -> EvalResult:

@@ -7,10 +7,13 @@ For a separated mode (p, q) the radial factor solves
 
 with the regular Frobenius branch Phi ~ t^q at the axis and the Robin
 matching Phi'/Phi = ((n-2) t - (k-1)/t) / (1-t^2) at the free-boundary
-root.  Eigenvalues are located by bisection in lambda on the bivariate
-predicate (interior zero count, sign of the log-derivative mismatch); a
-symmetric finite-difference discretization provides an independent oracle
-for the first eigenvalue.
+root.  For the mode (0, 0) the regular solution at lambda = alpha(alpha+n-2)
+is the degree-alpha profile, so the matching is the stability margin
+vanishing in alpha: first_eigenvalue takes lambda_1 and gamma_+- from that
+root when the admissible interval is non-empty, and shoots otherwise.
+Shooting (find_eigenvalue) bisects in lambda on the bivariate predicate
+(interior zero count, sign of the log-derivative mismatch); it and a
+symmetric finite-difference discretization are independent oracles.
 """
 
 from __future__ import annotations
@@ -20,17 +23,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from conelab._backend import robin_shoot
-from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root
+from conelab.cone import (ConeParams, RootResult, admissible_interval, boundary_rhs,
+                          find_root, stability_margin)
 from conelab.errors import BracketExhausted, IntegrationFailure, NonConvergenceError
+from conelab.specfun import DEFAULT_CONTROL, SeriesControl
 
 __all__ = [
     "Mode",
-    "ShootingConfig",
     "EigenResult",
     "ScanRow",
     "ScanReport",
     "shoot",
     "find_eigenvalue",
+    "first_eigenvalue",
     "indicial_roots",
     "fd_oracle_lambda1",
     "family_scan",
@@ -49,26 +54,9 @@ class Mode:
             raise ValueError("mode degrees must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Shooting controls; a rejected value raises ValueError with a
-    message that begins with the field name."""
-
-    t_launch: float = 1e-6
-    ode_tol: float = 1e-11
-    max_bisections: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.t_launch <= 1e-4:
-            raise ValueError(f"t_launch must lie in (0, 1e-4], got {self.t_launch}")
-        if not 0.0 < self.ode_tol <= 1e-10:
-            raise ValueError(f"ode_tol must lie in (0, 1e-10], got {self.ode_tol}")
-        if not (isinstance(self.max_bisections, int) and self.max_bisections >= 1):
-            raise ValueError(
-                f"max_bisections must be an integer >= 1, got {self.max_bisections}")
-
-
-DEFAULT_SHOOTING = ShootingConfig()
+T_LAUNCH = 1e-6  # axis offset of the Frobenius launch
+ODE_TOL = 1e-11  # local error tolerance of the shooting integrator
+MAX_BISECTIONS = 200  # eigenvalue bisection steps before NonConvergenceError
 BC_RESIDUAL_MAX = 1e-9  # largest accepted |Phi'/Phi - Robin side| at the root
 
 
@@ -119,18 +107,18 @@ def _frobenius_launch(p_: ConeParams, mode: Mode, lam: float,
     return u, v
 
 
-def shoot(pars: ConeParams, root: RootResult, lam: float, mode: Mode = Mode(),
-          cfg: ShootingConfig = DEFAULT_SHOOTING) -> Tuple[float, int]:
+def shoot(pars: ConeParams, root: RootResult, lam: float,
+          mode: Mode = Mode()) -> Tuple[float, int]:
     """Integrate the mode ODE to the root; return (Phi'/Phi there, number
     of interior sign changes of Phi).  The log-derivative is +-inf when the
     shot lands exactly on a zero."""
     P2, Q2 = _mode_potentials(pars, mode)
-    u0, v0 = _frobenius_launch(pars, mode, lam, cfg.t_launch)
+    u0, v0 = _frobenius_launch(pars, mode, lam, T_LAUNCH)
     # resolve the local oscillation scale so step-wise sign counting is exact
-    max_step = min(0.25 / math.sqrt(1.0 + abs(lam)), (root.t_nk - cfg.t_launch) / 16.0)
-    u, v, zeros, ok = robin_shoot(u0, v0, cfg.t_launch, root.t_nk,
+    max_step = min(0.25 / math.sqrt(1.0 + abs(lam)), (root.t_nk - T_LAUNCH) / 16.0)
+    u, v, zeros, ok = robin_shoot(u0, v0, T_LAUNCH, root.t_nk,
                                   float(pars.n), float(pars.k), lam, P2, Q2,
-                                  cfg.ode_tol, 1e-300, max_step, 2_000_000)
+                                  ODE_TOL, 1e-300, max_step, 2_000_000)
     if not ok:
         raise IntegrationFailure(
             f"shooting step collapse at (n,k)=({pars.n},{pars.k}), lambda={lam}")
@@ -140,13 +128,13 @@ def shoot(pars: ConeParams, root: RootResult, lam: float, mode: Mode = Mode(),
 
 
 def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
-                    index: int = 0, cfg: ShootingConfig = DEFAULT_SHOOTING) -> EigenResult:
+                    index: int = 0) -> EigenResult:
     """Locate the index-th eigenvalue of the mode (index 0 = lowest).
 
     Bisection on the lexicographic predicate: lambda is below the target
     when the shot has fewer than `index` interior zeros, or exactly
     `index` with the log-derivative mismatch still positive.  Raises
-    NonConvergenceError when cfg.max_bisections steps leave the bracket
+    NonConvergenceError when MAX_BISECTIONS steps leave the bracket
     wider than its relative tolerance of 1e-13, or when the boundary
     residual |mismatch| at the result exceeds BC_RESIDUAL_MAX.
     """
@@ -155,7 +143,7 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
     _, rhs_bc = boundary_rhs(pars, root)
 
     def mismatch(lam: float) -> Tuple[float, int]:
-        d, z = shoot(pars, root, lam, mode, cfg)
+        d, z = shoot(pars, root, lam, mode)
         return d - rhs_bc, z
 
     def below(lam: float) -> bool:
@@ -180,10 +168,10 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
 
     iters = 0
     while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
-        if iters == cfg.max_bisections:
+        if iters == MAX_BISECTIONS:
             raise NonConvergenceError(
                 f"eigenvalue bracket [{lo!r}, {hi!r}] still wider than its 1e-13 "
-                f"tolerance after max_bisections={iters} steps at "
+                f"tolerance after {iters} bisection steps at "
                 f"(n,k)=({pars.n},{pars.k})", value=0.5 * (lo + hi),
                 err_estimate=hi - lo, terms_used=iters)
         mid = 0.5 * (lo + hi)
@@ -194,26 +182,39 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
         iters += 1
     lam = 0.5 * (lo + hi)
     dm, zeros = mismatch(lam)
-    # secant polish on the smooth mismatch branch when bisection roundoff
-    # left a visible boundary residual
-    if abs(dm) > 1e-10 and math.isfinite(dm):
-        lam2 = lam + 1e-9 * max(1.0, abs(lam))
-        dm2, z2 = mismatch(lam2)
-        if math.isfinite(dm2) and dm2 != dm and z2 == zeros:
-            lam3 = lam - dm * (lam2 - lam) / (dm2 - dm)
-            if lo - 1e-6 <= lam3 <= hi + 1e-6:
-                dm3, z3 = mismatch(lam3)
-                if abs(dm3) < abs(dm) and z3 == zeros:
-                    lam, dm, zeros = lam3, dm3, z3
-    if not abs(dm) <= BC_RESIDUAL_MAX:
+    gm, gp = indicial_roots(lam, pars.n) or (None, None)
+    return _checked(EigenResult(lam=lam, zeros_interior=zeros, gamma_minus=gm,
+                                gamma_plus=gp, bc_residual=abs(dm)),
+                    f"eigenvalue {index} of mode ({mode.p},{mode.q}) at (n,k)=({pars.n},{pars.k})")
+
+
+def _checked(res: EigenResult, what: str) -> EigenResult:
+    """res, unless its boundary residual exceeds BC_RESIDUAL_MAX."""
+    if not res.bc_residual <= BC_RESIDUAL_MAX:
         raise NonConvergenceError(
-            f"eigenvalue {index} of mode ({mode.p},{mode.q}) at (n,k)=({pars.n},{pars.k}) "
-            f"leaves boundary residual {abs(dm):.3e} above {BC_RESIDUAL_MAX:g}",
-            value=lam, err_estimate=abs(dm))
-    roots_pm = indicial_roots(lam, pars.n)
-    gm, gp = (roots_pm if roots_pm is not None else (None, None))
-    return EigenResult(lam=lam, zeros_interior=zeros, gamma_minus=gm,
-                       gamma_plus=gp, bc_residual=abs(dm))
+            f"{what} leaves boundary residual {res.bc_residual:.3e} above "
+            f"{BC_RESIDUAL_MAX:g}", value=res.lam, err_estimate=res.bc_residual)
+    return res
+
+
+def first_eigenvalue(pars: ConeParams, root: RootResult,
+                     ctrl: SeriesControl = DEFAULT_CONTROL) -> EigenResult:
+    """First eigenvalue of the mode (0, 0) with its decay rates.
+
+    A non-empty admissible interval (gamma_-, gamma_+) gives lambda_1 =
+    gamma_+ (gamma_+ + n - 2); g_alpha >= 1 there (its 2F1 parameters are
+    positive), so this is the ground state.  An empty one means complex
+    decay rates, and the eigenvalue is found by shooting.  Raises
+    NonConvergenceError when the residual exceeds BC_RESIDUAL_MAX.
+    """
+    interval = admissible_interval(pars, root, ctrl)
+    if interval is None:
+        return find_eigenvalue(pars, root)
+    gm, gp = interval
+    return _checked(EigenResult(lam=gp * (gp + pars.n - 2.0), zeros_interior=0,
+                                gamma_minus=gm, gamma_plus=gp,
+                                bc_residual=abs(stability_margin(pars, gp, root, ctrl))),
+                    f"margin root gamma+={gp!r} at (n,k)=({pars.n},{pars.k})")
 
 
 def _link_weight(pars: ConeParams, t):
@@ -251,35 +252,21 @@ def fd_oracle_lambda1(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
     def potential(x):
         return (P2 / (1.0 - x * x) + Q2 / (x * x)) * density(x)
 
-    if mode.q > 0:
-        # Dirichlet at the axis: drop node 0
-        tt = t[1:]
-        diag = np.empty(grid_n)
-        diag[:-1] = (p_half[:-1] + p_half[1:]) / h
-        diag[-1] = p_half[-1] / h - rhs_bc * _link_weight(pars, np.array([t0]))[0]
-        off = -p_half[1:] / h
-        mass = np.empty(grid_n)
-        mass[:-1] = density(tt[:-1]) * h
-        mass[-1] = density(t0) * 0.5 * h
-        diag = diag + potential(tt) * np.concatenate([np.full(grid_n - 1, h), [0.5 * h]])
-    else:
-        diag = np.empty(n_nodes)
-        diag[0] = p_half[0] / h
-        diag[1:-1] = (p_half[:-1] + p_half[1:]) / h
-        diag[-1] = p_half[-1] / h - rhs_bc * _link_weight(pars, np.array([t0]))[0]
-        off = -p_half / h
-        mass = np.empty(n_nodes)
-        # half cells at both ends; cell-midpoint density for the axis cell,
-        # where the weight may vanish
-        mass[0] = density(0.25 * h) * 0.5 * h
-        mass[1:-1] = density(t[1:-1]) * h
-        mass[-1] = density(t0) * 0.5 * h
-        if P2 != 0.0:
-            pot = np.empty(n_nodes)
-            pot[0] = potential(0.25 * h) * 0.5 * h
-            pot[1:-1] = potential(t[1:-1]) * h
-            pot[-1] = potential(t0) * 0.5 * h
-            diag = diag + pot
+    diag = np.empty(n_nodes)
+    diag[0] = p_half[0] / h
+    diag[1:-1] = (p_half[:-1] + p_half[1:]) / h
+    diag[-1] = p_half[-1] / h - rhs_bc * _link_weight(pars, np.array([t0]))[0]
+    off = -p_half / h
+    # half cells at both ends; cell-midpoint values for the axis cell,
+    # where the weight may vanish
+    mass, pot = np.empty(n_nodes), np.empty(n_nodes)
+    for arr, f in ((mass, density), (pot, potential)):
+        arr[0] = f(0.25 * h) * 0.5 * h
+        arr[1:-1] = f(t[1:-1]) * h
+        arr[-1] = f(t0) * 0.5 * h
+    diag = diag + pot
+    if mode.q > 0:  # Dirichlet at the axis: drop node 0
+        diag, off, mass = diag[1:], off[1:], mass[1:]
 
     inv_sqrt_m = 1.0 / np.sqrt(mass)
     d_sym = diag * inv_sqrt_m * inv_sqrt_m
@@ -306,16 +293,16 @@ class ScanReport:
     notes: Tuple[str, ...]
 
 
-def _scan_cell(n: int, k: int, cfg: ShootingConfig) -> ScanRow:
+def _scan_cell(n: int, k: int, ctrl: SeriesControl) -> ScanRow:
     pars = ConeParams(n, k)
-    root = find_root(pars)
-    res = find_eigenvalue(pars, root, Mode(), 0, cfg)
+    root = find_root(pars, ctrl)
+    res = first_eigenvalue(pars, root, ctrl)
     return ScanRow(n=n, k=k, t_nk=root.t_nk, lambda1=res.lam,
                    gamma_plus=res.gamma_plus, gamma_minus=res.gamma_minus)
 
 
 def family_scan(n_range: Tuple[int, int],
-                cfg: ShootingConfig = DEFAULT_SHOOTING) -> ScanReport:
+                ctrl: SeriesControl = DEFAULT_CONTROL) -> ScanReport:
     """First-eigenvalue table over n in [n_lo, n_hi], k in [1, n-2], with
     the monotonicity and range flags of the conjecture-evidence scan.
 
@@ -325,7 +312,7 @@ def family_scan(n_range: Tuple[int, int],
     n_lo, n_hi = n_range
     if not 3 <= n_lo <= n_hi <= 40:
         raise ValueError("n_range must satisfy 3 <= n_lo <= n_hi <= 40")
-    rows = [_scan_cell(n, k, cfg)
+    rows = [_scan_cell(n, k, ctrl)
             for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
 
     notes: List[str] = []
@@ -345,14 +332,12 @@ def family_scan(n_range: Tuple[int, int],
                  and 2.0 - r.n < r.gamma_minus < 4.0 - r.n for r in stable_rows)
     gp_rng = all(r.gamma_plus is not None
                  and -2.0 < r.gamma_plus < 0.0 for r in stable_rows)
-    gbar = [(n, group[-1].gamma_plus) for n, group in sorted(by_n.items())
-            if group[-1].k == n - 2]
-    gbar_vals = [g for _, g in gbar]
+    bar = [group[-1] for n, group in sorted(by_n.items()) if group[-1].k == n - 2]
+    gbar_vals = [r.gamma_plus for r in bar]
     gbar_inc = all(b > a for a, b in zip(gbar_vals, gbar_vals[1:]))
     gbar_rng = all(g is not None and -2.0 < g < -1.0 for g in gbar_vals)
     # signed first eigenvalue of the k = n-2 member: -5.55 > -6.54 > ...
-    lbar = [group[-1].lambda1 for n, group in sorted(by_n.items())
-            if group[-1].k == n - 2]
+    lbar = [r.lambda1 for r in bar]
     lbar_dec = all(b < a for a, b in zip(lbar, lbar[1:]))
 
     flags = {

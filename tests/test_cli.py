@@ -137,10 +137,11 @@ class TestScan:
         for r in stable:
             assert r["lambda1"] > 8 - 2 * r["n"]
 
-    def test_golden_csv(self, capsys):
-        rc, out, _ = run_cli(capsys, "scan", "--n-max", "9")
+    @pytest.mark.parametrize("n_max", [9, 20])
+    def test_golden_csv(self, capsys, n_max):
+        rc, out, _ = run_cli(capsys, "scan", "--n-max", str(n_max))
         assert rc == 0
-        assert out.encode("utf-8") == (DATA / "scan_nmax9.csv").read_bytes()
+        assert out.encode("utf-8") == (DATA / f"scan_nmax{n_max}.csv").read_bytes()
 
     def test_csv_nan_for_complex_roots(self, capsys):
         rc, out, _ = run_cli(capsys, "scan", "--n-max", "5", "--format", "csv")
@@ -158,16 +159,16 @@ class TestScan:
 class TestConfig:
     def test_config_file_and_override(self, capsys, tmp_path):
         cfg = tmp_path / "conelab.cfg"
-        cfg.write_text("series.max_terms = 8000\n# comment\nshooting.ode_tol = 1e-11\n")
+        cfg.write_text("series.max_terms = 8000\n# comment\nseries.rel_tol = 1e-13\n")
         rc, out, _ = run_cli(capsys, "analyze", "--n", "7", "--k", "2",
                              "--format", "json", "--config", str(cfg))
         assert rc == 0
         base = json.loads(out)["rows"][0]["lambda1"]
-        # flag overrides beat the file; tightening the shooting tolerance
+        # flag overrides beat the file; tightening the series tolerance
         # must reproduce the same eigenvalue to well below either tolerance
         rc, out, _ = run_cli(capsys, "analyze", "--n", "7", "--k", "2",
                              "--format", "json", "--config", str(cfg),
-                             "--tol-override", "shooting.ode_tol=1e-12")
+                             "--tol-override", "series.rel_tol=1e-15")
         assert rc == 0
         assert abs(json.loads(out)["rows"][0]["lambda1"] - base) < 1e-7
 
@@ -182,20 +183,21 @@ class TestConfig:
                              "--tol-override", "series.rel_tol=0.5")
         assert rc == 2
 
+    # the shooting controls are constants of conelab.spectrum, not keys;
+    # the bisection budget is checked in tests/test_spectrum.py
     @pytest.mark.parametrize("value", ["0", "5"])
     def test_unconverged_eigenvalue_rejected(self, capsys, value):
-        # 0 bisections used to print lambda1 = -3.308 (true -5.698) and exit 0
         rc, out, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
                                "--tol-override", f"shooting.max_bisections={value}")
         assert rc == 2 and out == ""
-        assert "max_bisections" in err
+        assert "unknown configuration key 'shooting.max_bisections'" in err
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1"])
     def test_ode_tol_must_be_finite_and_in_range(self, capsys, value):
         rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
                              "--tol-override", f"shooting.ode_tol={value}")
         assert rc == 2
-        assert "shooting.ode_tol" in err
+        assert "unknown configuration key 'shooting.ode_tol'" in err
 
     def test_series_controls_must_be_finite(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
@@ -206,12 +208,22 @@ class TestConfig:
     @pytest.mark.parametrize("argv, key", [
         (("verify", "--suite", "specfun"), "bogus"),
         (("verify", "--suite", "specfun"), "series.max_terms"),
-        (("scan", "--n-max", "5"), "series.max_terms"),
+        (("scan", "--n-max", "5"), "shooting.t_launch"),
     ])
     def test_unknown_or_unused_key_rejected(self, capsys, argv, key):
         rc, out, err = run_cli(capsys, *argv, "--tol-override", f"{key}=100")
         assert rc == 2 and out == ""
         assert repr(key) in err
+
+    def test_scan_uses_series_controls(self, capsys):
+        _, base, _ = run_cli(capsys, "scan", "--n-max", "7")
+        rc, out, _ = run_cli(capsys, "scan", "--n-max", "7",
+                             "--tol-override", "series.max_terms=8000")
+        assert rc == 0 and out == base
+        rc, out, err = run_cli(capsys, "scan", "--n-max", "7",
+                               "--tol-override", "series.max_terms=10")
+        assert rc == 2 and out == ""
+        assert "series.max_terms must be" in err
 
 
 class TestVerifySuites:

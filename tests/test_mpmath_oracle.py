@@ -1,18 +1,21 @@
-"""Cross-checks against 40-digit mpmath: every err_estimate of hyp2f1 is
-a bound on the true error, and the free-boundary roots agree with roots
-of mpmath's 2F1.  Skipped when mpmath or hypothesis is not installed."""
+"""Cross-checks against 40-digit mpmath: every err_estimate of hyp2f1 and
+hyp2f1_deriv is a bound on the true error, and the free-boundary roots
+and the decay rates gamma+ agree with roots of mpmath's 2F1.  Skipped
+when mpmath or hypothesis is not installed."""
 
+import json
 import math
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conelab.cli import main  # noqa: E402
 from conelab.cone import ConeParams, find_root, profile_params  # noqa: E402
-from conelab.specfun import HypParams, Strategy, hyp2f1  # noqa: E402
+from conelab.specfun import HypParams, Strategy, hyp2f1, hyp2f1_deriv  # noqa: E402
 
 BOUND_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                           database=None)
@@ -121,20 +124,75 @@ def test_log_case_examples_against_mpmath():
         assert r.err_estimate <= 1e-11 * abs(r.value)
 
 
+@BOUND_SETTINGS
+@given(st.floats(0.1, 20.0), st.floats(-3.0, 3.0), st.floats(0.2, 20.0),
+       st.floats(0.01, 0.5), st.integers(1, 3))
+# the prefactor (a)_m (b)_m / (c)_m is subnormal here
+@example(0.5, 2.03e-308, 2.5, 0.5, 1)
+def test_deriv_bound(a, b, c, s, m):
+    """|hyp2f1_deriv - mpmath| <= err_estimate, with the exact shifted
+    parameters a+m, b+m, c+m on the mpmath side."""
+    r = hyp2f1_deriv(HypParams(a, b, c), s, m)
+    with mpmath.workdps(40):
+        a_, b_, c_, s_ = (mpmath.mpf(x) for x in (a, b, c, s))
+        ref = (mpmath.rf(a_, m) * mpmath.rf(b_, m) / mpmath.rf(c_, m)
+               * mpmath.hyp2f1(a_ + m, b_ + m, c_ + m, s_))
+        err = abs(mpmath.mpf(r.value) - ref)
+    assert err <= r.err_estimate, (
+        f"d^{m}/ds^{m} 2F1({a!r}, {b!r}; {c!r}; {s!r}) = {r.value!r} is off by "
+        f"{float(err):.3e}, reported {r.err_estimate:.3e}")
+
+
+def _mp_root_s(n, k):
+    """40-digit root s of mpmath's 2F1 for the solution profile of (n, k):
+    one secant step through s_nk -+ 1e-12 lands within 1e-23 of the exact
+    root, and evaluating mpmath.hyp2f1 no closer to it keeps the 40-digit
+    evaluation cheap.  Call inside mpmath.workdps(40)."""
+    h = mpmath.mpf(10) ** -12
+    root = find_root(ConeParams(n, k))
+    hp = profile_params(ConeParams(n, k), 1.0)
+    a, b, c = (mpmath.mpf(x) for x in (hp.a, hp.b, hp.c))
+    lo, hi = mpmath.mpf(root.s_nk) - h, mpmath.mpf(root.s_nk) + h
+    f_lo, f_hi = mpmath.hyp2f1(a, b, c, lo), mpmath.hyp2f1(a, b, c, hi)
+    assert f_lo > 0 > f_hi, (n, k)
+    return root, lo - f_lo * (hi - lo) / (f_hi - f_lo)
+
+
 def test_roots_against_mpmath_n7_20():
     """t_nk for n = 7..20 agrees with the root of mpmath's 2F1 at 40
-    digits: one secant step through s_nk -+ 1e-12 lands within 1e-23 of
-    the exact root, and evaluating mpmath.hyp2f1 no closer to it keeps the
-    40-digit evaluation cheap."""
-    h = mpmath.mpf(10) ** -12
+    digits."""
     with mpmath.workdps(40):
         for n in range(7, 21):
             for k in range(1, n - 1):
-                root = find_root(ConeParams(n, k))
-                hp = profile_params(ConeParams(n, k), 1.0)
-                a, b, c = (mpmath.mpf(x) for x in (hp.a, hp.b, hp.c))
-                lo, hi = mpmath.mpf(root.s_nk) - h, mpmath.mpf(root.s_nk) + h
-                f_lo, f_hi = mpmath.hyp2f1(a, b, c, lo), mpmath.hyp2f1(a, b, c, hi)
-                assert f_lo > 0 > f_hi, (n, k)
-                s_exact = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+                root, s_exact = _mp_root_s(n, k)
                 assert abs(mpmath.sqrt(s_exact) - root.t_nk) <= 1e-10, (n, k)
+
+
+def test_gamma_plus_against_mpmath_n7_20(capsys):
+    """The gamma+ that analyze prints for n = 7..20 agrees to 1e-10 with
+    the root in alpha of g'_alpha/g_alpha - rhs at the 40-digit t_nk.  On
+    (2-n)/2 < alpha < 0 all three 2F1 parameters of g_alpha and of its
+    derivative are positive, so g_alpha >= 1 and mpmath sums without
+    cancellation; the margin changes sign across gamma+ -+ 1e-10, and one
+    secant step there gives its root."""
+    h = mpmath.mpf(10) ** -10
+    with mpmath.workdps(40):
+        for n in range(7, 21):
+            for k in sorted({1, n // 2, n - 2}):
+                assert main(["analyze", "--n", str(n), "--k", str(k),
+                             "--format", "json"]) == 0
+                gp = json.loads(capsys.readouterr().out)["rows"][0]["gamma_plus"]
+                _, s = _mp_root_s(n, k)
+                t = mpmath.sqrt(s)
+                rhs = ((n - 2) * t - (k - 1) / t) / (1 - s)
+
+                def margin(alpha):
+                    a, b, c = (n + alpha - 2) / 2, -alpha / 2, mpmath.mpf(k) / 2
+                    dF = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, s)
+                    return 2 * t * dF / mpmath.hyp2f1(a, b, c, s) - rhs
+
+                lo, hi = mpmath.mpf(gp) - h, mpmath.mpf(gp) + h
+                m_lo, m_hi = margin(lo), margin(hi)
+                assert m_lo > 0 > m_hi, (n, k)
+                exact = lo - m_lo * (hi - lo) / (m_hi - m_lo)
+                assert abs(exact - gp) <= 1e-10, (n, k)

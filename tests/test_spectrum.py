@@ -1,19 +1,23 @@
-"""Link spectrum tests: shooting solver, eigenvalue search, indicial
-roots, the finite-difference oracle, and the family scan."""
+"""Link spectrum tests: shooting solver, eigenvalue search, the first
+eigenvalue from the margin root, indicial roots, the finite-difference
+oracle, and the family scan."""
 
 import math
+import sys
 
-import numpy as np
 import pytest
 
+import conelab._backend
+from conelab import spectrum
+from conelab.cli import main
 from conelab.cone import ConeParams, Verdict, boundary_rhs, find_root, stability_margin, verdict
 from conelab.errors import BracketExhausted, NonConvergenceError
 from conelab.spectrum import (
     Mode,
-    ShootingConfig,
     family_scan,
     fd_oracle_lambda1,
     find_eigenvalue,
+    first_eigenvalue,
     indicial_roots,
     shoot,
 )
@@ -48,13 +52,13 @@ class TestShoot:
         _, zeros_high = shoot(p, root, lam2 + 2.0)
         assert zeros_high >= 1
 
-    def test_launch_insensitive(self):
-        for (n, k) in [(7, 3), (12, 10)]:
-            p = ConeParams(n, k)
-            root = find_root(p)
-            a = find_eigenvalue(p, root, cfg=ShootingConfig(t_launch=1e-6))
-            b = find_eigenvalue(p, root, cfg=ShootingConfig(t_launch=5e-7))
-            assert abs(a.lam - b.lam) <= 1e-11
+    def test_launch_insensitive(self, monkeypatch):
+        cones = [(p, find_root(p)) for p in (ConeParams(7, 3), ConeParams(12, 10))]
+        assert spectrum.T_LAUNCH == 1e-6
+        at_default = [find_eigenvalue(p, root).lam for p, root in cones]
+        monkeypatch.setattr(spectrum, "T_LAUNCH", 5e-7)
+        for (p, root), lam in zip(cones, at_default):
+            assert abs(find_eigenvalue(p, root).lam - lam) <= 1e-11
 
 
 class TestFindEigenvalue:
@@ -116,6 +120,15 @@ class TestFindEigenvalue:
         with pytest.raises(BracketExhausted, match="above lambda=3684.0"):
             find_eigenvalue(p, find_root(p), index=50)
 
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_bisection_budget_enforced(self, monkeypatch, steps):
+        # 0 bisections used to return lambda1 = -3.308 (true -5.698)
+        p = ConeParams(7, 1)
+        root = find_root(p)
+        monkeypatch.setattr(spectrum, "MAX_BISECTIONS", steps)
+        with pytest.raises(NonConvergenceError, match=f"after {steps} bisection steps"):
+            find_eigenvalue(p, root)
+
     def test_boundary_residual_bound_enforced(self, monkeypatch):
         # a log-derivative that jumps over the Robin side by +-1e-6 has no
         # root: bisection converges onto the jump and must not report it
@@ -130,6 +143,52 @@ class TestFindEigenvalue:
         with pytest.raises(NonConvergenceError,
                            match=r"mode \(0,0\) at \(n,k\)=\(7,1\).*1\.000e-06"):
             find_eigenvalue(p, root)
+
+
+def _count_shots(monkeypatch):
+    """Count robin_shoot calls through every conelab namespace binding it."""
+    raw = conelab._backend.robin_shoot
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("conelab.") and getattr(mod, "robin_shoot", None) is raw:
+            monkeypatch.setattr(mod, "robin_shoot", counted)
+    return calls
+
+
+class TestFirstEigenvalue:
+    def test_matches_shooting(self):
+        # the margin root against the independent shooting solve
+        for n in range(7, 41):
+            for k in sorted({1, n // 2, n - 2}):
+                p = ConeParams(n, k)
+                root = find_root(p)
+                dual, shot = first_eigenvalue(p, root), find_eigenvalue(p, root)
+                assert dual.zeros_interior == shot.zeros_interior == 0
+                assert dual.bc_residual <= 1e-9
+                for got, want in [(dual.lam, shot.lam), (dual.gamma_plus, shot.gamma_plus),
+                                  (dual.gamma_minus, shot.gamma_minus)]:
+                    assert math.isclose(got, want, rel_tol=1e-9), (n, k, got, want)
+
+    def test_complex_pair_shoots(self):
+        # (6, 2) is unstable: the interval is empty and gamma+- are complex
+        p = ConeParams(6, 2)
+        root = find_root(p)
+        assert first_eigenvalue(p, root) == find_eigenvalue(p, root)
+        assert first_eigenvalue(p, root).gamma_plus is None
+
+    def test_table_does_not_shoot(self, capsys, monkeypatch):
+        calls = _count_shots(monkeypatch)
+        assert main(["table", "--n", "7", "8"]) == 0
+        assert len(calls) == 0
+        # n <= 6 cells have an empty interval and still shoot
+        assert main(["scan", "--n-max", "6"]) == 0
+        assert len(calls) > 0
+        capsys.readouterr()
 
 
 class TestIndicialRoots:
