@@ -71,8 +71,8 @@ class RootResult:
 
     t_nk: float
     s_nk: float
-    bracket: Tuple[float, float]
-    residual: float
+    s_bracket: Tuple[float, float]  # final s_lo < s_hi; f(s_lo) > 0 >= f(s_hi)
+    residual: float  # |f| at s_nk
 
 
 class Verdict(Enum):
@@ -94,15 +94,6 @@ class StabilityReport:
 def profile_params(p: ConeParams, alpha: float) -> HypParams:
     """Hypergeometric parameters of the degree-alpha harmonic profile."""
     return HypParams((p.n + alpha - 2.0) / 2.0, -alpha / 2.0, p.k / 2.0)
-
-
-def _f_and_deriv(p: ConeParams, alpha: float, s: float,
-                 ctrl: SeriesControl) -> Tuple[float, float]:
-    """(F(s), dF/ds) for the profile parameters at s = t^2."""
-    hp = profile_params(p, alpha)
-    F = hyp2f1(hp, s, ctrl).value
-    Fp = hyp2f1_deriv(hp, s, 1, ctrl).value
-    return F, Fp
 
 
 def profile_g(p: ConeParams, alpha: float, t: float,
@@ -136,20 +127,48 @@ def cubic_bound(p: ConeParams, t: float) -> float:
             - (n * n - 1.0) * (n + 3.0) / (16.0 * k * (k + 2.0) * (k + 4.0)) * s ** 3)
 
 
+def _illinois(f, lo: float, f_lo: float, hi: float,
+              f_hi: float) -> Tuple[float, float, float, float]:
+    """Shrink a bracket lo < hi of a root of the scalar function f, where
+    f_lo = f(lo) > 0 >= f_hi = f(hi).
+
+    Illinois steps (Dowell & Jarratt, BIT 11, 1971): regula falsi that
+    halves the weight of the far end each time the same end moves twice in
+    a row.  Stops at an exact zero, at a bracket of at most 4 ulps, or when
+    a finite secant step rounds onto an end (the root is then within an
+    ulp of that end, however wide the bracket); a non-finite step falls
+    back to the midpoint.  Returns (x, |f(x)|, lo, hi): the final end x
+    with the smaller |f|, its unweighted |f|, and the final bracket.
+    """
+    w_lo = w_hi = 1.0
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    while f_hi < 0.0 and hi - lo > 4.0 * max(math.ulp(lo), math.ulp(hi)):
+        g_lo, g_hi = w_lo * f_lo, w_hi * f_hi
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not math.isfinite(x):
+            x = 0.5 * (lo + hi)
+        elif not lo < x < hi:
+            break
+        f_x = f(x)
+        if f_x > 0.0:
+            lo, f_lo, w_lo = x, f_x, 1.0
+            w_hi *= 0.5 if moved == 1 else 1.0
+            moved = 1
+        else:
+            hi, f_hi, w_hi = x, f_x, 1.0
+            w_lo *= 0.5 if moved == -1 else 1.0
+            moved = -1
+    return (lo, f_lo, lo, hi) if f_lo < -f_hi else (hi, -f_hi, lo, hi)
+
+
 def _cubic_root_in_s(p: ConeParams) -> Optional[float]:
     """Root of the cubic bound in s on (0, 1], or None if the bound stays
     positive there."""
-    lo, hi = 0.0, 1.0
     f = lambda s: cubic_bound(p, math.sqrt(s))
-    if f(hi) > 0.0:
+    f_one = f(1.0)
+    if f_one > 0.0:
         return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _illinois(f, 0.0, 1.0, 1.0, f_one)[0]
 
 
 _S_CAP = 1.0 - 2e-9  # largest admitted s; t stays below 1 - 1e-9
@@ -160,57 +179,36 @@ def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> RootResul
 
     The upper bracket end comes from the quadratic truncation
     s <= 2k/(n-1), tightened by the cubic bound when that has a root below
-    1; the lower end by a descending scan.  Bisection to 1e-13 in s is
-    followed by one Newton polish using the shifted-parameter derivative.
+    1; the lower end by a descending scan, which ends at f(0) = 1 at the
+    latest.  Illinois steps shrink the scan bracket to a few ulps in s;
+    the root is the final end with the smaller |f|, and the residual is
+    that |f|.
     """
     n, k = p.n, p.k
     s_up = min(2.0 * k / (n - 1.0), _S_CAP)
     s_cubic = _cubic_root_in_s(p)
     if s_cubic is not None:
         s_up = min(s_up, s_cubic)
+    hp = profile_params(p, 1.0)
 
     def F(s: float) -> float:
-        return hyp2f1(profile_params(p, 1.0), s, ctrl).value
+        v = hyp2f1(hp, s, ctrl).value
+        return v if math.isfinite(v) else -math.inf  # f -> -inf at s = 1
 
-    # descending scan: f -> -inf at 1 and f(0) = 1, so a sign change exists
-    grid = [s_up * (1.0 - j / ROOT_SCAN_POINTS) for j in range(ROOT_SCAN_POINTS + 1)]
-    s_lo = s_hi = None
-    prev = s_up
-    v_hi = F(s_up)
-    if not math.isfinite(v_hi):
-        v_hi = -math.inf  # the profile diverges to -inf at s = 1
-    if v_hi > 0.0:
+    s_hi, f_hi = s_up, F(s_up)
+    if f_hi > 0.0:
         raise BracketFailure(
             f"profile positive at upper bracket s={s_up} for (n,k)=({n},{k})")
-    for s in grid[1:]:
-        v = F(s)
-        if math.isfinite(v) and v > 0.0:
-            s_lo, s_hi = s, prev
+    for j in range(1, ROOT_SCAN_POINTS + 1):
+        s_lo = s_up * (1.0 - j / ROOT_SCAN_POINTS)
+        f_lo = F(s_lo)
+        if f_lo > 0.0:
             break
-        prev = s
-    if s_lo is None:
-        raise BracketFailure(f"no sign change found for (n,k)=({n},{k})")
+        s_hi, f_hi = s_lo, f_lo
 
-    bracket = (math.sqrt(s_lo), math.sqrt(s_hi))
-    lo, hi = s_lo, s_hi
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if F(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s_root = 0.5 * (lo + hi)
-
-    # one Newton polish; keep it only if it stays inside the bisection bracket
-    val, slope = _f_and_deriv(p, 1.0, s_root, ctrl)
-    if slope != 0.0:
-        s_new = s_root - val / slope
-        if lo - 1e-12 <= s_new <= hi + 1e-12:
-            s_root = s_new
-
-    t_root = math.sqrt(s_root)
-    residual = abs(F(s_root))
-    return RootResult(t_nk=t_root, s_nk=s_root, bracket=bracket, residual=residual)
+    s_nk, residual, s_lo, s_hi = _illinois(F, s_lo, f_lo, s_hi, f_hi)
+    return RootResult(t_nk=math.sqrt(s_nk), s_nk=s_nk,
+                      s_bracket=(s_lo, s_hi), residual=residual)
 
 
 def normalization_c(p: ConeParams, r: RootResult,
@@ -236,8 +234,9 @@ def stability_margin(p: ConeParams, alpha: float, r: RootResult,
                      ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """g'_alpha/g_alpha - rhs at the root; positive exactly on the
     admissible interval."""
-    s = r.s_nk
-    F, Fp = _f_and_deriv(p, alpha, s, ctrl)
+    hp = profile_params(p, alpha)
+    F = hyp2f1(hp, r.s_nk, ctrl).value
+    Fp = hyp2f1_deriv(hp, r.s_nk, 1, ctrl).value
     if F <= 0.0:
         raise PoleEncounteredError(
             f"profile g vanishes before the root for alpha={alpha}, (n,k)=({p.n},{p.k})")
@@ -252,25 +251,15 @@ def admissible_interval(p: ConeParams, r: RootResult,
 
     The margin is symmetric about (2-n)/2 and decreases away from it, so
     its root on ((2-n)/2, 0) is the upper endpoint gamma_+ and the lower
-    endpoint is its mirror image.  Illinois steps (regula falsi, halving
-    the value kept at one end twice) shrink the bracket to a few ulps.
+    endpoint is its mirror image; _illinois finds it to a few ulps.
     """
+    margin = lambda alpha: stability_margin(p, alpha, r, ctrl)
     lo, hi = (2.0 - p.n) / 2.0, -1e-12
-    f_lo = stability_margin(p, lo, r, ctrl)
+    f_lo = margin(lo)
     if f_lo <= 0.0:
         return None
-    f_hi = stability_margin(p, hi, r, ctrl)
-    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
-    while f_hi < 0.0 and hi - lo > 4.0 * math.ulp(lo):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        f_x = stability_margin(p, x, r, ctrl)
-        if f_x > 0.0:
-            lo, f_lo, f_hi, moved = x, f_x, f_hi * (0.5 if moved == 1 else 1.0), 1
-        else:
-            hi, f_hi, f_lo, moved = x, f_x, f_lo * (0.5 if moved == -1 else 1.0), -1
-    return (2.0 - p.n - hi, hi)
+    gamma_plus = _illinois(margin, lo, f_lo, hi, margin(hi))[0]
+    return (2.0 - p.n - gamma_plus, gamma_plus)
 
 
 def verdict(p: ConeParams, r: RootResult,

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import conelab.cone
 from conelab.cone import (
     ConeParams,
     Verdict,
+    _cubic_root_in_s,
     admissible_interval,
     boundary_rhs,
     cubic_bound,
@@ -147,9 +149,10 @@ class TestFindRoot:
             assert r.residual <= 1e-12
             assert abs(r.t_nk ** 2 - r.s_nk) < 1e-15
             assert r.s_nk < 2.0 * k / (n - 1.0)
-            lo, hi = r.bracket
-            assert lo <= r.t_nk <= hi
-            f_lo, f_hi = profile_f(p, lo), profile_f(p, hi)
+            s_lo, s_hi = r.s_bracket
+            assert s_lo <= r.s_nk <= s_hi
+            hp = profile_params(p, 1.0)
+            f_lo, f_hi = hyp2f1(hp, s_lo).value, hyp2f1(hp, s_hi).value
             assert f_lo > 0.0 >= f_hi
 
     def test_profile_decreasing_single_zero(self):
@@ -167,6 +170,45 @@ class TestFindRoot:
             p = ConeParams(n, k)
             for t in np.linspace(0.01, 0.95, 100):
                 assert profile_f(p, float(t)) <= cubic_bound(p, float(t)) + 1e-13
+
+    def test_cubic_root_closed_form(self):
+        # the real root in (0, 1] of 1 - a s - b s^2 - c s^3, or None where
+        # the bound stays positive at s = 1; at (30, 20) the last secant
+        # step lands within an ulp of the lower bracket end while the upper
+        # one is still 9.6e-10 away
+        for (n, k) in [(3, 1), (7, 1), (9, 4), (30, 20), (40, 1), (27, 20), (12, 10)]:
+            p = ConeParams(n, k)
+            a = (n - 1.0) / (2.0 * k)
+            b = (n * n - 1.0) / (8.0 * k * (k + 2.0))
+            c = (n * n - 1.0) * (n + 3.0) / (16.0 * k * (k + 2.0) * (k + 4.0))
+            real = [z.real for z in np.roots([-c, -b, -a, 1.0])
+                    if abs(z.imag) < 1e-9 and 0.0 < z.real <= 1.0]
+            if real:
+                assert abs(_cubic_root_in_s(p) - real[0]) <= 1e-14, (n, k)
+            else:
+                assert cubic_bound(p, 1.0) > 0.0
+                assert _cubic_root_in_s(p) is None, (n, k)
+
+    def test_evaluation_budget(self, monkeypatch):
+        # the descending scan plus Illinois steps cost at most 24 profile
+        # evaluations per root on every cone with 3 <= n <= 40
+        calls = []
+
+        def counted(raw):
+            def wrapper(*args, **kwargs):
+                calls.append(args[1])
+                return raw(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(conelab.cone, "hyp2f1", counted(hyp2f1))
+        monkeypatch.setattr(conelab.cone, "hyp2f1_deriv", counted(hyp2f1_deriv))
+        worst = (0, (0, 0))
+        for n in range(3, 41):
+            for k in range(1, n - 1):
+                calls.clear()
+                find_root(ConeParams(n, k))
+                worst = max(worst, (len(calls), (n, k)))
+        assert worst[0] <= 24, worst
 
 
 class TestNormalizationAndBoundary:
