@@ -127,22 +127,24 @@ def cubic_bound(p: ConeParams, t: float) -> float:
             - (n * n - 1.0) * (n + 3.0) / (16.0 * k * (k + 2.0) * (k + 4.0)) * s ** 3)
 
 
-def _illinois(f, lo: float, f_lo: float, hi: float,
-              f_hi: float) -> Tuple[float, float, float, float]:
+def illinois(f, lo: float, f_lo: float, hi: float, f_hi: float,
+             rel_tol: float = 0.0) -> Tuple[float, float, float, float]:
     """Shrink a bracket lo < hi of a root of the scalar function f, where
-    f_lo = f(lo) > 0 >= f_hi = f(hi).
+    f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package.
 
     Illinois steps (Dowell & Jarratt, BIT 11, 1971): regula falsi that
     halves the weight of the far end each time the same end moves twice in
-    a row.  Stops at an exact zero, at a bracket of at most 4 ulps, or when
-    a finite secant step rounds onto an end (the root is then within an
-    ulp of that end, however wide the bracket); a non-finite step falls
-    back to the midpoint.  Returns (x, |f(x)|, lo, hi): the final end x
-    with the smaller |f|, its unweighted |f|, and the final bracket.
+    a row.  Stops at an exact zero, at a bracket of at most 4 ulps or
+    rel_tol * max(1, |lo|, |hi|) (for an f noisier than an ulp), or when a
+    finite secant step rounds onto an end (the root is then within an ulp
+    of that end, however wide the bracket); a non-finite step falls back
+    to the midpoint.  Returns (x, |f(x)|, lo, hi): the final end x with
+    the smaller |f|, its unweighted |f|, and the final bracket.
     """
     w_lo = w_hi = 1.0
     moved = 0  # +1 when the last step moved lo, -1 when it moved hi
-    while f_hi < 0.0 and hi - lo > 4.0 * max(math.ulp(lo), math.ulp(hi)):
+    while f_hi < 0.0 and hi - lo > max(4.0 * math.ulp(lo), 4.0 * math.ulp(hi),
+                                       rel_tol * max(1.0, abs(lo), abs(hi))):
         g_lo, g_hi = w_lo * f_lo, w_hi * f_hi
         x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
         if not math.isfinite(x):
@@ -168,7 +170,7 @@ def _cubic_root_in_s(p: ConeParams) -> Optional[float]:
     f_one = f(1.0)
     if f_one > 0.0:
         return None
-    return _illinois(f, 0.0, 1.0, 1.0, f_one)[0]
+    return illinois(f, 0.0, 1.0, 1.0, f_one)[0]
 
 
 _S_CAP = 1.0 - 2e-9  # largest admitted s; t stays below 1 - 1e-9
@@ -206,7 +208,7 @@ def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> RootResul
             break
         s_hi, f_hi = s_lo, f_lo
 
-    s_nk, residual, s_lo, s_hi = _illinois(F, s_lo, f_lo, s_hi, f_hi)
+    s_nk, residual, s_lo, s_hi = illinois(F, s_lo, f_lo, s_hi, f_hi)
     return RootResult(t_nk=math.sqrt(s_nk), s_nk=s_nk,
                       s_bracket=(s_lo, s_hi), residual=residual)
 
@@ -244,22 +246,27 @@ def stability_margin(p: ConeParams, alpha: float, r: RootResult,
     return 2.0 * r.t_nk * Fp / F - rhs
 
 
-def admissible_interval(p: ConeParams, r: RootResult,
-                        ctrl: SeriesControl = DEFAULT_CONTROL
-                        ) -> Optional[Tuple[float, float]]:
-    """Endpoints of the admissible homogeneity interval, or None when empty.
-
-    The margin is symmetric about (2-n)/2 and decreases away from it, so
-    its root on ((2-n)/2, 0) is the upper endpoint gamma_+ and the lower
-    endpoint is its mirror image; _illinois finds it to a few ulps.
-    """
+def margin_root(p: ConeParams, r: RootResult,
+                ctrl: SeriesControl = DEFAULT_CONTROL
+                ) -> Optional[Tuple[float, float]]:
+    """(gamma_+, |margin(gamma_+)|), or None when the admissible interval
+    is empty.  The margin is symmetric about (2-n)/2 and decreases away from
+    it, so its root on ((2-n)/2, 0), found to a few ulps, is gamma_+."""
     margin = lambda alpha: stability_margin(p, alpha, r, ctrl)
     lo, hi = (2.0 - p.n) / 2.0, -1e-12
     f_lo = margin(lo)
     if f_lo <= 0.0:
         return None
-    gamma_plus = _illinois(margin, lo, f_lo, hi, margin(hi))[0]
-    return (2.0 - p.n - gamma_plus, gamma_plus)
+    return illinois(margin, lo, f_lo, hi, margin(hi))[:2]
+
+
+def admissible_interval(p: ConeParams, r: RootResult,
+                        ctrl: SeriesControl = DEFAULT_CONTROL
+                        ) -> Optional[Tuple[float, float]]:
+    """Endpoints of the admissible homogeneity interval, or None when empty;
+    the lower endpoint is the mirror image of gamma_+ about (2-n)/2."""
+    root = margin_root(p, r, ctrl)
+    return None if root is None else (2.0 - p.n - root[0], root[0])
 
 
 def verdict(p: ConeParams, r: RootResult,

@@ -11,9 +11,10 @@ root.  For the mode (0, 0) the regular solution at lambda = alpha(alpha+n-2)
 is the degree-alpha profile, so the matching is the stability margin
 vanishing in alpha: first_eigenvalue takes lambda_1 and gamma_+- from that
 root when the admissible interval is non-empty, and shoots otherwise.
-Shooting (find_eigenvalue) bisects in lambda on the bivariate predicate
-(interior zero count, sign of the log-derivative mismatch); it and a
-symmetric finite-difference discretization are independent oracles.
+Shooting (find_eigenvalue) solves for the lambda at which the Pruefer angle
+at the root, built from the interior zero count and the log-derivative,
+reaches the Robin angle of the requested index; it and a symmetric
+finite-difference discretization are independent oracles.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from conelab._backend import robin_shoot
-from conelab.cone import (ConeParams, RootResult, admissible_interval, boundary_rhs,
-                          find_root, stability_margin)
+from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root, illinois, margin_root
 from conelab.errors import BracketExhausted, IntegrationFailure, NonConvergenceError
 from conelab.specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -56,7 +56,6 @@ class Mode:
 
 T_LAUNCH = 1e-6  # axis offset of the Frobenius launch
 ODE_TOL = 1e-11  # local error tolerance of the shooting integrator
-MAX_BISECTIONS = 200  # eigenvalue bisection steps before NonConvergenceError
 BC_RESIDUAL_MAX = 1e-9  # largest accepted |Phi'/Phi - Robin side| at the root
 
 
@@ -131,60 +130,50 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
                     index: int = 0) -> EigenResult:
     """Locate the index-th eigenvalue of the mode (index 0 = lowest).
 
-    Bisection on the lexicographic predicate: lambda is below the target
-    when the shot has fewer than `index` interior zeros, or exactly
-    `index` with the log-derivative mismatch still positive.  Raises
-    NonConvergenceError when MAX_BISECTIONS steps leave the bracket
-    wider than its relative tolerance of 1e-13, or when the boundary
-    residual |mismatch| at the result exceeds BC_RESIDUAL_MAX.
+    The Pruefer angle of the shot at the root, theta = z pi + arccot(d)
+    for z interior zeros and log-derivative d, increases with lambda and
+    passes index pi + arccot(rhs) at the index-th eigenvalue; illinois
+    solves for that crossing to a relative width of 1e-13.  Raises
+    BracketExhausted when two widenings of the initial lambda bracket do
+    not enclose it, and NonConvergenceError when the boundary residual
+    |d - rhs| at the result exceeds BC_RESIDUAL_MAX.
     """
     if index < 0:
         raise ValueError("index must be nonnegative")
     _, rhs_bc = boundary_rhs(pars, root)
+    target = index * math.pi + 0.5 * math.pi - math.atan(rhs_bc)
 
-    def mismatch(lam: float) -> Tuple[float, int]:
+    def deficit(lam: float) -> float:
+        # d = +-inf means the shot ends exactly on a zero, which z counts
         d, z = shoot(pars, root, lam, mode)
-        return d - rhs_bc, z
-
-    def below(lam: float) -> bool:
-        dm, z = mismatch(lam)
-        return z < index or (z == index and dm > 0.0)
+        frac = 0.0 if math.isinf(d) else 0.5 * math.pi - math.atan(d)
+        return target - (z * math.pi + frac)
 
     lo, hi = -float((pars.n - 2) ** 2) - 1.0, 0.0
+    h_lo = deficit(lo)
     widenings = 0
-    while not below(lo):
+    while not h_lo > 0.0:
         if widenings >= 2:
             raise BracketExhausted(
                 f"no eigenvalue bracket below lambda={lo} for (n,k)=({pars.n},{pars.k})")
         lo -= 4.0 * (hi - lo) + 10.0
+        h_lo = deficit(lo)
         widenings += 1
+    h_hi = deficit(hi)
     widenings = 0
-    while below(hi):
+    while h_hi > 0.0:
         if widenings >= 2:
             raise BracketExhausted(
                 f"no eigenvalue bracket above lambda={hi} for (n,k)=({pars.n},{pars.k})")
         hi += 4.0 * (hi - lo) + 10.0 * (index + 1.0)
+        h_hi = deficit(hi)
         widenings += 1
 
-    iters = 0
-    while hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi)):
-        if iters == MAX_BISECTIONS:
-            raise NonConvergenceError(
-                f"eigenvalue bracket [{lo!r}, {hi!r}] still wider than its 1e-13 "
-                f"tolerance after {iters} bisection steps at "
-                f"(n,k)=({pars.n},{pars.k})", value=0.5 * (lo + hi),
-                err_estimate=hi - lo, terms_used=iters)
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    lam = 0.5 * (lo + hi)
-    dm, zeros = mismatch(lam)
+    lam = illinois(deficit, lo, h_lo, hi, h_hi, rel_tol=1e-13)[0]
+    d, zeros = shoot(pars, root, lam, mode)
     gm, gp = indicial_roots(lam, pars.n) or (None, None)
     return _checked(EigenResult(lam=lam, zeros_interior=zeros, gamma_minus=gm,
-                                gamma_plus=gp, bc_residual=abs(dm)),
+                                gamma_plus=gp, bc_residual=abs(d - rhs_bc)),
                     f"eigenvalue {index} of mode ({mode.p},{mode.q}) at (n,k)=({pars.n},{pars.k})")
 
 
@@ -207,13 +196,13 @@ def first_eigenvalue(pars: ConeParams, root: RootResult,
     decay rates, and the eigenvalue is found by shooting.  Raises
     NonConvergenceError when the residual exceeds BC_RESIDUAL_MAX.
     """
-    interval = admissible_interval(pars, root, ctrl)
-    if interval is None:
+    alpha_root = margin_root(pars, root, ctrl)
+    if alpha_root is None:
         return find_eigenvalue(pars, root)
-    gm, gp = interval
+    gp, residual = alpha_root
     return _checked(EigenResult(lam=gp * (gp + pars.n - 2.0), zeros_interior=0,
-                                gamma_minus=gm, gamma_plus=gp,
-                                bc_residual=abs(stability_margin(pars, gp, root, ctrl))),
+                                gamma_minus=2.0 - pars.n - gp, gamma_plus=gp,
+                                bc_residual=residual),
                     f"margin root gamma+={gp!r} at (n,k)=({pars.n},{pars.k})")
 
 
@@ -257,11 +246,14 @@ def fd_oracle_lambda1(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
     diag[1:-1] = (p_half[:-1] + p_half[1:]) / h
     diag[-1] = p_half[-1] / h - rhs_bc * _link_weight(pars, np.array([t0]))[0]
     off = -p_half / h
-    # half cells at both ends; cell-midpoint values for the axis cell,
-    # where the weight may vanish
+    # half cells at both ends; the axis cell [0, h/2] integrates t^(k-1)
+    # exactly, (h/2)^k / k, times the smooth rest of f at that weight's
+    # centroid xc (f(xc) carries xc^(k-1)); for q > 0 node 0 is dropped
+    k = pars.k
+    xc = k / (k + 1.0) * 0.5 * h
     mass, pot = np.empty(n_nodes), np.empty(n_nodes)
     for arr, f in ((mass, density), (pot, potential)):
-        arr[0] = f(0.25 * h) * 0.5 * h
+        arr[0] = f(xc) * 0.5 * h / k * ((k + 1.0) / k) ** (k - 1)
         arr[1:-1] = f(t[1:-1]) * h
         arr[-1] = f(t0) * 0.5 * h
     diag = diag + pot

@@ -184,7 +184,7 @@ class TestConfig:
         assert rc == 2
 
     # the shooting controls are constants of conelab.spectrum, not keys;
-    # the bisection budget is checked in tests/test_spectrum.py
+    # the eigenvalue solve has no step budget left to configure
     @pytest.mark.parametrize("value", ["0", "5"])
     def test_unconverged_eigenvalue_rejected(self, capsys, value):
         rc, out, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",

@@ -120,18 +120,20 @@ class TestFindEigenvalue:
         with pytest.raises(BracketExhausted, match="above lambda=3684.0"):
             find_eigenvalue(p, find_root(p), index=50)
 
-    @pytest.mark.parametrize("steps", [0, 5])
-    def test_bisection_budget_enforced(self, monkeypatch, steps):
-        # 0 bisections used to return lambda1 = -3.308 (true -5.698)
-        p = ConeParams(7, 1)
-        root = find_root(p)
-        monkeypatch.setattr(spectrum, "MAX_BISECTIONS", steps)
-        with pytest.raises(NonConvergenceError, match=f"after {steps} bisection steps"):
-            find_eigenvalue(p, root)
+    def test_shot_budget(self, monkeypatch):
+        # the Pruefer-angle solve, widenings and final shot included
+        calls = _count_shots(monkeypatch)
+        for n in range(3, 41):
+            for k in sorted({1, n // 2, n - 2}):
+                p = ConeParams(n, k)
+                root = find_root(p)
+                before = len(calls)
+                find_eigenvalue(p, root)
+                assert len(calls) - before <= 30, (n, k, len(calls) - before)
 
     def test_boundary_residual_bound_enforced(self, monkeypatch):
         # a log-derivative that jumps over the Robin side by +-1e-6 has no
-        # root: bisection converges onto the jump and must not report it
+        # root: the solver converges onto the jump and must not report it
         p = ConeParams(7, 1)
         root = find_root(p)
         _, rhs = boundary_rhs(p, root)
@@ -258,6 +260,18 @@ class TestFdOracle:
         l2 = fd_oracle_lambda1(p, root, Mode(0, 2), grid_n=4000)
         rich = (4.0 * l2 - l1) / 3.0
         assert abs(rich - lam_shoot) <= 2e-4 * max(1.0, abs(lam_shoot))
+
+    @pytest.mark.parametrize("n,k", [(30, 28), (40, 38)])
+    def test_matches_shooting_k_near_n(self, n, k):
+        # the weight t^(k-1) vanishes to high order at the axis, so the
+        # axis half cell must integrate it exactly
+        p = ConeParams(n, k)
+        root = find_root(p)
+        lam_shoot = find_eigenvalue(p, root).lam
+        l1 = fd_oracle_lambda1(p, root, grid_n=2000)
+        l2 = fd_oracle_lambda1(p, root, grid_n=4000)
+        rich = (4.0 * l2 - l1) / 3.0
+        assert abs(rich - lam_shoot) <= 1e-4 * abs(lam_shoot)
 
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
