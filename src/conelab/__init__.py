@@ -22,7 +22,7 @@ from conelab.cone import (
     verdict,
 )
 from conelab.riccati import BarrierSpec, RiccatiTrace, check_4_minus_n, verify_barrier
-from conelab.specfun import EvalResult, HypParams, SeriesControl, hyp2f1
+from conelab.specfun import EvalResult, HypParams, hyp2f1
 from conelab.spectrum import (
     EigenResult,
     Mode,
@@ -51,7 +51,6 @@ __all__ = [
     "verify_barrier",
     "EvalResult",
     "HypParams",
-    "SeriesControl",
     "hyp2f1",
     "EigenResult",
     "Mode",

@@ -16,7 +16,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from conelab import reference
 from conelab.checks import SUITES, run_suites
@@ -24,55 +24,6 @@ from conelab.cone import ConeParams, Verdict, find_root, verdict
 from conelab.errors import ConelabError
 from conelab.riccati import check_4_minus_n
 from conelab.spectrum import family_scan, first_eigenvalue
-from conelab.specfun import SeriesControl
-
-_CONTROL_KEYS = {f"series.{f.name}": type(f.default) for f in dataclasses.fields(SeriesControl)}
-
-
-def _parse_kv(text: str) -> Tuple[str, str]:
-    if "=" not in text:
-        raise ValueError(f"expected KEY=VAL, got {text!r}")
-    key, val = text.split("=", 1)
-    return key.strip(), val.strip()
-
-
-def _load_overrides(config_path: Optional[str],
-                    cli_overrides: Sequence[str]) -> Dict[str, str]:
-    """key=value pairs; command-line overrides beat the file."""
-    merged: Dict[str, str] = {}
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, val = _parse_kv(line)
-                merged[key] = val
-    for item in cli_overrides or ():
-        key, val = _parse_kv(item)
-        merged[key] = val
-    return merged
-
-
-def _build_controls(args, used: bool = True) -> SeriesControl:
-    """Series controls from --config and --tol-override.  Raises
-    ValueError naming the key when it is unknown, the command uses no
-    controls, or the value is rejected."""
-    kwargs: Dict[str, object] = {}
-    for key, raw in _load_overrides(args.config, args.tol_override).items():
-        cast = _CONTROL_KEYS.get(key)
-        if cast is None:
-            raise ValueError(f"unknown configuration key {key!r}")
-        if not used:
-            raise ValueError(f"configuration key {key!r} is not used by {args.command}")
-        try:
-            kwargs[key.split(".")[1]] = cast(raw)
-        except ValueError:
-            raise ValueError(f"{key}: expected {cast.__name__}, got {raw!r}") from None
-    try:
-        return SeriesControl(**kwargs)
-    except ValueError as exc:  # the message begins with the field name
-        raise ValueError(f"series.{exc}") from None
 
 
 def _fmt_cell(x) -> str:
@@ -98,12 +49,12 @@ def _emit_json(rows: List[dict], flags: List[str]) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _cone_record(n: int, k: int, series: SeriesControl) -> dict:
+def _cone_record(n: int, k: int) -> dict:
     pars = ConeParams(n, k)
-    root = find_root(pars, series)
-    rep = verdict(pars, root, series)
-    eig = first_eigenvalue(pars, root, series)
-    _, margin4 = check_4_minus_n(pars, root, series)
+    root = find_root(pars)
+    rep = verdict(pars, root)
+    eig = first_eigenvalue(pars, root)
+    _, margin4 = check_4_minus_n(pars, root)
     flags: List[str] = []
     if eig.gamma_plus is None:
         flags.append("complex_indicial_roots")
@@ -128,11 +79,7 @@ def _cone_record(n: int, k: int, series: SeriesControl) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    if not (args.n >= 3 and 1 <= args.k <= args.n - 2):
-        print(f"error: k must lie in [1, n-2] and n >= 3; got n={args.n}, k={args.k}",
-              file=sys.stderr)
-        return 2
-    rec = _cone_record(args.n, args.k, _build_controls(args))
+    rec = _cone_record(args.n, args.k)
     if args.format == "json":
         _emit_json([rec], rec["flags"])
     else:
@@ -195,8 +142,7 @@ def cmd_table(args) -> int:
         print(f"error: table range must satisfy 3 <= n_min <= n_max <= 40, "
               f"got {n_min}..{n_max}", file=sys.stderr)
         return 2
-    series = _build_controls(args)
-    records = [_cone_record(n, k, series)
+    records = [_cone_record(n, k)
                for n in range(n_min, n_max + 1) for k in range(1, n - 1)]
     flags: List[str] = []
     exit_code = 0
@@ -221,7 +167,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _build_controls(args, used=False)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     records = run_suites(names)
     failed = [r.name for r in records if not r.passed]
@@ -240,7 +185,7 @@ def cmd_scan(args) -> int:
         print(f"error: --n-max must lie in [3, 40], got {args.n_max}",
               file=sys.stderr)
         return 2
-    rep = family_scan((3, args.n_max), _build_controls(args))
+    rep = family_scan((3, args.n_max))
     failed = sorted(name for name, ok in rep.flags.items() if not ok)
     if args.format == "json":
         rows = [dataclasses.asdict(r) for r in rep.rows]
@@ -262,20 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stability analysis of the invariant one-phase cone family.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", default=None,
-                        help="key=value file overriding evaluation controls")
-    common.add_argument("--tol-override", metavar="KEY=VAL", action="append",
-                        default=[], help="single control override (repeatable)")
-
-    p = sub.add_parser("analyze", parents=[common],
-                       help="stability report for one cone")
+    p = sub.add_parser("analyze", help="stability report for one cone")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table",
                        help="regenerate the family table, optionally compared "
                             "against the embedded reference")
     p.add_argument("--n", type=int, nargs=2, metavar=("N_MIN", "N_MAX"),
@@ -284,13 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action="store_true")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the invariant batteries")
+    p = sub.add_parser("verify", help="run the invariant batteries")
     p.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="conjecture-evidence scan over the family")
+    p = sub.add_parser("scan", help="conjecture-evidence scan over the family")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scan)

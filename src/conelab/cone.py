@@ -16,13 +16,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from conelab.errors import BracketFailure, PoleEncounteredError
-from conelab.specfun import (
-    DEFAULT_CONTROL,
-    HypParams,
-    SeriesControl,
-    hyp2f1,
-    hyp2f1_deriv,
-)
+from conelab.specfun import HypParams, hyp2f1, hyp2f1_deriv
 
 __all__ = [
     "ConeParams",
@@ -96,25 +90,22 @@ def profile_params(p: ConeParams, alpha: float) -> HypParams:
     return HypParams((p.n + alpha - 2.0) / 2.0, -alpha / 2.0, p.k / 2.0)
 
 
-def profile_g(p: ConeParams, alpha: float, t: float,
-              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def profile_g(p: ConeParams, alpha: float, t: float) -> float:
     """g_{n,k,alpha}(t); equals 1 at t = 0 for every alpha."""
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t}")
-    return hyp2f1(profile_params(p, alpha), t * t, ctrl).value
+    return hyp2f1(profile_params(p, alpha), t * t).value
 
 
-def profile_f(p: ConeParams, t: float,
-              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def profile_f(p: ConeParams, t: float) -> float:
     """Solution profile f_{n,k}(t) = g_{n,k,1}(t)."""
-    return profile_g(p, 1.0, t, ctrl)
+    return profile_g(p, 1.0, t)
 
 
-def profile_g_dt(p: ConeParams, alpha: float, t: float,
-                 ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def profile_g_dt(p: ConeParams, alpha: float, t: float) -> float:
     """d/dt of the degree-alpha profile: 2 t F'(t^2)."""
     hp = profile_params(p, alpha)
-    return 2.0 * t * hyp2f1_deriv(hp, t * t, 1, ctrl).value
+    return 2.0 * t * hyp2f1_deriv(hp, t * t, 1).value
 
 
 def cubic_bound(p: ConeParams, t: float) -> float:
@@ -176,7 +167,7 @@ def _cubic_root_in_s(p: ConeParams) -> Optional[float]:
 _S_CAP = 1.0 - 2e-9  # largest admitted s; t stays below 1 - 1e-9
 
 
-def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> RootResult:
+def find_root(p: ConeParams) -> RootResult:
     """Locate the free-boundary root t_{n,k} of f_{n,k}.
 
     The upper bracket end comes from the quadratic truncation
@@ -194,7 +185,7 @@ def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> RootResul
     hp = profile_params(p, 1.0)
 
     def F(s: float) -> float:
-        v = hyp2f1(hp, s, ctrl).value
+        v = hyp2f1(hp, s).value
         return v if math.isfinite(v) else -math.inf  # f -> -inf at s = 1
 
     s_hi, f_hi = s_up, F(s_up)
@@ -213,10 +204,9 @@ def find_root(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> RootResul
                       s_bracket=(s_lo, s_hi), residual=residual)
 
 
-def normalization_c(p: ConeParams, r: RootResult,
-                    ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def normalization_c(p: ConeParams, r: RootResult) -> float:
     """Gradient normalization c_{n,k} = 1 / (sqrt(1-t^2) |f'(t)|) at the root."""
-    fp = profile_g_dt(p, 1.0, r.t_nk, ctrl)
+    fp = profile_g_dt(p, 1.0, r.t_nk)
     return 1.0 / (math.sqrt(1.0 - r.s_nk) * abs(fp))
 
 
@@ -232,13 +222,12 @@ def boundary_rhs(p: ConeParams, r: RootResult) -> Tuple[float, float]:
     return num / math.sqrt(1.0 - r.s_nk), num / (1.0 - r.s_nk)
 
 
-def stability_margin(p: ConeParams, alpha: float, r: RootResult,
-                     ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
     """g'_alpha/g_alpha - rhs at the root; positive exactly on the
     admissible interval."""
     hp = profile_params(p, alpha)
-    F = hyp2f1(hp, r.s_nk, ctrl).value
-    Fp = hyp2f1_deriv(hp, r.s_nk, 1, ctrl).value
+    F = hyp2f1(hp, r.s_nk).value
+    Fp = hyp2f1_deriv(hp, r.s_nk, 1).value
     if F <= 0.0:
         raise PoleEncounteredError(
             f"profile g vanishes before the root for alpha={alpha}, (n,k)=({p.n},{p.k})")
@@ -246,13 +235,11 @@ def stability_margin(p: ConeParams, alpha: float, r: RootResult,
     return 2.0 * r.t_nk * Fp / F - rhs
 
 
-def margin_root(p: ConeParams, r: RootResult,
-                ctrl: SeriesControl = DEFAULT_CONTROL
-                ) -> Optional[Tuple[float, float]]:
+def margin_root(p: ConeParams, r: RootResult) -> Optional[Tuple[float, float]]:
     """(gamma_+, |margin(gamma_+)|), or None when the admissible interval
     is empty.  The margin is symmetric about (2-n)/2 and decreases away from
     it, so its root on ((2-n)/2, 0), found to a few ulps, is gamma_+."""
-    margin = lambda alpha: stability_margin(p, alpha, r, ctrl)
+    margin = lambda alpha: stability_margin(p, alpha, r)
     lo, hi = (2.0 - p.n) / 2.0, -1e-12
     f_lo = margin(lo)
     if f_lo <= 0.0:
@@ -260,20 +247,17 @@ def margin_root(p: ConeParams, r: RootResult,
     return illinois(margin, lo, f_lo, hi, margin(hi))[:2]
 
 
-def admissible_interval(p: ConeParams, r: RootResult,
-                        ctrl: SeriesControl = DEFAULT_CONTROL
-                        ) -> Optional[Tuple[float, float]]:
+def admissible_interval(p: ConeParams, r: RootResult) -> Optional[Tuple[float, float]]:
     """Endpoints of the admissible homogeneity interval, or None when empty;
     the lower endpoint is the mirror image of gamma_+ about (2-n)/2."""
-    root = margin_root(p, r, ctrl)
+    root = margin_root(p, r)
     return None if root is None else (2.0 - p.n - root[0], root[0])
 
 
-def verdict(p: ConeParams, r: RootResult,
-            ctrl: SeriesControl = DEFAULT_CONTROL) -> StabilityReport:
+def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
     """Stability report at the root r; the criterion is evaluated at alpha = (2-n)/2."""
     link_H, rhs = boundary_rhs(p, r)
-    margin = stability_margin(p, (2.0 - p.n) / 2.0, r, ctrl)
+    margin = stability_margin(p, (2.0 - p.n) / 2.0, r)
     if margin > MARGIN_TOL:
         v = Verdict.STRICTLY_STABLE
     elif margin < -MARGIN_TOL:
@@ -285,8 +269,8 @@ def verdict(p: ConeParams, r: RootResult,
 
 
 def eval_homogeneous(p: ConeParams, alpha: float, scale: float, rho: float,
-                     t: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+                     t: float) -> float:
     """scale * rho^alpha * g_{n,k,alpha}(t); exact under dilation."""
     if not rho > 0.0:
         raise ValueError("rho must be positive")
-    return scale * rho ** alpha * profile_g(p, alpha, t, ctrl)
+    return scale * rho ** alpha * profile_g(p, alpha, t)

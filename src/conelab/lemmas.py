@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from conelab.cone import ConeParams, find_root, stability_margin
 from conelab.errors import RangeUnsupported
-from conelab.specfun import DEFAULT_CONTROL, SeriesControl, digamma, gaussian_tail
+from conelab.specfun import digamma, gaussian_tail
 
 __all__ = [
     "BoundCheck",
@@ -57,8 +57,7 @@ def _bound_constant(ratio: float) -> float:
     return 9.0 / 25.0
 
 
-def root_bound_check(pars: ConeParams,
-                     ctrl: SeriesControl = DEFAULT_CONTROL) -> BoundCheck:
+def root_bound_check(pars: ConeParams) -> BoundCheck:
     """s_{n,k} <= k/n + c/sqrt(n) with c in {3/5, 2/5, 9/25} on the three
     ratio sub-intervals; requires n >= 60 and k/n in [1/3, 15/16]."""
     n, k = pars.n, pars.k
@@ -67,7 +66,7 @@ def root_bound_check(pars: ConeParams,
         raise RangeUnsupported(
             f"root bound needs n >= 60 and k/n in [1/3, 15/16], got (n,k)=({n},{k})")
     c = _bound_constant(ratio)
-    s = find_root(pars, ctrl).s_nk
+    s = find_root(pars).s_nk
     return BoundCheck(name="root_sqrt_bound",
                       parameters={"n": n, "k": k, "c": c},
                       claimed=ratio + c / math.sqrt(n), computed=s, relation="<")
@@ -83,8 +82,7 @@ def limit_profile_u(xi: float) -> float:
     return 1.0 / (math.sqrt(math.pi / 2.0) * float(erfcx(-xi / math.sqrt(2.0))))
 
 
-def estimate_z0(n_large: int, lam: float,
-                ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def estimate_z0(n_large: int, lam: float) -> float:
     """Finite-n estimator of the universal first zero of the rescaled limit
     equation: (s_{n,k} - k/n) sqrt(n) / sqrt(2 (k/n)(1 - k/n)) at
     k = round(lam n)."""
@@ -94,7 +92,7 @@ def estimate_z0(n_large: int, lam: float,
         raise RangeUnsupported("lam must lie in [1/3, 15/16]")
     k = round(lam * n_large)
     pars = ConeParams(n_large, k)
-    s = find_root(pars, ctrl).s_nk
+    s = find_root(pars).s_nk
     ratio = k / n_large
     return (s - ratio) * math.sqrt(n_large) / math.sqrt(2.0 * ratio * (1.0 - ratio))
 
@@ -108,15 +106,14 @@ def phi_c_eval(lam: float, c: float) -> float:
     return var * math.exp(-c * c / (2.0 * var)) / gaussian_tail(c, var)
 
 
-def overshoot_check(pars: ConeParams,
-                    ctrl: SeriesControl = DEFAULT_CONTROL) -> BoundCheck:
+def overshoot_check(pars: ConeParams) -> BoundCheck:
     """Either s_{n,k} < k/n or (n s - k)^2 <= 2 n (1 - s), equivalently
     s < 1 - (d+1-sqrt(2d+1))/n, for n/2 <= k <= n-12; for the band
     n-11 <= k <= n-4 (and n >= 16 d) the refined terminal point
     s < 1 - (2d+1-2 sqrt(2d+1))/(2n) is checked instead."""
     n, k = pars.n, pars.k
     d = pars.d
-    s = find_root(pars, ctrl).s_nk
+    s = find_root(pars).s_nk
     if n / 2.0 <= k <= n - 12:
         if s < k / n:
             return BoundCheck(name="overshoot_bound",
@@ -144,7 +141,7 @@ def overshoot_terminal_point(pars: ConeParams) -> float:
     return 1.0 - (d + 1.0 - math.sqrt(2.0 * d + 1.0)) / pars.n
 
 
-def proof_constants_check(ctrl: SeriesControl = DEFAULT_CONTROL) -> List[BoundCheck]:
+def proof_constants_check() -> List[BoundCheck]:
     """Fixed battery of displayed constants: digamma bounds and special
     values, profile positivity, the axisymmetric edge-case margin, and the
     exponential bound used in the jump comparison."""
@@ -175,11 +172,11 @@ def proof_constants_check(ctrl: SeriesControl = DEFAULT_CONTROL) -> List[BoundCh
     from conelab.cone import profile_g  # local import to avoid cycle at module load
     for (n, k) in [(5, 2), (7, 1), (9, 4), (12, 10), (15, 7)]:
         pars = ConeParams(n, k)
-        t_nk = find_root(pars, ctrl).t_nk
+        t_nk = find_root(pars).t_nk
         for frac_a in (0.05, 0.3, 0.5, 0.7, 0.95):
             alpha = (1.0 - n) + frac_a * (1.0 - (1.0 - n))
             for j in range(21):
-                g_min = min(g_min, profile_g(pars, alpha, t_nk * j / 21.0, ctrl))
+                g_min = min(g_min, profile_g(pars, alpha, t_nk * j / 21.0))
     checks.append(BoundCheck("profile_positive_on_root_interval",
                              {"cones": 5, "alphas": 5, "points": 21},
                              0.0, g_min, ">"))
@@ -188,8 +185,8 @@ def proof_constants_check(ctrl: SeriesControl = DEFAULT_CONTROL) -> List[BoundCh
     m_min = math.inf
     for n in range(7, 11):
         pars = ConeParams(n, 1)
-        root = find_root(pars, ctrl)
-        m_min = min(m_min, stability_margin(pars, 4.0 - n, root, ctrl))
+        root = find_root(pars)
+        m_min = min(m_min, stability_margin(pars, 4.0 - n, root))
     checks.append(BoundCheck("axisymmetric_edge_margin",
                              {"n_min": 7, "n_max": 10, "k": 1},
                              5e-2, m_min, ">"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from conelab.cone import ConeParams, RootResult, profile_params
 from conelab.errors import (
@@ -21,7 +21,7 @@ from conelab.errors import (
     PoleEncounteredError,
     VariantUnavailableError,
 )
-from conelab.specfun import DEFAULT_CONTROL, SeriesControl, hyp2f1, hyp2f1_deriv
+from conelab.specfun import hyp2f1, hyp2f1_deriv
 
 __all__ = [
     "RiccatiMode",
@@ -90,17 +90,16 @@ def p_poly_roots_in_unit(p: ConeParams, ahat: float) -> Tuple[float, ...]:
     return tuple(r for r in roots if 0.0 < r < 1.0)
 
 
-def L_direct(p: ConeParams, alpha: float, s: float,
-             ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def L_direct(p: ConeParams, alpha: float, s: float) -> float:
     """L(s) from the hypergeometric profile: 2s(1-s) F'/F - (n-2)s + (k-1)."""
     if s == 0.0:
         return float(p.k - 1)
     hp = profile_params(p, alpha)
-    F = hyp2f1(hp, s, ctrl).value
+    F = hyp2f1(hp, s).value
     if not F > 0.0:
         raise PoleEncounteredError(
             f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-    Fp = hyp2f1_deriv(hp, s, 1, ctrl).value
+    Fp = hyp2f1_deriv(hp, s, 1).value
     return 2.0 * s * (1.0 - s) * Fp / F - (p.n - 2.0) * s + (p.k - 1.0)
 
 
@@ -161,14 +160,13 @@ def L_ode(p: ConeParams, alpha: float, s: float) -> float:
 
 
 def L_eval(p: ConeParams, alpha: float, s: float,
-           mode: RiccatiMode = RiccatiMode.DIRECT,
-           ctrl: SeriesControl = DEFAULT_CONTROL):
+           mode: RiccatiMode = RiccatiMode.DIRECT):
     """Evaluate L at s (Direct or OdeIntegrate), or return a RiccatiTrace
     comparing both along a grid in CrossCheck mode."""
     if not s < 1.0:
         raise ValueError("s must be below 1")
     if mode is RiccatiMode.DIRECT:
-        return L_direct(p, alpha, s, ctrl)
+        return L_direct(p, alpha, s)
     if mode is RiccatiMode.ODE_INTEGRATE:
         return L_ode(p, alpha, s)
     import numpy as np
@@ -178,7 +176,7 @@ def L_eval(p: ConeParams, alpha: float, s: float,
     grid = np.linspace(0.0, s_end, CROSS_CHECK_POINTS)
     sol = _L_ode_solution(p, ahat_, s_end)
     launch = _launch_series(p, ahat_)
-    direct = [L_direct(p, alpha, g, ctrl) for g in grid]
+    direct = [L_direct(p, alpha, g) for g in grid]
     ode = [float(p.k - 1)]
     for g in grid[1:]:
         if g <= ODE_LAUNCH_S:
@@ -296,7 +294,7 @@ def linear_root_relation(p: ConeParams) -> Tuple[float, float, bool]:
     return s_star, linear_zero, s_star <= linear_zero
 
 
-def verify_barrier(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> BarrierReport:
+def verify_barrier(p: ConeParams) -> BarrierReport:
     """Machine verification of the barrier properties at alpha = 4-n.
 
     Checks, on Chebyshev grids per smooth piece: the subsolution residual
@@ -334,9 +332,9 @@ def verify_barrier(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> Barr
     jump_right = phi(k / n)
 
     sample = np.concatenate([lin[:: BARRIER_GRID // 64], cur[:: BARRIER_GRID // 64]])
-    l_minus_phi = min(L_direct(p, alpha, float(s), ctrl) - phi(float(s))
+    l_minus_phi = min(L_direct(p, alpha, float(s)) - phi(float(s))
                       for s in sample)
-    L_star = L_direct(p, alpha, s_star, ctrl)
+    L_star = L_direct(p, alpha, s_star)
 
     passed = (float(res_lin.max()) < 0.0 and float(res_cur.max()) < 0.0
               and jump_left > jump_right
@@ -351,13 +349,11 @@ def verify_barrier(p: ConeParams, ctrl: SeriesControl = DEFAULT_CONTROL) -> Barr
                          L_at_s_star=float(L_star), passed=passed)
 
 
-def check_4_minus_n(p: ConeParams, r: RootResult,
-                    ctrl: SeriesControl = DEFAULT_CONTROL
-                    ) -> Tuple[bool, Optional[float]]:
+def check_4_minus_n(p: ConeParams, r: RootResult) -> Tuple[bool, Optional[float]]:
     """Is 4-n an admissible exponent?  True iff L(s_{n,k}) > 0 at alpha = 4-n;
     the margin returned is that L value.  At n = 3 the degree-(4-n) profile
     is f itself, so L has a pole at the root: (False, None) is returned."""
     if p.n == 3:
         return False, None
-    margin = L_direct(p, 4.0 - p.n, r.s_nk, ctrl)
+    margin = L_direct(p, 4.0 - p.n, r.s_nk)
     return margin > 0.0, margin

@@ -30,10 +30,12 @@ from conelab.errors import DomainError, NonConvergenceError, PoleError
 
 __all__ = [
     "Strategy",
-    "SeriesControl",
     "EvalResult",
     "HypParams",
-    "DEFAULT_CONTROL",
+    "REL_TOL",
+    "ABS_TOL",
+    "MAX_TERMS",
+    "SWITCH_POINT",
     "pochhammer",
     "digamma",
     "hyp2f1",
@@ -51,29 +53,13 @@ class Strategy(Enum):
     INTEGRAL_REP = "IntegralRep"
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Tolerances and budgets for series evaluation; every field must be
-    finite.  A rejected value raises ValueError with a message that begins
-    with the field name."""
-
-    rel_tol: float = 1e-15
-    abs_tol: float = 1e-280
-    max_terms: int = 40000
-    switch_point: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1e-3:
-            raise ValueError(f"rel_tol must lie in (0, 1e-3), got {self.rel_tol}")
-        if not 0.0 < self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 64):
-            raise ValueError(f"max_terms must be an integer >= 64, got {self.max_terms}")
-        if not 0.0 < self.switch_point < 1.0:
-            raise ValueError(f"switch_point must lie in (0, 1), got {self.switch_point}")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# series tolerances and budgets: relative and absolute stopping
+# tolerances, the term budget of one series, and the |s| up to which the
+# direct series is summed
+REL_TOL = 1e-15
+ABS_TOL = 1e-280
+MAX_TERMS = 40000
+SWITCH_POINT = 0.5
 
 
 @dataclass(frozen=True)
@@ -215,8 +201,8 @@ def _nonpos_int(x: float) -> Optional[int]:
     return None
 
 
-def _near_int(x: float, tol: float = 1e-9) -> bool:
-    return abs(x - round(x)) < tol
+def _near_int(x: float) -> bool:
+    return abs(x - round(x)) < 1e-9
 
 
 def _safe_pow(base: float, expo: float) -> float:
@@ -231,15 +217,14 @@ def _safe_pow(base: float, expo: float) -> float:
     return math.exp(lg)
 
 
-def _run_series(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
+def _run_series(a: float, b: float, c: float, s: float,
                 dp=(0.0, 0.0, 0.0), max_terms: Optional[int] = None):
     """hyp2f1_series, its error bound grown for parameters p = a, b, c
     that lie up to dp from the intended ones: a term of index m moves by at
     most m |term| max_j dp / |p + j|, and the kernel's bound already
     exceeds 8 * 2^-53 * sum m |term|."""
-    budget = ctrl.max_terms if max_terms is None else max_terms
-    value, err, terms, ok = _series_kernel(a, b, c, s, ctrl.rel_tol,
-                                           ctrl.abs_tol, budget)
+    budget = MAX_TERMS if max_terms is None else max_terms
+    value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, budget)
     grow = 0.0
     for p, d in zip((a, b, c), dp):
         gap = p if p > 0.0 else abs(p - round(p))
@@ -280,8 +265,7 @@ def _psi_shift(x: float, dx: float) -> float:
     return dx * abs(digamma(x))
 
 
-def _connection_at_one(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
-                       dp) -> EvalResult:
+def _connection_at_one(a: float, b: float, c: float, s: float, dp) -> EvalResult:
     """DLMF 15.8.4 evaluation through 1-s; requires c-a-b non-integer.
 
     Each term is assembled as sign * exp(log magnitude) * series so the
@@ -298,9 +282,9 @@ def _connection_at_one(a: float, b: float, c: float, s: float, ctrl: SeriesContr
     da, db, dc = dp
     d_ca, d_cb = _rounding((c, -a), ca) + da + dc, _rounding((c, -b), cb) + db + dc
     d_cab = _rounding((c, -a, -b), cab) + da + db + dc
-    v1, e1, t1, ok1 = _run_series(a, b, c1, u, ctrl,
+    v1, e1, t1, ok1 = _run_series(a, b, c1, u,
                                   (da, db, _rounding((a, b, -c, 1.0), c1) + da + db + dc))
-    v2, e2, t2, ok2 = _run_series(ca, cb, cab1, u, ctrl,
+    v2, e2, t2, ok2 = _run_series(ca, cb, cab1, u,
                                   (d_ca, d_cb, _rounding((c, -a, -b, 1.0), cab1) + da + db + dc))
     if not (ok1 and ok2):
         raise NonConvergenceError(
@@ -319,8 +303,7 @@ def _connection_at_one(a: float, b: float, c: float, s: float, ctrl: SeriesContr
     return EvalResult(value, err, t1 + t2, Strategy.CONNECTION_AT_1)
 
 
-def _log_case(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
-              dp) -> EvalResult:
+def _log_case(a: float, b: float, c: float, s: float, dp) -> EvalResult:
     """2F1 when c-a-b is an integer m, beyond the direct window.
 
     For m < 0, Euler's transformation F(a,b;c;s) = u^m F(c-a,c-b;c;s),
@@ -349,7 +332,7 @@ def _log_case(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
         d_ca, d_cb = _rounding((c, -a), ca) + da + dc, _rounding((c, -b), cb) + db + dc
         a, b, m, euler, shift = ca, cb, -m, _safe_pow(u, m), d_ca + d_cb + dc
         if _nonpos_int(a) is not None or _nonpos_int(b) is not None:
-            v, err, terms, _ = _run_series(a, b, c, s, ctrl, (d_ca, d_cb, dc))
+            v, err, terms, _ = _run_series(a, b, c, s, (d_ca, d_cb, dc))
             value = euler * v
             return EvalResult(value, abs(euler) * err + 4.0 * _U * abs(value),
                               terms, Strategy.EULER_TRANSFORM)
@@ -407,12 +390,12 @@ def _log_case(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
                         * (1.0 + max(b - 1.0, 0.0) / (k + m + 1.0)))
             if q < 1.0:
                 tail = abs(d) * (abs(lu) + abs(psi3 - psi2) + abs(psi4 - psi1)) / (1.0 - q)
-                target = ctrl.rel_tol * (abs(t1) + scale2 * abs(s2))
-                if scale2 * tail <= max(ctrl.abs_tol, target):
+                target = REL_TOL * (abs(t1) + scale2 * abs(s2))
+                if scale2 * tail <= max(ABS_TOL, target):
                     break
-        if k >= ctrl.max_terms:
+        if k >= MAX_TERMS:
             raise NonConvergenceError(
-                f"log-case series exhausted {ctrl.max_terms} terms at s={s}",
+                f"log-case series exhausted {MAX_TERMS} terms at s={s}",
                 terms_used=k)
     t2 = _scaled(sign2, log2, s2)
     value = euler * (t1 + t2)
@@ -426,7 +409,7 @@ def _log_case(a: float, b: float, c: float, s: float, ctrl: SeriesControl,
     return EvalResult(value, err, m + k, Strategy.CONNECTION_AT_1)
 
 
-def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL,
+def hyp2f1(p: HypParams, s: float,
            dp: Tuple[float, float, float] = (0.0, 0.0, 0.0)) -> EvalResult:
     """Evaluate 2F1(a, b; c; s) on (-1, 1] with strategy bookkeeping.
 
@@ -448,11 +431,11 @@ def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL,
         return EvalResult(value, err, 0, Strategy.CONNECTION_AT_1)
 
     terminating = _nonpos_int(a) is not None or _nonpos_int(b) is not None
-    if terminating or abs(s) <= ctrl.switch_point or s < 0.0:
-        value, err, terms, ok = _run_series(a, b, c, s, ctrl, dp)
+    if terminating or abs(s) <= SWITCH_POINT or s < 0.0:
+        value, err, terms, ok = _run_series(a, b, c, s, dp)
         if not ok:
             raise NonConvergenceError(
-                f"direct series exhausted {ctrl.max_terms} terms at s={s}",
+                f"direct series exhausted {MAX_TERMS} terms at s={s}",
                 value=value, err_estimate=err, terms_used=terms)
         return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
 
@@ -462,7 +445,7 @@ def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL,
         if (deg_ca is not None or deg_cb is not None) else None
     if euler_deg is not None and euler_deg <= 2:
         da, db, dc = dp
-        v, err, terms, _ = _run_series(c - a, c - b, c, s, ctrl, (
+        v, err, terms, _ = _run_series(c - a, c - b, c, s, (
             _rounding((c, -a), c - a) + da + dc, _rounding((c, -b), c - b) + db + dc, dc))
         cab = c - a - b
         lu = math.log(1.0 - s)
@@ -473,18 +456,16 @@ def hyp2f1(p: HypParams, s: float, ctrl: SeriesControl = DEFAULT_CONTROL,
                           terms, Strategy.EULER_TRANSFORM)
 
     if s <= 0.99:
-        value, err, terms, ok = _run_series(a, b, c, s, ctrl, dp,
-                                            max_terms=min(ctrl.max_terms, 8000))
+        value, err, terms, ok = _run_series(a, b, c, s, dp, max_terms=8000)
         if ok:
             return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
 
     if not _near_int(c - a - b):
-        return _connection_at_one(a, b, c, s, ctrl, dp)
-    return _log_case(a, b, c, s, ctrl, dp)
+        return _connection_at_one(a, b, c, s, dp)
+    return _log_case(a, b, c, s, dp)
 
 
-def hyp2f1_deriv(p: HypParams, s: float, m: int,
-                 ctrl: SeriesControl = DEFAULT_CONTROL) -> EvalResult:
+def hyp2f1_deriv(p: HypParams, s: float, m: int) -> EvalResult:
     """m-th derivative of 2F1 via the parameter-shift identity
     d^m/ds^m F(a,b;c;s) = (a)_m (b)_m / (c)_m * F(a+m, b+m; c+m; s).
 
@@ -500,14 +481,14 @@ def hyp2f1_deriv(p: HypParams, s: float, m: int,
     pref_err = ((ea * abs(pb) + abs(pa) * eb + _U * abs(ab) + _ETA + abs(pref) * ec) / pc
                 + _U * abs(pref) + _ETA)
     shifted = HypParams(p.a + m, p.b + m, p.c + m)
-    inner = hyp2f1(shifted, s, ctrl, tuple(_rounding((x, m), x + m) for x in (p.a, p.b, p.c)))
+    inner = hyp2f1(shifted, s, tuple(_rounding((x, m), x + m) for x in (p.a, p.b, p.c)))
     value = pref * inner.value
     err = (abs(pref) * inner.err_estimate + pref_err * abs(inner.value)
            + _U * abs(value) + _ETA)
     return EvalResult(value, err, inner.terms_used, inner.strategy)
 
 
-def hyp2f1_integral(p: HypParams, s: float, quad_tol: float = 1e-12) -> EvalResult:
+def hyp2f1_integral(p: HypParams, s: float) -> EvalResult:
     """Euler integral representation, valid for c > b > 0 and s < 1.
 
     Independent oracle for hyp2f1: adaptive Gauss-Kronrod quadrature of
@@ -529,7 +510,7 @@ def hyp2f1_integral(p: HypParams, s: float, quad_tol: float = 1e-12) -> EvalResu
         # near-roundoff tolerances trip the extrapolation warning; the
         # returned error estimate is propagated to the caller regardless
         warnings.simplefilter("ignore")
-        val, est = quad(integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol,
+        val, est = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
                         limit=500)
     pref = math.exp(log_pref)
     return EvalResult(pref * val, pref * est + 2e-16 * abs(pref * val),

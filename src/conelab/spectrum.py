@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root, illinois, margin_root
 from conelab.errors import BracketExhausted, IntegrationFailure, NonConvergenceError
-from conelab.specfun import DEFAULT_CONTROL, SeriesControl
 
 __all__ = [
     "Mode",
@@ -186,8 +185,7 @@ def _checked(res: EigenResult, what: str) -> EigenResult:
     return res
 
 
-def first_eigenvalue(pars: ConeParams, root: RootResult,
-                     ctrl: SeriesControl = DEFAULT_CONTROL) -> EigenResult:
+def first_eigenvalue(pars: ConeParams, root: RootResult) -> EigenResult:
     """First eigenvalue of the mode (0, 0) with its decay rates.
 
     A non-empty admissible interval (gamma_-, gamma_+) gives lambda_1 =
@@ -196,7 +194,7 @@ def first_eigenvalue(pars: ConeParams, root: RootResult,
     decay rates, and the eigenvalue is found by shooting.  Raises
     NonConvergenceError when the residual exceeds BC_RESIDUAL_MAX.
     """
-    alpha_root = margin_root(pars, root, ctrl)
+    alpha_root = margin_root(pars, root)
     if alpha_root is None:
         return find_eigenvalue(pars, root)
     gp, residual = alpha_root
@@ -285,16 +283,15 @@ class ScanReport:
     notes: Tuple[str, ...]
 
 
-def _scan_cell(n: int, k: int, ctrl: SeriesControl) -> ScanRow:
+def _scan_cell(n: int, k: int) -> ScanRow:
     pars = ConeParams(n, k)
-    root = find_root(pars, ctrl)
-    res = first_eigenvalue(pars, root, ctrl)
+    root = find_root(pars)
+    res = first_eigenvalue(pars, root)
     return ScanRow(n=n, k=k, t_nk=root.t_nk, lambda1=res.lam,
                    gamma_plus=res.gamma_plus, gamma_minus=res.gamma_minus)
 
 
-def family_scan(n_range: Tuple[int, int],
-                ctrl: SeriesControl = DEFAULT_CONTROL) -> ScanReport:
+def family_scan(n_range: Tuple[int, int]) -> ScanReport:
     """First-eigenvalue table over n in [n_lo, n_hi], k in [1, n-2], with
     the monotonicity and range flags of the conjecture-evidence scan.
 
@@ -304,7 +301,7 @@ def family_scan(n_range: Tuple[int, int],
     n_lo, n_hi = n_range
     if not 3 <= n_lo <= n_hi <= 40:
         raise ValueError("n_range must satisfy 3 <= n_lo <= n_hi <= 40")
-    rows = [_scan_cell(n, k, ctrl)
+    rows = [_scan_cell(n, k)
             for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
 
     notes: List[str] = []

@@ -1,5 +1,5 @@
 """Command-line interface tests: exit codes, output schemas, determinism,
-comparison behavior, configuration precedence."""
+comparison behavior."""
 
 import json
 import math
@@ -157,73 +157,23 @@ class TestScan:
 
 
 class TestConfig:
-    def test_config_file_and_override(self, capsys, tmp_path):
-        cfg = tmp_path / "conelab.cfg"
-        cfg.write_text("series.max_terms = 8000\n# comment\nseries.rel_tol = 1e-13\n")
-        rc, out, _ = run_cli(capsys, "analyze", "--n", "7", "--k", "2",
-                             "--format", "json", "--config", str(cfg))
-        assert rc == 0
-        base = json.loads(out)["rows"][0]["lambda1"]
-        # flag overrides beat the file; tightening the series tolerance
-        # must reproduce the same eigenvalue to well below either tolerance
-        rc, out, _ = run_cli(capsys, "analyze", "--n", "7", "--k", "2",
-                             "--format", "json", "--config", str(cfg),
-                             "--tol-override", "series.rel_tol=1e-15")
-        assert rc == 0
-        assert abs(json.loads(out)["rows"][0]["lambda1"] - base) < 1e-7
-
-    def test_unknown_key_rejected(self, capsys):
-        rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "2",
-                             "--tol-override", "bogus.key=1")
-        assert rc == 2
-        assert "unknown configuration key" in err
-
-    def test_invalid_value_rejected(self, capsys):
-        rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "2",
-                             "--tol-override", "series.rel_tol=0.5")
-        assert rc == 2
-
-    # the shooting controls are constants of conelab.spectrum, not keys;
-    # the eigenvalue solve has no step budget left to configure
-    @pytest.mark.parametrize("value", ["0", "5"])
-    def test_unconverged_eigenvalue_rejected(self, capsys, value):
-        rc, out, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
-                               "--tol-override", f"shooting.max_bisections={value}")
-        assert rc == 2 and out == ""
-        assert "unknown configuration key 'shooting.max_bisections'" in err
-
-    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
-    def test_ode_tol_must_be_finite_and_in_range(self, capsys, value):
-        rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
-                             "--tol-override", f"shooting.ode_tol={value}")
-        assert rc == 2
-        assert "unknown configuration key 'shooting.ode_tol'" in err
-
-    def test_series_controls_must_be_finite(self, capsys):
-        rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
-                             "--tol-override", "series.abs_tol=inf")
-        assert rc == 2
-        assert "series.abs_tol" in err
-
-    @pytest.mark.parametrize("argv, key", [
-        (("verify", "--suite", "specfun"), "bogus"),
-        (("verify", "--suite", "specfun"), "series.max_terms"),
-        (("scan", "--n-max", "5"), "shooting.t_launch"),
-    ])
-    def test_unknown_or_unused_key_rejected(self, capsys, argv, key):
-        rc, out, err = run_cli(capsys, *argv, "--tol-override", f"{key}=100")
-        assert rc == 2 and out == ""
-        assert repr(key) in err
-
-    def test_scan_uses_series_controls(self, capsys):
-        _, base, _ = run_cli(capsys, "scan", "--n-max", "7")
-        rc, out, _ = run_cli(capsys, "scan", "--n-max", "7",
-                             "--tol-override", "series.max_terms=8000")
-        assert rc == 0 and out == base
-        rc, out, err = run_cli(capsys, "scan", "--n-max", "7",
-                               "--tol-override", "series.max_terms=10")
-        assert rc == 2 and out == ""
-        assert "series.max_terms must be" in err
+    # the series tolerances are constants of conelab.specfun: no subcommand
+    # takes a configuration file or a tolerance override
+    @pytest.mark.parametrize("flag", [("--config", "x.cfg"),
+                                      ("--tol-override", "series.rel_tol=1e-4")],
+                             ids=["config", "tol_override"])
+    @pytest.mark.parametrize("argv", [("analyze", "--n", "7", "--k", "1"),
+                                      ("table", "--n", "7", "8"),
+                                      ("scan", "--n-max", "7"),
+                                      ("verify", "--suite", "specfun")],
+                             ids=lambda argv: argv[0])
+    def test_control_flags_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 class TestVerifySuites:

@@ -26,7 +26,7 @@ from conelab.cone import (
     verdict,
 )
 from conelab.errors import PoleEncounteredError
-from conelab.specfun import DEFAULT_CONTROL, _run_series, hyp2f1, hyp2f1_deriv
+from conelab.specfun import _run_series, hyp2f1, hyp2f1_deriv
 
 
 class TestConeParams:
@@ -115,11 +115,10 @@ class TestProfiles:
             nu = 2.0 - k
             for t in np.linspace(0.05, 0.92, 20):
                 s = t * t
-                F = _run_series(a, b, c, s, DEFAULT_CONTROL)[0]
-                F1 = (a * b / c) * _run_series(a + 1, b + 1, c + 1, s,
-                                               DEFAULT_CONTROL)[0]
+                F = _run_series(a, b, c, s)[0]
+                F1 = (a * b / c) * _run_series(a + 1, b + 1, c + 1, s)[0]
                 F2 = (a * (a + 1) * b * (b + 1) / (c * (c + 1))) * _run_series(
-                    a + 2, b + 2, c + 2, s, DEFAULT_CONTROL)[0]
+                    a + 2, b + 2, c + 2, s)[0]
                 f = t ** nu * F
                 fp = nu * t ** (nu - 1) * F + 2.0 * t ** (nu + 1) * F1
                 fpp = (nu * (nu - 1) * t ** (nu - 2) * F
