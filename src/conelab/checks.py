@@ -8,6 +8,7 @@ fixed seed: identical invocations produce identical reports.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
@@ -48,13 +49,15 @@ def _rec(suite: str, name: str, passed: bool, detail: str) -> CheckRecord:
     return CheckRecord(suite=suite, name=name, passed=bool(passed), detail=detail)
 
 
+def _linspace(lo: float, hi: float, m: int) -> List[float]:
+    return [lo + (hi - lo) * i / (m - 1) for i in range(m)]
+
+
 # ---------------------------------------------------------------------- specfun
 
 def specfun_suite() -> List[CheckRecord]:
-    import numpy as np
-
     out: List[CheckRecord] = []
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
 
     # series vs Euler-integral oracle on 200 admissible draws
     worst = 0.0
@@ -131,17 +134,15 @@ def specfun_suite() -> List[CheckRecord]:
 # ---------------------------------------------------------------------- riccati
 
 def riccati_suite() -> List[CheckRecord]:
-    import numpy as np
-
     out: List[CheckRecord] = []
-    rng = np.random.default_rng(SEED + 1)
+    rng = random.Random(SEED + 1)
 
     # Direct vs integrated log-derivative on 30 random cones
     worst = 0.0
     exact0 = True
     for _ in range(30):
-        n = int(rng.integers(5, 21))
-        k = int(rng.integers(1, n - 1))
+        n = rng.randrange(5, 21)
+        k = rng.randrange(1, n - 1)
         alpha = rng.uniform(2.0 - n + 0.2, -0.2)
         pars = ConeParams(n, k)
         s_end = find_root(pars).s_nk
@@ -166,14 +167,12 @@ def riccati_suite() -> List[CheckRecord]:
     # at most one sign change of L on (0, 1)
     ok = True
     for _ in range(12):
-        n = int(rng.integers(5, 18))
-        k = int(rng.integers(1, n - 1))
+        n = rng.randrange(5, 18)
+        k = rng.randrange(1, n - 1)
         alpha = rng.uniform(2.0 - n + 0.3, -0.3)
         pars = ConeParams(n, k)
-        grid = np.linspace(1e-4, 0.999, 250)
-        vals = [L_direct(pars, alpha, float(s)) for s in grid]
-        signs = np.sign(vals)
-        changes = int(np.sum(signs[1:] * signs[:-1] < 0))
+        vals = [L_direct(pars, alpha, s) for s in _linspace(1e-4, 0.999, 250)]
+        changes = sum((a < 0.0 < b) or (b < 0.0 < a) for a, b in zip(vals, vals[1:]))
         ok = ok and changes <= 1
     out.append(_rec("riccati", "at_most_one_sign_change",
                     ok, "grid sign count <= 1 on 12 draws"))
@@ -183,7 +182,7 @@ def riccati_suite() -> List[CheckRecord]:
     for (n, k, alpha) in [(8, 4, -3.0), (11, 6, -5.0), (15, 13, -7.5)]:
         pars = ConeParams(n, k)
         ah = alpha * (alpha + n - 2.0)
-        for s in np.linspace(0.05, 0.85, 20):
+        for s in _linspace(0.05, 0.85, 20):
             h = 1e-5
             lp = (L_direct(pars, alpha, s + h) - L_direct(pars, alpha, s - h)) / (2 * h)
             L = L_direct(pars, alpha, s)
@@ -216,8 +215,6 @@ def riccati_suite() -> List[CheckRecord]:
 # ----------------------------------------------------------------------- lemmas
 
 def lemmas_suite() -> List[CheckRecord]:
-    import numpy as np
-
     out: List[CheckRecord] = []
 
     for chk in lemmas.proof_constants_check():
@@ -249,11 +246,11 @@ def lemmas_suite() -> List[CheckRecord]:
                     not fails, f"{total} cells; failures: {fails or 'none'}"))
 
     # quadratic and terminal-point forms agree
-    rng = np.random.default_rng(SEED + 2)
+    rng = random.Random(SEED + 2)
     ok = True
     for _ in range(20):
-        n = int(rng.integers(60, 140))
-        k = int(rng.integers(n // 2 + 1, n - 11))
+        n = rng.randrange(60, 140)
+        k = rng.randrange(n // 2 + 1, n - 11)
         pars = ConeParams(n, k)
         s = find_root(pars).s_nk
         quad_ok = (n * s - k) ** 2 <= 2.0 * n * (1.0 - s) or s < k / n
@@ -292,7 +289,7 @@ def lemmas_suite() -> List[CheckRecord]:
                     f"{case4:.6f} > 1.4"))
 
     # positivity and sampled continuity of the threshold function
-    rng = np.random.default_rng(SEED + 3)
+    rng = random.Random(SEED + 3)
     pos = True
     lip = 0.0
     for _ in range(60):

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from conelab.cone import ConeParams, find_root, stability_margin
 from conelab.errors import RangeUnsupported
-from conelab.specfun import digamma, gaussian_tail
+from conelab.specfun import digamma, erfcx, gaussian_tail
 
 __all__ = [
     "BoundCheck",
@@ -78,8 +78,7 @@ def limit_profile_u(xi: float) -> float:
 
     Written through the scaled complement erfcx so numerator and
     denominator never underflow together in the far left tail."""
-    from scipy.special import erfcx
-    return 1.0 / (math.sqrt(math.pi / 2.0) * float(erfcx(-xi / math.sqrt(2.0))))
+    return 1.0 / (math.sqrt(math.pi / 2.0) * erfcx(-xi / math.sqrt(2.0)))
 
 
 def estimate_z0(n_large: int, lam: float) -> float:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, RootResult, profile_params
 from conelab.errors import (
     IntegrationFailure,
@@ -22,6 +23,7 @@ from conelab.errors import (
     VariantUnavailableError,
 )
 from conelab.specfun import hyp2f1, hyp2f1_deriv
+from conelab.spectrum import ODE_TOL, T_LAUNCH, Mode, _frobenius_launch
 
 __all__ = [
     "RiccatiMode",
@@ -38,8 +40,6 @@ __all__ = [
     "check_4_minus_n",
 ]
 
-ODE_LAUNCH_S = 1e-3  # series launch interval for the singular s = 0 end
-ODE_LAUNCH_TERMS = 6
 ODE_S_MAX = 1.0 - 1e-6  # the s = 1 end is singular again; Direct rules there
 CROSS_CHECK_POINTS = 33  # grid of the CrossCheck trace
 BARRIER_GRID = 512  # Chebyshev points per smooth barrier piece
@@ -103,60 +103,38 @@ def L_direct(p: ConeParams, alpha: float, s: float) -> float:
     return 2.0 * s * (1.0 - s) * Fp / F - (p.n - 2.0) * s + (p.k - 1.0)
 
 
-def _launch_series(p: ConeParams, ahat: float) -> list:
-    """Power-series coefficients of L at the singular point s = 0.
-
-    Matching orders in the ODE gives l_0 = k-1, and for m >= 1
-        l_m (2m + k - 2) = (2(m-1) - n) l_{m-1}
-                           - sum_{i=1}^{m-1} l_i l_{m-i} - P_m
-    with P_1 = n - 2k + ahat, P_2 = -ahat; the denominator never vanishes.
-    """
+def _L_ode_trace(p: ConeParams, alpha: float, grid) -> list:
+    """L at the increasing points s of grid from the mode-(0,0) link ODE at
+    lambda = ahat: the regular solution Phi(t), s = t^2, is the profile, so
+    L = t (1-s) Phi'/Phi - (n-2) s + (k-1).  One shot, launched from the
+    Frobenius series at T_LAUNCH and carried from point to point; points
+    at or below the launch take the series itself."""
+    lam = alpha_hat(p, alpha)
     n, k = float(p.n), float(p.k)
-    pcoef = {1: n - 2.0 * k + ahat, 2: -ahat}
-    ell = [k - 1.0]
-    for m in range(1, ODE_LAUNCH_TERMS):
-        rhs = (2.0 * (m - 1) - n) * ell[m - 1]
-        rhs -= sum(ell[i] * ell[m - i] for i in range(1, m))
-        rhs -= pcoef.get(m, 0.0)
-        ell.append(rhs / (2.0 * m + k - 2.0))
-    return ell
-
-
-def _launch_eval(ell: list, s: float) -> float:
-    out = 0.0
-    for c in reversed(ell):
-        out = out * s + c
+    t0 = T_LAUNCH
+    u, v = _frobenius_launch(p, Mode(), lam, t0)
+    out = []
+    for s in grid:
+        t = math.sqrt(s)
+        if t <= T_LAUNCH:
+            uu, vv = _frobenius_launch(p, Mode(), lam, t)
+        else:
+            u, v, _, ok = robin_shoot(u, v, t0, t, n, k, lam, 0.0, 0.0,
+                                      ODE_TOL, 1e-300, t - t0, 2_000_000)
+            if not ok:
+                raise IntegrationFailure(
+                    f"Riccati shot failed before s={s} for (n,k)=({p.n},{p.k}), ahat={lam}")
+            if u == 0.0:
+                raise PoleEncounteredError(
+                    f"profile vanishes at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
+            uu, vv, t0 = u, v, t
+        out.append(t * (1.0 - s) * vv / uu - (n - 2.0) * s + (k - 1.0))
     return out
 
 
-def _L_ode_solution(p: ConeParams, ahat: float, s_end: float):
-    """Integrate the Riccati ODE from the series launch to s_end."""
-    from scipy.integrate import solve_ivp
-
-    n, k = float(p.n), float(p.k)
-    s0 = ODE_LAUNCH_S
-    l0 = _launch_eval(_launch_series(p, ahat), s0)
-
-    def rhs(s, y):
-        L = y[0]
-        P = (n - 2.0 * k) * s + ahat * s * (1.0 - s) + (k - 1.0)
-        return [-(L * L + (n * s - k) * L + P) / (2.0 * s * (1.0 - s))]
-
-    sol = solve_ivp(rhs, (s0, s_end), [l0], method="DOP853",
-                    rtol=1e-11, atol=1e-13, dense_output=True)
-    if not sol.success:
-        raise IntegrationFailure(
-            f"Riccati integration failed for (n,k)=({p.n},{p.k}), ahat={ahat}: {sol.message}")
-    return sol
-
-
 def L_ode(p: ConeParams, alpha: float, s: float) -> float:
-    """L(s) by integrating the Riccati ODE; capped below the s = 1 pole."""
-    ahat_ = alpha_hat(p, alpha)
-    s_end = min(s, ODE_S_MAX)
-    if s_end <= ODE_LAUNCH_S:
-        return _launch_eval(_launch_series(p, ahat_), s_end)
-    return float(_L_ode_solution(p, ahat_, s_end).sol(s_end)[0])
+    """L(s) by integrating the link ODE; capped below the s = 1 pole."""
+    return _L_ode_trace(p, alpha, [min(s, ODE_S_MAX)])[0]
 
 
 def L_eval(p: ConeParams, alpha: float, s: float,
@@ -169,22 +147,12 @@ def L_eval(p: ConeParams, alpha: float, s: float,
         return L_direct(p, alpha, s)
     if mode is RiccatiMode.ODE_INTEGRATE:
         return L_ode(p, alpha, s)
-    import numpy as np
-
-    ahat_ = alpha_hat(p, alpha)
     s_end = min(s, ODE_S_MAX)
-    grid = np.linspace(0.0, s_end, CROSS_CHECK_POINTS)
-    sol = _L_ode_solution(p, ahat_, s_end)
-    launch = _launch_series(p, ahat_)
+    grid = [s_end * i / (CROSS_CHECK_POINTS - 1) for i in range(CROSS_CHECK_POINTS)]
     direct = [L_direct(p, alpha, g) for g in grid]
-    ode = [float(p.k - 1)]
-    for g in grid[1:]:
-        if g <= ODE_LAUNCH_S:
-            ode.append(_launch_eval(launch, g))
-        else:
-            ode.append(float(sol.sol(g)[0]))
+    ode = _L_ode_trace(p, alpha, grid)
     disc = max(abs(a - b) for a, b in zip(direct, ode))
-    return RiccatiTrace(alpha_hat=ahat_, grid=tuple(grid),
+    return RiccatiTrace(alpha_hat=alpha_hat(p, alpha), grid=tuple(grid),
                         values_direct=tuple(direct), values_ode=tuple(ode),
                         max_discrepancy=disc)
 
@@ -301,18 +269,15 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     R[phi] < 0, the decreasing jump at k/n, the comparison L >= phi, and
     the payoff L(s_star) > 0.
     """
-    import numpy as np
-
     spec, phi = barrier_phi(p)
     n, k = float(p.n), float(p.k)
     s_star = spec.s_star
     B_const = -(spec.roots[0] + spec.roots[1])
     C_const = spec.roots[0] * spec.roots[1]
 
-    def cheb(lo: float, hi: float, m: int) -> np.ndarray:
-        j = np.arange(m)
-        x = np.cos(np.pi * j / (m - 1))
-        return lo + (hi - lo) * 0.5 * (1.0 - x)
+    def cheb(lo: float, hi: float, m: int) -> List[float]:
+        return [lo + (hi - lo) * 0.5 * (1.0 - math.cos(math.pi * j / (m - 1)))
+                for j in range(m)]
 
     alpha = 4.0 - p.n
 
@@ -321,32 +286,29 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     # inside those endpoints.
     # linear piece: R[phi] telescopes to 2 s (k - n + 4) exactly
     lin = cheb(k / n * 1e-9, k / n * (1.0 - 1e-12), BARRIER_GRID)
-    res_lin = 2.0 * lin * (k - n + 4.0)
+    res_lin = max(2.0 * s * (k - n + 4.0) for s in lin)
     # curved piece: R[phi] = (ns - k - B) phi + (P(s) - C)
     cur = cheb(k / n, s_star - (s_star - k / n) * 1e-9, BARRIER_GRID)
-    phi_cur = np.array([phi(s) for s in cur])
-    res_cur = (n * cur - k - B_const) * phi_cur + \
-        np.array([_P4(p, s) for s in cur]) - C_const
+    res_cur = max((n * s - k - B_const) * phi(s) + _P4(p, s) - C_const for s in cur)
 
     jump_left = 4.0 * k / n - 1.0
     jump_right = phi(k / n)
 
-    sample = np.concatenate([lin[:: BARRIER_GRID // 64], cur[:: BARRIER_GRID // 64]])
-    l_minus_phi = min(L_direct(p, alpha, float(s)) - phi(float(s))
-                      for s in sample)
+    sample = lin[:: BARRIER_GRID // 64] + cur[:: BARRIER_GRID // 64]
+    l_minus_phi = min(L_direct(p, alpha, s) - phi(s) for s in sample)
     L_star = L_direct(p, alpha, s_star)
 
-    passed = (float(res_lin.max()) < 0.0 and float(res_cur.max()) < 0.0
+    passed = (res_lin < 0.0 and res_cur < 0.0
               and jump_left > jump_right
               and l_minus_phi >= -1e-9
               and L_star > 0.0)
     return BarrierReport(spec=spec,
-                         max_residual_linear=float(res_lin.max()),
-                         max_residual_curved=float(res_cur.max()),
+                         max_residual_linear=res_lin,
+                         max_residual_curved=res_cur,
                          jump_left=jump_left, jump_right=jump_right,
                          jump_decreasing=jump_left > jump_right,
-                         min_L_minus_phi=float(l_minus_phi),
-                         L_at_s_star=float(L_star), passed=passed)
+                         min_L_minus_phi=l_minus_phi,
+                         L_at_s_star=L_star, passed=passed)
 
 
 def check_4_minus_n(p: ConeParams, r: RootResult) -> Tuple[bool, Optional[float]]:

@@ -221,17 +221,18 @@ def fd_oracle_lambda1(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
     """
     if grid_n < 200:
         raise ValueError("grid_n must be at least 200")
-    import numpy as np
-    from scipy.linalg import eigh_tridiagonal
+    return _lowest_eigenvalue(*_fd_matrix(pars, root, mode, grid_n))
 
+
+def _fd_matrix(pars: ConeParams, root: RootResult, mode: Mode,
+               grid_n: int) -> Tuple[List[float], List[float]]:
+    """Diagonal and off-diagonal of the mass-symmetrized discretization."""
     t0 = root.t_nk
     _, rhs_bc = boundary_rhs(pars, root)
     P2, Q2 = _mode_potentials(pars, mode)
-    n_nodes = grid_n + 1
     h = t0 / grid_n
-    t = np.linspace(0.0, t0, n_nodes)
-    t_half = t[:-1] + 0.5 * h
-    p_half = _link_weight(pars, t_half)
+    t = [t0 * i / grid_n for i in range(grid_n + 1)]
+    p_half = [_link_weight(pars, x + 0.5 * h) for x in t[:-1]]
 
     def density(x):
         return _link_weight(pars, x) / (1.0 - x * x)
@@ -239,31 +240,59 @@ def fd_oracle_lambda1(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
     def potential(x):
         return (P2 / (1.0 - x * x) + Q2 / (x * x)) * density(x)
 
-    diag = np.empty(n_nodes)
-    diag[0] = p_half[0] / h
-    diag[1:-1] = (p_half[:-1] + p_half[1:]) / h
-    diag[-1] = p_half[-1] / h - rhs_bc * _link_weight(pars, np.array([t0]))[0]
-    off = -p_half / h
     # half cells at both ends; the axis cell [0, h/2] integrates t^(k-1)
     # exactly, (h/2)^k / k, times the smooth rest of f at that weight's
     # centroid xc (f(xc) carries xc^(k-1)); for q > 0 node 0 is dropped
     k = pars.k
     xc = k / (k + 1.0) * 0.5 * h
-    mass, pot = np.empty(n_nodes), np.empty(n_nodes)
-    for arr, f in ((mass, density), (pot, potential)):
-        arr[0] = f(xc) * 0.5 * h / k * ((k + 1.0) / k) ** (k - 1)
-        arr[1:-1] = f(t[1:-1]) * h
-        arr[-1] = f(t0) * 0.5 * h
-    diag = diag + pot
+    axis = 0.5 * h / k * ((k + 1.0) / k) ** (k - 1)
+    mass = [density(xc) * axis] + [density(x) * h for x in t[1:-1]] + [density(t0) * 0.5 * h]
+    pot = [potential(xc) * axis] + [potential(x) * h for x in t[1:-1]] + [potential(t0) * 0.5 * h]
+    diag = ([p_half[0] / h] + [(a + b) / h for a, b in zip(p_half, p_half[1:])]
+            + [p_half[-1] / h - rhs_bc * _link_weight(pars, t0)])
+    diag = [d + v for d, v in zip(diag, pot)]
+    off = [-p / h for p in p_half]
     if mode.q > 0:  # Dirichlet at the axis: drop node 0
         diag, off, mass = diag[1:], off[1:], mass[1:]
+    inv_sqrt_m = [1.0 / math.sqrt(m) for m in mass]
+    d_sym = [d * w * w for d, w in zip(diag, inv_sqrt_m)]
+    e_sym = [e * w0 * w1 for e, w0, w1 in zip(off, inv_sqrt_m, inv_sqrt_m[1:])]
+    return d_sym, e_sym
 
-    inv_sqrt_m = 1.0 / np.sqrt(mass)
-    d_sym = diag * inv_sqrt_m * inv_sqrt_m
-    e_sym = off * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
-    vals = eigh_tridiagonal(d_sym, e_sym, select="i", select_range=(0, 0),
-                            eigvals_only=True)
-    return float(vals[0])
+
+def _lowest_eigenvalue(d: List[float], e: List[float]) -> float:
+    """Lowest eigenvalue of the symmetric tridiagonal matrix (d, e) by
+    Sturm-count bisection (Barth, Martin & Wilkinson 1967).
+
+    The number of negative pivots q_i = d_i - e_(i-1)^2 / q_(i-1) - x of
+    T - x I counts the eigenvalues below x, so the first one (or one within
+    pivmin of zero) shows that some eigenvalue lies below x.  The Gershgorin
+    bound and the smallest diagonal entry bracket the eigenvalue, which is
+    bisected until the bracket is four ulps, or pivmin, wide.  The pivot is
+    rounded in LAPACK's order (dlaebz), so the result matches dstebz's.
+    """
+    e2 = [0.0] + [x * x for x in e]
+    pivmin = 2.0 ** -1022 * max(1.0, max(e2))
+    rows = list(zip(d, e2))
+
+    def some_below(x: float) -> bool:
+        q = 1.0
+        for di, ei2 in rows:
+            q = di - ei2 / q - x
+            if q < pivmin:
+                return True
+        return False
+
+    pad = [0.0] + [abs(x) for x in e] + [0.0]
+    lo = min(di - pad[i] - pad[i + 1] for i, di in enumerate(d))
+    hi = min(d)
+    while hi - lo > max(4.0 * math.ulp(max(abs(lo), abs(hi))), pivmin):
+        mid = 0.5 * (lo + hi)
+        if some_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

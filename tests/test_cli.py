@@ -155,6 +155,14 @@ class TestScan:
         rc, _, _ = run_cli(capsys, "scan", "--n-max", "55")
         assert rc == 2
 
+    @pytest.mark.parametrize("n_max", ["41", "2"])
+    def test_nmax_range_checked_by_family_scan(self, capsys, n_max):
+        # main turns family_scan's ValueError into exit 2
+        rc, out, err = run_cli(capsys, "scan", "--n-max", n_max)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: n_range must satisfy 3 <= n_lo <= n_hi <= 40\n"
+
 
 class TestConfig:
     # the series tolerances are constants of conelab.specfun: no subcommand
@@ -187,17 +195,16 @@ class TestVerifySuites:
 
 
 class TestColdImport:
-    def test_no_scipy_or_numpy_on_the_evaluation_path(self):
-        # analyze (16,14) takes the log case of the connection formula,
-        # analyze (31,24) the non-integer one; run both and a table in a
-        # fresh interpreter and list what got imported
+    @staticmethod
+    def _loaded_after(*argvs):
+        # run the commands in a fresh interpreter, each expecting exit 0,
+        # and list the scipy and numpy modules they imported
         script = "\n".join([
-            "import sys",
+            "import contextlib, io, sys",
             "from conelab.cli import main",
-            "for argv in (['analyze', '--n', '16', '--k', '14'],",
-            "             ['analyze', '--n', '31', '--k', '24'],",
-            "             ['table', '--n', '7', '9']):",
-            "    assert main(argv) == 0",
+            f"for argv in {list(map(list, argvs))!r}:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
             "print(sorted(m for m in sys.modules",
             "             if m.split('.')[0] in ('scipy', 'numpy')), file=sys.stderr)",
         ])
@@ -206,4 +213,14 @@ class TestColdImport:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, env=env, check=True)
-        assert out.stderr.strip() == "[]"
+        return out.stderr.strip()
+
+    def test_no_scipy_or_numpy_on_the_evaluation_path(self):
+        # analyze (16,14) takes the log case of the connection formula,
+        # analyze (31,24) the non-integer one
+        assert self._loaded_after(("analyze", "--n", "16", "--k", "14"),
+                                  ("analyze", "--n", "31", "--k", "24"),
+                                  ("table", "--n", "7", "9")) == "[]"
+
+    def test_verify_loads_no_scipy_or_numpy(self):
+        assert self._loaded_after(("verify", "--suite", "all")) == "[]"

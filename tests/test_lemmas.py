@@ -67,6 +67,16 @@ class TestLimitProfile:
             assert abs(dev) <= 1.05 / abs(xi)
             assert abs(dev + 1.0 / xi) <= 3.0 / abs(xi) ** 3
 
+    def test_against_scipy_erfcx(self):
+        # xi in [-40, 40] puts -xi/sqrt(2) on both sides of the switch from
+        # erfc(x) exp(x^2) to the continued fraction, and past the overflow
+        # of exp(x^2), where u is 0 (or subnormal)
+        from scipy.special import erfcx
+        for i in range(-4000, 4001, 7):
+            xi = i / 100.0
+            want = 1.0 / (math.sqrt(math.pi / 2.0) * float(erfcx(-xi / math.sqrt(2.0))))
+            assert math.isclose(limit_profile_u(xi), want, rel_tol=1e-14, abs_tol=1e-300)
+
     def test_solves_limit_riccati(self):
         for xi in (-2.0, -0.5, 0.0, 0.7, 2.5):
             h = 1e-5

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conelab import riccati
 from conelab.cone import ConeParams, find_root
 from conelab.errors import VariantUnavailableError
 from conelab.riccati import (
@@ -53,6 +54,23 @@ class TestLEval:
         assert tr.values_direct[0] == float(p.k - 1)
         assert tr.max_discrepancy <= 1e-7 * (1.0 + max(abs(v) for v in tr.values_direct))
         assert tr.alpha_hat == -3.0 * (-3.0 + 8.0 - 2.0)
+
+    def test_crosscheck_is_one_chained_shot(self, monkeypatch):
+        # one robin_shoot call per grid point past s = 0, each starting
+        # where the previous one ended
+        calls = []
+        real = riccati.robin_shoot
+
+        def spy(*args):
+            calls.append(args[2:4])
+            return real(*args)
+
+        monkeypatch.setattr(riccati, "robin_shoot", spy)
+        p = ConeParams(10, 4)
+        tr = L_eval(p, -4.0, find_root(p).s_nk, RiccatiMode.CROSS_CHECK)
+        assert len(calls) == len(tr.grid) - 1
+        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+        assert calls[-1][1] == math.sqrt(tr.grid[-1])
 
     def test_s_domain(self):
         with pytest.raises(ValueError):

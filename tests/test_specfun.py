@@ -199,6 +199,22 @@ class TestIntegralOracle:
         with pytest.raises(DomainError):
             hyp2f1_integral(HypParams(1.0, 3.0, 2.0), 0.3)
 
+    @pytest.mark.parametrize("a,b,c,s", [
+        (0.8, 1.2, 2.5, -0.6),  # negative argument
+        (1.0, 0.2, 0.4, 0.9),  # b = 0.2: a window of 4 would miss by 4.7e-8
+        (5.0, 0.2, 4.2, 0.95),
+        (-2.0, 4.0, 4.2, 0.95),  # c - b = 0.2 at the other end
+        (4.5, 3.9, 7.8, 0.95),
+        (-1.7, 0.3, 0.6, -0.6),
+    ])
+    def test_tanh_sinh_against_mpmath(self, a, b, c, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp2f1(a, b, c, s))
+        got = hyp2f1_integral(HypParams(a, b, c), s)
+        assert abs(got.value - want) <= 1e-14 * max(1.0, abs(want))
+        assert abs(got.value - want) <= got.err_estimate
+
     def test_cross_agreement_draws(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -254,7 +270,64 @@ class TestGaussianTail:
             gaussian_tail(0.0, 0.0)
 
 
+def _laplace_quad_scipy(rho, power, half_weight):
+    """The adaptive-quadrature formulation laplace_quad had before its
+    closed forms: split at tau = 1; the head substitutes tau = w^2 under
+    the half weight, the tail tau = 1 + u/(1-u)."""
+    from scipy.integrate import quad
+
+    if half_weight:
+        def head(w):
+            t = w * w
+            return 2.0 * math.exp(-t / 2.0) * (t + rho) ** (-power)
+    else:
+        def head(t):
+            return math.exp(-t / 2.0) * (t + rho) ** (-power)
+
+    def tail(u):
+        t = 1.0 + u / (1.0 - u)
+        w = t ** -0.5 if half_weight else 1.0
+        return math.exp(-t / 2.0) * w * (t + rho) ** (-power) / (1.0 - u) ** 2
+
+    head_val, _ = quad(head, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
+    tail_val, _ = quad(tail, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
+    return head_val + tail_val
+
+
+LAPLACE_CASES = [(power, half) for power in (1, 2) for half in (False, True)]
+
+
 class TestLaplaceQuad:
+    @pytest.mark.parametrize("rho", [0.25, 1.1, 3.0])
+    @pytest.mark.parametrize("power,half_weight", LAPLACE_CASES)
+    def test_matches_quadrature(self, rho, power, half_weight):
+        want = _laplace_quad_scipy(rho, power, half_weight)
+        assert math.isclose(laplace_quad(rho, power, half_weight), want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("power,half_weight", LAPLACE_CASES)
+    def test_large_rho_matches_mpmath(self, power, half_weight):
+        # at rho = 1e6 the quadrature formulation itself is off by up to
+        # 1.1e-6 (power 2), so 40-digit mpmath is the oracle there
+        mpmath = pytest.importorskip("mpmath")
+        rho = 1e6
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho)
+            want = float(mpmath.quad(
+                lambda t: mpmath.exp(-t / 2) * (t ** -0.5 if half_weight else 1) * (t + r) ** -power,
+                [0, 1, r, mpmath.inf]))
+        assert math.isclose(laplace_quad(rho, power, half_weight), want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("rho", [1e-300, 1e300])
+    def test_extreme_rho(self, rho):
+        # no factor overflows on its own: only the half-weight power-2
+        # integral, ~ (pi/2) rho^(-3/2) as rho -> 0, exceeds binary64
+        for power, half_weight in LAPLACE_CASES:
+            v = laplace_quad(rho, power, half_weight)
+            if rho < 1.0 and half_weight and power == 2:
+                assert v == math.inf
+            else:
+                assert math.isfinite(v) and v >= 0.0
+
     def test_large_rho_asymptote(self):
         # int e^(-tau/2) / (tau + rho) ~ 2 / rho
         got = laplace_quad(1e6, 1, False)

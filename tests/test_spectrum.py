@@ -273,6 +273,21 @@ class TestFdOracle:
         rich = (4.0 * l2 - l1) / 3.0
         assert abs(rich - lam_shoot) <= 1e-4 * abs(lam_shoot)
 
+    @pytest.mark.parametrize("n,k,mode,grid_n", [
+        (7, 1, Mode(), 2000), (9, 4, Mode(), 4000), (40, 38, Mode(), 4000),
+        (8, 4, Mode(0, 1), 2000), (8, 4, Mode(0, 2), 2000), (8, 4, Mode(1, 0), 2000),
+    ])
+    def test_sturm_bisection_matches_lapack(self, n, k, mode, grid_n):
+        # the same matrix through LAPACK's dstebz, asked for full accuracy
+        np = pytest.importorskip("numpy")
+        linalg = pytest.importorskip("scipy.linalg")
+        p = ConeParams(n, k)
+        d, e = spectrum._fd_matrix(p, find_root(p), mode, grid_n)
+        want = linalg.eigh_tridiagonal(np.array(d), np.array(e), select="i",
+                                       select_range=(0, 0), eigvals_only=True,
+                                       tol=1e-300)[0]
+        assert abs(spectrum._lowest_eigenvalue(d, e) - want) <= 1e-12 * abs(want)
+
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
             p = ConeParams(7, 1)
