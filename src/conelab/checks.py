@@ -16,9 +16,8 @@ from conelab import lemmas, riccati
 from conelab.cone import ConeParams, find_root
 from conelab.riccati import (
     BarrierVariant,
-    RiccatiMode,
+    L_cross_check,
     L_direct,
-    L_eval,
     check_4_minus_n,
     linear_root_relation,
     verify_barrier,
@@ -146,7 +145,7 @@ def riccati_suite() -> List[CheckRecord]:
         alpha = rng.uniform(2.0 - n + 0.2, -0.2)
         pars = ConeParams(n, k)
         s_end = find_root(pars).s_nk
-        tr = L_eval(pars, alpha, s_end, RiccatiMode.CROSS_CHECK)
+        tr = L_cross_check(pars, alpha, s_end)
         scale = 1.0 + max(abs(v) for v in tr.values_direct)
         worst = max(worst, tr.max_discrepancy / scale)
         exact0 = exact0 and tr.values_direct[0] == float(k - 1)
@@ -181,7 +180,7 @@ def riccati_suite() -> List[CheckRecord]:
     worst = 0.0
     for (n, k, alpha) in [(8, 4, -3.0), (11, 6, -5.0), (15, 13, -7.5)]:
         pars = ConeParams(n, k)
-        ah = alpha * (alpha + n - 2.0)
+        ah = riccati.alpha_hat(pars, alpha)
         for s in _linspace(0.05, 0.85, 20):
             h = 1e-5
             lp = (L_direct(pars, alpha, s + h) - L_direct(pars, alpha, s - h)) / (2 * h)

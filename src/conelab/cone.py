@@ -1,7 +1,8 @@
-"""Cone geometry for the invariant one-phase family: profile functions,
-free-boundary root, normalization, boundary mean curvature, the strict
-stability criterion and the admissible homogeneity interval.  Functions
-evaluated at the free boundary take the RootResult of find_root.
+"""Cone geometry for the invariant one-phase family: profile functions
+and their log-derivative L, free-boundary root, normalization, boundary
+mean curvature, the strict stability criterion (read from L) and the
+admissible homogeneity interval.  Functions evaluated at the free
+boundary take the RootResult of find_root.
 
 Profiles are hypergeometric in s = t^2: the degree-alpha harmonic profile
 is 2F1((n+alpha-2)/2, -alpha/2; k/2; t^2), and the solution profile is its
@@ -24,6 +25,7 @@ __all__ = [
     "Verdict",
     "StabilityReport",
     "profile_params",
+    "L_direct",
     "profile_g",
     "profile_f",
     "profile_g_dt",
@@ -88,6 +90,21 @@ class StabilityReport:
 def profile_params(p: ConeParams, alpha: float) -> HypParams:
     """Hypergeometric parameters of the degree-alpha harmonic profile."""
     return HypParams((p.n + alpha - 2.0) / 2.0, -alpha / 2.0, p.k / 2.0)
+
+
+def L_direct(p: ConeParams, alpha: float, s: float) -> float:
+    """L(s) from the hypergeometric profile: 2s(1-s) F'/F - (n-2)s + (k-1)."""
+    if not s < 1.0:
+        raise ValueError("s must be below 1")
+    if s == 0.0:
+        return float(p.k - 1)
+    hp = profile_params(p, alpha)
+    F = hyp2f1(hp, s).value
+    if not F > 0.0:
+        raise PoleEncounteredError(
+            f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
+    Fp = hyp2f1_deriv(hp, s, 1).value
+    return 2.0 * s * (1.0 - s) * Fp / F - (p.n - 2.0) * s + (p.k - 1.0)
 
 
 def profile_g(p: ConeParams, alpha: float, t: float) -> float:
@@ -223,16 +240,9 @@ def boundary_rhs(p: ConeParams, r: RootResult) -> Tuple[float, float]:
 
 
 def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
-    """g'_alpha/g_alpha - rhs at the root; positive exactly on the
-    admissible interval."""
-    hp = profile_params(p, alpha)
-    F = hyp2f1(hp, r.s_nk).value
-    Fp = hyp2f1_deriv(hp, r.s_nk, 1).value
-    if F <= 0.0:
-        raise PoleEncounteredError(
-            f"profile g vanishes before the root for alpha={alpha}, (n,k)=({p.n},{p.k})")
-    _, rhs = boundary_rhs(p, r)
-    return 2.0 * r.t_nk * Fp / F - rhs
+    """g'_alpha/g_alpha - rhs at the root, which is L(s_nk) / (t (1 - t^2));
+    positive exactly on the admissible interval."""
+    return L_direct(p, alpha, r.s_nk) / (r.t_nk * (1.0 - r.s_nk))
 
 
 def margin_root(p: ConeParams, r: RootResult) -> Optional[Tuple[float, float]]:

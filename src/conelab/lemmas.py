@@ -1,5 +1,6 @@
 """Verification harness for the asymptotic root estimates, the boundary
-layer limit profile, the threshold constants, and the overshoot bound.
+layer limit profile, the threshold constants, and the overshoot bound
+and its two terminal points, on which the Riccati barriers end.
 
 Every check is returned as a BoundCheck record carrying its parameters,
 the claimed bound, the computed quantity and the verdict; nothing is
@@ -12,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from conelab.cone import ConeParams, find_root, stability_margin
+from conelab.cone import ConeParams, find_root, profile_g, stability_margin
 from conelab.errors import RangeUnsupported
-from conelab.specfun import digamma, erfcx, gaussian_tail
+from conelab.specfun import digamma, erfcx
 
 __all__ = [
     "BoundCheck",
@@ -98,18 +99,19 @@ def estimate_z0(n_large: int, lam: float) -> float:
 
 def phi_c_eval(lam: float, c: float) -> float:
     """Threshold function phi_c(lam) = 2 lam (1-lam)
-    exp(-c^2/(4 lam (1-lam))) / int_{-inf}^{c} exp(-r^2/(4 lam (1-lam))) dr."""
+    exp(-c^2/(4 lam (1-lam))) / int_{-inf}^{c} exp(-r^2/(4 lam (1-lam))) dr,
+    which is sd u(c/sd) for sd = sqrt(2 lam (1-lam)) (substitute r = sd x)."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    var = 2.0 * lam * (1.0 - lam)
-    return var * math.exp(-c * c / (2.0 * var)) / gaussian_tail(c, var)
+    sd = math.sqrt(2.0 * lam * (1.0 - lam))
+    return sd * limit_profile_u(c / sd)
 
 
 def overshoot_check(pars: ConeParams) -> BoundCheck:
     """Either s_{n,k} < k/n or (n s - k)^2 <= 2 n (1 - s), equivalently
-    s < 1 - (d+1-sqrt(2d+1))/n, for n/2 <= k <= n-12; for the band
-    n-11 <= k <= n-4 (and n >= 16 d) the refined terminal point
-    s < 1 - (2d+1-2 sqrt(2d+1))/(2n) is checked instead."""
+    s < overshoot_terminal_point, for n/2 <= k <= n-12; for the band
+    n-11 <= k <= n-4 (and n >= 16 d) s < refined_terminal_point is
+    checked instead."""
     n, k = pars.n, pars.k
     d = pars.d
     s = find_root(pars).s_nk
@@ -124,10 +126,9 @@ def overshoot_check(pars: ConeParams) -> BoundCheck:
                           parameters={"n": n, "k": k, "form": 1.0},
                           claimed=rhs, computed=lhs, relation="<")
     if n - 11 <= k <= n - 4 and n >= 16 * d:
-        s_star = 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * n)
         return BoundCheck(name="overshoot_bound_refined",
                           parameters={"n": n, "k": k, "form": 2.0},
-                          claimed=s_star, computed=s, relation="<")
+                          claimed=refined_terminal_point(pars), computed=s, relation="<")
     raise RangeUnsupported(
         f"overshoot bound needs n/2 <= k <= n-12, or n-11 <= k <= n-4 with "
         f"n >= 16 d; got (n,k)=({n},{k})")
@@ -138,6 +139,12 @@ def overshoot_terminal_point(pars: ConeParams) -> float:
     overshoot bound."""
     d = pars.d
     return 1.0 - (d + 1.0 - math.sqrt(2.0 * d + 1.0)) / pars.n
+
+
+def refined_terminal_point(pars: ConeParams) -> float:
+    """The refined terminal point 1 - (2d+1-2 sqrt(2d+1))/(2n)."""
+    d = pars.d
+    return 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * pars.n)
 
 
 def proof_constants_check() -> List[BoundCheck]:
@@ -168,7 +175,6 @@ def proof_constants_check() -> List[BoundCheck]:
 
     # profile positivity g_{n,k,alpha} > 0 on [0, t_{n,k}] for alpha in (1-n, 1)
     g_min = math.inf
-    from conelab.cone import profile_g  # local import to avoid cycle at module load
     for (n, k) in [(5, 2), (7, 1), (9, 4), (12, 10), (15, 7)]:
         pars = ConeParams(n, k)
         t_nk = find_root(pars).t_nk

@@ -1,11 +1,12 @@
-"""Riccati form of the stability criterion: the log-derivative function
-L(s) = t(1-t^2) g'/g - (n-2) t^2 + (k-1) at s = t^2, its quadratic ODE
+"""Riccati form of the stability criterion: the quadratic ODE of the
+log-derivative function L(s) of cone.L_direct,
 
     2 s (1-s) L' + L^2 + (n s - k) L + P(s) = 0,
     P(s) = (n - 2k) s + ahat s (1-s) + (k-1),        ahat = alpha (alpha+n-2),
 
-and the two-piece comparison barriers that propagate positivity of L up to
-the free-boundary root for the subsolution exponent alpha = 4 - n.
+a cross-check of L against the link ODE, and the two-piece comparison
+barriers, ending at the terminal points of lemmas, that propagate
+positivity of L up to the free-boundary root for alpha = 4 - n.
 """
 
 from __future__ import annotations
@@ -16,22 +17,21 @@ from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
 from conelab._backend import robin_shoot
-from conelab.cone import ConeParams, RootResult, profile_params
+from conelab.cone import ConeParams, L_direct, RootResult
 from conelab.errors import (
     IntegrationFailure,
     PoleEncounteredError,
     VariantUnavailableError,
 )
-from conelab.specfun import hyp2f1, hyp2f1_deriv
+from conelab.lemmas import overshoot_terminal_point, refined_terminal_point
 from conelab.spectrum import ODE_TOL, T_LAUNCH, Mode, _frobenius_launch
 
 __all__ = [
-    "RiccatiMode",
     "RiccatiTrace",
     "BarrierVariant",
     "BarrierSpec",
     "BarrierReport",
-    "L_eval",
+    "L_cross_check",
     "P_poly",
     "p_poly_roots_in_unit",
     "barrier_phi",
@@ -40,15 +40,9 @@ __all__ = [
     "check_4_minus_n",
 ]
 
-ODE_S_MAX = 1.0 - 1e-6  # the s = 1 end is singular again; Direct rules there
-CROSS_CHECK_POINTS = 33  # grid of the CrossCheck trace
+ODE_S_MAX = 1.0 - 1e-6  # the s = 1 end of the link ODE is singular again
+CROSS_CHECK_POINTS = 33  # grid of the L_cross_check trace
 BARRIER_GRID = 512  # Chebyshev points per smooth barrier piece
-
-
-class RiccatiMode(Enum):
-    DIRECT = "Direct"
-    ODE_INTEGRATE = "OdeIntegrate"
-    CROSS_CHECK = "CrossCheck"
 
 
 @dataclass(frozen=True)
@@ -90,19 +84,6 @@ def p_poly_roots_in_unit(p: ConeParams, ahat: float) -> Tuple[float, ...]:
     return tuple(r for r in roots if 0.0 < r < 1.0)
 
 
-def L_direct(p: ConeParams, alpha: float, s: float) -> float:
-    """L(s) from the hypergeometric profile: 2s(1-s) F'/F - (n-2)s + (k-1)."""
-    if s == 0.0:
-        return float(p.k - 1)
-    hp = profile_params(p, alpha)
-    F = hyp2f1(hp, s).value
-    if not F > 0.0:
-        raise PoleEncounteredError(
-            f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-    Fp = hyp2f1_deriv(hp, s, 1).value
-    return 2.0 * s * (1.0 - s) * Fp / F - (p.n - 2.0) * s + (p.k - 1.0)
-
-
 def _L_ode_trace(p: ConeParams, alpha: float, grid) -> list:
     """L at the increasing points s of grid from the mode-(0,0) link ODE at
     lambda = ahat: the regular solution Phi(t), s = t^2, is the profile, so
@@ -132,21 +113,12 @@ def _L_ode_trace(p: ConeParams, alpha: float, grid) -> list:
     return out
 
 
-def L_ode(p: ConeParams, alpha: float, s: float) -> float:
-    """L(s) by integrating the link ODE; capped below the s = 1 pole."""
-    return _L_ode_trace(p, alpha, [min(s, ODE_S_MAX)])[0]
-
-
-def L_eval(p: ConeParams, alpha: float, s: float,
-           mode: RiccatiMode = RiccatiMode.DIRECT):
-    """Evaluate L at s (Direct or OdeIntegrate), or return a RiccatiTrace
-    comparing both along a grid in CrossCheck mode."""
+def L_cross_check(p: ConeParams, alpha: float, s: float) -> RiccatiTrace:
+    """L on a grid of [0, s] from the profile (values_direct) and from one
+    chained shot of the link ODE (values_ode), with their largest
+    difference; the grid stops at ODE_S_MAX."""
     if not s < 1.0:
         raise ValueError("s must be below 1")
-    if mode is RiccatiMode.DIRECT:
-        return L_direct(p, alpha, s)
-    if mode is RiccatiMode.ODE_INTEGRATE:
-        return L_ode(p, alpha, s)
     s_end = min(s, ODE_S_MAX)
     grid = [s_end * i / (CROSS_CHECK_POINTS - 1) for i in range(CROSS_CHECK_POINTS)]
     direct = [L_direct(p, alpha, g) for g in grid]
@@ -191,11 +163,6 @@ class BarrierReport:
     passed: bool
 
 
-def _P4(p: ConeParams, s: float) -> float:
-    """P(s) specialized to alpha = 4-n."""
-    return (p.k - 1.0) + (8.0 - p.n - 2.0 * p.k) * s + 2.0 * (p.n - 4.0) * s * s
-
-
 def barrier_phi(p: ConeParams) -> Tuple[BarrierSpec, Callable[[float], float]]:
     """Two-piece Riccati subsolution for alpha = 4-n.
 
@@ -214,14 +181,14 @@ def barrier_phi(p: ConeParams) -> Tuple[BarrierSpec, Callable[[float], float]]:
     A = math.sqrt(2.0 * d + 1.0) - 1.0
     if d >= 12:
         variant = BarrierVariant.LARGE_D
-        s_star = 1.0 - (d + 1.0 - math.sqrt(2.0 * d + 1.0)) / n
+        s_star = overshoot_terminal_point(p)
         B = A
         C = A - 1.0
     elif d >= 6:
         variant = BarrierVariant.SMALL_D
-        s_star = 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * n)
+        s_star = refined_terminal_point(p)
         B = n * s_star - k  # equals A + 1/2
-        C = _P4(p, s_star)
+        C = P_poly(p, 2.0 * (4.0 - n), s_star)
     else:
         raise VariantUnavailableError(
             f"only the linear barrier exists for d={d} (need d >= 6)")
@@ -257,7 +224,7 @@ def linear_root_relation(p: ConeParams) -> Tuple[float, float, bool]:
     d = p.d
     if d not in (4, 5):
         raise VariantUnavailableError("linear root relation applies to d in {4, 5}")
-    s_star = 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * p.n)
+    s_star = refined_terminal_point(p)
     linear_zero = (p.k - 1.0) / (p.n - 4.0)
     return s_star, linear_zero, s_star <= linear_zero
 
@@ -289,7 +256,8 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     res_lin = max(2.0 * s * (k - n + 4.0) for s in lin)
     # curved piece: R[phi] = (ns - k - B) phi + (P(s) - C)
     cur = cheb(k / n, s_star - (s_star - k / n) * 1e-9, BARRIER_GRID)
-    res_cur = max((n * s - k - B_const) * phi(s) + _P4(p, s) - C_const for s in cur)
+    res_cur = max((n * s - k - B_const) * phi(s) + P_poly(p, 2.0 * (4.0 - n), s) - C_const
+                  for s in cur)
 
     jump_left = 4.0 * k / n - 1.0
     jump_right = phi(k / n)

@@ -22,7 +22,6 @@ the scaled functions erfcx and e^x E1(x).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Tuple
@@ -43,7 +42,6 @@ __all__ = [
     "hyp2f1",
     "hyp2f1_deriv",
     "hyp2f1_integral",
-    "gaussian_tail",
     "laplace_quad",
     "erfcx",
 ]
@@ -557,24 +555,7 @@ def hyp2f1_integral(p: HypParams, s: float) -> EvalResult:
     return EvalResult(pref * val, err, 0, Strategy.INTEGRAL_REP)
 
 
-_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_PI = math.sqrt(math.pi)
-
-
-def gaussian_tail(c_upper: float, variance: float) -> float:
-    """int_{-inf}^{c} exp(-r^2 / (2 variance)) dr.
-
-    Evaluated through the C library erfc (rational minimax core), so the
-    far tail keeps full relative accuracy.
-    """
-    if not variance > 0.0:
-        raise DomainError("variance must be positive")
-    if math.isinf(c_upper):
-        if c_upper > 0:
-            return math.sqrt(2.0 * math.pi * variance)
-        return 0.0
-    scaled = c_upper / math.sqrt(2.0 * variance)
-    return _SQRT_HALF_PI * math.sqrt(variance) * math.erfc(-scaled)
 
 
 def _continued_fraction(b0: float, a, b) -> float:

@@ -10,6 +10,7 @@ import pytest
 import conelab.cone
 from conelab.cone import (
     ConeParams,
+    L_direct,
     Verdict,
     _cubic_root_in_s,
     admissible_interval,
@@ -260,7 +261,31 @@ class TestNormalizationAndBoundary:
             assert link_h > 0.0
 
 
+def _margin_reference(p, alpha, r):
+    """The criterion margin in its own terms, 2t F'/F - rhs at the root,
+    with the scale |2t F'/F| + |rhs| of its cancellation."""
+    hp = profile_params(p, alpha)
+    F = hyp2f1(hp, r.s_nk).value
+    Fp = hyp2f1_deriv(hp, r.s_nk, 1).value
+    _, rhs = boundary_rhs(p, r)
+    lhs = 2.0 * r.t_nk * Fp / F
+    return lhs - rhs, abs(lhs) + abs(rhs)
+
+
 class TestMarginsAndVerdicts:
+    def test_margin_matches_reference_formula(self):
+        # stability_margin is L(s_nk) / (t (1 - t^2)); at the criterion
+        # exponent, at -1/2 and at the subsolution exponent 4-n it agrees
+        # with the direct form for every cone with n <= 40
+        for n in range(3, 41):
+            alphas = [(2.0 - n) / 2.0, -0.5] + ([4.0 - n] if n >= 4 else [])
+            for k in range(1, n - 1):
+                p = ConeParams(n, k)
+                r = find_root(p)
+                for alpha in alphas:
+                    want, scale = _margin_reference(p, alpha, r)
+                    assert abs(stability_margin(p, alpha, r) - want) <= 1e-12 * scale
+
     def test_subsolution_margin_positive_n7(self):
         for k in range(1, 6):
             p = ConeParams(7, k)
@@ -285,7 +310,6 @@ class TestMarginsAndVerdicts:
         # is flagged rather than silently continued
         p = ConeParams(7, 2)
         assert hyp2f1(profile_params(p, -7.0), 0.5).value == pytest.approx(-0.75)
-        from conelab.riccati import L_direct
         with pytest.raises(PoleEncounteredError):
             L_direct(p, -7.0, 0.5)
 

@@ -1,0 +1,48 @@
+"""Import lint for the library, on its syntax trees: every import in
+src/conelab comes from the standard library or from conelab itself, and
+every imported name is used.  __init__.py imports only to re-export, and
+`from __future__` imports are compiler directives, so both are exempt
+from the second rule."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "conelab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imports(tree):
+    """(module, bound name) for every import statement, nested ones too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            module = "conelab" if node.level else node.module
+            for alias in node.names:
+                yield module, alias.asname or alias.name
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_conelab(path):
+    foreign = sorted({module for module, _ in _imports(_tree(path))
+                      if module.split(".")[0] not in sys.stdlib_module_names
+                      and module.split(".")[0] != "conelab"})
+    assert not foreign, f"{path.name} imports {foreign}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(name for module, name in _imports(tree)
+                    if module != "__future__" and name not in used)
+    assert not unused, f"{path.name} imports {unused} without using them"

@@ -126,6 +126,21 @@ class TestPhiC:
         with pytest.raises(ValueError):
             phi_c_eval(0.0, 0.5)
 
+    @pytest.mark.parametrize("lam, c", [
+        (0.02, -8.0), (0.5, -30.0), (0.5, -40.0),  # exp and erfc both underflow
+        (7 / 8, 3 / 5), (9 / 10, 2 / 5), (15 / 16, 9 / 25),  # paper thresholds
+    ])
+    def test_against_mpmath(self, lam, c):
+        # the erfc form var exp(-c^2/(2 var)) / (sqrt(pi var/2) erfc(-c/sqrt(2 var)))
+        # at 40 digits, var = 2 lam (1-lam)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            lam_, c_ = mpmath.mpf(lam), mpmath.mpf(c)
+            var = 2 * lam_ * (1 - lam_)
+            want = (var * mpmath.exp(-c_ ** 2 / (2 * var))
+                    / (mpmath.sqrt(mpmath.pi * var / 2) * mpmath.erfc(-c_ / mpmath.sqrt(2 * var))))
+        assert math.isclose(phi_c_eval(lam, c), float(want), rel_tol=1e-14)
+
 
 class TestOvershoot:
     def test_basic_band(self):

@@ -10,11 +10,9 @@ from conelab.cone import ConeParams, find_root
 from conelab.errors import VariantUnavailableError
 from conelab.riccati import (
     BarrierVariant,
-    RiccatiMode,
     RiccatiTrace,
+    L_cross_check,
     L_direct,
-    L_eval,
-    L_ode,
     P_poly,
     barrier_phi,
     check_4_minus_n,
@@ -27,7 +25,7 @@ from conelab.riccati import (
 class TestLEval:
     def test_initial_value(self):
         for (n, k) in [(7, 1), (9, 4), (12, 10)]:
-            assert L_eval(ConeParams(n, k), -3.0, 0.0) == float(k - 1)
+            assert L_direct(ConeParams(n, k), -3.0, 0.0) == float(k - 1)
 
     def test_limit_at_one(self):
         # approach rate is (1-s)^((d-2)/2); d >= 4 here
@@ -41,15 +39,13 @@ class TestLEval:
         assert min(vals) > 3e-2
 
     def test_modes_agree(self):
-        p = ConeParams(9, 4)
-        for s in (0.1, 0.35, 0.6):
-            d = L_eval(p, -3.5, s, RiccatiMode.DIRECT)
-            o = L_eval(p, -3.5, s, RiccatiMode.ODE_INTEGRATE)
+        tr = L_cross_check(ConeParams(9, 4), -3.5, 0.6)
+        for d, o in zip(tr.values_direct, tr.values_ode):
             assert math.isclose(d, o, rel_tol=1e-8, abs_tol=1e-9)
 
     def test_crosscheck_trace(self):
         p = ConeParams(8, 3)
-        tr = L_eval(p, -3.0, find_root(p).s_nk, RiccatiMode.CROSS_CHECK)
+        tr = L_cross_check(p, -3.0, find_root(p).s_nk)
         assert isinstance(tr, RiccatiTrace)
         assert tr.values_direct[0] == float(p.k - 1)
         assert tr.max_discrepancy <= 1e-7 * (1.0 + max(abs(v) for v in tr.values_direct))
@@ -67,14 +63,15 @@ class TestLEval:
 
         monkeypatch.setattr(riccati, "robin_shoot", spy)
         p = ConeParams(10, 4)
-        tr = L_eval(p, -4.0, find_root(p).s_nk, RiccatiMode.CROSS_CHECK)
+        tr = L_cross_check(p, -4.0, find_root(p).s_nk)
         assert len(calls) == len(tr.grid) - 1
         assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
         assert calls[-1][1] == math.sqrt(tr.grid[-1])
 
     def test_s_domain(self):
-        with pytest.raises(ValueError):
-            L_eval(ConeParams(7, 2), -2.0, 1.0)
+        for L in (L_direct, L_cross_check):
+            with pytest.raises(ValueError):
+                L(ConeParams(7, 2), -2.0, 1.0)
 
     def test_cross_mode_random_draws(self):
         rng = np.random.default_rng(5)
@@ -83,7 +80,7 @@ class TestLEval:
             k = int(rng.integers(1, n - 1))
             alpha = rng.uniform(2.0 - n + 0.2, -0.2)
             pars = ConeParams(n, k)
-            tr = L_eval(pars, alpha, find_root(pars).s_nk, RiccatiMode.CROSS_CHECK)
+            tr = L_cross_check(pars, alpha, find_root(pars).s_nk)
             scale = 1.0 + max(abs(v) for v in tr.values_direct)
             assert tr.max_discrepancy <= 1e-7 * scale
 

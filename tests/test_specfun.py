@@ -13,7 +13,6 @@ from conelab.specfun import (
     HypParams,
     Strategy,
     digamma,
-    gaussian_tail,
     hyp2f1,
     hyp2f1_deriv,
     hyp2f1_integral,
@@ -244,30 +243,6 @@ class TestEulerOdeResidual:
             t2 = (c - (a + b + 1) * s) * F1
             t3 = a * b * F
             assert abs(t1 + t2 - t3) <= 1e-8 * max(1.0, abs(t1), abs(t2), abs(t3))
-
-
-class TestGaussianTail:
-    def test_half_integral(self):
-        assert math.isclose(gaussian_tail(0.0, 1.0), math.sqrt(math.pi / 2),
-                            rel_tol=1e-14)
-
-    def test_full_integral(self):
-        assert math.isclose(gaussian_tail(math.inf, 1.0), math.sqrt(2 * math.pi),
-                            rel_tol=1e-14)
-
-    def test_u0_value(self):
-        u0 = math.exp(0.0) / gaussian_tail(0.0, 1.0)
-        assert abs(u0 - math.sqrt(2 / math.pi)) < 1e-12
-
-    def test_variance_scaling(self):
-        # substitute r -> r sqrt(v)
-        v = 3.7
-        assert math.isclose(gaussian_tail(0.0, v),
-                            math.sqrt(v) * gaussian_tail(0.0, 1.0), rel_tol=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gaussian_tail(0.0, 0.0)
 
 
 def _laplace_quad_scipy(rho, power, half_weight):
