@@ -329,12 +329,8 @@ def barriers_suite() -> List[CheckRecord]:
             else:
                 # outside the jump comparison range; require the pieces that
                 # remain meaningful there
-                partial = (rep.max_residual_linear < 0.0
-                           and rep.max_residual_curved < 0.0
-                           and rep.min_L_minus_phi >= -1e-9
-                           and rep.L_at_s_star > 0.0)
                 skipped.append(f"{name}(jump={'ok' if rep.jump_decreasing else 'reversed'})")
-                out.append(_rec("barriers", name + "_partial", partial,
+                out.append(_rec("barriers", name + "_partial", rep.comparison_passed,
                                 "n < 5d: residuals, comparison and payoff only; "
                                 f"L(s*) = {rep.L_at_s_star:.4f}"))
             if rep.spec.variant is BarrierVariant.SMALL_D:

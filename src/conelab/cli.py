@@ -23,7 +23,7 @@ from conelab.checks import SUITES, run_suites
 from conelab.cone import ConeParams, Verdict, find_root, verdict
 from conelab.errors import ConelabError
 from conelab.riccati import check_4_minus_n
-from conelab.spectrum import family_scan, first_eigenvalue
+from conelab.spectrum import family_cells, family_scan, first_eigenvalue
 
 
 def _fmt_cell(x) -> str:
@@ -137,13 +137,7 @@ def _compare_rows(records: List[dict]) -> Tuple[List[str], List[str], bool]:
 
 
 def cmd_table(args) -> int:
-    n_min, n_max = args.n
-    if not (3 <= n_min <= n_max <= 40):
-        print(f"error: table range must satisfy 3 <= n_min <= n_max <= 40, "
-              f"got {n_min}..{n_max}", file=sys.stderr)
-        return 2
-    records = [_cone_record(n, k)
-               for n in range(n_min, n_max + 1) for k in range(1, n - 1)]
+    records = [_cone_record(n, k) for n, k in family_cells(*args.n)]
     flags: List[str] = []
     exit_code = 0
     if args.compare:

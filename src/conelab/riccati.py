@@ -4,7 +4,8 @@ log-derivative function L(s) of cone.L_direct,
     2 s (1-s) L' + L^2 + (n s - k) L + P(s) = 0,
     P(s) = (n - 2k) s + ahat s (1-s) + (k-1),        ahat = alpha (alpha+n-2),
 
-a cross-check of L against the link ODE, and the two-piece comparison
+a cross-check of L against the link ODE along spectrum.chained_shot, the
+mode-(0,0) shot of the link eigenvalue problem, and the two-piece comparison
 barriers, ending at the terminal points of lemmas, that propagate
 positivity of L up to the free-boundary root for alpha = 4 - n.
 """
@@ -16,15 +17,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
-from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, L_direct, RootResult
-from conelab.errors import (
-    IntegrationFailure,
-    PoleEncounteredError,
-    VariantUnavailableError,
-)
+from conelab.errors import PoleEncounteredError, VariantUnavailableError
 from conelab.lemmas import overshoot_terminal_point, refined_terminal_point
-from conelab.spectrum import ODE_TOL, T_LAUNCH, Mode, _frobenius_launch
+from conelab.spectrum import chained_shot
 
 __all__ = [
     "RiccatiTrace",
@@ -87,29 +83,14 @@ def p_poly_roots_in_unit(p: ConeParams, ahat: float) -> Tuple[float, ...]:
 def _L_ode_trace(p: ConeParams, alpha: float, grid) -> list:
     """L at the increasing points s of grid from the mode-(0,0) link ODE at
     lambda = ahat: the regular solution Phi(t), s = t^2, is the profile, so
-    L = t (1-s) Phi'/Phi - (n-2) s + (k-1).  One shot, launched from the
-    Frobenius series at T_LAUNCH and carried from point to point; points
-    at or below the launch take the series itself."""
-    lam = alpha_hat(p, alpha)
-    n, k = float(p.n), float(p.k)
-    t0 = T_LAUNCH
-    u, v = _frobenius_launch(p, Mode(), lam, t0)
+    L = t (1-s) Phi'/Phi - (n-2) s + (k-1), along one chained shot."""
+    ts = [math.sqrt(s) for s in grid]
     out = []
-    for s in grid:
-        t = math.sqrt(s)
-        if t <= T_LAUNCH:
-            uu, vv = _frobenius_launch(p, Mode(), lam, t)
-        else:
-            u, v, _, ok = robin_shoot(u, v, t0, t, n, k, lam, 0.0, 0.0,
-                                      ODE_TOL, 1e-300, t - t0, 2_000_000)
-            if not ok:
-                raise IntegrationFailure(
-                    f"Riccati shot failed before s={s} for (n,k)=({p.n},{p.k}), ahat={lam}")
-            if u == 0.0:
-                raise PoleEncounteredError(
-                    f"profile vanishes at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-            uu, vv, t0 = u, v, t
-        out.append(t * (1.0 - s) * vv / uu - (n - 2.0) * s + (k - 1.0))
+    for s, t, (u, v, _) in zip(grid, ts, chained_shot(p, alpha_hat(p, alpha), ts)):
+        if u == 0.0:
+            raise PoleEncounteredError(
+                f"profile vanishes at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
+        out.append(t * (1.0 - s) * v / u - (p.n - 2.0) * s + (p.k - 1.0))
     return out
 
 
@@ -135,7 +116,6 @@ def L_cross_check(p: ConeParams, alpha: float, s: float) -> RiccatiTrace:
 
 
 class BarrierVariant(Enum):
-    LINEAR_ONLY = "LinearOnly"
     LARGE_D = "LargeD"
     SMALL_D = "SmallD"
 
@@ -144,7 +124,6 @@ class BarrierVariant(Enum):
 class BarrierSpec:
     variant: BarrierVariant
     s_star: float
-    q_params: Tuple[float, ...]  # Q(s) = q0 (1-s)/s
     roots: Optional[Tuple[float, float]]  # (r_minus, r_plus)
     delta: Optional[float]
     A: float
@@ -160,6 +139,7 @@ class BarrierReport:
     jump_decreasing: bool
     min_L_minus_phi: float
     L_at_s_star: float
+    comparison_passed: bool
     passed: bool
 
 
@@ -210,7 +190,7 @@ def barrier_phi(p: ConeParams) -> Tuple[BarrierSpec, Callable[[float], float]]:
         qs = (q0 * (1.0 - s) / s) ** expo
         return r_plus * r_minus * (qs - 1.0) / (r_plus * qs - r_minus)
 
-    spec = BarrierSpec(variant=variant, s_star=s_star, q_params=(q0,),
+    spec = BarrierSpec(variant=variant, s_star=s_star,
                        roots=(r_minus, r_plus), delta=delta, A=A)
     return spec, phi
 
@@ -233,8 +213,9 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     """Machine verification of the barrier properties at alpha = 4-n.
 
     Checks, on Chebyshev grids per smooth piece: the subsolution residual
-    R[phi] < 0, the decreasing jump at k/n, the comparison L >= phi, and
-    the payoff L(s_star) > 0.
+    R[phi] < 0, the comparison L - phi >= -1e-9 and the payoff
+    L(s_star) > 0 (comparison_passed), and with them the decreasing jump
+    at k/n (passed).
     """
     spec, phi = barrier_phi(p)
     n, k = float(p.n), float(p.k)
@@ -266,17 +247,16 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     l_minus_phi = min(L_direct(p, alpha, s) - phi(s) for s in sample)
     L_star = L_direct(p, alpha, s_star)
 
-    passed = (res_lin < 0.0 and res_cur < 0.0
-              and jump_left > jump_right
-              and l_minus_phi >= -1e-9
-              and L_star > 0.0)
+    comparison_passed = (res_lin < 0.0 and res_cur < 0.0
+                         and l_minus_phi >= -1e-9 and L_star > 0.0)
     return BarrierReport(spec=spec,
                          max_residual_linear=res_lin,
                          max_residual_curved=res_cur,
                          jump_left=jump_left, jump_right=jump_right,
                          jump_decreasing=jump_left > jump_right,
                          min_L_minus_phi=l_minus_phi,
-                         L_at_s_star=L_star, passed=passed)
+                         L_at_s_star=L_star, comparison_passed=comparison_passed,
+                         passed=comparison_passed and jump_left > jump_right)
 
 
 def check_4_minus_n(p: ConeParams, r: RootResult) -> Tuple[bool, Optional[float]]:

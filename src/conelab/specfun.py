@@ -87,8 +87,8 @@ class HypParams:
 def pochhammer(q: float, m: int) -> float:
     """Rising factorial (q)_m = q (q+1) ... (q+m-1); (q)_0 = 1 exactly.
 
-    Large m is accumulated in log space with sign tracking, so the result
-    saturates to +-inf only when the true value overflows binary64.
+    The factors are multiplied in order, so the result saturates to +-inf
+    once a partial product overflows binary64; an exact zero factor gives 0.
     """
     return _pochhammer(q, m)[0]
 
@@ -98,35 +98,20 @@ _ETA = 2.0 ** -1075  # largest absolute rounding error of a subnormal product
 
 
 def _pochhammer(q: float, m: int) -> Tuple[float, float]:
-    """(q)_m and a first-order bound on its error: each factor q+i, product
-    and, in log space, each log and partial sum rounds by 2^-53 relative,
-    and a subnormal product by up to _ETA more."""
+    """(q)_m and a first-order bound on its error: each factor q+i and each
+    product rounds by 2^-53 relative, and a subnormal product by up to _ETA
+    more.  A zero factor returns (0, 0) before an overflowed partial
+    product can turn it into inf * 0."""
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if m == 0:
-        return 1.0, 0.0
-    if m <= 150:
-        out, err = 1.0, 0.0
-        for i in range(m):
-            f = q + i
-            err = (err + _U * abs(out)) * abs(f) + _U * abs(out * f) + _ETA
-            out *= f
-        if math.isfinite(out):
-            return out, err
-    sign = 1.0
-    log_abs = log_mag = 0.0
+    out, err = 1.0, 0.0
     for i in range(m):
         f = q + i
         if f == 0.0:
             return 0.0, 0.0
-        if f < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(f))
-        log_mag += abs(math.log(abs(f)))
-    if log_abs > 709.0:
-        return sign * math.inf, math.inf
-    value = sign * math.exp(log_abs)
-    return value, _U * (m + 1.0) * (2.0 + log_mag) * abs(value) + _ETA
+        err = (err + _U * abs(out)) * abs(f) + _U * abs(out * f) + _ETA
+        out *= f
+    return out, err
 
 
 _EULER_GAMMA = 0.57721566490153286061
@@ -237,16 +222,13 @@ def _run_series(a: float, b: float, c: float, s: float,
 def _gauss_at_one(a: float, b: float, c: float, dp) -> Tuple[float, float]:
     """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
     with an error bound for inputs within dp of the intended (a, b, c)."""
-    da, db, dc = dp
-    ca, cb = c - a, c - b
-    cab = ca - b
+    (ca, d_ca), (cb, d_cb), (cab, d_cab) = _complements(a, b, c, dp)
     sign, log, lerr = _gamma_ratio((c, cab), (ca, cb))
     value = _scaled(sign, log, 1.0)
     if value == 0.0:
         return value, 0.0
-    lerr += (_psi_shift(c, dc) + _psi_shift(cab, _rounding((c, -a, -b), cab) + da + db + dc)
-             + _psi_shift(ca, _rounding((c, -a), ca) + da + dc)
-             + _psi_shift(cb, _rounding((c, -b), cb) + db + dc))
+    lerr += (_psi_shift(c, dp[2]) + _psi_shift(cab, d_cab)
+             + _psi_shift(ca, d_ca) + _psi_shift(cb, d_cb))
     return value, (lerr + 2.0 * _U) * abs(value)
 
 
@@ -255,6 +237,31 @@ def _rounding(parts: Iterable[float], rounded: float) -> float:
     derived from the inputs (math.fsum rounds the exact sum once, and the
     error of a sum of two floats is itself a float)."""
     return abs(math.fsum((*parts, -rounded)))
+
+
+def _complements(a: float, b: float, c: float, dp):
+    """(c-a, error), (c-b, error), (c-a-b, error): each as rounded, with a
+    bound on its distance from the intended value when (a, b, c) lie within
+    dp of the intended parameters."""
+    da, db, dc = dp
+    ca, cb = c - a, c - b
+    cab = ca - b
+    return ((ca, _rounding((c, -a), ca) + da + dc), (cb, _rounding((c, -b), cb) + db + dc),
+            (cab, _rounding((c, -a, -b), cab) + da + db + dc))
+
+
+def _euler_terminating(a: float, b: float, c: float, s: float, dp) -> EvalResult:
+    """Euler's transformation F(a,b;c;s) = (1-s)^(c-a-b) F(c-a,c-b;c;s)
+    (DLMF 15.8.1), for c-a or c-b a nonpositive integer, where the
+    transformed series terminates.  The bound adds the rounding of the
+    prefactor and its first-order change with the error of c-a-b."""
+    (ca, d_ca), (cb, d_cb), (cab, d_cab) = _complements(a, b, c, dp)
+    v, err, terms, _ = _run_series(ca, cb, c, s, (d_ca, d_cb, dp[2]))
+    lu = math.log(1.0 - s)
+    pref = _safe_pow(1.0 - s, cab)
+    rel = _U * (4.0 + 2.0 * abs(cab * lu)) + d_cab * abs(lu)
+    return EvalResult(pref * v, pref * err + rel * abs(pref * v),
+                      terms, Strategy.EULER_TRANSFORM)
 
 
 def _psi_shift(x: float, dx: float) -> float:
@@ -275,14 +282,11 @@ def _connection_at_one(a: float, b: float, c: float, s: float, dp) -> EvalResult
     ratios and the rounding of c-a, c-b, c-a-b and, up to dp, of (a, b, c),
     whose effect near an integer c-a-b grows like psi(c-a-b).
     """
-    ca, cb = c - a, c - b
-    cab = ca - b
+    (ca, d_ca), (cb, d_cb), (cab, d_cab) = _complements(a, b, c, dp)
     c1, cab1 = a + b - c + 1.0, cab + 1.0
     u = 1.0 - s
     lu = math.log(u)
     da, db, dc = dp
-    d_ca, d_cb = _rounding((c, -a), ca) + da + dc, _rounding((c, -b), cb) + db + dc
-    d_cab = _rounding((c, -a, -b), cab) + da + db + dc
     v1, e1, t1, ok1 = _run_series(a, b, c1, u,
                                   (da, db, _rounding((a, b, -c, 1.0), c1) + da + db + dc))
     v2, e2, t2, ok2 = _run_series(ca, cb, cab1, u,
@@ -308,7 +312,8 @@ def _log_case(a: float, b: float, c: float, s: float, dp) -> EvalResult:
     """2F1 when c-a-b is an integer m, beyond the direct window.
 
     For m < 0, Euler's transformation F(a,b;c;s) = u^m F(c-a,c-b;c;s),
-    u = 1-s, leads to c-a-b = -m > 0.  For m >= 0, DLMF 15.8.10 gives
+    u = 1-s, leads to c-a-b = -m > 0 (_euler_terminating when the new
+    series terminates).  For m >= 0, DLMF 15.8.10 gives
 
         F = Gamma(c) Gamma(m) / (Gamma(a+m) Gamma(b+m))
               sum_{k<m} (a)_k (b)_k (m-k-1)! / ((m-1)! k!) (-u)^k
@@ -329,14 +334,10 @@ def _log_case(a: float, b: float, c: float, s: float, dp) -> EvalResult:
     euler = 1.0
     shift = da + db + dc  # distance from the intended (a, b, c) to the one summed
     if m < 0:
-        ca, cb = c - a, c - b
-        d_ca, d_cb = _rounding((c, -a), ca) + da + dc, _rounding((c, -b), cb) + db + dc
+        if _nonpos_int(c - a) is not None or _nonpos_int(c - b) is not None:
+            return _euler_terminating(a, b, c, s, dp)
+        (ca, d_ca), (cb, d_cb), _ = _complements(a, b, c, dp)
         a, b, m, euler, shift = ca, cb, -m, _safe_pow(u, m), d_ca + d_cb + dc
-        if _nonpos_int(a) is not None or _nonpos_int(b) is not None:
-            v, err, terms, _ = _run_series(a, b, c, s, (d_ca, d_cb, dc))
-            value = euler * v
-            return EvalResult(value, abs(euler) * err + 4.0 * _U * abs(value),
-                              terms, Strategy.EULER_TRANSFORM)
     am, bm = a + m, b + m
     shift += (_rounding((c, -a, -b), m) + _rounding((a, m), am)
               + _rounding((b, m), bm))
@@ -441,20 +442,8 @@ def hyp2f1(p: HypParams, s: float,
         return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
 
     # s beyond the switch point
-    deg_ca, deg_cb = _nonpos_int(c - a), _nonpos_int(c - b)
-    euler_deg = min(d for d in (deg_ca, deg_cb) if d is not None) \
-        if (deg_ca is not None or deg_cb is not None) else None
-    if euler_deg is not None and euler_deg <= 2:
-        da, db, dc = dp
-        v, err, terms, _ = _run_series(c - a, c - b, c, s, (
-            _rounding((c, -a), c - a) + da + dc, _rounding((c, -b), c - b) + db + dc, dc))
-        cab = c - a - b
-        lu = math.log(1.0 - s)
-        pref = _safe_pow(1.0 - s, cab)
-        rel = (_U * (4.0 + 2.0 * abs(cab * lu))
-               + (_rounding((c, -a, -b), cab) + da + db + dc) * abs(lu))
-        return EvalResult(pref * v, pref * err + rel * abs(pref * v),
-                          terms, Strategy.EULER_TRANSFORM)
+    if any(d is not None and d <= 2 for d in (_nonpos_int(c - a), _nonpos_int(c - b))):
+        return _euler_terminating(a, b, c, s, dp)
 
     if s <= 0.99:
         value, err, terms, ok = _run_series(a, b, c, s, dp, max_terms=8000)

@@ -14,14 +14,15 @@ root when the admissible interval is non-empty, and shoots otherwise.
 Shooting (find_eigenvalue) solves for the lambda at which the Pruefer angle
 at the root, built from the interior zero count and the log-derivative,
 reaches the Robin angle of the requested index; it and a symmetric
-finite-difference discretization are independent oracles.
+finite-difference discretization are independent oracles.  chained_shot
+integrates the link ODE for shoot and for riccati's cross-check of L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root, illinois, margin_root
@@ -32,11 +33,13 @@ __all__ = [
     "EigenResult",
     "ScanRow",
     "ScanReport",
+    "chained_shot",
     "shoot",
     "find_eigenvalue",
     "first_eigenvalue",
     "indicial_roots",
     "fd_oracle_lambda1",
+    "family_cells",
     "family_scan",
 ]
 
@@ -105,21 +108,38 @@ def _frobenius_launch(p_: ConeParams, mode: Mode, lam: float,
     return u, v
 
 
+def chained_shot(pars: ConeParams, lam: float, ts: Sequence[float],
+                 mode: Mode = Mode()) -> List[Tuple[float, float, int]]:
+    """(u, v, zeros) at each increasing t of ts, for (u, v) a positive
+    multiple of (Phi, Phi') and zeros the interior sign changes of Phi so
+    far: one integration from the Frobenius launch at T_LAUNCH, carried
+    from point to point; points at or below the launch take the series.
+    Raises IntegrationFailure on a step collapse."""
+    P2, Q2 = _mode_potentials(pars, mode)
+    t0, zeros, out = T_LAUNCH, 0, []
+    u, v = _frobenius_launch(pars, mode, lam, t0)
+    # resolve the local oscillation scale so step-wise sign counting is exact
+    max_step = min(0.25 / math.sqrt(1.0 + abs(lam)), (ts[-1] - T_LAUNCH) / 16.0)
+    for t in ts:
+        if t <= T_LAUNCH:
+            out.append((*_frobenius_launch(pars, mode, lam, t), 0))
+            continue
+        u, v, z, ok = robin_shoot(u, v, t0, t, float(pars.n), float(pars.k), lam, P2, Q2,
+                                  ODE_TOL, 1e-300, max_step, 2_000_000)
+        if not ok:
+            raise IntegrationFailure(f"shooting step collapse before t={t} at "
+                                     f"(n,k)=({pars.n},{pars.k}), lambda={lam}")
+        t0, zeros = t, zeros + z
+        out.append((u, v, zeros))
+    return out
+
+
 def shoot(pars: ConeParams, root: RootResult, lam: float,
           mode: Mode = Mode()) -> Tuple[float, int]:
     """Integrate the mode ODE to the root; return (Phi'/Phi there, number
     of interior sign changes of Phi).  The log-derivative is +-inf when the
     shot lands exactly on a zero."""
-    P2, Q2 = _mode_potentials(pars, mode)
-    u0, v0 = _frobenius_launch(pars, mode, lam, T_LAUNCH)
-    # resolve the local oscillation scale so step-wise sign counting is exact
-    max_step = min(0.25 / math.sqrt(1.0 + abs(lam)), (root.t_nk - T_LAUNCH) / 16.0)
-    u, v, zeros, ok = robin_shoot(u0, v0, T_LAUNCH, root.t_nk,
-                                  float(pars.n), float(pars.k), lam, P2, Q2,
-                                  ODE_TOL, 1e-300, max_step, 2_000_000)
-    if not ok:
-        raise IntegrationFailure(
-            f"shooting step collapse at (n,k)=({pars.n},{pars.k}), lambda={lam}")
+    u, v, zeros = chained_shot(pars, lam, (root.t_nk,), mode)[0]
     if u == 0.0:
         return math.copysign(math.inf, v), zeros
     return v / u, zeros
@@ -320,6 +340,14 @@ def _scan_cell(n: int, k: int) -> ScanRow:
                    gamma_plus=res.gamma_plus, gamma_minus=res.gamma_minus)
 
 
+def family_cells(n_lo: int, n_hi: int) -> List[Tuple[int, int]]:
+    """The cells (n, k), n_lo <= n <= n_hi and 1 <= k <= n-2, in (n, k)
+    order; raises ValueError unless 3 <= n_lo <= n_hi <= 40."""
+    if not 3 <= n_lo <= n_hi <= 40:
+        raise ValueError("n_range must satisfy 3 <= n_lo <= n_hi <= 40")
+    return [(n, k) for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
+
+
 def family_scan(n_range: Tuple[int, int]) -> ScanReport:
     """First-eigenvalue table over n in [n_lo, n_hi], k in [1, n-2], with
     the monotonicity and range flags of the conjecture-evidence scan.
@@ -327,11 +355,7 @@ def family_scan(n_range: Tuple[int, int]) -> ScanReport:
     Rows come in (n, k) order.  The bound flags are evaluated on the n >= 7
     rows, where the family is strictly stable.
     """
-    n_lo, n_hi = n_range
-    if not 3 <= n_lo <= n_hi <= 40:
-        raise ValueError("n_range must satisfy 3 <= n_lo <= n_hi <= 40")
-    rows = [_scan_cell(n, k)
-            for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
+    rows = [_scan_cell(n, k) for n, k in family_cells(*n_range)]
 
     notes: List[str] = []
     stable_rows = [r for r in rows if r.n >= 7]

@@ -1,8 +1,10 @@
 """Import lint for the library, on its syntax trees: every import in
-src/conelab comes from the standard library or from conelab itself, and
-every imported name is used.  __init__.py imports only to re-export, and
+src/conelab comes from the standard library or from conelab itself, every
+imported name is used, and no module imports a private (underscore) name
+from another conelab module.  __init__.py imports only to re-export, and
 `from __future__` imports are compiler directives, so both are exempt
-from the second rule."""
+from the second rule; _backend's choice of kernel module is exempt from
+the third."""
 
 import ast
 import sys
@@ -46,3 +48,13 @@ def test_imported_names_are_used(path):
     unused = sorted(name for module, name in _imports(tree)
                     if module != "__future__" and name not in used)
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_backend.py"],
+                         ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    private = sorted(alias.name for node in ast.walk(_tree(path))
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.level or (node.module or "").split(".")[0] == "conelab")
+                     for alias in node.names if alias.name.startswith("_"))
+    assert not private, f"{path.name} imports private names {private}"

@@ -34,12 +34,22 @@ def _require(condition):
     assert condition
 
 
-def _assert_bounded(a, b, c, s, strategy, require=assume):
+def _euler_reference(a, b, c, s):
+    """40-digit 2F1 through Euler's transformation (DLMF 15.8.1) for c - a
+    a nonpositive integer, where mpmath sums the transformed series as a
+    polynomial of the exact parameters; mpmath.hyp2f1(a, b; c; s) itself
+    takes seconds there once b is within 1e-100 of 0."""
+    with mpmath.workdps(40):
+        a_, b_, c_, s_ = (mpmath.mpf(x) for x in (a, b, c, s))
+        return (1 - s_) ** (c_ - a_ - b_) * mpmath.hyp2f1(c_ - a_, c_ - b_, c_, s_)
+
+
+def _assert_bounded(a, b, c, s, strategy, require=assume, reference=_reference):
     """|hyp2f1 - mpmath| <= err_estimate; `require` rejects draws that
     take another strategy (in examples, it fails on them)."""
     r = hyp2f1(HypParams(a, b, c), s)
     require(r.strategy is strategy and math.isfinite(r.value))
-    ref = _reference(a, b, c, s)
+    ref = reference(a, b, c, s)
     require(ref is not None)
     err = abs(mpmath.mpf(r.value) - ref)
     assert err <= r.err_estimate, (
@@ -115,6 +125,25 @@ def test_log_case_bound(a, b, m, s):
     c = a + b + m
     assume(c > 0.0)
     _assert_bounded(a, b, c, s, Strategy.CONNECTION_AT_1)
+
+
+# c - a = -N and c - a - b within 1e-9 of the negative integer -m: past
+# the degree-2 Euler block, the log case sums the terminating transformed
+# series; c is a multiple of 2^-40, so c - (c + N) is exactly -N
+@st.composite
+def euler_terminating(draw):
+    c = math.ldexp(round(math.ldexp(draw(st.floats(0.1, 20.0)), 40)), -40)
+    a = c + draw(st.integers(3, 6))
+    b = (c - a) + draw(st.integers(1, 6)) + draw(st.floats(-1e-9, 1e-9))
+    return a, b, c
+
+
+@BOUND_SETTINGS
+@given(euler_terminating(), near_one)
+@example((5.5, 1.0000000001, 2.5), 0.995)
+@example((7.795852976036528, 0.9999999995, 4.795852976036528), 0.999999)
+def test_euler_terminating_bound(abc, s):
+    _assert_bounded(*abc, s, Strategy.EULER_TRANSFORM, reference=_euler_reference)
 
 
 def test_log_case_examples_against_mpmath():

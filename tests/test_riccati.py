@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conelab import riccati
+from conelab import spectrum
 from conelab.cone import ConeParams, find_root
 from conelab.errors import VariantUnavailableError
 from conelab.riccati import (
@@ -55,13 +55,13 @@ class TestLEval:
         # one robin_shoot call per grid point past s = 0, each starting
         # where the previous one ended
         calls = []
-        real = riccati.robin_shoot
+        real = spectrum.robin_shoot
 
         def spy(*args):
             calls.append(args[2:4])
             return real(*args)
 
-        monkeypatch.setattr(riccati, "robin_shoot", spy)
+        monkeypatch.setattr(spectrum, "robin_shoot", spy)
         p = ConeParams(10, 4)
         tr = L_cross_check(p, -4.0, find_root(p).s_nk)
         assert len(calls) == len(tr.grid) - 1

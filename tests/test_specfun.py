@@ -43,6 +43,16 @@ class TestPochhammer:
         want_log = gammaln(160.5) - gammaln(0.5)
         assert math.isclose(math.log(got), want_log, rel_tol=1e-12)
 
+    def test_large_m_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = mpmath.rf(mpmath.mpf(0.5), 160)
+            assert abs(pochhammer(0.5, 160) - want) <= 1e-15 * abs(want)
+
+    def test_zero_factor_after_overflow(self):
+        # the partial product overflows before the factor 0 is reached
+        assert pochhammer(-300.0, 301) == 0.0
+
     def test_overflow_saturates(self):
         assert pochhammer(1.5, 300) == math.inf
         assert pochhammer(-0.5, 301) == -math.inf
