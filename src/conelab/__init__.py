@@ -19,6 +19,7 @@ from conelab.cone import (
     Verdict,
     admissible_interval,
     find_root,
+    indicial_roots,
     verdict,
 )
 from conelab.riccati import BarrierSpec, RiccatiTrace, check_4_minus_n, verify_barrier
@@ -30,7 +31,6 @@ from conelab.spectrum import (
     fd_oracle_lambda1,
     find_eigenvalue,
     first_eigenvalue,
-    indicial_roots,
 )
 
 __version__ = "0.1.0"

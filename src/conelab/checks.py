@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 from conelab import lemmas, riccati
-from conelab.cone import ConeParams, find_root
+from conelab.cone import ConeParams, L_direct, find_root
 from conelab.riccati import (
     BarrierVariant,
     L_cross_check,
-    L_direct,
     check_4_minus_n,
     linear_root_relation,
     verify_barrier,

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from conelab.errors import BracketFailure, PoleEncounteredError
-from conelab.specfun import HypParams, hyp2f1, hyp2f1_deriv
+from conelab.specfun import HypParams, hyp2f1, hyp2f1_deriv, hyp2f1_sym
 
 __all__ = [
     "ConeParams",
@@ -35,6 +35,7 @@ __all__ = [
     "boundary_rhs",
     "stability_margin",
     "verdict",
+    "indicial_roots",
     "admissible_interval",
     "eval_homogeneous",
 ]
@@ -103,7 +104,11 @@ def L_direct(p: ConeParams, alpha: float, s: float) -> float:
     if not F > 0.0:
         raise PoleEncounteredError(
             f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-    Fp = hyp2f1_deriv(hp, s, 1).value
+    return _link_L(p, s, F, hyp2f1_deriv(hp, s, 1).value)
+
+
+def _link_L(p: ConeParams, s: float, F: float, Fp: float) -> float:
+    """L(s) from the profile value F and its s-derivative Fp."""
     return 2.0 * s * (1.0 - s) * Fp / F - (p.n - 2.0) * s + (p.k - 1.0)
 
 
@@ -245,23 +250,51 @@ def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
     return L_direct(p, alpha, r.s_nk) / (r.t_nk * (1.0 - r.s_nk))
 
 
-def margin_root(p: ConeParams, r: RootResult) -> Optional[Tuple[float, float]]:
-    """(gamma_+, |margin(gamma_+)|), or None when the admissible interval
-    is empty.  The margin is symmetric about (2-n)/2 and decreases away from
-    it, so its root on ((2-n)/2, 0), found to a few ulps, is gamma_+."""
-    margin = lambda alpha: stability_margin(p, alpha, r)
-    lo, hi = (2.0 - p.n) / 2.0, -1e-12
-    f_lo = margin(lo)
-    if f_lo <= 0.0:
+def indicial_roots(lam: float, n: int) -> Optional[Tuple[float, float]]:
+    """(gamma_-, gamma_+) solving gamma(gamma+n-2) = lam, or None for a
+    complex pair (h^2 + lam < 0, h = (n-2)/2).  gamma_+ =
+    lam / (h + sqrt(h^2 + lam)) does not cancel near lam = 0."""
+    half = (n - 2.0) / 2.0
+    rad = half * half + lam
+    if rad < 0.0:
         return None
-    return illinois(margin, lo, f_lo, hi, margin(hi))[:2]
+    gp = lam / (half + math.sqrt(rad))
+    return (2.0 - n - gp, gp)
+
+
+def lambda1_root(p: ConeParams, r: RootResult) -> Tuple[float, float]:
+    """(lambda_1, |margin there|): the root in lambda of the margin of the
+    mode-(0,0) profile 2F1(a, b; k/2; s), a + b = h = (n-2)/2, ab = -lambda/4:
+    stability_margin at gamma_+ for lambda >= -h^2, and below, where a, b
+    are a complex pair, from hyp2f1_sym's F >= 1 (no zero: the ground state).
+    The margin decreases in lambda; the bracket is [-h^2, 0] when it is
+    positive at -h^2 (verdict's margin), else [-(n-2)^2 - 1, -h^2]."""
+    h = (p.n - 2.0) / 2.0
+
+    def margin(lam: float) -> float:
+        roots = indicial_roots(lam, p.n)
+        if roots is not None:
+            return stability_margin(p, roots[1], r)
+        F, Fp = hyp2f1_sym(h, -lam / 4.0, p.k / 2.0, r.s_nk)
+        return _link_L(p, r.s_nk, F.value, Fp.value) / (r.t_nk * (1.0 - r.s_nk))
+
+    lo, hi = -h * h, 0.0
+    f_lo = margin(lo)
+    if f_lo > 0.0:
+        f_hi = margin(hi)
+    else:
+        lo, hi, f_hi = -float((p.n - 2) ** 2) - 1.0, lo, f_lo
+        f_lo = margin(lo)
+    if not f_lo > 0.0 >= f_hi:
+        raise BracketFailure(f"margin has no sign change on lambda in [{lo}, {hi}] "
+                             f"for (n,k)=({p.n},{p.k})")
+    return illinois(margin, lo, f_lo, hi, f_hi)[:2]
 
 
 def admissible_interval(p: ConeParams, r: RootResult) -> Optional[Tuple[float, float]]:
-    """Endpoints of the admissible homogeneity interval, or None when empty;
-    the lower endpoint is the mirror image of gamma_+ about (2-n)/2."""
-    root = margin_root(p, r)
-    return None if root is None else (2.0 - p.n - root[0], root[0])
+    """The admissible homogeneity interval: the indicial roots of lambda_1,
+    or None when they are complex and the interval is empty."""
+    return indicial_roots(lambda1_root(p, r)[0], p.n)
 
 
 def verdict(p: ConeParams, r: RootResult) -> StabilityReport:

@@ -41,6 +41,7 @@ __all__ = [
     "digamma",
     "hyp2f1",
     "hyp2f1_deriv",
+    "hyp2f1_sym",
     "hyp2f1_integral",
     "laplace_quad",
     "erfcx",
@@ -476,6 +477,42 @@ def hyp2f1_deriv(p: HypParams, s: float, m: int) -> EvalResult:
     err = (abs(pref) * inner.err_estimate + pref_err * abs(inner.value)
            + _U * abs(value) + _ETA)
     return EvalResult(value, err, inner.terms_used, inner.strategy)
+
+
+def hyp2f1_sym(sigma: float, prod: float, c: float, s: float) -> Tuple[EvalResult, EvalResult]:
+    """2F1(a, b; c; s) and its s-derivative from a + b = sigma >= 0 and
+    ab = prod >= 0 (a and b may be a complex pair), c > 0, 0 <= s < 1.
+
+    F' = d0 sum e_m and F = 1 + d0 sum t_m for d0 = prod/c, e_0 = 1,
+    t_m = e_m s/(m+1) and e_(m+1) = t_m (j^2 + j sigma + prod)/(j + c), j = m+1:
+    positive terms that do not underflow, 8 roundings per step as in the
+    series kernel, and geometric tails, since e_i / e_(i-1) <= q =
+    s (1 + max(sigma - c, 0)/(i + c) + prod/((i + c) i)) for every i >= m+2."""
+    if not (sigma >= 0.0 and prod >= 0.0 and c > 0.0 and 0.0 <= s < 1.0):
+        raise DomainError(f"hyp2f1_sym outside its domain: ({sigma}, {prod}, {c}, {s})")
+    es, ts, e = [], [], 1.0
+    for m in range(MAX_TERMS):
+        es.append(e)
+        ts.append(e * s / (m + 1.0))
+        j, i = m + 1.0, m + 2.0
+        e = ts[-1] * ((j * j + j * sigma + prod) / (j + c))
+        q = s * (1.0 + max(sigma - c, 0.0) / (i + c) + prod / ((i + c) * i))
+        tail_e = e / (1.0 - q) if q < 1.0 else math.inf  # bounds sum_(k>m) e_k
+        if tail_e <= REL_TOL:  # sum e >= 1 and sum t >= s: both tails are relative
+            break
+    else:
+        raise NonConvergenceError(f"hyp2f1_sym exhausted {MAX_TERMS} terms at s={s}",
+                                  terms_used=MAX_TERMS)
+    d0, sum_e, sum_t = prod / c, math.fsum(es), math.fsum(ts)
+    f, fp = 1.0 + d0 * sum_t, d0 * sum_e
+    # e_k, t_k round 8k, 8k+2 times, then fsum, d0 and the product once each;
+    # a subnormal d0 or F' errs by 2^-1075 (sum_e + 1) instead
+    rounds_e = math.fsum((8.0 * k + 3.0) * x for k, x in enumerate(es))
+    rounds_t = math.fsum((8.0 * k + 5.0) * x for k, x in enumerate(ts))
+    f_err = 1.12e-16 * (d0 * rounds_t + f) + d0 * tail_e * s / i
+    fp_err = 1.12e-16 * d0 * rounds_e + d0 * tail_e + 2.0 ** -1074 * (sum_e + 1.0)
+    return (EvalResult(f, f_err, m + 1, Strategy.DIRECT_SERIES),
+            EvalResult(fp, fp_err, m + 1, Strategy.DIRECT_SERIES))
 
 
 # tanh-sinh window and finest level: at |x| = 6.5 the endpoint factor

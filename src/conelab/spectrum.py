@@ -7,15 +7,15 @@ For a separated mode (p, q) the radial factor solves
 
 with the regular Frobenius branch Phi ~ t^q at the axis and the Robin
 matching Phi'/Phi = ((n-2) t - (k-1)/t) / (1-t^2) at the free-boundary
-root.  For the mode (0, 0) the regular solution at lambda = alpha(alpha+n-2)
-is the degree-alpha profile, so the matching is the stability margin
-vanishing in alpha: first_eigenvalue takes lambda_1 and gamma_+- from that
-root when the admissible interval is non-empty, and shoots otherwise.
-Shooting (find_eigenvalue) solves for the lambda at which the Pruefer angle
-at the root, built from the interior zero count and the log-derivative,
-reaches the Robin angle of the requested index; it and a symmetric
-finite-difference discretization are independent oracles.  chained_shot
-integrates the link ODE for shoot and for riccati's cross-check of L.
+root.  For the mode (0, 0) the regular solution at lambda is the profile
+2F1(a, b; k/2; t^2), a + b = (n-2)/2, ab = -lambda/4, so the matching is
+the stability margin vanishing in lambda: first_eigenvalue takes lambda_1
+from that root (cone.lambda1_root) for every cell.  Shooting
+(find_eigenvalue) solves for the lambda at which the Pruefer angle at the
+root (interior zeros and log-derivative) reaches the Robin angle of the
+requested index; it and a symmetric finite-difference discretization are
+the tests' oracles.  chained_shot integrates the link ODE for shoot and
+for riccati's cross-check of L.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from conelab._backend import robin_shoot
-from conelab.cone import ConeParams, RootResult, boundary_rhs, find_root, illinois, margin_root
+from conelab.cone import (ConeParams, RootResult, boundary_rhs, find_root, illinois,
+                          indicial_roots, lambda1_root)
 from conelab.errors import BracketExhausted, IntegrationFailure, NonConvergenceError
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "shoot",
     "find_eigenvalue",
     "first_eigenvalue",
-    "indicial_roots",
     "fd_oracle_lambda1",
     "family_cells",
     "family_scan",
@@ -68,17 +68,6 @@ class EigenResult:
     gamma_minus: Optional[float]
     gamma_plus: Optional[float]
     bc_residual: float
-
-
-def indicial_roots(lam: float, n: int) -> Optional[Tuple[float, float]]:
-    """(gamma_minus, gamma_plus) solving gamma(gamma+n-2) = lam, or None
-    when the radicand ((n-2)/2)^2 + lam is negative (complex pair)."""
-    half = (n - 2.0) / 2.0
-    rad = half * half + lam
-    if rad < 0.0:
-        return None
-    sq = math.sqrt(rad)
-    return (-half - sq, -half + sq)
 
 
 def _mode_potentials(p_: ConeParams, mode: Mode) -> Tuple[float, float]:
@@ -190,38 +179,28 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
 
     lam = illinois(deficit, lo, h_lo, hi, h_hi, rel_tol=1e-13)[0]
     d, zeros = shoot(pars, root, lam, mode)
-    gm, gp = indicial_roots(lam, pars.n) or (None, None)
-    return _checked(EigenResult(lam=lam, zeros_interior=zeros, gamma_minus=gm,
-                                gamma_plus=gp, bc_residual=abs(d - rhs_bc)),
-                    f"eigenvalue {index} of mode ({mode.p},{mode.q}) at (n,k)=({pars.n},{pars.k})")
+    return _eigen_result(pars.n, lam, zeros, abs(d - rhs_bc), f"eigenvalue {index} of mode "
+                         f"({mode.p},{mode.q}) at (n,k)=({pars.n},{pars.k})")
 
 
-def _checked(res: EigenResult, what: str) -> EigenResult:
-    """res, unless its boundary residual exceeds BC_RESIDUAL_MAX."""
-    if not res.bc_residual <= BC_RESIDUAL_MAX:
-        raise NonConvergenceError(
-            f"{what} leaves boundary residual {res.bc_residual:.3e} above "
-            f"{BC_RESIDUAL_MAX:g}", value=res.lam, err_estimate=res.bc_residual)
-    return res
+def _eigen_result(n: int, lam: float, zeros: int, residual: float, what: str) -> EigenResult:
+    """lam and its indicial roots, unless residual exceeds BC_RESIDUAL_MAX."""
+    if not residual <= BC_RESIDUAL_MAX:
+        raise NonConvergenceError(f"{what} leaves boundary residual {residual:.3e} above "
+                                  f"{BC_RESIDUAL_MAX:g}", value=lam, err_estimate=residual)
+    return EigenResult(lam, zeros, *(indicial_roots(lam, n) or (None, None)), residual)
 
 
 def first_eigenvalue(pars: ConeParams, root: RootResult) -> EigenResult:
     """First eigenvalue of the mode (0, 0) with its decay rates.
 
-    A non-empty admissible interval (gamma_-, gamma_+) gives lambda_1 =
-    gamma_+ (gamma_+ + n - 2); g_alpha >= 1 there (its 2F1 parameters are
-    positive), so this is the ground state.  An empty one means complex
-    decay rates, and the eigenvalue is found by shooting.  Raises
-    NonConvergenceError when the residual exceeds BC_RESIDUAL_MAX.
+    lambda_1 is the margin root cone.lambda1_root for every cell, gamma_+-
+    its indicial roots (None for a complex pair).  Raises
+    NonConvergenceError when |margin| there exceeds BC_RESIDUAL_MAX.
     """
-    alpha_root = margin_root(pars, root)
-    if alpha_root is None:
-        return find_eigenvalue(pars, root)
-    gp, residual = alpha_root
-    return _checked(EigenResult(lam=gp * (gp + pars.n - 2.0), zeros_interior=0,
-                                gamma_minus=2.0 - pars.n - gp, gamma_plus=gp,
-                                bc_residual=residual),
-                    f"margin root gamma+={gp!r} at (n,k)=({pars.n},{pars.k})")
+    lam, residual = lambda1_root(pars, root)
+    return _eigen_result(pars.n, lam, 0, residual,
+                         f"margin root lambda1={lam!r} at (n,k)=({pars.n},{pars.k})")
 
 
 def _link_weight(pars: ConeParams, t):

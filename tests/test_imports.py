@@ -1,10 +1,11 @@
 """Import lint for the library, on its syntax trees: every import in
 src/conelab comes from the standard library or from conelab itself, every
-imported name is used, and no module imports a private (underscore) name
-from another conelab module.  __init__.py imports only to re-export, and
-`from __future__` imports are compiler directives, so both are exempt
-from the second rule; _backend's choice of kernel module is exempt from
-the third."""
+imported name is used, no module imports a private (underscore) name
+from another conelab module, and every `from conelab.X import name` names
+something that X defines rather than re-exports.  __init__.py imports only
+to re-export, and `from __future__` imports are compiler directives, so
+both are exempt from the second rule, and __init__.py from the fourth;
+_backend's choice of kernel module is exempt from the third."""
 
 import ast
 import sys
@@ -58,3 +59,33 @@ def test_no_private_names_across_modules(path):
                      and (node.level or (node.module or "").split(".")[0] == "conelab")
                      for alias in node.names if alias.name.startswith("_"))
     assert not private, f"{path.name} imports private names {private}"
+
+
+def _defined(tree):
+    """Names bound at module level by def, class or assignment, including
+    under module-level if/try; imported names are not definitions."""
+    stack, names = list(tree.body), set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack.extend(node.body + node.orelse + getattr(node, "handlers", [])
+                         + getattr(node, "finalbody", []))
+        elif isinstance(node, ast.ExceptHandler):
+            stack.extend(node.body)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_names_imported_from_their_definition(path):
+    borrowed = sorted(f"{node.module}.{alias.name}" for node in ast.walk(_tree(path))
+                      if isinstance(node, ast.ImportFrom) and not node.level
+                      and (node.module or "").startswith("conelab.")
+                      for alias in node.names
+                      if alias.name not in _defined(_tree(SRC / f"{node.module[8:]}.py")))
+    assert not borrowed, f"{path.name} imports {borrowed} from modules that do not define them"

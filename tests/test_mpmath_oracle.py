@@ -1,6 +1,7 @@
 """Cross-checks against 40-digit mpmath: every err_estimate of hyp2f1 and
-hyp2f1_deriv is a bound on the true error, and the free-boundary roots
-and the decay rates gamma+ agree with roots of mpmath's 2F1.  Skipped
+hyp2f1_deriv and hyp2f1_sym is a bound on the true error, and the
+free-boundary roots, the decay rates gamma+ and the first eigenvalues of
+the cells with complex gamma+- agree with roots of mpmath's 2F1.  Skipped
 when mpmath or hypothesis is not installed."""
 
 import json
@@ -14,8 +15,8 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conelab.cli import main  # noqa: E402
-from conelab.cone import ConeParams, find_root, profile_params  # noqa: E402
-from conelab.specfun import HypParams, Strategy, hyp2f1, hyp2f1_deriv  # noqa: E402
+from conelab.cone import ConeParams, find_root, indicial_roots, profile_params  # noqa: E402
+from conelab.specfun import HypParams, Strategy, hyp2f1, hyp2f1_deriv, hyp2f1_sym  # noqa: E402
 
 BOUND_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                           database=None)
@@ -172,6 +173,51 @@ def test_deriv_bound(a, b, c, s, m):
         f"{float(err):.3e}, reported {r.err_estimate:.3e}")
 
 
+# a + b = sigma and ab = prod: a complex pair when prod > sigma^2 / 4
+@st.composite
+def symmetric_pair(draw):
+    sigma = draw(st.floats(0.0, 10.0))
+    if draw(st.booleans()):
+        prod = sigma * sigma / 4.0 + draw(st.floats(0.0, 30.0))
+    else:
+        prod = sigma * sigma / 4.0 * draw(st.floats(0.0, 1.0))
+    return sigma, prod
+
+
+@BOUND_SETTINGS
+@given(symmetric_pair(), st.floats(0.1, 10.0), st.floats(0.0, 0.95, exclude_min=True))
+# a subnormal prod: the terms must not underflow, nor the reference cancel
+@example((0.0, 5e-324), 1.0, 0.5)
+@example((1.0, 5.562684646265e-312), 1.0, 0.5)
+def test_sym_bound(pair, c, s):
+    """hyp2f1_sym's F and F' within their err_estimate of 40-digit mpmath,
+    whose hyp2f1 takes the roots a, b of x^2 - sigma x + prod, be they real
+    or complex; b = prod / a does not cancel when prod is tiny."""
+    sigma, prod = pair
+    F, Fp = hyp2f1_sym(sigma, prod, c, s)
+    with mpmath.workdps(40):
+        half = mpmath.mpf(sigma) / 2
+        a = half + mpmath.sqrt(half * half - mpmath.mpf(prod))
+        b, c_, s_ = (prod / a if a else a), mpmath.mpf(c), mpmath.mpf(s)
+        want = mpmath.re(mpmath.hyp2f1(a, b, c_, s_))
+        want_p = mpmath.re(a * b / c_ * mpmath.hyp2f1(a + 1, b + 1, c_ + 1, s_))
+        for got, ref in [(F, want), (Fp, want_p)]:
+            err = abs(mpmath.mpf(got.value) - ref)
+            assert err <= got.err_estimate, (sigma, prod, c, s, float(err), got.err_estimate)
+
+
+@pytest.mark.parametrize("lam, n", [(-1e-10, 9), (-1e-6, 40)])
+def test_indicial_roots_near_zero(lam, n):
+    """gamma+- of lam = gamma(gamma + n - 2) to a few ulps; near lam = 0,
+    -h + sqrt(h^2 + lam) cancels (1.3e-5 relative at (-1e-10, 9))."""
+    gm, gp = indicial_roots(lam, n)
+    with mpmath.workdps(40):
+        h = mpmath.mpf(n - 2) / 2
+        sq = mpmath.sqrt(h * h + mpmath.mpf(lam))
+        for got, want in [(gp, -h + sq), (gm, -h - sq)]:
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
 def _mp_root_s(n, k):
     """40-digit root s of mpmath's 2F1 for the solution profile of (n, k):
     one secant step through s_nk -+ 1e-12 lands within 1e-23 of the exact
@@ -225,3 +271,34 @@ def test_gamma_plus_against_mpmath_n7_20(capsys):
                 assert m_lo > 0 > m_hi, (n, k)
                 exact = lo - m_lo * (hi - lo) / (m_hi - m_lo)
                 assert abs(exact - gp) <= 1e-10, (n, k)
+
+
+def test_lambda1_complex_cells_against_mpmath(capsys):
+    """lambda_1 that analyze prints for the ten cells with n <= 6, where
+    gamma+- are complex, agrees to 1e-10 relative with the root in lambda
+    of 2t F'/F - rhs at the 40-digit t_nk, for F = 2F1(a, b; k/2; s) with
+    a + b = (n-2)/2 and ab = -lambda/4 a complex pair; the margin changes
+    sign between lambda_1 (1 +- 1e-10), and one secant step there gives its
+    root."""
+    with mpmath.workdps(40):
+        for n in range(3, 7):
+            for k in range(1, n - 1):
+                assert main(["analyze", "--n", str(n), "--k", str(k),
+                             "--format", "json"]) == 0
+                lam1 = json.loads(capsys.readouterr().out)["rows"][0]["lambda1"]
+                _, s = _mp_root_s(n, k)
+                t = mpmath.sqrt(s)
+                rhs = ((n - 2) * t - (k - 1) / t) / (1 - s)
+                h = mpmath.mpf(n - 2) / 2
+
+                def margin(lam):
+                    root = mpmath.sqrt(h * h / 4 + lam / 4)  # imaginary here
+                    a, b, c = h / 2 + root, h / 2 - root, mpmath.mpf(k) / 2
+                    dF = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, s)
+                    return mpmath.re(2 * t * dF / mpmath.hyp2f1(a, b, c, s)) - rhs
+
+                lo, hi = (mpmath.mpf(lam1) * (1 + x) for x in (1e-10, -1e-10))
+                m_lo, m_hi = margin(lo), margin(hi)
+                assert m_lo > 0 > m_hi, (n, k)
+                exact = lo - m_lo * (hi - lo) / (m_hi - m_lo)
+                assert abs(exact - lam1) <= 1e-10 * abs(exact), (n, k)

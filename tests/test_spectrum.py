@@ -10,7 +10,15 @@ import pytest
 import conelab._backend
 from conelab import spectrum
 from conelab.cli import main
-from conelab.cone import ConeParams, Verdict, boundary_rhs, find_root, stability_margin, verdict
+from conelab.cone import (
+    ConeParams,
+    Verdict,
+    boundary_rhs,
+    find_root,
+    indicial_roots,
+    stability_margin,
+    verdict,
+)
 from conelab.errors import BracketExhausted, NonConvergenceError
 from conelab.spectrum import (
     Mode,
@@ -18,7 +26,6 @@ from conelab.spectrum import (
     fd_oracle_lambda1,
     find_eigenvalue,
     first_eigenvalue,
-    indicial_roots,
     shoot,
 )
 
@@ -164,31 +171,39 @@ def _count_shots(monkeypatch):
 
 class TestFirstEigenvalue:
     def test_matches_shooting(self):
-        # the margin root against the independent shooting solve
-        for n in range(7, 41):
-            for k in sorted({1, n // 2, n - 2}):
+        # the margin root in lambda against the independent shooting solve:
+        # every cell with n <= 6 (complex gamma+-), three per n above
+        for n in range(3, 41):
+            for k in (range(1, n - 1) if n <= 6 else sorted({1, n // 2, n - 2})):
                 p = ConeParams(n, k)
                 root = find_root(p)
                 dual, shot = first_eigenvalue(p, root), find_eigenvalue(p, root)
                 assert dual.zeros_interior == shot.zeros_interior == 0
                 assert dual.bc_residual <= 1e-9
+                assert (dual.gamma_plus is None) == (shot.gamma_plus is None) == (n <= 6)
                 for got, want in [(dual.lam, shot.lam), (dual.gamma_plus, shot.gamma_plus),
                                   (dual.gamma_minus, shot.gamma_minus)]:
-                    assert math.isclose(got, want, rel_tol=1e-9), (n, k, got, want)
+                    if want is not None:
+                        assert math.isclose(got, want, rel_tol=1e-9), (n, k, got, want)
 
     def test_complex_pair_shoots(self):
-        # (6, 2) is unstable: the interval is empty and gamma+- are complex
+        # (6, 2) is unstable: gamma+- are complex, and the margin root in
+        # lambda agrees with shooting
         p = ConeParams(6, 2)
         root = find_root(p)
-        assert first_eigenvalue(p, root) == find_eigenvalue(p, root)
+        assert math.isclose(first_eigenvalue(p, root).lam, find_eigenvalue(p, root).lam,
+                            rel_tol=1e-9)
         assert first_eigenvalue(p, root).gamma_plus is None
 
     def test_table_does_not_shoot(self, capsys, monkeypatch):
         calls = _count_shots(monkeypatch)
         assert main(["table", "--n", "7", "8"]) == 0
-        assert len(calls) == 0
-        # n <= 6 cells have an empty interval and still shoot
+        # the n <= 6 cells take the margin root in lambda too
         assert main(["scan", "--n-max", "6"]) == 0
+        assert main(["analyze", "--n", "6", "--k", "2"]) == 0
+        assert len(calls) == 0
+        # verify's Riccati cross-check still shoots, by design
+        assert main(["verify", "--suite", "riccati"]) == 0
         assert len(calls) > 0
         capsys.readouterr()
 
