@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from conelab.errors import BracketFailure, PoleEncounteredError
-from conelab.specfun import HypParams, hyp2f1, hyp2f1_deriv, hyp2f1_sym
+from conelab.specfun import HypParams, hyp2f1, hyp2f1_deriv, hyp2f1_pair, hyp2f1_sym
 
 __all__ = [
     "ConeParams",
@@ -94,17 +94,17 @@ def profile_params(p: ConeParams, alpha: float) -> HypParams:
 
 
 def L_direct(p: ConeParams, alpha: float, s: float) -> float:
-    """L(s) from the hypergeometric profile: 2s(1-s) F'/F - (n-2)s + (k-1)."""
+    """L(s) from the hypergeometric profile: 2s(1-s) F'/F - (n-2)s + (k-1),
+    with F and F' from one hyp2f1_pair call."""
     if not s < 1.0:
         raise ValueError("s must be below 1")
     if s == 0.0:
         return float(p.k - 1)
-    hp = profile_params(p, alpha)
-    F = hyp2f1(hp, s).value
-    if not F > 0.0:
+    F, Fp = hyp2f1_pair(profile_params(p, alpha), s)
+    if not F.value > 0.0:
         raise PoleEncounteredError(
             f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-    return _link_L(p, s, F, hyp2f1_deriv(hp, s, 1).value)
+    return _link_L(p, s, F.value, Fp.value)
 
 
 def _link_L(p: ConeParams, s: float, F: float, Fp: float) -> float:

@@ -11,6 +11,12 @@ Evaluation strategy for 2F1(a, b; c; s) on s in (-1, 1]:
   not an integer, and its logarithmic limit DLMF 15.8.10 (Abramowitz &
   Stegun 15.3.10-15.3.12) when it is.
 
+Derivatives come from the parameter shift F' = ab/c F(a+1, b+1; c+1; s)
+(hyp2f1_deriv).  hyp2f1_pair returns F and F' together, equal to the two
+separate calls; where both are direct series it sums them without the
+second call's wrapper, which is most of the cost of a profile's
+log-derivative.
+
 Every err_estimate is a first-order bound on the rounding, truncation
 and parameter-rounding error of the value it comes with.  All routines
 are pure functions: the module keeps no process-wide state.  Like the
@@ -41,6 +47,7 @@ __all__ = [
     "digamma",
     "hyp2f1",
     "hyp2f1_deriv",
+    "hyp2f1_pair",
     "hyp2f1_sym",
     "hyp2f1_integral",
     "laplace_quad",
@@ -95,7 +102,9 @@ def pochhammer(q: float, m: int) -> float:
 
 
 _U = 2.0 ** -53  # unit roundoff of binary64
-_ETA = 2.0 ** -1075  # largest absolute rounding error of a subnormal product
+# bound on the absolute rounding error of a subnormal product: half the
+# subnormal spacing, 2^-1075, is no binary64, so the smallest subnormal
+_ETA = 2.0 ** -1074
 
 
 def _pochhammer(q: float, m: int) -> Tuple[float, float]:
@@ -214,8 +223,8 @@ def _run_series(a: float, b: float, c: float, s: float,
     value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, budget)
     grow = 0.0
     for p, d in zip((a, b, c), dp):
-        gap = p if p > 0.0 else abs(p - round(p))
         if d > 0.0:
+            gap = p if p > 0.0 else abs(p - round(p))
             grow += d / gap if gap > 0.0 else math.inf
     return value, err * (1.0 + grow / (8.0 * _U)), terms, ok
 
@@ -412,6 +421,25 @@ def _log_case(a: float, b: float, c: float, s: float, dp) -> EvalResult:
     return EvalResult(value, err, m + k, Strategy.CONNECTION_AT_1)
 
 
+def _euler_block(a: float, b: float, c: float) -> bool:
+    """c-a or c-b a nonpositive integer down to -2: the Euler-transformed
+    series is a polynomial of degree at most 2."""
+    return (c - a) in (0.0, -1.0, -2.0) or (c - b) in (0.0, -1.0, -2.0)
+
+
+def _direct_budget(a: float, b: float, c: float, s: float) -> Optional[int]:
+    """Term budget of the direct series for 2F1(a, b; c; s), 0 < |s| < 1:
+    MAX_TERMS for a terminating series and up to the switch point, 8000 for
+    the capped attempt beyond it, and None where that attempt is skipped
+    (an Euler block, or s above 0.99)."""
+    if (abs(s) <= SWITCH_POINT or s < 0.0
+            or _nonpos_int(a) is not None or _nonpos_int(b) is not None):  # terminating
+        return MAX_TERMS
+    if s > 0.99 or _euler_block(a, b, c):
+        return None
+    return 8000
+
+
 def hyp2f1(p: HypParams, s: float,
            dp: Tuple[float, float, float] = (0.0, 0.0, 0.0)) -> EvalResult:
     """Evaluate 2F1(a, b; c; s) on (-1, 1] with strategy bookkeeping.
@@ -433,23 +461,17 @@ def hyp2f1(p: HypParams, s: float,
         value, err = _gauss_at_one(a, b, c, dp)
         return EvalResult(value, err, 0, Strategy.CONNECTION_AT_1)
 
-    terminating = _nonpos_int(a) is not None or _nonpos_int(b) is not None
-    if terminating or abs(s) <= SWITCH_POINT or s < 0.0:
-        value, err, terms, ok = _run_series(a, b, c, s, dp)
-        if not ok:
+    budget = _direct_budget(a, b, c, s)
+    if budget is not None:
+        value, err, terms, ok = _run_series(a, b, c, s, dp, budget)
+        if ok:
+            return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
+        if budget == MAX_TERMS:
             raise NonConvergenceError(
                 f"direct series exhausted {MAX_TERMS} terms at s={s}",
                 value=value, err_estimate=err, terms_used=terms)
-        return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
-
-    # s beyond the switch point
-    if any(d is not None and d <= 2 for d in (_nonpos_int(c - a), _nonpos_int(c - b))):
+    elif _euler_block(a, b, c):
         return _euler_terminating(a, b, c, s, dp)
-
-    if s <= 0.99:
-        value, err, terms, ok = _run_series(a, b, c, s, dp, max_terms=8000)
-        if ok:
-            return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
 
     if not _near_int(c - a - b):
         return _connection_at_one(a, b, c, s, dp)
@@ -466,17 +488,54 @@ def hyp2f1_deriv(p: HypParams, s: float, m: int) -> EvalResult:
         raise ValueError("m must be a positive integer")
     if any(d is not None and d < m for d in (_nonpos_int(p.a), _nonpos_int(p.b))):
         return EvalResult(0.0, 0.0, 0, Strategy.DIRECT_SERIES)  # degree below m
-    (pa, ea), (pb, eb), (pc, ec) = (_pochhammer(x, m) for x in (p.a, p.b, p.c))
+    pref, pref_err, dp = _shift_prefactor(p.a, p.b, p.c, m)
+    inner = hyp2f1(HypParams(p.a + m, p.b + m, p.c + m), s, dp)
+    return _times_prefactor(pref, pref_err, inner.value, inner.err_estimate,
+                            inner.terms_used, inner.strategy)
+
+
+def _shift_prefactor(a: float, b: float, c: float, m: int):
+    """(a)_m (b)_m / (c)_m, a bound on its error, which covers a subnormal
+    prefactor, and the rounding dp of the shifted parameters a+m, b+m, c+m."""
+    (pa, ea), (pb, eb), (pc, ec) = _pochhammer(a, m), _pochhammer(b, m), _pochhammer(c, m)
     ab = pa * pb
     pref = ab / pc
     pref_err = ((ea * abs(pb) + abs(pa) * eb + _U * abs(ab) + _ETA + abs(pref) * ec) / pc
                 + _U * abs(pref) + _ETA)
-    shifted = HypParams(p.a + m, p.b + m, p.c + m)
-    inner = hyp2f1(shifted, s, tuple(_rounding((x, m), x + m) for x in (p.a, p.b, p.c)))
-    value = pref * inner.value
-    err = (abs(pref) * inner.err_estimate + pref_err * abs(inner.value)
-           + _U * abs(value) + _ETA)
-    return EvalResult(value, err, inner.terms_used, inner.strategy)
+    return pref, pref_err, (_rounding((a, m), a + m), _rounding((b, m), b + m),
+                            _rounding((c, m), c + m))
+
+
+def _times_prefactor(pref: float, pref_err: float, value: float, err: float,
+                     terms: int, strategy: Strategy) -> EvalResult:
+    """The derivative pref * F(a+m, b+m; c+m; s) from the shifted 2F1's
+    value and error bound."""
+    out = pref * value
+    return EvalResult(out, abs(pref) * err + pref_err * abs(value) + _U * abs(out) + _ETA,
+                      terms, strategy)
+
+
+def hyp2f1_pair(p: HypParams, s: float) -> Tuple[EvalResult, EvalResult]:
+    """(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)), equal field for field.
+
+    When both F and the shifted series of F' are direct series, their two
+    kernel calls are made here, without the wrappers' second routing,
+    shifted HypParams or intermediate results; any other route, and a
+    series that exhausts its budget, is left to the two functions."""
+    a, b, c = p.a, p.b, p.c
+    # a or b zero is hyp2f1_deriv's F' = 0 shortcut
+    if 0.0 < abs(s) < 1.0 and a != 0.0 and b != 0.0:
+        budget = _direct_budget(a, b, c, s)
+        budget1 = _direct_budget(a + 1.0, b + 1.0, c + 1.0, s)
+        if budget is not None and budget1 is not None:
+            value, err, terms, ok = _run_series(a, b, c, s, max_terms=budget)
+            pref, pref_err, dp = _shift_prefactor(a, b, c, 1)
+            value1, err1, terms1, ok1 = _run_series(a + 1.0, b + 1.0, c + 1.0, s, dp, budget1)
+            if ok and ok1:
+                return (EvalResult(value, err, terms, Strategy.DIRECT_SERIES),
+                        _times_prefactor(pref, pref_err, value1, err1, terms1,
+                                         Strategy.DIRECT_SERIES))
+    return hyp2f1(p, s), hyp2f1_deriv(p, s, 1)
 
 
 def hyp2f1_sym(sigma: float, prod: float, c: float, s: float) -> Tuple[EvalResult, EvalResult]:
@@ -506,11 +565,11 @@ def hyp2f1_sym(sigma: float, prod: float, c: float, s: float) -> Tuple[EvalResul
     d0, sum_e, sum_t = prod / c, math.fsum(es), math.fsum(ts)
     f, fp = 1.0 + d0 * sum_t, d0 * sum_e
     # e_k, t_k round 8k, 8k+2 times, then fsum, d0 and the product once each;
-    # a subnormal d0 or F' errs by 2^-1075 (sum_e + 1) instead
+    # a subnormal d0 or F' errs by _ETA (sum_e + 1) instead
     rounds_e = math.fsum((8.0 * k + 3.0) * x for k, x in enumerate(es))
     rounds_t = math.fsum((8.0 * k + 5.0) * x for k, x in enumerate(ts))
     f_err = 1.12e-16 * (d0 * rounds_t + f) + d0 * tail_e * s / i
-    fp_err = 1.12e-16 * d0 * rounds_e + d0 * tail_e + 2.0 ** -1074 * (sum_e + 1.0)
+    fp_err = 1.12e-16 * d0 * rounds_e + d0 * tail_e + _ETA * (sum_e + 1.0)
     return (EvalResult(f, f_err, m + 1, Strategy.DIRECT_SERIES),
             EvalResult(fp, fp_err, m + 1, Strategy.DIRECT_SERIES))
 

@@ -3,11 +3,14 @@ boundary quantities, criterion margins, admissible intervals, and the
 profile-function regressions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import conelab._backend
 import conelab.cone
+from conelab import specfun
 from conelab.cone import (
     ConeParams,
     L_direct,
@@ -27,7 +30,7 @@ from conelab.cone import (
     verdict,
 )
 from conelab.errors import PoleEncounteredError
-from conelab.specfun import _run_series, hyp2f1, hyp2f1_deriv
+from conelab.specfun import Strategy, _run_series, hyp2f1, hyp2f1_deriv
 
 
 class TestConeParams:
@@ -329,6 +332,57 @@ class TestMarginsAndVerdicts:
         assert adm is not None
         lo, hi = adm
         assert abs(lo + hi - (2.0 - 7.0)) < 1e-8
+
+
+def _spy(monkeypatch, *raws):
+    """Record the name of every call of the functions raws through every
+    conelab namespace binding them."""
+    calls = []
+
+    def counted(raw):
+        def wrapper(*args, **kwargs):
+            calls.append(raw.__name__)
+            return raw(*args, **kwargs)
+        return wrapper
+
+    for raw in raws:
+        wrapped = counted(raw)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("conelab."):
+                for key, val in list(vars(mod).items()):
+                    if val is raw:
+                        monkeypatch.setattr(mod, key, wrapped)
+    return calls
+
+
+class TestLDirectPair:
+    # the (400, 394) barrier at alpha = 4 - n: 2F1(1, 198; 197; s)
+    P, ALPHA = ConeParams(400, 394), 4.0 - 400.0
+
+    def _spy_all(self, monkeypatch):
+        return _spy(monkeypatch, conelab._backend.hyp2f1_series, specfun.hyp2f1,
+                    specfun.hyp2f1_deriv)
+
+    def test_direct_point_sums_two_series(self, monkeypatch):
+        calls = self._spy_all(monkeypatch)
+        # frozen from L computed with separate hyp2f1 and hyp2f1_deriv calls
+        assert L_direct(self.P, self.ALPHA, 0.3) == 274.2043415340087
+        assert calls == ["hyp2f1_series", "hyp2f1_series"]
+
+    @pytest.mark.parametrize("s, want", [(0.7, 115.82341137123751),
+                                         (0.99276387818866, 0.6865538506480675)])
+    def test_euler_point_keeps_value(self, s, want):
+        # d = 6 beyond the switch point, s_star included: both F and F'
+        # take the Euler transform, through hyp2f1 and hyp2f1_deriv
+        assert hyp2f1(profile_params(self.P, self.ALPHA), s).strategy is Strategy.EULER_TRANSFORM
+        assert L_direct(self.P, self.ALPHA, s) == want
+
+    def test_pole_on_direct_route(self, monkeypatch):
+        # F = 1 - 3.5 s < 0 at s = 0.5 for (7, 2), alpha = -7
+        calls = self._spy_all(monkeypatch)
+        with pytest.raises(PoleEncounteredError):
+            L_direct(ConeParams(7, 2), -7.0, 0.5)
+        assert calls == ["hyp2f1_series", "hyp2f1_series"]
 
 
 class TestAdmissibleInterval:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conelab import specfun
 from conelab.errors import DomainError, NonConvergenceError, PoleError
@@ -16,6 +18,7 @@ from conelab.specfun import (
     hyp2f1,
     hyp2f1_deriv,
     hyp2f1_integral,
+    hyp2f1_pair,
     laplace_quad,
     pochhammer,
 )
@@ -56,6 +59,10 @@ class TestPochhammer:
     def test_overflow_saturates(self):
         assert pochhammer(1.5, 300) == math.inf
         assert pochhammer(-0.5, 301) == -math.inf
+
+    def test_subnormal_rounding_bound_positive(self):
+        # the bound every product adds for subnormal rounding must not be 0
+        assert specfun._ETA > 0.0
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
@@ -188,6 +195,70 @@ class TestDeriv:
             s = rng.uniform(0.02, 0.97)
             for m in (1, 2, 3, 4):
                 assert hyp2f1_deriv(HypParams(a, -0.5, c), s, m).value < 0.0
+
+
+def _outcome(call):
+    """What call returns, or the type of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+@st.composite
+def pair_args(draw):
+    """(a, b, c, s) across every route of hyp2f1 and of F''s shifted series:
+    generic, terminating, an Euler block beyond the switch point (c is a
+    multiple of 2^-8, so c - (c + j) is exactly -j), c-a-b an integer or
+    within 1e-9 of one, and s above 0.99."""
+    c = draw(st.integers(1, 4096)) / 256.0
+    a, b = draw(st.floats(-8.0, 20.0)), draw(st.floats(-8.0, 20.0))
+    s = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    route = draw(st.sampled_from(("generic", "terminating", "euler", "log", "near_one")))
+    if route == "terminating":
+        a = -float(draw(st.integers(0, 6)))
+    elif route == "euler":
+        a = c + draw(st.integers(0, 2))
+        s = draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    elif route == "log":
+        b = c - a - draw(st.integers(-3, 3)) + draw(st.sampled_from((0.0, 1e-10, -5e-10)))
+        s = draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    elif route == "near_one":
+        s = draw(st.floats(0.99, 1.0, exclude_max=True))
+    return a, b, c, s
+
+
+class TestPair:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair_args())
+    # L_direct's barrier points of (n, k) = (400, 394) and (400, 380) at
+    # alpha = 4 - n: s_star (Euler transform for d = 6, capped direct
+    # series for d = 20) and points inside the direct window
+    @example((1.0, 198.0, 197.0, 0.99276387818866))
+    @example((1.0, 198.0, 190.0, 0.9635078105935821))
+    @example((1.0, 198.0, 197.0, 0.3))
+    @example((1.0, 198.0, 197.0, 0.0))
+    @example((0.0, 2.5, 1.5, 0.4))  # F' = 0: hyp2f1_deriv's shortcut
+    @example((-1.0, 3.5, 1.0, 0.5))  # the (7, 2) profile at alpha = -7, where F < 0
+    # domain errors: of F at s = 1 and beyond, of F' alone at s = 1
+    @example((2.0, 1.5, 1.0, 1.0))
+    @example((1.0, 1.0, 2.0, 1.5))
+    @example((0.7, 0.4, 1.9, 1.0))
+    def test_equals_separate_calls(self, args):
+        _assert_pair_matches(*args)
+
+    @pytest.mark.parametrize("max_terms", [64, 153, 154])
+    def test_budget_exhaustion(self, monkeypatch, max_terms):
+        # F needs 153 terms and F''s shifted series 154: both, only F' or
+        # neither exhaust the budget
+        monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
+        _assert_pair_matches(30.0, 25.0, 1.5, 0.45)
+
+
+def _assert_pair_matches(a, b, c, s):
+    p = HypParams(a, b, c)
+    want = _outcome(lambda: (hyp2f1(p, s), hyp2f1_deriv(p, s, 1)))
+    assert _outcome(lambda: hyp2f1_pair(p, s)) == want
 
 
 class TestIntegralOracle:
