@@ -5,7 +5,11 @@ Modules mirror the analysis pipeline: specfun (hypergeometric and
 gamma-family kernel), cone (profiles, free-boundary root, stability
 criterion), riccati (log-derivative ODE and comparison barriers),
 spectrum (Robin link eigenvalues), lemmas (asymptotic bound checks),
-checks (verification batteries), cli (command-line front end).
+checks (verification batteries, loaded by `verify` only), cli
+(command-line front end).  The package holds what the command line runs:
+the reference oracles the tests check it against (a Pruefer-angle
+shooting eigenvalue solver and a finite-difference discretization) live
+in tests/oracles.py.
 
 The hot kernels are compiled (hand-written C) with a pure-Python
 fallback selected at import; see conelab._backend and BACKEND_NAME.
@@ -17,21 +21,13 @@ from conelab.cone import (
     RootResult,
     StabilityReport,
     Verdict,
-    admissible_interval,
     find_root,
     indicial_roots,
     verdict,
 )
 from conelab.riccati import BarrierSpec, RiccatiTrace, check_4_minus_n, verify_barrier
 from conelab.specfun import EvalResult, HypParams, hyp2f1
-from conelab.spectrum import (
-    EigenResult,
-    Mode,
-    family_scan,
-    fd_oracle_lambda1,
-    find_eigenvalue,
-    first_eigenvalue,
-)
+from conelab.spectrum import EigenResult, Mode, family_scan, first_eigenvalue
 
 __version__ = "0.1.0"
 
@@ -42,7 +38,6 @@ __all__ = [
     "RootResult",
     "StabilityReport",
     "Verdict",
-    "admissible_interval",
     "find_root",
     "verdict",
     "BarrierSpec",
@@ -55,8 +50,6 @@ __all__ = [
     "EigenResult",
     "Mode",
     "family_scan",
-    "fd_oracle_lambda1",
-    "find_eigenvalue",
     "first_eigenvalue",
     "indicial_roots",
 ]

@@ -1,8 +1,10 @@
 """Cone geometry for the invariant one-phase family: profile functions
-and their log-derivative L, free-boundary root, normalization, boundary
-mean curvature, the strict stability criterion (read from L) and the
-admissible homogeneity interval.  Functions evaluated at the free
-boundary take the RootResult of find_root.
+and their log-derivative L, free-boundary root, boundary mean curvature,
+the strict stability criterion (read from L) and its root in lambda,
+lambda_1, whose indicial roots bound the admissible homogeneity
+interval.  Functions evaluated at the free boundary take the RootResult
+of find_root.  The normalization c_{n,k} and the t-derivative of a
+profile, which no command prints, live with their tests.
 
 Profiles are hypergeometric in s = t^2: the degree-alpha harmonic profile
 is 2F1((n+alpha-2)/2, -alpha/2; k/2; t^2), and the solution profile is its
@@ -17,7 +19,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from conelab.errors import BracketFailure, PoleEncounteredError
-from conelab.specfun import HypParams, hyp2f1, hyp2f1_deriv, hyp2f1_pair, hyp2f1_sym
+from conelab.specfun import HypParams, hyp2f1, hyp2f1_pair, hyp2f1_sym
 
 __all__ = [
     "ConeParams",
@@ -27,17 +29,12 @@ __all__ = [
     "profile_params",
     "L_direct",
     "profile_g",
-    "profile_f",
-    "profile_g_dt",
     "cubic_bound",
     "find_root",
-    "normalization_c",
     "boundary_rhs",
     "stability_margin",
     "verdict",
     "indicial_roots",
-    "admissible_interval",
-    "eval_homogeneous",
 ]
 
 MARGIN_TOL = 1e-9  # borderline band on the criterion margin
@@ -117,17 +114,6 @@ def profile_g(p: ConeParams, alpha: float, t: float) -> float:
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t}")
     return hyp2f1(profile_params(p, alpha), t * t).value
-
-
-def profile_f(p: ConeParams, t: float) -> float:
-    """Solution profile f_{n,k}(t) = g_{n,k,1}(t)."""
-    return profile_g(p, 1.0, t)
-
-
-def profile_g_dt(p: ConeParams, alpha: float, t: float) -> float:
-    """d/dt of the degree-alpha profile: 2 t F'(t^2)."""
-    hp = profile_params(p, alpha)
-    return 2.0 * t * hyp2f1_deriv(hp, t * t, 1).value
 
 
 def cubic_bound(p: ConeParams, t: float) -> float:
@@ -226,12 +212,6 @@ def find_root(p: ConeParams) -> RootResult:
                       s_bracket=(s_lo, s_hi), residual=residual)
 
 
-def normalization_c(p: ConeParams, r: RootResult) -> float:
-    """Gradient normalization c_{n,k} = 1 / (sqrt(1-t^2) |f'(t)|) at the root."""
-    fp = profile_g_dt(p, 1.0, r.t_nk)
-    return 1.0 / (math.sqrt(1.0 - r.s_nk) * abs(fp))
-
-
 def boundary_rhs(p: ConeParams, r: RootResult) -> Tuple[float, float]:
     """(rho H, criterion right side) at the free boundary.
 
@@ -291,12 +271,6 @@ def lambda1_root(p: ConeParams, r: RootResult) -> Tuple[float, float]:
     return illinois(margin, lo, f_lo, hi, f_hi)[:2]
 
 
-def admissible_interval(p: ConeParams, r: RootResult) -> Optional[Tuple[float, float]]:
-    """The admissible homogeneity interval: the indicial roots of lambda_1,
-    or None when they are complex and the interval is empty."""
-    return indicial_roots(lambda1_root(p, r)[0], p.n)
-
-
 def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
     """Stability report at the root r; the criterion is evaluated at alpha = (2-n)/2."""
     link_H, rhs = boundary_rhs(p, r)
@@ -309,11 +283,3 @@ def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
         v = Verdict.BORDERLINE_STABLE
     return StabilityReport(t_nk=r.t_nk, link_H=link_H,
                            lhs=margin + rhs, rhs=rhs, margin=margin, verdict=v)
-
-
-def eval_homogeneous(p: ConeParams, alpha: float, scale: float, rho: float,
-                     t: float) -> float:
-    """scale * rho^alpha * g_{n,k,alpha}(t); exact under dilation."""
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    return scale * rho ** alpha * profile_g(p, alpha, t)

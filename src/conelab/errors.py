@@ -40,9 +40,5 @@ class IntegrationFailure(ConelabError):
     """An ODE integration collapsed its step size before reaching the target."""
 
 
-class BracketExhausted(ConelabError):
-    """An eigenvalue bracket failed to straddle the target after widening."""
-
-
 class RangeUnsupported(ConelabError):
     """Parameters are outside the hypotheses of the bound being checked."""

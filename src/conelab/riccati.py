@@ -29,7 +29,6 @@ __all__ = [
     "BarrierReport",
     "L_cross_check",
     "P_poly",
-    "p_poly_roots_in_unit",
     "barrier_phi",
     "linear_root_relation",
     "verify_barrier",
@@ -57,27 +56,6 @@ def alpha_hat(p: ConeParams, alpha: float) -> float:
 def P_poly(p: ConeParams, ahat: float, s: float) -> float:
     """P(s) = (n-2k) s + ahat s (1-s) + (k-1), evaluated exactly."""
     return (p.n - 2.0 * p.k) * s + ahat * s * (1.0 - s) + (p.k - 1.0)
-
-
-def p_poly_roots_in_unit(p: ConeParams, ahat: float) -> Tuple[float, ...]:
-    """Roots of P in the open interval (0, 1), sorted; 0, 1 or 2 of them."""
-    # -ahat s^2 + (n - 2k + ahat) s + (k-1) = 0
-    a2 = -ahat
-    a1 = p.n - 2.0 * p.k + ahat
-    a0 = p.k - 1.0
-    if a2 == 0.0:
-        roots = [] if a1 == 0.0 else [-a0 / a1]
-    else:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc < 0.0:
-            roots = []
-        else:
-            sq = math.sqrt(disc)
-            # numerically stable pairing of the quadratic roots
-            qq = -0.5 * (a1 + math.copysign(sq, a1))
-            roots = sorted({qq / a2 if qq != 0.0 else 0.0,
-                            a0 / qq if qq != 0.0 else 0.0})
-    return tuple(r for r in roots if 0.0 < r < 1.0)
 
 
 def _L_ode_trace(p: ConeParams, alpha: float, grid) -> list:

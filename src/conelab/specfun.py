@@ -43,7 +43,6 @@ __all__ = [
     "ABS_TOL",
     "MAX_TERMS",
     "SWITCH_POINT",
-    "pochhammer",
     "digamma",
     "hyp2f1",
     "hyp2f1_deriv",
@@ -92,15 +91,6 @@ class HypParams:
             raise DomainError(f"c must be positive, got c={self.c}")
 
 
-def pochhammer(q: float, m: int) -> float:
-    """Rising factorial (q)_m = q (q+1) ... (q+m-1); (q)_0 = 1 exactly.
-
-    The factors are multiplied in order, so the result saturates to +-inf
-    once a partial product overflows binary64; an exact zero factor gives 0.
-    """
-    return _pochhammer(q, m)[0]
-
-
 _U = 2.0 ** -53  # unit roundoff of binary64
 # bound on the absolute rounding error of a subnormal product: half the
 # subnormal spacing, 2^-1075, is no binary64, so the smallest subnormal
@@ -108,10 +98,12 @@ _ETA = 2.0 ** -1074
 
 
 def _pochhammer(q: float, m: int) -> Tuple[float, float]:
-    """(q)_m and a first-order bound on its error: each factor q+i and each
-    product rounds by 2^-53 relative, and a subnormal product by up to _ETA
-    more.  A zero factor returns (0, 0) before an overflowed partial
-    product can turn it into inf * 0."""
+    """Rising factorial (q)_m = q (q+1) ... (q+m-1), (q)_0 = 1 exactly, and
+    a first-order bound on its error: each factor q+i and each product
+    rounds by 2^-53 relative, and a subnormal product by up to _ETA more.
+    The factors are multiplied in order, so the value saturates to +-inf
+    once a partial product overflows binary64.  A zero factor returns
+    (0, 0) before an overflowed partial product can turn it into inf * 0."""
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
     out, err = 1.0, 0.0

@@ -16,13 +16,7 @@ import pytest
 
 from conelab import reference
 from conelab.checks import run_suites
-from conelab.cone import (
-    ConeParams,
-    Verdict,
-    admissible_interval,
-    find_root,
-    verdict,
-)
+from conelab.cone import ConeParams, Verdict, find_root, indicial_roots, lambda1_root, verdict
 from conelab.lemmas import (
     estimate_z0,
     limit_profile_u,
@@ -32,7 +26,7 @@ from conelab.lemmas import (
 )
 from conelab.riccati import BarrierVariant, check_4_minus_n, verify_barrier
 from conelab.specfun import laplace_quad
-from conelab.spectrum import fd_oracle_lambda1, find_eigenvalue
+from oracles import fd_oracle_lambda1, find_eigenvalue
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -153,7 +147,7 @@ class TestC05IntervalDuality:
             for k in range(1, n - 1):
                 pars = ConeParams(n, k)
                 root, eig = eigen_row(n, k)
-                lo, hi = admissible_interval(pars, root)
+                lo, hi = indicial_roots(lambda1_root(pars, root)[0], n)
                 worst_endpoint = max(worst_endpoint,
                                      abs(lo - eig.gamma_minus),
                                      abs(hi - eig.gamma_plus))

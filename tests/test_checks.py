@@ -32,7 +32,6 @@ def test_verify_exit_code_on_seeded_failure(monkeypatch, capsys):
                             passed=False, detail="sign flipped")]
 
     monkeypatch.setitem(checks.SUITES, "specfun", broken)
-    monkeypatch.setattr(cli, "SUITES", checks.SUITES)
     rc = cli.main(["verify", "--suite", "specfun"])
     captured = capsys.readouterr()
     assert rc == 1

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import conelab.cone
+from conelab import checks, cli
 from conelab.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -193,12 +194,24 @@ class TestVerifySuites:
         assert payload["flags"] == []
         assert all(r["passed"] for r in payload["rows"])
 
+    def test_suite_names_match_checks(self):
+        # the parser spells the suite names out so that it need not load checks
+        assert cli._SUITE_NAMES == tuple(checks.SUITES)
+
+    def test_unknown_suite_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --suite: invalid choice: 'nope'" in captured.err
+
 
 class TestColdImport:
     @staticmethod
-    def _loaded_after(*argvs):
+    def _loaded_after(*argvs, watch=("scipy", "numpy")):
         # run the commands in a fresh interpreter, each expecting exit 0,
-        # and list the scipy and numpy modules they imported
+        # and list the imported modules that are, or belong to, one in watch
         script = "\n".join([
             "import contextlib, io, sys",
             "from conelab.cli import main",
@@ -206,7 +219,8 @@ class TestColdImport:
             "    with contextlib.redirect_stdout(io.StringIO()):",
             "        assert main(argv) == 0, argv",
             "print(sorted(m for m in sys.modules",
-            "             if m.split('.')[0] in ('scipy', 'numpy')), file=sys.stderr)",
+            f"             if m in {watch!r} or m.split('.')[0] in {watch!r}),",
+            "      file=sys.stderr)",
         ])
         src = str(Path(conelab.cone.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -224,3 +238,11 @@ class TestColdImport:
 
     def test_verify_loads_no_scipy_or_numpy(self):
         assert self._loaded_after(("verify", "--suite", "all")) == "[]"
+
+    def test_analyze_and_table_do_not_load_checks(self):
+        # the verification batteries load for verify only
+        assert self._loaded_after(("analyze", "--n", "7", "--k", "1"),
+                                  ("table", "--n", "7", "8"),
+                                  watch=("conelab.checks",)) == "[]"
+        assert self._loaded_after(("verify", "--suite", "specfun"),
+                                  watch=("conelab.checks",)) == "['conelab.checks']"

@@ -16,21 +16,28 @@ from conelab.cone import (
     L_direct,
     Verdict,
     _cubic_root_in_s,
-    admissible_interval,
     boundary_rhs,
     cubic_bound,
-    eval_homogeneous,
     find_root,
-    normalization_c,
-    profile_f,
+    indicial_roots,
+    lambda1_root,
     profile_g,
-    profile_g_dt,
     profile_params,
     stability_margin,
     verdict,
 )
 from conelab.errors import PoleEncounteredError
 from conelab.specfun import Strategy, _run_series, hyp2f1, hyp2f1_deriv
+
+
+def profile_g_dt(p, alpha, t):
+    """d/dt of the degree-alpha profile: 2 t F'(t^2)."""
+    return 2.0 * t * hyp2f1_deriv(profile_params(p, alpha), t * t, 1).value
+
+
+def normalization_c(p, r):
+    """Gradient normalization c_{n,k} = 1 / (sqrt(1-t^2) |f'(t)|) at the root."""
+    return 1.0 / (math.sqrt(1.0 - r.s_nk) * abs(profile_g_dt(p, 1.0, r.t_nk)))
 
 
 class TestConeParams:
@@ -54,7 +61,7 @@ class TestProfiles:
 
     def test_case_iv_closed_form(self):
         # f_{7,4}(1/2) = (4 - 5/4) / (4 sqrt(3/4))
-        got = profile_f(ConeParams(7, 4), 0.5)
+        got = profile_g(ConeParams(7, 4), 1.0, 0.5)
         want = (4.0 - 5.0 * 0.25) / (4.0 * math.sqrt(0.75))
         assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -70,7 +77,7 @@ class TestProfiles:
             p = ConeParams(n, n - 3)
             for t in np.linspace(0.0, 0.9, 10):
                 want = ((n - 3) - (n - 2) * t * t) / ((n - 3) * math.sqrt(1 - t * t))
-                assert math.isclose(profile_f(p, float(t)), want,
+                assert math.isclose(profile_g(p, 1.0, float(t)), want,
                                     rel_tol=1e-10, abs_tol=1e-12)
 
     def test_f71_printed_closed_form(self):
@@ -80,7 +87,7 @@ class TestProfiles:
             want = (-15.0 / 8.0 * t * math.atanh(t)
                     + (15.0 / 8.0 * t ** 4 - 25.0 / 8.0 * t ** 2 + 1.0)
                     / (1.0 - t * t) ** 2)
-            assert math.isclose(profile_f(p, float(t)), want, rel_tol=1e-10)
+            assert math.isclose(profile_g(p, 1.0, float(t)), want, rel_tol=1e-10)
 
     def test_f81_printed_closed_form(self):
         # (1-t^2)^(-5/2) (1 - 6 t^2 + 8 t^4 - 16/5 t^6)
@@ -88,7 +95,7 @@ class TestProfiles:
         for t in np.linspace(0.0, 0.9, 15):
             want = (1.0 - t * t) ** -2.5 * (1.0 - 6.0 * t ** 2 + 8.0 * t ** 4
                                             - 3.2 * t ** 6)
-            assert math.isclose(profile_f(p, float(t)), want,
+            assert math.isclose(profile_g(p, 1.0, float(t)), want,
                                 rel_tol=1e-10, abs_tol=1e-12)
 
     def test_k1_reduction_of_order_integral(self):
@@ -104,7 +111,7 @@ class TestProfiles:
                 # d/dt [f/t] = -t^-2 (1-t^2)^(-(n-1)/2) follows from the ODE;
                 # integrate it between two points and compare
                 t2 = t + 0.2
-                lhs = profile_f(p, t2) / t2 - profile_f(p, t) / t
+                lhs = profile_g(p, 1.0, t2) / t2 - profile_g(p, 1.0, t) / t
                 rhs = quad(lambda s: -s ** -2 * (1 - s * s) ** (-(n - 1) / 2.0),
                            t, t2, epsabs=1e-13, epsrel=1e-12)[0]
                 assert math.isclose(lhs, rhs, rel_tol=1e-8)
@@ -162,7 +169,7 @@ class TestFindRoot:
         for (n, k) in [(7, 2), (10, 6), (15, 13)]:
             p = ConeParams(n, k)
             ts = np.linspace(1e-3, 1.0 - 1e-6, 1000)
-            vals = np.array([profile_f(p, float(t)) for t in ts])
+            vals = np.array([profile_g(p, 1.0, float(t)) for t in ts])
             signs = np.sign(vals)
             assert int(np.sum(signs[1:] * signs[:-1] < 0)) == 1
             # strictly decreasing along the sampled grid
@@ -172,7 +179,7 @@ class TestFindRoot:
         for (n, k) in [(7, 1), (9, 4), (14, 9), (30, 20)]:
             p = ConeParams(n, k)
             for t in np.linspace(0.01, 0.95, 100):
-                assert profile_f(p, float(t)) <= cubic_bound(p, float(t)) + 1e-13
+                assert profile_g(p, 1.0, float(t)) <= cubic_bound(p, float(t)) + 1e-13
 
     def test_cubic_root_closed_form(self):
         # the real root in (0, 1] of 1 - a s - b s^2 - c s^3, or None where
@@ -204,7 +211,6 @@ class TestFindRoot:
             return wrapper
 
         monkeypatch.setattr(conelab.cone, "hyp2f1", counted(hyp2f1))
-        monkeypatch.setattr(conelab.cone, "hyp2f1_deriv", counted(hyp2f1_deriv))
         worst = (0, (0, 0))
         for n in range(3, 41):
             for k in range(1, n - 1):
@@ -236,7 +242,7 @@ class TestNormalizationAndBoundary:
         p = ConeParams(8, 5)
         r = find_root(p)
         c = normalization_c(p, r)
-        f = profile_f(p, r.t_nk)
+        f = profile_g(p, 1.0, r.t_nk)
         fp = profile_g_dt(p, 1.0, r.t_nk)
         grad2 = c * c * (f * f + (1.0 - r.s_nk) * fp * fp)
         assert abs(grad2 - 1.0) <= 1e-10
@@ -246,7 +252,7 @@ class TestNormalizationAndBoundary:
         r = find_root(p)
         fp = profile_g_dt(p, 1.0, r.t_nk)
         h = 1e-6
-        fd = (profile_f(p, r.t_nk + h) - profile_f(p, r.t_nk - h)) / (2.0 * h)
+        fd = (profile_g(p, 1.0, r.t_nk + h) - profile_g(p, 1.0, r.t_nk - h)) / (2.0 * h)
         assert math.isclose(fp, fd, rel_tol=1e-7)
 
     def test_case_iv_boundary_values(self):
@@ -328,7 +334,7 @@ class TestMarginsAndVerdicts:
         rep = verdict(p, r)
         assert rep.link_H > 0.0
         assert math.isclose(rep.lhs - rep.rhs, rep.margin, rel_tol=1e-12)
-        adm = admissible_interval(p, r)
+        adm = indicial_roots(lambda1_root(p, r)[0], p.n)
         assert adm is not None
         lo, hi = adm
         assert abs(lo + hi - (2.0 - 7.0)) < 1e-8
@@ -390,38 +396,39 @@ class TestAdmissibleInterval:
         # endpoints solve alpha(alpha + n - 2) = lambda1; frozen from the
         # spectral dual computed independently (lambda1 = -5.6984022):
         p = ConeParams(7, 1)
-        lo, hi = admissible_interval(p, find_root(p))
+        lo, hi = indicial_roots(lambda1_root(p, find_root(p))[0], p.n)
         assert abs(hi - (-1.7573037)) < 1e-6
         assert abs(lo - (-3.2426963)) < 1e-6
 
     def test_empty_for_unstable(self):
         for p in (ConeParams(5, 2), ConeParams(6, 3)):
-            assert admissible_interval(p, find_root(p)) is None
+            assert indicial_roots(lambda1_root(p, find_root(p))[0], p.n) is None
 
     def test_contains_4_minus_n(self):
         for (n, k) in [(7, 2), (9, 5), (12, 7), (15, 1)]:
             p = ConeParams(n, k)
-            lo, hi = admissible_interval(p, find_root(p))
+            lo, hi = indicial_roots(lambda1_root(p, find_root(p))[0], p.n)
             assert lo < 4.0 - n < hi
 
     def test_margin_sign_inside_outside(self):
         p = ConeParams(8, 3)
         r = find_root(p)
-        lo, hi = admissible_interval(p, r)
+        lo, hi = indicial_roots(lambda1_root(p, r)[0], p.n)
         assert stability_margin(p, 0.5 * (lo + hi), r) > 0.0
         assert stability_margin(p, hi + 0.05, r) < 0.0
         assert stability_margin(p, lo - 0.05, r) < 0.0
 
 
 class TestHomogeneous:
+    # the homogeneous solution scale * rho^alpha * g_{n,k,alpha}(t)
     def test_axis_value(self):
         p = ConeParams(9, 4)
-        assert eval_homogeneous(p, 4.0 - 9.0, 1.0, 1.0, 0.0) == 1.0
+        assert 1.0 ** (4.0 - 9.0) * profile_g(p, 4.0 - 9.0, 0.0) == 1.0
 
     def test_dilation_exactness(self):
         p = ConeParams(9, 4)
-        v1 = eval_homogeneous(p, -5.0, 1.3, 2.0, 0.3)
-        v0 = eval_homogeneous(p, -5.0, 1.3, 1.0, 0.3)
+        v1 = 1.3 * 2.0 ** -5.0 * profile_g(p, -5.0, 0.3)
+        v0 = 1.3 * 1.0 ** -5.0 * profile_g(p, -5.0, 0.3)
         assert math.isclose(v1 / v0, 2.0 ** -5.0, rel_tol=1e-14)
 
     def test_polar_laplacian_residual(self):
@@ -435,7 +442,7 @@ class TestHomogeneous:
             h = 1e-5
 
             def u(rr, tt):
-                return eval_homogeneous(p, alpha, 1.0, rr, tt)
+                return rr ** alpha * profile_g(p, alpha, tt)
 
             u_rr = (u(rho + h, t) - 2 * u(rho, t) + u(rho - h, t)) / h ** 2
             u_r = (u(rho + h, t) - u(rho - h, t)) / (2 * h)
@@ -447,6 +454,8 @@ class TestHomogeneous:
             worst = max(worst, abs(lap) / max(1.0, abs(u(rho, t))))
         assert worst <= 1e-5  # FD-limited; the analytic residual is ~1e-13
 
-    def test_rho_domain(self):
-        with pytest.raises(ValueError):
-            eval_homogeneous(ConeParams(7, 1), 1.0, 1.0, 0.0, 0.3)
+    def test_t_domain(self):
+        # the solution lives on 0 <= t < 1; profile_g rejects the rest
+        for t in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                profile_g(ConeParams(7, 1), 1.0, t)

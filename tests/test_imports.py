@@ -5,7 +5,8 @@ from another conelab module, and every `from conelab.X import name` names
 something that X defines rather than re-exports.  __init__.py imports only
 to re-export, and `from __future__` imports are compiler directives, so
 both are exempt from the second rule, and __init__.py from the fourth;
-_backend's choice of kernel module is exempt from the third."""
+_backend's choice of kernel module is exempt from the third.  Every name
+in a module's __all__ is used by the library outside __init__.py."""
 
 import ast
 import sys
@@ -89,3 +90,20 @@ def test_names_imported_from_their_definition(path):
                       for alias in node.names
                       if alias.name not in _defined(_tree(SRC / f"{node.module[8:]}.py")))
     assert not borrowed, f"{path.name} imports {borrowed} from modules that do not define them"
+
+
+def test_exported_names_are_used_by_the_library():
+    # no helper that only tests call: loaded as a name or read as an attribute
+    trees = {p.name: _tree(p) for p in MODULES if p.name != "__init__.py"}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(f"{module}:{elt.value}" for module, tree in trees.items()
+                    for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in node.value.elts if elt.value not in used)
+    assert not unused, f"exported but never used by the library: {unused}"

@@ -17,9 +17,29 @@ from conelab.riccati import (
     barrier_phi,
     check_4_minus_n,
     linear_root_relation,
-    p_poly_roots_in_unit,
     verify_barrier,
 )
+
+
+def p_poly_roots_in_unit(p, ahat):
+    """Roots of P in the open interval (0, 1), sorted; 0, 1 or 2 of them."""
+    # -ahat s^2 + (n - 2k + ahat) s + (k-1) = 0
+    a2 = -ahat
+    a1 = p.n - 2.0 * p.k + ahat
+    a0 = p.k - 1.0
+    if a2 == 0.0:
+        roots = [] if a1 == 0.0 else [-a0 / a1]
+    else:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            roots = []
+        else:
+            sq = math.sqrt(disc)
+            # numerically stable pairing of the quadratic roots
+            qq = -0.5 * (a1 + math.copysign(sq, a1))
+            roots = sorted({qq / a2 if qq != 0.0 else 0.0,
+                            a0 / qq if qq != 0.0 else 0.0})
+    return tuple(r for r in roots if 0.0 < r < 1.0)
 
 
 class TestLEval:

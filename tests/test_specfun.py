@@ -14,13 +14,13 @@ from conelab.specfun import (
     EvalResult,
     HypParams,
     Strategy,
+    _pochhammer,
     digamma,
     hyp2f1,
     hyp2f1_deriv,
     hyp2f1_integral,
     hyp2f1_pair,
     laplace_quad,
-    pochhammer,
 )
 
 EULER_GAMMA = 0.5772156649015328606
@@ -28,21 +28,21 @@ EULER_GAMMA = 0.5772156649015328606
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert pochhammer(5.0, 0) == 1.0
+        assert _pochhammer(5.0, 0)[0] == 1.0
 
     def test_half_negative(self):
-        assert pochhammer(-0.5, 2) == -0.25
+        assert _pochhammer(-0.5, 2)[0] == -0.25
 
     def test_integer(self):
-        assert pochhammer(3.0, 3) == 60.0
+        assert _pochhammer(3.0, 3)[0] == 60.0
 
     def test_zero_factor(self):
-        assert pochhammer(-2.0, 5) == 0.0
+        assert _pochhammer(-2.0, 5)[0] == 0.0
 
     def test_large_m_log_space(self):
         # (0.5)_160 = Gamma(160.5)/Gamma(0.5), compare in log space
         from scipy.special import gammaln
-        got = pochhammer(0.5, 160)
+        got = _pochhammer(0.5, 160)[0]
         want_log = gammaln(160.5) - gammaln(0.5)
         assert math.isclose(math.log(got), want_log, rel_tol=1e-12)
 
@@ -50,15 +50,15 @@ class TestPochhammer:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             want = mpmath.rf(mpmath.mpf(0.5), 160)
-            assert abs(pochhammer(0.5, 160) - want) <= 1e-15 * abs(want)
+            assert abs(_pochhammer(0.5, 160)[0] - want) <= 1e-15 * abs(want)
 
     def test_zero_factor_after_overflow(self):
         # the partial product overflows before the factor 0 is reached
-        assert pochhammer(-300.0, 301) == 0.0
+        assert _pochhammer(-300.0, 301)[0] == 0.0
 
     def test_overflow_saturates(self):
-        assert pochhammer(1.5, 300) == math.inf
-        assert pochhammer(-0.5, 301) == -math.inf
+        assert _pochhammer(1.5, 300)[0] == math.inf
+        assert _pochhammer(-0.5, 301)[0] == -math.inf
 
     def test_subnormal_rounding_bound_positive(self):
         # the bound every product adds for subnormal rounding must not be 0
@@ -66,7 +66,7 @@ class TestPochhammer:
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
+            _pochhammer(1.0, -1)
 
 
 class TestDigamma:

@@ -1,6 +1,6 @@
-"""Link spectrum tests: shooting solver, eigenvalue search, the first
-eigenvalue from the margin root, indicial roots, the finite-difference
-oracle, and the family scan."""
+"""Link spectrum tests: the shooting and finite-difference oracles of
+oracles.py, the first eigenvalue from the margin root against them,
+indicial roots, and the family scan."""
 
 import math
 import sys
@@ -19,15 +19,9 @@ from conelab.cone import (
     stability_margin,
     verdict,
 )
-from conelab.errors import BracketExhausted, NonConvergenceError
-from conelab.spectrum import (
-    Mode,
-    family_scan,
-    fd_oracle_lambda1,
-    find_eigenvalue,
-    first_eigenvalue,
-    shoot,
-)
+from conelab.errors import BracketFailure, NonConvergenceError
+from conelab.spectrum import Mode, family_scan, first_eigenvalue
+from oracles import _fd_matrix, _lowest_eigenvalue, fd_oracle_lambda1, find_eigenvalue, shoot
 
 
 class TestShoot:
@@ -124,7 +118,7 @@ class TestFindEigenvalue:
         # eigenvalues grow like index^2; two widenings from the default
         # bracket cannot reach the 50th one
         p = ConeParams(7, 1)
-        with pytest.raises(BracketExhausted, match="above lambda=3684.0"):
+        with pytest.raises(BracketFailure, match="above lambda=3684.0"):
             find_eigenvalue(p, find_root(p), index=50)
 
     def test_shot_budget(self, monkeypatch):
@@ -148,7 +142,7 @@ class TestFindEigenvalue:
         def jumping_shoot(pars, root, lam, *rest):
             return rhs + (1e-6 if lam < -5.0 else -1e-6), 0
 
-        monkeypatch.setattr("conelab.spectrum.shoot", jumping_shoot)
+        monkeypatch.setattr("oracles.shoot", jumping_shoot)
         with pytest.raises(NonConvergenceError,
                            match=r"mode \(0,0\) at \(n,k\)=\(7,1\).*1\.000e-06"):
             find_eigenvalue(p, root)
@@ -297,11 +291,11 @@ class TestFdOracle:
         np = pytest.importorskip("numpy")
         linalg = pytest.importorskip("scipy.linalg")
         p = ConeParams(n, k)
-        d, e = spectrum._fd_matrix(p, find_root(p), mode, grid_n)
+        d, e = _fd_matrix(p, find_root(p), mode, grid_n)
         want = linalg.eigh_tridiagonal(np.array(d), np.array(e), select="i",
                                        select_range=(0, 0), eigvals_only=True,
                                        tol=1e-300)[0]
-        assert abs(spectrum._lowest_eigenvalue(d, e) - want) <= 1e-12 * abs(want)
+        assert abs(_lowest_eigenvalue(d, e) - want) <= 1e-12 * abs(want)
 
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
