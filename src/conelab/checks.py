@@ -157,7 +157,7 @@ def riccati_suite() -> List[CheckRecord]:
     # (logarithmic at d = 2), so the 1e-3 window needs d >= 4
     worst = 0.0
     for (n, k, alpha) in [(7, 3, -2.5), (10, 5, -4.0), (13, 9, -6.0), (9, 1, -3.5)]:
-        val = L_direct(ConeParams(n, k), alpha, 1.0 - 1e-6)
+        val = L_direct(ConeParams(n, k), alpha, (1.0 - 1e-6,))[0]
         worst = max(worst, abs(val + 1.0))
     out.append(_rec("riccati", "limit_at_one",
                     worst <= 1e-3, f"max |L(1-1e-6) + 1| = {worst:.3e} (tol 1e-3)"))
@@ -169,7 +169,7 @@ def riccati_suite() -> List[CheckRecord]:
         k = rng.randrange(1, n - 1)
         alpha = rng.uniform(2.0 - n + 0.3, -0.3)
         pars = ConeParams(n, k)
-        vals = [L_direct(pars, alpha, s) for s in _linspace(1e-4, 0.999, 250)]
+        vals = L_direct(pars, alpha, _linspace(1e-4, 0.999, 250))
         changes = sum((a < 0.0 < b) or (b < 0.0 < a) for a, b in zip(vals, vals[1:]))
         ok = ok and changes <= 1
     out.append(_rec("riccati", "at_most_one_sign_change",
@@ -177,13 +177,14 @@ def riccati_suite() -> List[CheckRecord]:
 
     # quadratic ODE residual of Direct values with finite-difference L'
     worst = 0.0
+    h = 1e-5
     for (n, k, alpha) in [(8, 4, -3.0), (11, 6, -5.0), (15, 13, -7.5)]:
         pars = ConeParams(n, k)
         ah = riccati.alpha_hat(pars, alpha)
-        for s in _linspace(0.05, 0.85, 20):
-            h = 1e-5
-            lp = (L_direct(pars, alpha, s + h) - L_direct(pars, alpha, s - h)) / (2 * h)
-            L = L_direct(pars, alpha, s)
+        grid = _linspace(0.05, 0.85, 20)
+        vals = L_direct(pars, alpha, [x for s in grid for x in (s + h, s - h, s)])
+        for s, L_plus, L_minus, L in zip(grid, vals[::3], vals[1::3], vals[2::3]):
+            lp = (L_plus - L_minus) / (2 * h)
             res = (2.0 * s * (1.0 - s) * lp + L * L + (n * s - k) * L
                    + riccati.P_poly(pars, ah, s))
             scale = max(1.0, abs(L * L), abs((n * s - k) * L))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from conelab.errors import BracketFailure, PoleEncounteredError
 from conelab.specfun import HypParams, hyp2f1, hyp2f1_pair, hyp2f1_sym
@@ -90,18 +90,26 @@ def profile_params(p: ConeParams, alpha: float) -> HypParams:
     return HypParams((p.n + alpha - 2.0) / 2.0, -alpha / 2.0, p.k / 2.0)
 
 
-def L_direct(p: ConeParams, alpha: float, s: float) -> float:
-    """L(s) from the hypergeometric profile: 2s(1-s) F'/F - (n-2)s + (k-1),
-    with F and F' from one hyp2f1_pair call."""
-    if not s < 1.0:
+def L_direct(p: ConeParams, alpha: float, ss: Sequence[float]) -> List[float]:
+    """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) at each s of the grid ss, with
+    F and F' of the degree-alpha profile from one hyp2f1_pair call over the
+    points other than s = 0, where L = k-1 exactly.  Raises ValueError when
+    some s is not below 1, and PoleEncounteredError at the first s where
+    the profile is not positive."""
+    if not all(s < 1.0 for s in ss):
         raise ValueError("s must be below 1")
-    if s == 0.0:
-        return float(p.k - 1)
-    F, Fp = hyp2f1_pair(profile_params(p, alpha), s)
-    if not F.value > 0.0:
-        raise PoleEncounteredError(
-            f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-    return _link_L(p, s, F.value, Fp.value)
+    pairs = iter(hyp2f1_pair(profile_params(p, alpha), [s for s in ss if s != 0.0]))
+    out = []
+    for s in ss:
+        if s == 0.0:
+            out.append(float(p.k - 1))
+            continue
+        F, Fp = next(pairs)
+        if not F.value > 0.0:
+            raise PoleEncounteredError(
+                f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
+        out.append(_link_L(p, s, F.value, Fp.value))
+    return out
 
 
 def _link_L(p: ConeParams, s: float, F: float, Fp: float) -> float:
@@ -227,7 +235,7 @@ def boundary_rhs(p: ConeParams, r: RootResult) -> Tuple[float, float]:
 def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
     """g'_alpha/g_alpha - rhs at the root, which is L(s_nk) / (t (1 - t^2));
     positive exactly on the admissible interval."""
-    return L_direct(p, alpha, r.s_nk) / (r.t_nk * (1.0 - r.s_nk))
+    return L_direct(p, alpha, (r.s_nk,))[0] / (r.t_nk * (1.0 - r.s_nk))
 
 
 def indicial_roots(lam: float, n: int) -> Optional[Tuple[float, float]]:

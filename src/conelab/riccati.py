@@ -80,7 +80,7 @@ def L_cross_check(p: ConeParams, alpha: float, s: float) -> RiccatiTrace:
         raise ValueError("s must be below 1")
     s_end = min(s, ODE_S_MAX)
     grid = [s_end * i / (CROSS_CHECK_POINTS - 1) for i in range(CROSS_CHECK_POINTS)]
-    direct = [L_direct(p, alpha, g) for g in grid]
+    direct = L_direct(p, alpha, grid)
     ode = _L_ode_trace(p, alpha, grid)
     disc = max(abs(a - b) for a, b in zip(direct, ode))
     return RiccatiTrace(alpha_hat=alpha_hat(p, alpha), grid=tuple(grid),
@@ -201,29 +201,32 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     B_const = -(spec.roots[0] + spec.roots[1])
     C_const = spec.roots[0] * spec.roots[1]
 
-    def cheb(lo: float, hi: float, m: int) -> List[float]:
-        return [lo + (hi - lo) * 0.5 * (1.0 - math.cos(math.pi * j / (m - 1)))
-                for j in range(m)]
+    def cheb(lo: float, hi: float, js) -> List[float]:
+        """Points j of the BARRIER_GRID-point Chebyshev grid of [lo, hi]."""
+        return [lo + (hi - lo) * 0.5 * (1.0 - math.cos(math.pi * j / (BARRIER_GRID - 1)))
+                for j in js]
 
     alpha = 4.0 - p.n
 
     # The residual vanishes identically at s = 0, and at s = s_star in the
     # refined variant (terminal condition), so both grids stay strictly
     # inside those endpoints.
-    # linear piece: R[phi] telescopes to 2 s (k - n + 4) exactly
-    lin = cheb(k / n * 1e-9, k / n * (1.0 - 1e-12), BARRIER_GRID)
-    res_lin = max(2.0 * s * (k - n + 4.0) for s in lin)
+    # linear piece: R[phi] telescopes to 2 s (k - n + 4) exactly, which is
+    # monotone in s, so its largest value on the grid is at an end
+    lin_lo, lin_hi = k / n * 1e-9, k / n * (1.0 - 1e-12)
+    res_lin = max(2.0 * s * (k - n + 4.0) for s in cheb(lin_lo, lin_hi, (0, BARRIER_GRID - 1)))
     # curved piece: R[phi] = (ns - k - B) phi + (P(s) - C)
-    cur = cheb(k / n, s_star - (s_star - k / n) * 1e-9, BARRIER_GRID)
+    cur = cheb(k / n, s_star - (s_star - k / n) * 1e-9, range(BARRIER_GRID))
     res_cur = max((n * s - k - B_const) * phi(s) + P_poly(p, 2.0 * (4.0 - n), s) - C_const
                   for s in cur)
 
     jump_left = 4.0 * k / n - 1.0
     jump_right = phi(k / n)
 
-    sample = lin[:: BARRIER_GRID // 64] + cur[:: BARRIER_GRID // 64]
-    l_minus_phi = min(L_direct(p, alpha, s) - phi(s) for s in sample)
-    L_star = L_direct(p, alpha, s_star)
+    step = BARRIER_GRID // 64
+    sample = cheb(lin_lo, lin_hi, range(0, BARRIER_GRID, step)) + cur[::step]
+    *L_sample, L_star = L_direct(p, alpha, sample + [s_star])
+    l_minus_phi = min(L - phi(s) for s, L in zip(sample, L_sample))
 
     comparison_passed = (res_lin < 0.0 and res_cur < 0.0
                          and l_minus_phi >= -1e-9 and L_star > 0.0)
@@ -243,5 +246,5 @@ def check_4_minus_n(p: ConeParams, r: RootResult) -> Tuple[bool, Optional[float]
     is f itself, so L has a pole at the root: (False, None) is returned."""
     if p.n == 3:
         return False, None
-    margin = L_direct(p, 4.0 - p.n, r.s_nk)
+    margin = L_direct(p, 4.0 - p.n, (r.s_nk,))[0]
     return margin > 0.0, margin

@@ -12,10 +12,12 @@ Evaluation strategy for 2F1(a, b; c; s) on s in (-1, 1]:
   Stegun 15.3.10-15.3.12) when it is.
 
 Derivatives come from the parameter shift F' = ab/c F(a+1, b+1; c+1; s)
-(hyp2f1_deriv).  hyp2f1_pair returns F and F' together, equal to the two
-separate calls; where both are direct series it sums them without the
-second call's wrapper, which is most of the cost of a profile's
-log-derivative.
+(hyp2f1_deriv).  hyp2f1_pair returns F and F' at every point of a grid of
+s, equal to the two separate calls at each point; the work that does not
+depend on s (shifted parameters, prefactor, error growth) is done once
+per grid, and where both are direct series the two kernel calls are made
+without the separate calls' wrappers, which are most of the cost of a
+profile's log-derivative.
 
 Every err_estimate is a first-order bound on the rounding, truncation
 and parameter-rounding error of the value it comes with.  All routines
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from conelab._backend import hyp2f1_series as _series_kernel
 from conelab.errors import DomainError, NonConvergenceError, PoleError
@@ -70,8 +72,7 @@ MAX_TERMS = 40000
 SWITCH_POINT = 0.5
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: float
     err_estimate: float
     terms_used: int
@@ -205,20 +206,25 @@ def _safe_pow(base: float, expo: float) -> float:
     return math.exp(lg)
 
 
-def _run_series(a: float, b: float, c: float, s: float,
-                dp=(0.0, 0.0, 0.0), max_terms: Optional[int] = None):
-    """hyp2f1_series, its error bound grown for parameters p = a, b, c
-    that lie up to dp from the intended ones: a term of index m moves by at
-    most m |term| max_j dp / |p + j|, and the kernel's bound already
-    exceeds 8 * 2^-53 * sum m |term|."""
-    budget = MAX_TERMS if max_terms is None else max_terms
-    value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, budget)
+def _err_growth(a: float, b: float, c: float, dp) -> float:
+    """Factor on a series' error bound for parameters p = a, b, c that lie
+    up to dp from the intended ones: a term of index m moves by at most
+    m |term| max_j dp / |p + j|, and the kernel's bound already exceeds
+    8 * 2^-53 * sum m |term|."""
     grow = 0.0
     for p, d in zip((a, b, c), dp):
         if d > 0.0:
             gap = p if p > 0.0 else abs(p - round(p))
             grow += d / gap if gap > 0.0 else math.inf
-    return value, err * (1.0 + grow / (8.0 * _U)), terms, ok
+    return 1.0 + grow / (8.0 * _U)
+
+
+def _run_series(a: float, b: float, c: float, s: float,
+                dp=(0.0, 0.0, 0.0), max_terms: Optional[int] = None):
+    """hyp2f1_series, its error bound grown by _err_growth."""
+    budget = MAX_TERMS if max_terms is None else max_terms
+    value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, budget)
+    return value, err * _err_growth(a, b, c, dp), terms, ok
 
 
 def _gauss_at_one(a: float, b: float, c: float, dp) -> Tuple[float, float]:
@@ -507,27 +513,39 @@ def _times_prefactor(pref: float, pref_err: float, value: float, err: float,
                       terms, strategy)
 
 
-def hyp2f1_pair(p: HypParams, s: float) -> Tuple[EvalResult, EvalResult]:
-    """(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)), equal field for field.
+def hyp2f1_pair(p: HypParams, ss: Sequence[float]) -> List[Tuple[EvalResult, EvalResult]]:
+    """[(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)) for s in ss], equal field for
+    field; for finite parameters it raises what the first failing point
+    raises.
 
-    When both F and the shifted series of F' are direct series, their two
-    kernel calls are made here, without the wrappers' second routing,
-    shifted HypParams or intermediate results; any other route, and a
-    series that exhausts its budget, is left to the two functions."""
+    The shifted parameters, the prefactor of F' and the growth of its
+    error bound are worked out once for the grid.  At a point where both F
+    and the shifted series of F' are direct series, their two kernel calls
+    are made here, without the separate calls' routing and intermediate
+    results; any other route, and a series that exhausts its budget, is
+    left to the two functions."""
     a, b, c = p.a, p.b, p.c
+    a1, b1, c1 = a + 1.0, b + 1.0, c + 1.0
+    pref, pref_err, dp = _shift_prefactor(a, b, c, 1)
+    growth1 = _err_growth(a1, b1, c1, dp)
     # a or b zero is hyp2f1_deriv's F' = 0 shortcut
-    if 0.0 < abs(s) < 1.0 and a != 0.0 and b != 0.0:
-        budget = _direct_budget(a, b, c, s)
-        budget1 = _direct_budget(a + 1.0, b + 1.0, c + 1.0, s)
-        if budget is not None and budget1 is not None:
-            value, err, terms, ok = _run_series(a, b, c, s, max_terms=budget)
-            pref, pref_err, dp = _shift_prefactor(a, b, c, 1)
-            value1, err1, terms1, ok1 = _run_series(a + 1.0, b + 1.0, c + 1.0, s, dp, budget1)
-            if ok and ok1:
-                return (EvalResult(value, err, terms, Strategy.DIRECT_SERIES),
-                        _times_prefactor(pref, pref_err, value1, err1, terms1,
-                                         Strategy.DIRECT_SERIES))
-    return hyp2f1(p, s), hyp2f1_deriv(p, s, 1)
+    direct = a != 0.0 and b != 0.0
+    out = []
+    for s in ss:
+        if direct and 0.0 < abs(s) < 1.0:
+            budget = _direct_budget(a, b, c, s)
+            budget1 = _direct_budget(a1, b1, c1, s)
+            if budget is not None and budget1 is not None:
+                value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, budget)
+                value1, err1, terms1, ok1 = _series_kernel(a1, b1, c1, s, REL_TOL, ABS_TOL,
+                                                           budget1)
+                if ok and ok1:
+                    out.append((EvalResult(value, err, terms, Strategy.DIRECT_SERIES),
+                                _times_prefactor(pref, pref_err, value1, err1 * growth1,
+                                                 terms1, Strategy.DIRECT_SERIES)))
+                    continue
+        out.append((hyp2f1(p, s), hyp2f1_deriv(p, s, 1)))
+    return out
 
 
 def hyp2f1_sym(sigma: float, prod: float, c: float, s: float) -> Tuple[EvalResult, EvalResult]:

@@ -1,12 +1,19 @@
-"""Battery plumbing tests: every suite passes on a healthy build, and the
-verify command propagates failures into its exit code."""
+"""Battery plumbing tests: every suite passes on a healthy build and
+reports the golden records, and the verify command propagates failures
+into its exit code."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conelab import checks
 from conelab.checks import CheckRecord, run_suites
+
+# (name, passed, detail) of every record, per suite, as `verify` reported
+# them when the file was written; a change that moves any of them must
+# regenerate the file and explain why
+GOLDEN = Path(__file__).parent / "data" / "verify_records.json"
 
 
 @pytest.mark.parametrize("suite", ["specfun", "riccati", "lemmas", "barriers"])
@@ -15,6 +22,8 @@ def test_suite_green(suite):
     assert records
     failures = [r for r in records if not r.passed]
     assert not failures, [f"{r.name}: {r.detail}" for r in failures]
+    golden = json.loads(GOLDEN.read_text())[suite]
+    assert [[r.name, r.passed, r.detail] for r in records] == golden
 
 
 def test_records_carry_suite_names():

@@ -320,7 +320,7 @@ class TestMarginsAndVerdicts:
         p = ConeParams(7, 2)
         assert hyp2f1(profile_params(p, -7.0), 0.5).value == pytest.approx(-0.75)
         with pytest.raises(PoleEncounteredError):
-            L_direct(p, -7.0, 0.5)
+            L_direct(p, -7.0, (0.5,))
 
     def test_verdict_examples(self):
         for (n, k, want) in [(6, 1, Verdict.UNSTABLE), (7, 1, Verdict.STRICTLY_STABLE),
@@ -372,8 +372,25 @@ class TestLDirectPair:
     def test_direct_point_sums_two_series(self, monkeypatch):
         calls = self._spy_all(monkeypatch)
         # frozen from L computed with separate hyp2f1 and hyp2f1_deriv calls
-        assert L_direct(self.P, self.ALPHA, 0.3) == 274.2043415340087
+        assert L_direct(self.P, self.ALPHA, (0.3,)) == [274.2043415340087]
         assert calls == ["hyp2f1_series", "hyp2f1_series"]
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_direct_grid_shares_prefactor(self, monkeypatch, m):
+        # per grid: one prefactor of F'; per direct point: two kernel calls
+        ss = [0.05 * (j + 1) for j in range(m)]
+        want = [L_direct(self.P, self.ALPHA, (s,))[0] for s in ss]
+        calls = _spy(monkeypatch, conelab._backend.hyp2f1_series, specfun.hyp2f1,
+                     specfun.hyp2f1_deriv, specfun._shift_prefactor)
+        assert L_direct(self.P, self.ALPHA, ss) == want
+        assert sorted(calls) == ["_shift_prefactor"] + ["hyp2f1_series"] * (2 * m)
+
+    def test_grid_equals_points(self):
+        # s = 0 (no 2F1), the direct window and the Euler transform in one grid
+        ss = (0.3, 0.0, 0.7, 0.99276387818866, 0.0, 0.1)
+        assert L_direct(self.P, self.ALPHA, ss) == [
+            L_direct(self.P, self.ALPHA, (s,))[0] for s in ss]
+        assert L_direct(self.P, self.ALPHA, ()) == []
 
     @pytest.mark.parametrize("s, want", [(0.7, 115.82341137123751),
                                          (0.99276387818866, 0.6865538506480675)])
@@ -381,14 +398,19 @@ class TestLDirectPair:
         # d = 6 beyond the switch point, s_star included: both F and F'
         # take the Euler transform, through hyp2f1 and hyp2f1_deriv
         assert hyp2f1(profile_params(self.P, self.ALPHA), s).strategy is Strategy.EULER_TRANSFORM
-        assert L_direct(self.P, self.ALPHA, s) == want
+        assert L_direct(self.P, self.ALPHA, (s,)) == [want]
 
     def test_pole_on_direct_route(self, monkeypatch):
         # F = 1 - 3.5 s < 0 at s = 0.5 for (7, 2), alpha = -7
         calls = self._spy_all(monkeypatch)
         with pytest.raises(PoleEncounteredError):
-            L_direct(ConeParams(7, 2), -7.0, 0.5)
+            L_direct(ConeParams(7, 2), -7.0, (0.5,))
         assert calls == ["hyp2f1_series", "hyp2f1_series"]
+
+    def test_pole_names_its_point(self):
+        # F = 1 - 3.5 s is positive at s = 0.2 and negative at s = 0.5
+        with pytest.raises(PoleEncounteredError, match=r"before s=0\.5 "):
+            L_direct(ConeParams(7, 2), -7.0, (0.2, 0.5, 0.1))
 
 
 class TestAdmissibleInterval:

@@ -45,12 +45,12 @@ def p_poly_roots_in_unit(p, ahat):
 class TestLEval:
     def test_initial_value(self):
         for (n, k) in [(7, 1), (9, 4), (12, 10)]:
-            assert L_direct(ConeParams(n, k), -3.0, 0.0) == float(k - 1)
+            assert L_direct(ConeParams(n, k), -3.0, (0.0,)) == [float(k - 1)]
 
     def test_limit_at_one(self):
         # approach rate is (1-s)^((d-2)/2); d >= 4 here
         for (n, k, alpha) in [(9, 4, -3.0), (12, 5, -6.0)]:
-            v = L_direct(ConeParams(n, k), alpha, 1.0 - 1e-6)
+            v = L_direct(ConeParams(n, k), alpha, (1.0 - 1e-6,))[0]
             assert abs(v + 1.0) < 1e-3
 
     def test_subsolution_margins_seven(self):
@@ -89,9 +89,10 @@ class TestLEval:
         assert calls[-1][1] == math.sqrt(tr.grid[-1])
 
     def test_s_domain(self):
-        for L in (L_direct, L_cross_check):
-            with pytest.raises(ValueError):
-                L(ConeParams(7, 2), -2.0, 1.0)
+        with pytest.raises(ValueError):
+            L_cross_check(ConeParams(7, 2), -2.0, 1.0)
+        with pytest.raises(ValueError):
+            L_direct(ConeParams(7, 2), -2.0, (0.5, 1.0))
 
     def test_cross_mode_random_draws(self):
         rng = np.random.default_rng(5)
@@ -111,8 +112,7 @@ class TestLEval:
             k = int(rng.integers(1, n - 1))
             alpha = rng.uniform(2.0 - n + 0.3, -0.3)
             pars = ConeParams(n, k)
-            vals = [L_direct(pars, alpha, float(s))
-                    for s in np.linspace(1e-4, 0.999, 220)]
+            vals = L_direct(pars, alpha, [float(s) for s in np.linspace(1e-4, 0.999, 220)])
             signs = np.sign(vals)
             assert int(np.sum(signs[1:] * signs[:-1] < 0)) <= 1
 
@@ -122,8 +122,8 @@ class TestLEval:
         ah = alpha * (alpha + 11 - 2)
         for s in np.linspace(0.05, 0.85, 20):
             h = 1e-5
-            lp = (L_direct(p, alpha, s + h) - L_direct(p, alpha, s - h)) / (2 * h)
-            L = L_direct(p, alpha, s)
+            L_plus, L_minus, L = L_direct(p, alpha, (s + h, s - h, s))
+            lp = (L_plus - L_minus) / (2 * h)
             res = 2 * s * (1 - s) * lp + L * L + (11 * s - 6) * L + P_poly(p, ah, s)
             assert abs(res) <= 1e-6 * max(1.0, L * L)
 

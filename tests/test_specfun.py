@@ -198,34 +198,35 @@ class TestDeriv:
 
 
 def _outcome(call):
-    """What call returns, or the type of the exception it raises."""
+    """What call returns, or the type and message of the exception it raises."""
     try:
         return call()
-    except Exception as exc:  # noqa: BLE001 - the type is what is compared
-        return type(exc)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
 
 
 @st.composite
 def pair_args(draw):
-    """(a, b, c, s) across every route of hyp2f1 and of F''s shifted series:
-    generic, terminating, an Euler block beyond the switch point (c is a
-    multiple of 2^-8, so c - (c + j) is exactly -j), c-a-b an integer or
-    within 1e-9 of one, and s above 0.99."""
+    """(a, b, c, ss) across every route of hyp2f1 and of F''s shifted series:
+    generic or terminating parameters, an Euler block (c is a multiple of
+    2^-8, so c - (c + j) is exactly -j), c-a-b an integer or within 1e-9 of
+    one; the grid ss mixes s = 0, the direct window, beyond the switch
+    point, where the Euler, connection and log routes take over, and s
+    above 0.99."""
     c = draw(st.integers(1, 4096)) / 256.0
     a, b = draw(st.floats(-8.0, 20.0)), draw(st.floats(-8.0, 20.0))
-    s = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
-    route = draw(st.sampled_from(("generic", "terminating", "euler", "log", "near_one")))
+    route = draw(st.sampled_from(("generic", "terminating", "euler", "log")))
     if route == "terminating":
         a = -float(draw(st.integers(0, 6)))
     elif route == "euler":
         a = c + draw(st.integers(0, 2))
-        s = draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
     elif route == "log":
         b = c - a - draw(st.integers(-3, 3)) + draw(st.sampled_from((0.0, 1e-10, -5e-10)))
-        s = draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
-    elif route == "near_one":
-        s = draw(st.floats(0.99, 1.0, exclude_max=True))
-    return a, b, c, s
+    s = st.one_of(st.just(0.0),
+                  st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(0.99, 1.0, exclude_max=True))
+    return a, b, c, draw(st.lists(s, min_size=1, max_size=6))
 
 
 class TestPair:
@@ -234,31 +235,33 @@ class TestPair:
     # L_direct's barrier points of (n, k) = (400, 394) and (400, 380) at
     # alpha = 4 - n: s_star (Euler transform for d = 6, capped direct
     # series for d = 20) and points inside the direct window
-    @example((1.0, 198.0, 197.0, 0.99276387818866))
-    @example((1.0, 198.0, 190.0, 0.9635078105935821))
-    @example((1.0, 198.0, 197.0, 0.3))
-    @example((1.0, 198.0, 197.0, 0.0))
-    @example((0.0, 2.5, 1.5, 0.4))  # F' = 0: hyp2f1_deriv's shortcut
-    @example((-1.0, 3.5, 1.0, 0.5))  # the (7, 2) profile at alpha = -7, where F < 0
-    # domain errors: of F at s = 1 and beyond, of F' alone at s = 1
-    @example((2.0, 1.5, 1.0, 1.0))
-    @example((1.0, 1.0, 2.0, 1.5))
-    @example((0.7, 0.4, 1.9, 1.0))
+    @example((1.0, 198.0, 197.0, [0.99276387818866, 0.3, 0.0, 0.7]))
+    @example((1.0, 198.0, 190.0, [0.9635078105935821]))
+    @example((0.0, 2.5, 1.5, [0.4, 0.0]))  # F' = 0: hyp2f1_deriv's shortcut
+    @example((-1.0, 3.5, 1.0, [0.2, 0.5]))  # the (7, 2) profile at alpha = -7, where F < 0
+    # domain errors: of F at s = 1 and beyond, of F' alone at s = 1, at a
+    # later point of the grid
+    @example((2.0, 1.5, 1.0, [0.3, 1.0, 0.5]))
+    @example((1.0, 1.0, 2.0, [1.5]))
+    @example((0.7, 0.4, 1.9, [0.2, 0.0, 1.0, 1.5]))
     def test_equals_separate_calls(self, args):
         _assert_pair_matches(*args)
 
     @pytest.mark.parametrize("max_terms", [64, 153, 154])
     def test_budget_exhaustion(self, monkeypatch, max_terms):
-        # F needs 153 terms and F''s shifted series 154: both, only F' or
-        # neither exhaust the budget
+        # at s = 0.45 F needs 153 terms and F''s shifted series 154: both,
+        # only F' or neither exhaust the budget, after a point that may not
         monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
-        _assert_pair_matches(30.0, 25.0, 1.5, 0.45)
+        _assert_pair_matches(30.0, 25.0, 1.5, [0.05, 0.45, 0.3])
+
+    def test_empty_grid(self):
+        assert hyp2f1_pair(HypParams(1.0, 2.0, 3.0), []) == []
 
 
-def _assert_pair_matches(a, b, c, s):
+def _assert_pair_matches(a, b, c, ss):
     p = HypParams(a, b, c)
-    want = _outcome(lambda: (hyp2f1(p, s), hyp2f1_deriv(p, s, 1)))
-    assert _outcome(lambda: hyp2f1_pair(p, s)) == want
+    want = _outcome(lambda: [(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)) for s in ss])
+    assert _outcome(lambda: hyp2f1_pair(p, ss)) == want
 
 
 class TestIntegralOracle:
