@@ -92,19 +92,14 @@ def profile_params(p: ConeParams, alpha: float) -> HypParams:
 
 def L_direct(p: ConeParams, alpha: float, ss: Sequence[float]) -> List[float]:
     """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) at each s of the grid ss, with
-    F and F' of the degree-alpha profile from one hyp2f1_pair call over the
-    points other than s = 0, where L = k-1 exactly.  Raises ValueError when
-    some s is not below 1, and PoleEncounteredError at the first s where
-    the profile is not positive."""
+    F and F' of the degree-alpha profile from one hyp2f1_pair call (at
+    s = 0, F = 1 exactly and L = k-1).  Raises ValueError when some s is
+    not below 1, and PoleEncounteredError at the first s where the profile
+    is not positive."""
     if not all(s < 1.0 for s in ss):
         raise ValueError("s must be below 1")
-    pairs = iter(hyp2f1_pair(profile_params(p, alpha), [s for s in ss if s != 0.0]))
     out = []
-    for s in ss:
-        if s == 0.0:
-            out.append(float(p.k - 1))
-            continue
-        F, Fp = next(pairs)
+    for s, (F, Fp) in zip(ss, hyp2f1_pair(profile_params(p, alpha), ss)):
         if not F.value > 0.0:
             raise PoleEncounteredError(
                 f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")

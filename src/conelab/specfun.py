@@ -6,18 +6,17 @@ Evaluation strategy for 2F1(a, b; c; s) on s in (-1, 1]:
 * terminating series (a or b a nonpositive integer): summed directly;
 * s at or below the switch point: direct series with compensated summation;
 * beyond the switch point: a degree-at-most-2 Euler transform when the
-  transformed series terminates that early, otherwise a capped direct
-  attempt, then the 1-s connection formula: DLMF 15.8.4 when c-a-b is
-  not an integer, and its logarithmic limit DLMF 15.8.10 (Abramowitz &
-  Stegun 15.3.10-15.3.12) when it is.
+  transformed series terminates that early, otherwise, up to s = 0.99, a
+  direct attempt capped at 8000 terms, then the 1-s connection formula:
+  DLMF 15.8.4 when c-a-b is not an integer, and its logarithmic limit
+  DLMF 15.8.10 (Abramowitz & Stegun 15.3.10-15.3.12) when it is.
 
 Derivatives come from the parameter shift F' = ab/c F(a+1, b+1; c+1; s)
 (hyp2f1_deriv).  hyp2f1_pair returns F and F' at every point of a grid of
-s, equal to the two separate calls at each point; the work that does not
-depend on s (shifted parameters, prefactor, error growth) is done once
-per grid, and where both are direct series the two kernel calls are made
-without the separate calls' wrappers, which are most of the cost of a
-profile's log-derivative.
+s, with the work that does not depend on s (shifted parameters,
+prefactor, error growth) done once per grid.  The three take their
+strategy from one router, _route, so a pair equals the two separate
+calls at each point.
 
 Every err_estimate is a first-order bound on the rounding, truncation
 and parameter-rounding error of the value it comes with.  All routines
@@ -206,6 +205,9 @@ def _safe_pow(base: float, expo: float) -> float:
     return math.exp(lg)
 
 
+_EXACT = (0.0, 0.0, 0.0)  # dp of parameters taken as given
+
+
 def _err_growth(a: float, b: float, c: float, dp) -> float:
     """Factor on a series' error bound for parameters p = a, b, c that lie
     up to dp from the intended ones: a term of index m moves by at most
@@ -219,11 +221,9 @@ def _err_growth(a: float, b: float, c: float, dp) -> float:
     return 1.0 + grow / (8.0 * _U)
 
 
-def _run_series(a: float, b: float, c: float, s: float,
-                dp=(0.0, 0.0, 0.0), max_terms: Optional[int] = None):
+def _run_series(a: float, b: float, c: float, s: float, dp=_EXACT):
     """hyp2f1_series, its error bound grown by _err_growth."""
-    budget = MAX_TERMS if max_terms is None else max_terms
-    value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, budget)
+    value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, MAX_TERMS)
     return value, err * _err_growth(a, b, c, dp), terms, ok
 
 
@@ -258,7 +258,7 @@ def _complements(a: float, b: float, c: float, dp):
             (cab, _rounding((c, -a, -b), cab) + da + db + dc))
 
 
-def _euler_terminating(a: float, b: float, c: float, s: float, dp) -> EvalResult:
+def _euler_terminating(a: float, b: float, c: float, s: float, dp):
     """Euler's transformation F(a,b;c;s) = (1-s)^(c-a-b) F(c-a,c-b;c;s)
     (DLMF 15.8.1), for c-a or c-b a nonpositive integer, where the
     transformed series terminates.  The bound adds the rounding of the
@@ -268,8 +268,7 @@ def _euler_terminating(a: float, b: float, c: float, s: float, dp) -> EvalResult
     lu = math.log(1.0 - s)
     pref = _safe_pow(1.0 - s, cab)
     rel = _U * (4.0 + 2.0 * abs(cab * lu)) + d_cab * abs(lu)
-    return EvalResult(pref * v, pref * err + rel * abs(pref * v),
-                      terms, Strategy.EULER_TRANSFORM)
+    return pref * v, pref * err + rel * abs(pref * v), terms, Strategy.EULER_TRANSFORM
 
 
 def _psi_shift(x: float, dx: float) -> float:
@@ -281,7 +280,7 @@ def _psi_shift(x: float, dx: float) -> float:
     return dx * abs(digamma(x))
 
 
-def _connection_at_one(a: float, b: float, c: float, s: float, dp) -> EvalResult:
+def _connection_at_one(a: float, b: float, c: float, s: float, dp):
     """DLMF 15.8.4 evaluation through 1-s; requires c-a-b non-integer.
 
     Each term is assembled as sign * exp(log magnitude) * series so the
@@ -313,10 +312,10 @@ def _connection_at_one(a: float, b: float, c: float, s: float, dp) -> EvalResult
     value = term_a + term_b
     err = (abs(gauss * e1) + gauss_err * abs(v1) + abs(_scaled(sign_b, log_b, e2))
            + (lerr_b + 2.0 * _U) * abs(term_b) + _U * (abs(term_a) + abs(value)))
-    return EvalResult(value, err, t1 + t2, Strategy.CONNECTION_AT_1)
+    return value, err, t1 + t2, Strategy.CONNECTION_AT_1
 
 
-def _log_case(a: float, b: float, c: float, s: float, dp) -> EvalResult:
+def _log_case(a: float, b: float, c: float, s: float, dp):
     """2F1 when c-a-b is an integer m, beyond the direct window.
 
     For m < 0, Euler's transformation F(a,b;c;s) = u^m F(c-a,c-b;c;s),
@@ -416,7 +415,7 @@ def _log_case(a: float, b: float, c: float, s: float, dp) -> EvalResult:
     err = abs(euler) * (abs(_scaled(1.0, log1, s1_err)) + (lerr1 + 2.0 * _U) * abs(t1)
                         + scale2 * (s2_err + tail) + (lerr2 + 2.0 * _U) * abs(t2)
                         + _U * abs(t1 + t2) + shift_err) + 2.0 * _U * abs(value)
-    return EvalResult(value, err, m + k, Strategy.CONNECTION_AT_1)
+    return value, err, m + k, Strategy.CONNECTION_AT_1
 
 
 def _euler_block(a: float, b: float, c: float) -> bool:
@@ -425,55 +424,49 @@ def _euler_block(a: float, b: float, c: float) -> bool:
     return (c - a) in (0.0, -1.0, -2.0) or (c - b) in (0.0, -1.0, -2.0)
 
 
-def _direct_budget(a: float, b: float, c: float, s: float) -> Optional[int]:
-    """Term budget of the direct series for 2F1(a, b; c; s), 0 < |s| < 1:
-    MAX_TERMS for a terminating series and up to the switch point, 8000 for
-    the capped attempt beyond it, and None where that attempt is skipped
-    (an Euler block, or s above 0.99)."""
-    if (abs(s) <= SWITCH_POINT or s < 0.0
-            or _nonpos_int(a) is not None or _nonpos_int(b) is not None):  # terminating
-        return MAX_TERMS
-    if s > 0.99 or _euler_block(a, b, c):
-        return None
-    return 8000
-
-
-def hyp2f1(p: HypParams, s: float,
-           dp: Tuple[float, float, float] = (0.0, 0.0, 0.0)) -> EvalResult:
-    """Evaluate 2F1(a, b; c; s) on (-1, 1] with strategy bookkeeping.
-
-    At s = 1 the Gauss summation value is returned and requires
-    c - a - b > 0.  Raises NonConvergenceError when every applicable
-    strategy exhausts its budget.  The err_estimate also covers (a, b, c)
-    lying up to dp from the intended parameters, e.g. by rounding.
-    """
-    a, b, c = p.a, p.b, p.c
+def _route(a: float, b: float, c: float, s: float, dp, growth: float):
+    """(value, err_estimate, terms_used, strategy) of 2F1(a, b; c; s) by the
+    strategy of the module docstring, for hyp2f1, hyp2f1_deriv and
+    hyp2f1_pair alike.  The bound covers (a, b, c) lying up to dp from the
+    intended parameters, with growth = _err_growth(a, b, c, dp), which a
+    grid works out once.  Like the other private routes it returns a plain
+    tuple: the EvalResult is built once per public result."""
     if not -1.0 < s <= 1.0:
         raise DomainError(f"s={s} outside (-1, 1]")
     if s == 0.0:
-        return EvalResult(1.0, 0.0, 0, Strategy.DIRECT_SERIES)
+        return 1.0, 0.0, 0, Strategy.DIRECT_SERIES
     if s == 1.0:
         if c - a - b <= 0.0:
             raise DomainError(
                 f"2F1 at s=1 requires c-a-b > 0, got {c - a - b}")
         value, err = _gauss_at_one(a, b, c, dp)
-        return EvalResult(value, err, 0, Strategy.CONNECTION_AT_1)
-
-    budget = _direct_budget(a, b, c, s)
-    if budget is not None:
-        value, err, terms, ok = _run_series(a, b, c, s, dp, budget)
-        if ok:
-            return EvalResult(value, err, terms, Strategy.DIRECT_SERIES)
-        if budget == MAX_TERMS:
+        return value, err, 0, Strategy.CONNECTION_AT_1
+    if s <= SWITCH_POINT or _nonpos_int(a) is not None or _nonpos_int(b) is not None:
+        value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, MAX_TERMS)
+        if not ok:
             raise NonConvergenceError(
                 f"direct series exhausted {MAX_TERMS} terms at s={s}",
-                value=value, err_estimate=err, terms_used=terms)
-    elif _euler_block(a, b, c):
+                value=value, err_estimate=err * growth, terms_used=terms)
+        return value, err * growth, terms, Strategy.DIRECT_SERIES
+    if _euler_block(a, b, c):
         return _euler_terminating(a, b, c, s, dp)
-
+    if s <= 0.99:
+        value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, 8000)
+        if ok:
+            return value, err * growth, terms, Strategy.DIRECT_SERIES
     if not _near_int(c - a - b):
         return _connection_at_one(a, b, c, s, dp)
     return _log_case(a, b, c, s, dp)
+
+
+def hyp2f1(p: HypParams, s: float) -> EvalResult:
+    """Evaluate 2F1(a, b; c; s) on (-1, 1] with strategy bookkeeping.
+
+    At s = 1 the Gauss summation value is returned and requires
+    c - a - b > 0.  Raises NonConvergenceError when every applicable
+    strategy exhausts its budget.
+    """
+    return EvalResult(*_route(p.a, p.b, p.c, s, _EXACT, 1.0))
 
 
 def hyp2f1_deriv(p: HypParams, s: float, m: int) -> EvalResult:
@@ -484,12 +477,28 @@ def hyp2f1_deriv(p: HypParams, s: float, m: int) -> EvalResult:
     shifted parameters and of the prefactor, which may be subnormal."""
     if m < 1:
         raise ValueError("m must be a positive integer")
+    return _derivative(p, m)(s)
+
+
+def _derivative(p: HypParams, m: int):
+    """The function s -> hyp2f1_deriv(p, s, m), with the shifted
+    parameters, the prefactor and the error growth worked out once."""
     if any(d is not None and d < m for d in (_nonpos_int(p.a), _nonpos_int(p.b))):
-        return EvalResult(0.0, 0.0, 0, Strategy.DIRECT_SERIES)  # degree below m
+        def below_degree(s: float) -> EvalResult:
+            if not -1.0 < s <= 1.0:
+                raise DomainError(f"s={s} outside (-1, 1]")
+            return EvalResult(0.0, 0.0, 0, Strategy.DIRECT_SERIES)
+        return below_degree
     pref, pref_err, dp = _shift_prefactor(p.a, p.b, p.c, m)
-    inner = hyp2f1(HypParams(p.a + m, p.b + m, p.c + m), s, dp)
-    return _times_prefactor(pref, pref_err, inner.value, inner.err_estimate,
-                            inner.terms_used, inner.strategy)
+    a, b, c = p.a + m, p.b + m, p.c + m
+    growth = _err_growth(a, b, c, dp)
+
+    def shifted(s: float) -> EvalResult:
+        value, err, terms, strategy = _route(a, b, c, s, dp, growth)
+        out = pref * value
+        return EvalResult(out, abs(pref) * err + pref_err * abs(value) + _U * abs(out) + _ETA,
+                          terms, strategy)
+    return shifted
 
 
 def _shift_prefactor(a: float, b: float, c: float, m: int):
@@ -504,48 +513,15 @@ def _shift_prefactor(a: float, b: float, c: float, m: int):
                             _rounding((c, m), c + m))
 
 
-def _times_prefactor(pref: float, pref_err: float, value: float, err: float,
-                     terms: int, strategy: Strategy) -> EvalResult:
-    """The derivative pref * F(a+m, b+m; c+m; s) from the shifted 2F1's
-    value and error bound."""
-    out = pref * value
-    return EvalResult(out, abs(pref) * err + pref_err * abs(value) + _U * abs(out) + _ETA,
-                      terms, strategy)
-
-
 def hyp2f1_pair(p: HypParams, ss: Sequence[float]) -> List[Tuple[EvalResult, EvalResult]]:
     """[(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)) for s in ss], equal field for
-    field; for finite parameters it raises what the first failing point
-    raises.
-
-    The shifted parameters, the prefactor of F' and the growth of its
-    error bound are worked out once for the grid.  At a point where both F
-    and the shifted series of F' are direct series, their two kernel calls
-    are made here, without the separate calls' routing and intermediate
-    results; any other route, and a series that exhausts its budget, is
-    left to the two functions."""
+    field, as F and then F' take the same route at each point; for finite
+    parameters it raises what the first failing point raises.  The shifted
+    parameters, the prefactor of F' and the growth of its error bound are
+    worked out once for the grid."""
     a, b, c = p.a, p.b, p.c
-    a1, b1, c1 = a + 1.0, b + 1.0, c + 1.0
-    pref, pref_err, dp = _shift_prefactor(a, b, c, 1)
-    growth1 = _err_growth(a1, b1, c1, dp)
-    # a or b zero is hyp2f1_deriv's F' = 0 shortcut
-    direct = a != 0.0 and b != 0.0
-    out = []
-    for s in ss:
-        if direct and 0.0 < abs(s) < 1.0:
-            budget = _direct_budget(a, b, c, s)
-            budget1 = _direct_budget(a1, b1, c1, s)
-            if budget is not None and budget1 is not None:
-                value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, budget)
-                value1, err1, terms1, ok1 = _series_kernel(a1, b1, c1, s, REL_TOL, ABS_TOL,
-                                                           budget1)
-                if ok and ok1:
-                    out.append((EvalResult(value, err, terms, Strategy.DIRECT_SERIES),
-                                _times_prefactor(pref, pref_err, value1, err1 * growth1,
-                                                 terms1, Strategy.DIRECT_SERIES)))
-                    continue
-        out.append((hyp2f1(p, s), hyp2f1_deriv(p, s, 1)))
-    return out
+    deriv = _derivative(p, 1)
+    return [(EvalResult(*_route(a, b, c, s, _EXACT, 1.0)), deriv(s)) for s in ss]
 
 
 def hyp2f1_sym(sigma: float, prod: float, c: float, s: float) -> Tuple[EvalResult, EvalResult]:

@@ -386,7 +386,7 @@ class TestLDirectPair:
         assert sorted(calls) == ["_shift_prefactor"] + ["hyp2f1_series"] * (2 * m)
 
     def test_grid_equals_points(self):
-        # s = 0 (no 2F1), the direct window and the Euler transform in one grid
+        # s = 0 (F = 1 exactly), the direct window and the Euler transform in one grid
         ss = (0.3, 0.0, 0.7, 0.99276387818866, 0.0, 0.1)
         assert L_direct(self.P, self.ALPHA, ss) == [
             L_direct(self.P, self.ALPHA, (s,))[0] for s in ss]
@@ -396,7 +396,7 @@ class TestLDirectPair:
                                          (0.99276387818866, 0.6865538506480675)])
     def test_euler_point_keeps_value(self, s, want):
         # d = 6 beyond the switch point, s_star included: both F and F'
-        # take the Euler transform, through hyp2f1 and hyp2f1_deriv
+        # take the Euler transform
         assert hyp2f1(profile_params(self.P, self.ALPHA), s).strategy is Strategy.EULER_TRANSFORM
         assert L_direct(self.P, self.ALPHA, (s,)) == [want]
 

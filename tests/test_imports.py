@@ -6,10 +6,13 @@ something that X defines rather than re-exports.  __init__.py imports only
 to re-export, and `from __future__` imports are compiler directives, so
 both are exempt from the second rule, and __init__.py from the fourth;
 _backend's choice of kernel module is exempt from the third.  Every name
-in a module's __all__ is used by the library outside __init__.py."""
+in a module's __all__ is used by the library outside __init__.py, and
+every function, class and constant a module defines is used outside its
+own definition or re-exported by __init__.py."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,30 @@ def test_exported_names_are_used_by_the_library():
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                     for elt in node.value.elts if elt.value not in used)
     assert not unused, f"exported but never used by the library: {unused}"
+
+
+def _references(node):
+    """Names that node loads, reads as an attribute or imports."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_top_level_names_are_used_by_the_library():
+    # every function, class and constant of a module is referenced by some
+    # library statement other than its own definition, or re-exported by
+    # __init__.py; a mention in a docstring is no reference
+    statements = [node for p in MODULES if p.name != "__init__.py" for node in _tree(p).body]
+    refs = [_references(node) for node in statements]
+    counts = Counter(name for r in refs + [_references(_tree(SRC / "__init__.py"))]
+                     for name in r)
+    unused = sorted(name for node, r in zip(statements, refs)
+                    for name in _defined(ast.Module(body=[node], type_ignores=[]))
+                    if name != "__all__" and counts[name] == (name in r))
+    assert not unused, f"defined but never used by the library: {unused}"

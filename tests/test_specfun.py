@@ -1,13 +1,17 @@
 """Special-function kernel tests: examples with independent oracles,
 domain errors, and the module invariants."""
 
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conelab._backend
 from conelab import specfun
 from conelab.errors import DomainError, NonConvergenceError, PoleError
 from conelab.specfun import (
@@ -24,6 +28,12 @@ from conelab.specfun import (
 )
 
 EULER_GAMMA = 0.5772156649015328606
+
+# repr of every field of hyp2f1, hyp2f1_deriv (m = 1, 2) and hyp2f1_pair
+# on _route_cases(), as the evaluation routes gave them when the file was
+# written; rewrite it with `PYTHONPATH=src python tests/test_specfun.py`
+# only for a change that is meant to move a value, and say which and why
+ROUTES_GOLDEN = Path(__file__).parent / "data" / "hyp2f1_routes.json"
 
 
 class TestPochhammer:
@@ -187,6 +197,12 @@ class TestDeriv:
             an = hyp2f1_deriv(hp, s, 1).value
             assert math.isclose(fd, an, rel_tol=1e-6, abs_tol=1e-8)
 
+    @pytest.mark.parametrize("a, s, m", [(0.0, math.nan, 1), (-1.0, 3.0, 2)])
+    def test_s_outside_domain_below_degree(self, a, s, m):
+        # a polynomial of degree below m has derivative 0 only on the domain
+        with pytest.raises(DomainError):
+            hyp2f1_deriv(HypParams(a, 2.5, 1.5), s, m)
+
     def test_all_orders_negative_for_b_mhalf(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -254,6 +270,21 @@ class TestPair:
         monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
         _assert_pair_matches(30.0, 25.0, 1.5, [0.05, 0.45, 0.3])
 
+    def test_failed_capped_attempt_runs_once(self, monkeypatch):
+        # F = 2F1(60, 60; 1; 0.98) and F''s shifted 2F1(61, 61; 2; 0.98):
+        # each capped direct attempt fails once, then c - a is a
+        # nonpositive integer and the Euler-transformed series terminates
+        budgets = []
+
+        def counted(*args):
+            budgets.append(args[-1])
+            return conelab._backend.hyp2f1_series(*args)
+
+        monkeypatch.setattr(specfun, "_series_kernel", counted)
+        (f, fp), = hyp2f1_pair(HypParams(60.0, 60.0, 1.0), [0.98])
+        assert f.strategy is fp.strategy is Strategy.EULER_TRANSFORM
+        assert budgets == [8000, specfun.MAX_TERMS] * 2
+
     def test_empty_grid(self):
         assert hyp2f1_pair(HypParams(1.0, 2.0, 3.0), []) == []
 
@@ -262,6 +293,85 @@ def _assert_pair_matches(a, b, c, ss):
     p = HypParams(a, b, c)
     want = _outcome(lambda: [(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)) for s in ss])
     assert _outcome(lambda: hyp2f1_pair(p, ss)) == want
+
+
+def _route_cases():
+    """(a, b, c, ss) over every route of 2F1 and of the shifted series of
+    its derivatives: the direct window and s < 0, a terminating series
+    beyond the switch point, the Euler block, a capped direct attempt that
+    converges and one that does not, s above 0.99, c-a-b an integer (of
+    either sign, or 0) or within 1e-9 of one, s = 0 and s = 1, domain
+    errors, TestPair's examples, then seeded draws like pair_args'."""
+    cases = [
+        (1.2, 0.7, 2.0, [0.0, 0.3, 0.5, -0.2, -0.6, -0.95]),
+        (-3.0, 2.5, 1.5, [0.8, 0.995, -0.9]),  # terminating, F' and F'' too
+        (4.0, -0.5, 3.0, [0.8, 0.995]),  # Euler block, c - a = -1
+        (1.7, -0.3, 2.2, [0.7, 0.9]),  # capped attempt converges
+        (60.0, 60.0, 1.0, [0.98]),  # capped attempt fails, then the log case
+        (60.3, 59.9, 1.7, [0.98]),  # capped attempt fails, then the connection
+        (9.5, -0.5, 7.25, [0.999]),  # connection formula
+        (5.5, -0.5, 5.0, [0.995, 1.0 - 2e-9]),  # log case, c-a-b = 0
+        (0.5, 0.5, 3.0, [0.995]),  # log case, c-a-b = 2
+        (2.3, 2.7, 1.0, [0.995]),  # log case, c-a-b = -4, through Euler
+        (2.0, 1.5, 3.5 + 1e-10, [0.9, 0.999]),  # c-a-b within 1e-9 of 0
+        (0.7, -0.4, 1.9, [1.0]),  # Gauss summation
+        (1.2, 0.7, 2.0, [math.nan, 1.5, -1.0]),  # domain errors
+        (1.0, 198.0, 197.0, [0.99276387818866, 0.3, 0.0, 0.7]),
+        (1.0, 198.0, 190.0, [0.9635078105935821]),
+        (0.0, 2.5, 1.5, [0.4, 0.0]),
+        (-1.0, 3.5, 1.0, [0.2, 0.5]),
+        (2.0, 1.5, 1.0, [0.3, 1.0, 0.5]),
+        (1.0, 1.0, 2.0, [1.5]),
+        (0.7, 0.4, 1.9, [0.2, 0.0, 1.0, 1.5]),
+    ]
+    rng = random.Random(19)
+    for route in ("generic", "terminating", "euler", "log") * 8:
+        c = rng.randint(1, 4096) / 256.0
+        a, b = rng.uniform(-8.0, 20.0), rng.uniform(-8.0, 20.0)
+        if route == "terminating":
+            a = -float(rng.randint(0, 6))
+        elif route == "euler":
+            a = c + rng.randint(0, 2)
+        elif route == "log":
+            b = c - a - rng.randint(-3, 3) + rng.choice((0.0, 1e-10, -5e-10))
+        ss = [rng.choice((0.0, rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.0),
+                          rng.uniform(0.99, 1.0))) for _ in range(3)]
+        cases.append((a, b, c, ss))
+    return cases
+
+
+def _fields(call):
+    """repr of every field of what call returns (an EvalResult, or a list
+    of pairs of them), or the type and message of the exception it raises."""
+    try:
+        out = call()
+    except Exception as exc:  # noqa: BLE001 - the type and message are recorded
+        return [type(exc).__name__, str(exc)]
+    if isinstance(out, EvalResult):
+        return [repr(x) for x in out]
+    return [[[repr(x) for x in r] for r in pair] for pair in out]
+
+
+def _route_records():
+    records = []
+    for a, b, c, ss in _route_cases():
+        p = HypParams(a, b, c)
+        records.append({
+            "args": [repr(a), repr(b), repr(c), [repr(s) for s in ss]],
+            "points": [[_fields(lambda: hyp2f1(p, s)),
+                        _fields(lambda: hyp2f1_deriv(p, s, 1)),
+                        _fields(lambda: hyp2f1_deriv(p, s, 2))] for s in ss],
+            "pair": _fields(lambda: hyp2f1_pair(p, ss)),
+        })
+    return records
+
+
+def test_routes_match_golden():
+    golden = json.loads(ROUTES_GOLDEN.read_text())
+    records = _route_records()
+    assert len(records) == len(golden)
+    for got, want in zip(records, golden):
+        assert got == want, got["args"]
 
 
 class TestIntegralOracle:
@@ -422,3 +532,8 @@ class TestSeriesControl:
         assert r.err_estimate >= 0.0
         assert r.terms_used <= specfun.MAX_TERMS
         assert isinstance(r, EvalResult)
+
+
+if __name__ == "__main__":
+    ROUTES_GOLDEN.write_text(
+        "[\n" + ",\n".join(json.dumps(r) for r in _route_records()) + "\n]\n")
