@@ -27,7 +27,7 @@ from conelab.cone import (
 )
 from conelab.riccati import BarrierSpec, RiccatiTrace, check_4_minus_n, verify_barrier
 from conelab.specfun import EvalResult, HypParams, hyp2f1
-from conelab.spectrum import EigenResult, Mode, family_scan, first_eigenvalue
+from conelab.spectrum import Mode, family_scan
 
 __version__ = "0.1.0"
 
@@ -47,9 +47,7 @@ __all__ = [
     "EvalResult",
     "HypParams",
     "hyp2f1",
-    "EigenResult",
     "Mode",
     "family_scan",
-    "first_eigenvalue",
     "indicial_roots",
 ]

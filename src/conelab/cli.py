@@ -22,14 +22,12 @@ from conelab import reference
 from conelab.cone import ConeParams, Verdict, find_root, verdict
 from conelab.errors import ConelabError
 from conelab.riccati import check_4_minus_n
-from conelab.spectrum import family_cells, family_scan, first_eigenvalue
+from conelab.spectrum import family_cells, family_scan
 
 
 def _fmt_cell(x) -> str:
     if x is None:
         return "nan"
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
@@ -52,10 +50,9 @@ def _cone_record(n: int, k: int) -> dict:
     pars = ConeParams(n, k)
     root = find_root(pars)
     rep = verdict(pars, root)
-    eig = first_eigenvalue(pars, root)
     _, margin4 = check_4_minus_n(pars, root)
     flags: List[str] = []
-    if eig.gamma_plus is None:
+    if rep.gamma_plus is None:
         flags.append("complex_indicial_roots")
     if rep.verdict is Verdict.BORDERLINE_STABLE:
         flags.append("borderline_margin")
@@ -68,9 +65,9 @@ def _cone_record(n: int, k: int) -> dict:
         "n": n,
         "k": k,
         "t_nk": root.t_nk,
-        "lambda1": eig.lam,
-        "gamma_plus": eig.gamma_plus,
-        "gamma_minus": eig.gamma_minus,
+        "lambda1": rep.lambda1,
+        "gamma_plus": rep.gamma_plus,
+        "gamma_minus": rep.gamma_minus,
         "verdict": rep.verdict.value,
         "margin_4_minus_n": margin4,
         "flags": flags,

@@ -1,10 +1,13 @@
 """Cone geometry for the invariant one-phase family: profile functions
-and their log-derivative L, free-boundary root, boundary mean curvature,
-the strict stability criterion (read from L) and its root in lambda,
-lambda_1, whose indicial roots bound the admissible homogeneity
-interval.  Functions evaluated at the free boundary take the RootResult
-of find_root.  The normalization c_{n,k} and the t-derivative of a
-profile, which no command prints, live with their tests.
+and their log-derivative L, the free-boundary root, the strict stability
+criterion (read from L), and verdict, the one stability step per cone.
+verdict evaluates the criterion margin at the threshold exponent (2-n)/2
+once and takes from it both the verdict and the bracket of the margin's
+root in lambda, lambda_1, whose indicial roots gamma_+- bound the
+admissible homogeneity interval.  Functions evaluated at the free
+boundary take the RootResult of find_root.  The normalization c_{n,k},
+the t-derivative of a profile and the boundary mean curvature, which no
+command prints, live with the tests.
 
 Profiles are hypergeometric in s = t^2: the degree-alpha harmonic profile
 is 2F1((n+alpha-2)/2, -alpha/2; k/2; t^2), and the solution profile is its
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from conelab.errors import BracketFailure, PoleEncounteredError
+from conelab.errors import BracketFailure, NonConvergenceError, PoleEncounteredError
 from conelab.specfun import HypParams, hyp2f1, hyp2f1_pair, hyp2f1_sym
 
 __all__ = [
@@ -31,13 +34,12 @@ __all__ = [
     "profile_g",
     "cubic_bound",
     "find_root",
-    "boundary_rhs",
     "stability_margin",
     "verdict",
     "indicial_roots",
 ]
 
-MARGIN_TOL = 1e-9  # borderline band on the criterion margin
+MARGIN_TOL = 1e-9  # borderline band on the criterion margin; largest |margin| at lambda_1
 ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
 
 
@@ -77,12 +79,16 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    t_nk: float
-    link_H: float
-    lhs: float
-    rhs: float
+    """A cone's stability step: the criterion margin at alpha = (2-n)/2 and
+    its verdict, lambda_1 with |margin| there, and the indicial roots of
+    lambda_1 (None for a complex pair)."""
+
     margin: float
     verdict: Verdict
+    lambda1: float
+    residual: float
+    gamma_minus: Optional[float]
+    gamma_plus: Optional[float]
 
 
 def profile_params(p: ConeParams, alpha: float) -> HypParams:
@@ -94,15 +100,21 @@ def L_direct(p: ConeParams, alpha: float, ss: Sequence[float]) -> List[float]:
     """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) at each s of the grid ss, with
     F and F' of the degree-alpha profile from one hyp2f1_pair call (at
     s = 0, F = 1 exactly and L = k-1).  Raises ValueError when some s is
-    not below 1, and PoleEncounteredError at the first s where the profile
-    is not positive."""
+    not below 1, and at the first s where the profile is not positive
+    PoleEncounteredError when F's own bound settles F <= 0 (|F| above its
+    err_estimate), else NonConvergenceError."""
     if not all(s < 1.0 for s in ss):
         raise ValueError("s must be below 1")
     out = []
     for s, (F, Fp) in zip(ss, hyp2f1_pair(profile_params(p, alpha), ss)):
         if not F.value > 0.0:
-            raise PoleEncounteredError(
-                f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
+            if abs(F.value) > F.err_estimate:
+                raise PoleEncounteredError(
+                    f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
+            raise NonConvergenceError(
+                f"profile sign unsettled at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k}): "
+                f"F = {F.value!r} within its err_estimate {F.err_estimate!r}",
+                value=F.value, err_estimate=F.err_estimate)
         out.append(_link_L(p, s, F.value, Fp.value))
     return out
 
@@ -215,18 +227,6 @@ def find_root(p: ConeParams) -> RootResult:
                       s_bracket=(s_lo, s_hi), residual=residual)
 
 
-def boundary_rhs(p: ConeParams, r: RootResult) -> Tuple[float, float]:
-    """(rho H, criterion right side) at the free boundary.
-
-    rho H = ((n-2) t - (k-1)/t) / sqrt(1-t^2); the criterion side removes
-    one square root: rhs = ((n-2) t - (k-1)/t) / (1-t^2).
-    """
-    n, k = p.n, p.k
-    t = r.t_nk
-    num = (n - 2.0) * t - (k - 1.0) / t
-    return num / math.sqrt(1.0 - r.s_nk), num / (1.0 - r.s_nk)
-
-
 def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
     """g'_alpha/g_alpha - rhs at the root, which is L(s_nk) / (t (1 - t^2));
     positive exactly on the admissible interval."""
@@ -245,44 +245,49 @@ def indicial_roots(lam: float, n: int) -> Optional[Tuple[float, float]]:
     return (2.0 - n - gp, gp)
 
 
-def lambda1_root(p: ConeParams, r: RootResult) -> Tuple[float, float]:
-    """(lambda_1, |margin there|): the root in lambda of the margin of the
-    mode-(0,0) profile 2F1(a, b; k/2; s), a + b = h = (n-2)/2, ab = -lambda/4:
-    stability_margin at gamma_+ for lambda >= -h^2, and below, where a, b
-    are a complex pair, from hyp2f1_sym's F >= 1 (no zero: the ground state).
-    The margin decreases in lambda; the bracket is [-h^2, 0] when it is
-    positive at -h^2 (verdict's margin), else [-(n-2)^2 - 1, -h^2]."""
+def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
+    """The stability step of the cone at the root r.
+
+    The criterion margin at alpha = (2-n)/2 = -h, h = (n-2)/2, gives the
+    verdict (MARGIN_TOL wide borderline band).  lambda_1 is the root in
+    lambda of the margin of the mode-(0,0) profile 2F1(a, b; k/2; s),
+    a + b = h, ab = -lambda/4: stability_margin at gamma_+ for
+    lambda >= -h^2, and below, where a, b are a complex pair, from
+    hyp2f1_sym's F >= 1 (no zero: the ground state).  The margin decreases
+    in lambda, and at lambda = -h^2 it is the threshold margin (gamma_+ =
+    -h exactly), so that one evaluation also picks the bracket: [-h^2, 0]
+    when it is positive, else [-(n-2)^2 - 1, -h^2].  Raises BracketFailure
+    when the margin does not change sign there, and NonConvergenceError
+    when |margin| at lambda_1 exceeds MARGIN_TOL.
+    """
     h = (p.n - 2.0) / 2.0
 
-    def margin(lam: float) -> float:
+    def margin_at(lam: float) -> float:
         roots = indicial_roots(lam, p.n)
         if roots is not None:
             return stability_margin(p, roots[1], r)
         F, Fp = hyp2f1_sym(h, -lam / 4.0, p.k / 2.0, r.s_nk)
         return _link_L(p, r.s_nk, F.value, Fp.value) / (r.t_nk * (1.0 - r.s_nk))
 
-    lo, hi = -h * h, 0.0
-    f_lo = margin(lo)
-    if f_lo > 0.0:
-        f_hi = margin(hi)
-    else:
-        lo, hi, f_hi = -float((p.n - 2) ** 2) - 1.0, lo, f_lo
-        f_lo = margin(lo)
-    if not f_lo > 0.0 >= f_hi:
-        raise BracketFailure(f"margin has no sign change on lambda in [{lo}, {hi}] "
-                             f"for (n,k)=({p.n},{p.k})")
-    return illinois(margin, lo, f_lo, hi, f_hi)[:2]
-
-
-def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
-    """Stability report at the root r; the criterion is evaluated at alpha = (2-n)/2."""
-    link_H, rhs = boundary_rhs(p, r)
-    margin = stability_margin(p, (2.0 - p.n) / 2.0, r)
+    margin = stability_margin(p, -h, r)
     if margin > MARGIN_TOL:
         v = Verdict.STRICTLY_STABLE
     elif margin < -MARGIN_TOL:
         v = Verdict.UNSTABLE
     else:
         v = Verdict.BORDERLINE_STABLE
-    return StabilityReport(t_nk=r.t_nk, link_H=link_H,
-                           lhs=margin + rhs, rhs=rhs, margin=margin, verdict=v)
+    if margin > 0.0:
+        lo, f_lo, hi = -h * h, margin, 0.0
+        f_hi = margin_at(hi)
+    else:
+        lo, hi, f_hi = -float((p.n - 2) ** 2) - 1.0, -h * h, margin
+        f_lo = margin_at(lo)
+    if not f_lo > 0.0 >= f_hi:
+        raise BracketFailure(f"margin has no sign change on lambda in [{lo}, {hi}] "
+                             f"for (n,k)=({p.n},{p.k})")
+    lam, residual = illinois(margin_at, lo, f_lo, hi, f_hi)[:2]
+    if not residual <= MARGIN_TOL:
+        raise NonConvergenceError(
+            f"margin root lambda1={lam!r} at (n,k)=({p.n},{p.k}) leaves residual "
+            f"{residual:.3e} above {MARGIN_TOL:g}", value=lam, err_estimate=residual)
+    return StabilityReport(margin, v, lam, residual, *(indicial_roots(lam, p.n) or (None, None)))

@@ -1,4 +1,5 @@
-"""Robin eigenvalue problem on the spherical link of the cone.
+"""Robin eigenvalue problem on the spherical link of the cone, and the
+family scan.
 
 For a separated mode (p, q) the radial factor solves
 
@@ -9,14 +10,13 @@ with the regular Frobenius branch Phi ~ t^q at the axis and the Robin
 matching Phi'/Phi = ((n-2) t - (k-1)/t) / (1-t^2) at the free-boundary
 root.  For the mode (0, 0) the regular solution at lambda is the profile
 2F1(a, b; k/2; t^2), a + b = (n-2)/2, ab = -lambda/4, so the matching is
-the stability margin vanishing in lambda: first_eigenvalue takes lambda_1
-from that root (cone.lambda1_root) for every cell.  chained_shot
-integrates the link ODE for riccati's cross-check of L.  The tests'
-oracles (tests/oracles.py), Pruefer-angle shooting for any mode and index
-and a finite-difference discretization, reuse chained_shot, the mode
-potentials and _eigen_result.
+the stability margin vanishing in lambda: cone.verdict takes lambda_1
+and gamma_+- from that root for every cell, and family_scan tabulates
+them.  chained_shot integrates the link ODE for riccati's cross-check of
+L.  The tests' oracles (tests/oracles.py), Pruefer-angle shooting for any
+mode and index and a finite-difference discretization, reuse
+chained_shot and the mode potentials.
 """
-
 from __future__ import annotations
 
 import math
@@ -24,16 +24,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from conelab._backend import robin_shoot
-from conelab.cone import ConeParams, RootResult, find_root, indicial_roots, lambda1_root
-from conelab.errors import IntegrationFailure, NonConvergenceError
+from conelab.cone import ConeParams, find_root, verdict
+from conelab.errors import IntegrationFailure
 
 __all__ = [
     "Mode",
-    "EigenResult",
     "ScanRow",
     "ScanReport",
     "chained_shot",
-    "first_eigenvalue",
     "family_cells",
     "family_scan",
 ]
@@ -53,16 +51,6 @@ class Mode:
 
 T_LAUNCH = 1e-6  # axis offset of the Frobenius launch
 ODE_TOL = 1e-11  # local error tolerance of the shooting integrator
-BC_RESIDUAL_MAX = 1e-9  # largest accepted |Phi'/Phi - Robin side| at the root
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    lam: float
-    zeros_interior: int
-    gamma_minus: Optional[float]
-    gamma_plus: Optional[float]
-    bc_residual: float
 
 
 def _mode_potentials(p_: ConeParams, mode: Mode) -> Tuple[float, float]:
@@ -118,26 +106,6 @@ def chained_shot(pars: ConeParams, lam: float, ts: Sequence[float],
     return out
 
 
-def _eigen_result(n: int, lam: float, zeros: int, residual: float, what: str) -> EigenResult:
-    """lam and its indicial roots, unless residual exceeds BC_RESIDUAL_MAX."""
-    if not residual <= BC_RESIDUAL_MAX:
-        raise NonConvergenceError(f"{what} leaves boundary residual {residual:.3e} above "
-                                  f"{BC_RESIDUAL_MAX:g}", value=lam, err_estimate=residual)
-    return EigenResult(lam, zeros, *(indicial_roots(lam, n) or (None, None)), residual)
-
-
-def first_eigenvalue(pars: ConeParams, root: RootResult) -> EigenResult:
-    """First eigenvalue of the mode (0, 0) with its decay rates.
-
-    lambda_1 is the margin root cone.lambda1_root for every cell, gamma_+-
-    its indicial roots (None for a complex pair).  Raises
-    NonConvergenceError when |margin| there exceeds BC_RESIDUAL_MAX.
-    """
-    lam, residual = lambda1_root(pars, root)
-    return _eigen_result(pars.n, lam, 0, residual,
-                         f"margin root lambda1={lam!r} at (n,k)=({pars.n},{pars.k})")
-
-
 @dataclass(frozen=True)
 class ScanRow:
     n: int
@@ -158,16 +126,18 @@ class ScanReport:
 def _scan_cell(n: int, k: int) -> ScanRow:
     pars = ConeParams(n, k)
     root = find_root(pars)
-    res = first_eigenvalue(pars, root)
-    return ScanRow(n=n, k=k, t_nk=root.t_nk, lambda1=res.lam,
-                   gamma_plus=res.gamma_plus, gamma_minus=res.gamma_minus)
+    rep = verdict(pars, root)
+    return ScanRow(n=n, k=k, t_nk=root.t_nk, lambda1=rep.lambda1,
+                   gamma_plus=rep.gamma_plus, gamma_minus=rep.gamma_minus)
 
 
 def family_cells(n_lo: int, n_hi: int) -> List[Tuple[int, int]]:
     """The cells (n, k), n_lo <= n <= n_hi and 1 <= k <= n-2, in (n, k)
-    order; raises ValueError unless 3 <= n_lo <= n_hi <= 40."""
+    order; raises ValueError, naming the range, unless
+    3 <= n_lo <= n_hi <= 40."""
     if not 3 <= n_lo <= n_hi <= 40:
-        raise ValueError("n_range must satisfy 3 <= n_lo <= n_hi <= 40")
+        raise ValueError(f"n_range must satisfy 3 <= n_lo <= n_hi <= 40, "
+                         f"got n_lo={n_lo}, n_hi={n_hi}")
     return [(n, k) for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
 
 

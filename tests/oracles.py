@@ -4,14 +4,47 @@ angle at the free-boundary root), fd_oracle_lambda1 takes the lowest
 eigenvalue of a finite-difference discretization.  Of the library's
 solvers they share only spectrum.chained_shot (the link-ODE integration)
 and cone.illinois (the root solver); the library takes lambda_1 from the
-margin root cone.lambda1_root instead."""
+margin root in cone.verdict instead."""
 
 import math
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from conelab.cone import ConeParams, RootResult, boundary_rhs, illinois
-from conelab.errors import BracketFailure
-from conelab.spectrum import EigenResult, Mode, _eigen_result, _mode_potentials, chained_shot
+from conelab.cone import ConeParams, RootResult, illinois, indicial_roots
+from conelab.errors import BracketFailure, NonConvergenceError
+from conelab.spectrum import Mode, _mode_potentials, chained_shot
+
+BC_RESIDUAL_MAX = 1e-9  # largest accepted |Phi'/Phi - Robin side| at the root
+
+
+@dataclass(frozen=True)
+class EigenResult:
+    lam: float
+    zeros_interior: int
+    gamma_minus: Optional[float]
+    gamma_plus: Optional[float]
+    bc_residual: float
+
+
+def _eigen_result(n: int, lam: float, zeros: int, residual: float, what: str) -> EigenResult:
+    """lam and its indicial roots, unless residual exceeds BC_RESIDUAL_MAX."""
+    if not residual <= BC_RESIDUAL_MAX:
+        raise NonConvergenceError(f"{what} leaves boundary residual {residual:.3e} above "
+                                  f"{BC_RESIDUAL_MAX:g}", value=lam, err_estimate=residual)
+    return EigenResult(lam, zeros, *(indicial_roots(lam, n) or (None, None)), residual)
+
+
+def boundary_rhs(p: ConeParams, r: RootResult) -> Tuple[float, float]:
+    """(rho H, criterion right side) at the free boundary.
+
+    rho H = ((n-2) t - (k-1)/t) / sqrt(1-t^2), the link's mean curvature;
+    the criterion side removes one square root: rhs = ((n-2) t - (k-1)/t)
+    / (1-t^2), the Robin side of the link eigenvalue problem.
+    """
+    n, k = p.n, p.k
+    t = r.t_nk
+    num = (n - 2.0) * t - (k - 1.0) / t
+    return num / math.sqrt(1.0 - r.s_nk), num / (1.0 - r.s_nk)
 
 
 def shoot(pars: ConeParams, root: RootResult, lam: float,

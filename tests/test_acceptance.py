@@ -16,7 +16,7 @@ import pytest
 
 from conelab import reference
 from conelab.checks import run_suites
-from conelab.cone import ConeParams, Verdict, find_root, indicial_roots, lambda1_root, verdict
+from conelab.cone import ConeParams, Verdict, find_root, indicial_roots, verdict
 from conelab.lemmas import (
     estimate_z0,
     limit_profile_u,
@@ -147,7 +147,7 @@ class TestC05IntervalDuality:
             for k in range(1, n - 1):
                 pars = ConeParams(n, k)
                 root, eig = eigen_row(n, k)
-                lo, hi = indicial_roots(lambda1_root(pars, root)[0], n)
+                lo, hi = indicial_roots(verdict(pars, root).lambda1, n)
                 worst_endpoint = max(worst_endpoint,
                                      abs(lo - eig.gamma_minus),
                                      abs(hi - eig.gamma_plus))

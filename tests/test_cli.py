@@ -40,6 +40,15 @@ class TestAnalyze:
         assert rc == 0
         assert "unstable" in out
 
+    def test_unsettled_profile_sign(self, capsys):
+        # F at the (1000, 997) threshold is negative within its own bound:
+        # no settled pole, so the message gives F and that bound
+        rc, out, err = run_cli(capsys, "analyze", "--n", "1000", "--k", "997")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: profile sign unsettled at s=")
+        assert "within its err_estimate" in err
+
     def test_invalid_k(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "9")
         assert rc == 2
@@ -101,6 +110,37 @@ class TestTable:
         assert rc == 0
         assert len(calls) == 11 and len(set(calls)) == 11
 
+    def test_golden_records(self, capsys):
+        # every JSON record of n = 3..20, floats to the last bit: the
+        # complex-pair cells n <= 6 and the stable ones from 7 on
+        rc, out, _ = run_cli(capsys, "table", "--n", "3", "20", "--format", "json")
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        text = "[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n"
+        assert text == (DATA / "cone_records.json").read_text()
+
+    def test_one_threshold_margin_per_cone(self, capsys, monkeypatch):
+        # verdict evaluates L at alpha = (2-n)/2 once per cone, for the
+        # verdict and the lambda_1 bracket alike
+        raw = conelab.cone.L_direct
+        calls = []
+
+        def counted(p, alpha, ss):
+            if alpha == (2.0 - p.n) / 2.0:
+                calls.append((p.n, p.k))
+            return raw(p, alpha, ss)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("conelab.") and getattr(mod, "L_direct", None) is raw:
+                monkeypatch.setattr(mod, "L_direct", counted)
+        rc, _, _ = run_cli(capsys, "analyze", "--n", "7", "--k", "1")
+        assert rc == 0
+        assert calls == [(7, 1)]
+        calls.clear()
+        rc, _, _ = run_cli(capsys, "table", "--n", "7", "8")
+        assert rc == 0
+        assert calls == [(n, k) for n in (7, 8) for k in range(1, n - 1)]
+
     def test_compare_clean_rows(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--n", "7", "7", "--compare")
         assert rc == 0
@@ -124,6 +164,10 @@ class TestTable:
     def test_range_validation(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--n", "7", "50")
         assert rc == 2
+        rc, out, err = run_cli(capsys, "table", "--n", "12", "7")
+        assert rc == 2
+        assert out == ""
+        assert "n_lo=12" in err and "n_hi=7" in err
 
 
 class TestScan:
@@ -162,7 +206,8 @@ class TestScan:
         rc, out, err = run_cli(capsys, "scan", "--n-max", n_max)
         assert rc == 2
         assert out == ""
-        assert err == "error: n_range must satisfy 3 <= n_lo <= n_hi <= 40\n"
+        assert err == ("error: n_range must satisfy 3 <= n_lo <= n_hi <= 40, "
+                       f"got n_lo=3, n_hi={n_max}\n")
 
 
 class TestConfig:

@@ -16,18 +16,17 @@ from conelab.cone import (
     L_direct,
     Verdict,
     _cubic_root_in_s,
-    boundary_rhs,
     cubic_bound,
     find_root,
     indicial_roots,
-    lambda1_root,
     profile_g,
     profile_params,
     stability_margin,
     verdict,
 )
-from conelab.errors import PoleEncounteredError
-from conelab.specfun import Strategy, _run_series, hyp2f1, hyp2f1_deriv
+from conelab.errors import NonConvergenceError, PoleEncounteredError
+from conelab.specfun import Strategy, _run_series, hyp2f1, hyp2f1_deriv, hyp2f1_pair
+from oracles import boundary_rhs
 
 
 def profile_g_dt(p, alpha, t):
@@ -332,12 +331,36 @@ class TestMarginsAndVerdicts:
         p = ConeParams(7, 1)
         r = find_root(p)
         rep = verdict(p, r)
-        assert rep.link_H > 0.0
-        assert math.isclose(rep.lhs - rep.rhs, rep.margin, rel_tol=1e-12)
-        adm = indicial_roots(lambda1_root(p, r)[0], p.n)
+        assert rep.margin == stability_margin(p, (2.0 - p.n) / 2.0, r)
+        assert rep.verdict is Verdict.STRICTLY_STABLE
+        assert rep.residual <= 1e-9
+        adm = indicial_roots(rep.lambda1, p.n)
         assert adm is not None
+        assert adm == (rep.gamma_minus, rep.gamma_plus)
         lo, hi = adm
         assert abs(lo + hi - (2.0 - 7.0)) < 1e-8
+
+    def test_threshold_margin_is_the_lambda_bracket_end(self):
+        # at lambda = -h^2 the indicial roots meet at gamma_+ = (2-n)/2
+        # exactly, so the verdict's margin is the margin at that bracket end
+        for n in range(3, 2001):
+            h = (n - 2.0) / 2.0
+            assert indicial_roots(-h * h, n)[1] == (2.0 - n) / 2.0
+
+    def test_margin_root_residual_enforced(self, monkeypatch):
+        # a lambda root that leaves |margin| above MARGIN_TOL is not reported
+        p = ConeParams(7, 1)
+        r = find_root(p)
+        raw = conelab.cone.illinois
+
+        def loose(*args):
+            lam, _, lo, hi = raw(*args)
+            return lam, 1e-6, lo, hi
+
+        monkeypatch.setattr(conelab.cone, "illinois", loose)
+        with pytest.raises(NonConvergenceError,
+                           match=r"lambda1=.* at \(n,k\)=\(7,1\).*1\.000e-06"):
+            verdict(p, r)
 
 
 def _spy(monkeypatch, *raws):
@@ -407,6 +430,19 @@ class TestLDirectPair:
             L_direct(ConeParams(7, 2), -7.0, (0.5,))
         assert calls == ["hyp2f1_series", "hyp2f1_series"]
 
+    def test_unsettled_sign_is_no_pole(self):
+        # at the (1000, 997) threshold the profile 2F1(249.5, 249.5; 498.5; s)
+        # takes the connection at 1 and comes back negative, but within its
+        # err_estimate: 40-digit mpmath gives F = +3.38e144 at s_nk
+        p = ConeParams(1000, 997)
+        r = find_root(p)
+        F = hyp2f1_pair(profile_params(p, -499.0), (r.s_nk,))[0][0]
+        assert F.strategy is Strategy.CONNECTION_AT_1
+        assert F.value < 0.0 and abs(F.value) <= F.err_estimate
+        with pytest.raises(NonConvergenceError, match=r"unsettled at s=.*err_estimate") as exc:
+            L_direct(p, -499.0, (r.s_nk,))
+        assert (exc.value.value, exc.value.err_estimate) == (F.value, F.err_estimate)
+
     def test_pole_names_its_point(self):
         # F = 1 - 3.5 s is positive at s = 0.2 and negative at s = 0.5
         with pytest.raises(PoleEncounteredError, match=r"before s=0\.5 "):
@@ -418,24 +454,28 @@ class TestAdmissibleInterval:
         # endpoints solve alpha(alpha + n - 2) = lambda1; frozen from the
         # spectral dual computed independently (lambda1 = -5.6984022):
         p = ConeParams(7, 1)
-        lo, hi = indicial_roots(lambda1_root(p, find_root(p))[0], p.n)
+        rep = verdict(p, find_root(p))
+        lo, hi = rep.gamma_minus, rep.gamma_plus
         assert abs(hi - (-1.7573037)) < 1e-6
         assert abs(lo - (-3.2426963)) < 1e-6
 
     def test_empty_for_unstable(self):
         for p in (ConeParams(5, 2), ConeParams(6, 3)):
-            assert indicial_roots(lambda1_root(p, find_root(p))[0], p.n) is None
+            rep = verdict(p, find_root(p))
+            assert indicial_roots(rep.lambda1, p.n) is None
+            assert rep.gamma_minus is None and rep.gamma_plus is None
 
     def test_contains_4_minus_n(self):
         for (n, k) in [(7, 2), (9, 5), (12, 7), (15, 1)]:
             p = ConeParams(n, k)
-            lo, hi = indicial_roots(lambda1_root(p, find_root(p))[0], p.n)
-            assert lo < 4.0 - n < hi
+            rep = verdict(p, find_root(p))
+            assert rep.gamma_minus < 4.0 - n < rep.gamma_plus
 
     def test_margin_sign_inside_outside(self):
         p = ConeParams(8, 3)
         r = find_root(p)
-        lo, hi = indicial_roots(lambda1_root(p, r)[0], p.n)
+        rep = verdict(p, r)
+        lo, hi = rep.gamma_minus, rep.gamma_plus
         assert stability_margin(p, 0.5 * (lo + hi), r) > 0.0
         assert stability_margin(p, hi + 0.05, r) < 0.0
         assert stability_margin(p, lo - 0.05, r) < 0.0

@@ -13,15 +13,21 @@ from conelab.cli import main
 from conelab.cone import (
     ConeParams,
     Verdict,
-    boundary_rhs,
     find_root,
     indicial_roots,
     stability_margin,
     verdict,
 )
 from conelab.errors import BracketFailure, NonConvergenceError
-from conelab.spectrum import Mode, family_scan, first_eigenvalue
-from oracles import _fd_matrix, _lowest_eigenvalue, fd_oracle_lambda1, find_eigenvalue, shoot
+from conelab.spectrum import Mode, family_scan
+from oracles import (
+    _fd_matrix,
+    _lowest_eigenvalue,
+    boundary_rhs,
+    fd_oracle_lambda1,
+    find_eigenvalue,
+    shoot,
+)
 
 
 class TestShoot:
@@ -171,11 +177,11 @@ class TestFirstEigenvalue:
             for k in (range(1, n - 1) if n <= 6 else sorted({1, n // 2, n - 2})):
                 p = ConeParams(n, k)
                 root = find_root(p)
-                dual, shot = first_eigenvalue(p, root), find_eigenvalue(p, root)
-                assert dual.zeros_interior == shot.zeros_interior == 0
-                assert dual.bc_residual <= 1e-9
+                dual, shot = verdict(p, root), find_eigenvalue(p, root)
+                assert shot.zeros_interior == 0
+                assert dual.residual <= 1e-9
                 assert (dual.gamma_plus is None) == (shot.gamma_plus is None) == (n <= 6)
-                for got, want in [(dual.lam, shot.lam), (dual.gamma_plus, shot.gamma_plus),
+                for got, want in [(dual.lambda1, shot.lam), (dual.gamma_plus, shot.gamma_plus),
                                   (dual.gamma_minus, shot.gamma_minus)]:
                     if want is not None:
                         assert math.isclose(got, want, rel_tol=1e-9), (n, k, got, want)
@@ -185,9 +191,9 @@ class TestFirstEigenvalue:
         # lambda agrees with shooting
         p = ConeParams(6, 2)
         root = find_root(p)
-        assert math.isclose(first_eigenvalue(p, root).lam, find_eigenvalue(p, root).lam,
-                            rel_tol=1e-9)
-        assert first_eigenvalue(p, root).gamma_plus is None
+        rep = verdict(p, root)
+        assert math.isclose(rep.lambda1, find_eigenvalue(p, root).lam, rel_tol=1e-9)
+        assert rep.gamma_plus is None
 
     def test_table_does_not_shoot(self, capsys, monkeypatch):
         calls = _count_shots(monkeypatch)
