@@ -41,6 +41,7 @@ __all__ = [
 
 MARGIN_TOL = 1e-9  # borderline band on the criterion margin; largest |margin| at lambda_1
 ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
+ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,19 @@ def L_direct(p: ConeParams, alpha: float, ss: Sequence[float]) -> List[float]:
     """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) at each s of the grid ss, with
     F and F' of the degree-alpha profile from one hyp2f1_pair call (at
     s = 0, F = 1 exactly and L = k-1).  Raises ValueError when some s is
-    not below 1, and at the first s where the profile is not positive
-    PoleEncounteredError when F's own bound settles F <= 0 (|F| above its
-    err_estimate), else NonConvergenceError."""
+    not below 1; NonConvergenceError at the first s where F or F' is not
+    finite (the profile overflows binary64, above about n = 2,500); and at
+    the first s where the profile is not positive PoleEncounteredError when
+    F's own bound settles F <= 0 (|F| above its err_estimate), else
+    NonConvergenceError."""
     if not all(s < 1.0 for s in ss):
         raise ValueError("s must be below 1")
     out = []
     for s, (F, Fp) in zip(ss, hyp2f1_pair(profile_params(p, alpha), ss)):
+        if not (math.isfinite(F.value) and math.isfinite(Fp.value)):
+            raise NonConvergenceError(
+                f"profile overflows binary64 at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k}): "
+                f"F = {F.value!r}, F' = {Fp.value!r}")
         if not F.value > 0.0:
             if abs(F.value) > F.err_estimate:
                 raise PoleEncounteredError(
@@ -141,30 +148,29 @@ def cubic_bound(p: ConeParams, t: float) -> float:
             - (n * n - 1.0) * (n + 3.0) / (16.0 * k * (k + 2.0) * (k + 4.0)) * s ** 3)
 
 
-def illinois(f, lo: float, f_lo: float, hi: float, f_hi: float,
-             rel_tol: float = 0.0) -> Tuple[float, float, float, float]:
+def illinois(f, lo: float, f_lo: float, hi: float,
+             f_hi: float) -> Tuple[float, float, float, float]:
     """Shrink a bracket lo < hi of a root of the scalar function f, where
     f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package.
 
     Illinois steps (Dowell & Jarratt, BIT 11, 1971): regula falsi that
     halves the weight of the far end each time the same end moves twice in
-    a row.  Stops at an exact zero, at a bracket of at most 4 ulps or
-    rel_tol * max(1, |lo|, |hi|) (for an f noisier than an ulp), or when a
-    finite secant step rounds onto an end (the root is then within an ulp
-    of that end, however wide the bracket); a non-finite step falls back
-    to the midpoint.  Returns (x, |f(x)|, lo, hi): the final end x with
-    the smaller |f|, its unweighted |f|, and the final bracket.
+    a row.  A step not strictly inside (lo, hi), non-finite or rounded onto
+    an end, bisects (Brent, 1973, ch. 4) unless an end's |f| is at most
+    ROOT_F_TOL: on a steep bracket the rounded step says nothing of the
+    root.  Stops there, at an exact zero or at a bracket of at most 4 ulps,
+    and returns (x, |f(x)|, lo, hi): the final end x with the smaller |f|,
+    its unweighted |f|, and the final bracket.
     """
     w_lo = w_hi = 1.0
     moved = 0  # +1 when the last step moved lo, -1 when it moved hi
-    while f_hi < 0.0 and hi - lo > max(4.0 * math.ulp(lo), 4.0 * math.ulp(hi),
-                                       rel_tol * max(1.0, abs(lo), abs(hi))):
+    while f_hi < 0.0 and hi - lo > 4.0 * max(math.ulp(lo), math.ulp(hi)):
         g_lo, g_hi = w_lo * f_lo, w_hi * f_hi
         x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if not math.isfinite(x):
+        if not lo < x < hi:
+            if min(f_lo, -f_hi) <= ROOT_F_TOL:
+                break
             x = 0.5 * (lo + hi)
-        elif not lo < x < hi:
-            break
         f_x = f(x)
         if f_x > 0.0:
             lo, f_lo, w_lo = x, f_x, 1.0
@@ -196,9 +202,10 @@ def find_root(p: ConeParams) -> RootResult:
     The upper bracket end comes from the quadratic truncation
     s <= 2k/(n-1), tightened by the cubic bound when that has a root below
     1; the lower end by a descending scan, which ends at f(0) = 1 at the
-    latest.  Illinois steps shrink the scan bracket to a few ulps in s;
-    the root is the final end with the smaller |f|, and the residual is
-    that |f|.
+    latest.  illinois shrinks the scan bracket; the root is the final end
+    with the smaller |f|, and the residual, that |f|, is at most ROOT_F_TOL
+    unless the bracket closed to a few ulps.  f = -inf, the s -> 1 limit,
+    counts as negative; NonConvergenceError where f is +inf or NaN.
     """
     n, k = p.n, p.k
     s_up = min(2.0 * k / (n - 1.0), _S_CAP)
@@ -209,7 +216,10 @@ def find_root(p: ConeParams) -> RootResult:
 
     def F(s: float) -> float:
         v = hyp2f1(hp, s).value
-        return v if math.isfinite(v) else -math.inf  # f -> -inf at s = 1
+        if math.isnan(v) or v == math.inf:  # -inf is the s -> 1 limit
+            raise NonConvergenceError(
+                f"profile not finite at s={s} for (n,k)=({n},{k}): f = {v!r}")
+        return v
 
     s_hi, f_hi = s_up, F(s_up)
     if f_hi > 0.0:

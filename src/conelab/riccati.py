@@ -104,7 +104,6 @@ class BarrierSpec:
     s_star: float
     roots: Optional[Tuple[float, float]]  # (r_minus, r_plus)
     delta: Optional[float]
-    A: float
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,7 @@ def barrier_phi(p: ConeParams) -> Tuple[BarrierSpec, Callable[[float], float]]:
         qs = (q0 * (1.0 - s) / s) ** expo
         return r_plus * r_minus * (qs - 1.0) / (r_plus * qs - r_minus)
 
-    spec = BarrierSpec(variant=variant, s_star=s_star,
-                       roots=(r_minus, r_plus), delta=delta, A=A)
+    spec = BarrierSpec(variant=variant, s_star=s_star, roots=(r_minus, r_plus), delta=delta)
     return spec, phi
 
 

@@ -65,10 +65,10 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
     The Pruefer angle of the shot at the root, theta = z pi + arccot(d)
     for z interior zeros and log-derivative d, increases with lambda and
     passes index pi + arccot(rhs) at the index-th eigenvalue; illinois
-    solves for that crossing to a relative width of 1e-13.  Raises
-    BracketFailure when two widenings of the initial lambda bracket do
-    not enclose it, and NonConvergenceError when the boundary residual
-    |d - rhs| at the result exceeds BC_RESIDUAL_MAX.
+    solves for that crossing.  Raises BracketFailure when two widenings of
+    the initial lambda bracket do not enclose it, and NonConvergenceError
+    when the boundary residual |d - rhs| at the result exceeds
+    BC_RESIDUAL_MAX.
     """
     if index < 0:
         raise ValueError("index must be nonnegative")
@@ -101,7 +101,7 @@ def find_eigenvalue(pars: ConeParams, root: RootResult, mode: Mode = Mode(),
         h_hi = deficit(hi)
         widenings += 1
 
-    lam = illinois(deficit, lo, h_lo, hi, h_hi, rel_tol=1e-13)[0]
+    lam = illinois(deficit, lo, h_lo, hi, h_hi)[0]
     d, zeros = shoot(pars, root, lam, mode)
     return _eigen_result(pars.n, lam, zeros, abs(d - rhs_bc), f"eigenvalue {index} of mode "
                          f"({mode.p},{mode.q}) at (n,k)=({pars.n},{pars.k})")

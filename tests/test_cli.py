@@ -49,6 +49,15 @@ class TestAnalyze:
         assert err.startswith("error: profile sign unsettled at s=")
         assert "within its err_estimate" in err
 
+    @pytest.mark.parametrize("n, k", [(3000, 2990), (5000, 2500)])
+    def test_profile_overflow_is_named(self, capsys, n, k):
+        # above about n = 2,500 the threshold profile leaves binary64
+        rc, out, err = run_cli(capsys, "analyze", "--n", str(n), "--k", str(k))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: profile overflows binary64 at s=")
+        assert f"(n,k)=({n},{k}): F = " in err
+
     def test_invalid_k(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "9")
         assert rc == 2

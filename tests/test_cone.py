@@ -12,12 +12,15 @@ import conelab._backend
 import conelab.cone
 from conelab import specfun
 from conelab.cone import (
+    MARGIN_TOL,
+    ROOT_F_TOL,
     ConeParams,
     L_direct,
     Verdict,
     _cubic_root_in_s,
     cubic_bound,
     find_root,
+    illinois,
     indicial_roots,
     profile_g,
     profile_params,
@@ -25,7 +28,7 @@ from conelab.cone import (
     verdict,
 )
 from conelab.errors import NonConvergenceError, PoleEncounteredError
-from conelab.specfun import Strategy, _run_series, hyp2f1, hyp2f1_deriv, hyp2f1_pair
+from conelab.specfun import EvalResult, Strategy, _run_series, hyp2f1, hyp2f1_deriv, hyp2f1_pair
 from oracles import boundary_rhs
 
 
@@ -218,6 +221,26 @@ class TestFindRoot:
                 worst = max(worst, (len(calls), (n, k)))
         assert worst[0] <= 24, worst
 
+    @pytest.mark.parametrize("v", [math.inf, math.nan])
+    def test_non_finite_profile_raises(self, monkeypatch, v):
+        # only -inf, the s -> 1 limit of the profile, reads as a sign
+        monkeypatch.setattr(conelab.cone, "hyp2f1",
+                            lambda hp, s: EvalResult(v, 0.0, 1, Strategy.DIRECT_SERIES))
+        with pytest.raises(NonConvergenceError,
+                           match=r"profile not finite at s=.* \(n,k\)=\(7,1\): f = "):
+            find_root(ConeParams(7, 1))
+
+    def test_steep_bracket_bisects(self):
+        # |f_hi / f_lo| = 2e31 > 1/ulp: the secant step rounds onto lo,
+        # which is no root, so the solver bisects on to the root near
+        # lo + 0.165 (hi - lo)
+        lo, hi = 63.0 / 64.0, 1.0
+        f = lambda x: 0.05 - 1e30 * ((x - lo) / (hi - lo)) ** 40
+        x, residual, b_lo, b_hi = illinois(f, lo, f(lo), hi, f(hi))
+        assert residual <= ROOT_F_TOL
+        assert b_lo <= x <= b_hi and f(b_lo) > 0.0 >= f(b_hi)
+        assert abs(x - (lo + (hi - lo) * (0.05 / 1e30) ** (1.0 / 40.0))) <= 1e-14
+
 
 class TestNormalizationAndBoundary:
     def test_case_iv_normalization(self):
@@ -340,6 +363,15 @@ class TestMarginsAndVerdicts:
         lo, hi = adm
         assert abs(lo + hi - (2.0 - 7.0)) < 1e-8
 
+    def test_steep_root_bracket_verdict(self):
+        # a steep-bracket cell: at the bracket's lower end s = 63/64 s_up,
+        # which is no root, the margin is positive at both lambda = -h^2 and
+        # lambda = 0, so no lambda_1 is bracketed
+        p = ConeParams(1000, 984)
+        rep = verdict(p, find_root(p))
+        assert rep.verdict is Verdict.STRICTLY_STABLE
+        assert rep.residual <= MARGIN_TOL
+
     def test_threshold_margin_is_the_lambda_bracket_end(self):
         # at lambda = -h^2 the indicial roots meet at gamma_+ = (2-n)/2
         # exactly, so the verdict's margin is the margin at that bracket end
@@ -442,6 +474,20 @@ class TestLDirectPair:
         with pytest.raises(NonConvergenceError, match=r"unsettled at s=.*err_estimate") as exc:
             L_direct(p, -499.0, (r.s_nk,))
         assert (exc.value.value, exc.value.err_estimate) == (F.value, F.err_estimate)
+
+    @pytest.mark.parametrize("F, Fp", [(math.inf, 1.0), (math.nan, 1.0), (-math.inf, 1.0),
+                                       (1.0, math.inf), (1.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_profile_is_named(self, monkeypatch, F, Fp):
+        # an overflowed F or F' is neither a pole nor an unsettled sign
+        def fake_pair(hp, ss):
+            return [(EvalResult(F, 0.0, 1, Strategy.DIRECT_SERIES),
+                     EvalResult(Fp, 0.0, 1, Strategy.DIRECT_SERIES)) for _ in ss]
+
+        monkeypatch.setattr(conelab.cone, "hyp2f1_pair", fake_pair)
+        with pytest.raises(NonConvergenceError,
+                           match=r"overflows binary64 at s=0\.5 for alpha=-7\.0, "
+                                 r"\(n,k\)=\(7,2\): F = .*, F' = "):
+            L_direct(ConeParams(7, 2), -7.0, (0.5,))
 
     def test_pole_names_its_point(self):
         # F = 1 - 3.5 s is positive at s = 0.2 and negative at s = 0.5

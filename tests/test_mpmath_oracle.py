@@ -243,6 +243,17 @@ def test_roots_against_mpmath_n7_20():
                 assert abs(mpmath.sqrt(s_exact) - root.t_nk) <= 1e-10, (n, k)
 
 
+@pytest.mark.parametrize("n, k", [(206, 200), (400, 392), (400, 393), (1000, 984)])
+def test_roots_against_mpmath_steep_bracket(n, k):
+    """Where 2k/(n-1) >= 1 the scan's first bracket is [63/64 s_up, s_up],
+    across which f falls from about +0.05 to below -1e12, so the first
+    secant step rounds onto the lower end; s_nk still lies within 1e-12 of
+    the root of mpmath's 2F1 (_mp_root_s checks the sign change)."""
+    with mpmath.workdps(40):
+        root, s_exact = _mp_root_s(n, k)
+        assert abs(s_exact - root.s_nk) <= 1e-12, (n, k)
+
+
 def test_gamma_plus_against_mpmath_n7_20(capsys):
     """The gamma+ that analyze prints for n = 7..20 agrees to 1e-10 with
     the root in alpha of g'_alpha/g_alpha - rhs at the 40-digit t_nk.  On
