@@ -7,6 +7,9 @@ against the embedded reference), verify (invariant batteries), scan
 header, %.6f numeric cells, LF newlines, UTF-8 without BOM.
 
 Exit codes: 0 success, 1 check or comparison failure, 2 usage error.
+
+`verify --suite all` runs its second half of suites in one forked worker
+process when the process may use two CPUs; the output is unchanged.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -160,11 +164,50 @@ def cmd_table(args) -> int:
 _SUITE_NAMES = ("specfun", "riccati", "lemmas", "barriers")
 
 
-def cmd_verify(args) -> int:
+def _run_suites_split(names: List[str]) -> list:
+    """checks.run_suites(names), the second half in one forked worker when
+    two CPUs are available; a failed worker's half reruns here, so an error
+    surfaces as on one process and no record is lost or made up."""
     from conelab import checks
 
-    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
-    records = checks.run_suites(names)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    cut = len(names) // 2 if cpus >= 2 and hasattr(os, "fork") else 0
+    head, tail = names[:cut], names[cut:]
+    if not head:  # one suite, one CPU or no fork
+        return checks.run_suites(tail)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker never returns into the caller's stack
+        try:
+            with os.fdopen(wfd, "w") as pipe:
+                json.dump([dataclasses.astuple(r) for r in checks.run_suites(tail)], pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(wfd)
+    try:
+        with os.fdopen(rfd) as pipe:
+            records = checks.run_suites(head)
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    try:
+        if status == 0:
+            return records + [checks.CheckRecord(*row) for row in json.loads(payload)]
+    except (ValueError, TypeError):
+        pass
+    return records + checks.run_suites(tail)
+
+
+def cmd_verify(args) -> int:
+    names = list(_SUITE_NAMES) if args.suite == "all" else [args.suite]
+    records = _run_suites_split(names)
     failed = [r.name for r in records if not r.passed]
     rows = [dataclasses.asdict(r) for r in records]
     _emit_json(rows, failed)

@@ -239,8 +239,13 @@ def find_root(p: ConeParams) -> RootResult:
 
 def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
     """g'_alpha/g_alpha - rhs at the root, which is L(s_nk) / (t (1 - t^2));
-    positive exactly on the admissible interval."""
-    return L_direct(p, alpha, (r.s_nk,))[0] / (r.t_nk * (1.0 - r.s_nk))
+    positive exactly on the admissible interval.  Raises NonConvergenceError
+    when it is not finite."""
+    margin = L_direct(p, alpha, (r.s_nk,))[0] / (r.t_nk * (1.0 - r.s_nk))
+    if not math.isfinite(margin):
+        raise NonConvergenceError(f"margin at alpha={alpha} for (n,k)=({p.n},{p.k}) is "
+                                  f"{margin!r}, not finite", value=margin)
+    return margin
 
 
 def indicial_roots(lam: float, n: int) -> Optional[Tuple[float, float]]:
@@ -268,7 +273,8 @@ def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
     -h exactly), so that one evaluation also picks the bracket: [-h^2, 0]
     when it is positive, else [-(n-2)^2 - 1, -h^2].  Raises BracketFailure
     when the margin does not change sign there, and NonConvergenceError
-    when |margin| at lambda_1 exceeds MARGIN_TOL.
+    when the threshold margin is not finite or |margin| at lambda_1 exceeds
+    MARGIN_TOL.
     """
     h = (p.n - 2.0) / 2.0
 

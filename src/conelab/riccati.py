@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
 from conelab.cone import ConeParams, L_direct, RootResult
-from conelab.errors import PoleEncounteredError, VariantUnavailableError
+from conelab.errors import NonConvergenceError, PoleEncounteredError, VariantUnavailableError
 from conelab.lemmas import overshoot_terminal_point, refined_terminal_point
 from conelab.spectrum import chained_shot
 
@@ -240,9 +240,13 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
 
 def check_4_minus_n(p: ConeParams, r: RootResult) -> Tuple[bool, Optional[float]]:
     """Is 4-n an admissible exponent?  True iff L(s_{n,k}) > 0 at alpha = 4-n;
-    the margin returned is that L value.  At n = 3 the degree-(4-n) profile
-    is f itself, so L has a pole at the root: (False, None) is returned."""
+    the margin returned is that L value; NonConvergenceError when it is not
+    finite.  At n = 3 the degree-(4-n) profile is f itself, so L has a pole
+    at the root: (False, None) is returned."""
     if p.n == 3:
         return False, None
     margin = L_direct(p, 4.0 - p.n, (r.s_nk,))[0]
+    if not math.isfinite(margin):
+        raise NonConvergenceError(f"margin at alpha={4.0 - p.n} for (n,k)=({p.n},{p.k}) is "
+                                  f"{margin!r}, not finite", value=margin)
     return margin > 0.0, margin

@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import conelab.cone
+import conelab.riccati
 from conelab import checks, cli
 from conelab.cli import main
 
@@ -21,6 +23,13 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(conelab.cone.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 class TestAnalyze:
@@ -57,6 +66,27 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: profile overflows binary64 at s=")
         assert f"(n,k)=({n},{k}): F = " in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("alpha", [-2.5, -3.0], ids=["threshold", "4_minus_n"])
+    def test_non_finite_margin_is_named(self, monkeypatch, capsys, value, alpha):
+        # fault injection: L_direct at (7,1) returns a non-finite value at
+        # one exponent, the threshold (2-n)/2 or 4-n, as a subnormal profile
+        # would; it used to be classified, bracketed or printed as a number
+        real = conelab.cone.L_direct
+
+        def faulty(p, a, ss):
+            return [value] * len(ss) if a == alpha else real(p, a, ss)
+
+        monkeypatch.setattr(conelab.cone, "L_direct", faulty)
+        monkeypatch.setattr(conelab.riccati, "L_direct", faulty)
+        rc, out, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
+                               "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert err == (f"error: margin at alpha={alpha} for (n,k)=(7,1) is "
+                       f"{value!r}, not finite\n")
 
     def test_invalid_k(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "--n", "7", "--k", "9")
@@ -261,6 +291,124 @@ class TestVerifySuites:
         assert "argument --suite: invalid choice: 'nope'" in captured.err
 
 
+class TestVerifySplit:
+    """verify --suite all runs its second half of suites in one forked
+    worker when two CPUs are available, with the output of one process."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    @staticmethod
+    def _forks(monkeypatch):
+        forks = []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    @staticmethod
+    def _stub_suites(monkeypatch, **suites):
+        # cheap stand-ins for every suite not given
+        for name in cli._SUITE_NAMES:
+            monkeypatch.setitem(checks.SUITES, name, suites.get(name, lambda name=name: [
+                checks.CheckRecord(suite=name, name=f"{name}_stub", passed=True, detail="ok")]))
+
+    def test_split_matches_one_cpu_and_golden(self, monkeypatch, capsys):
+        forks = self._forks(monkeypatch)
+        self._cpus(monkeypatch, 2)
+        split = run_cli(capsys, "verify", "--suite", "all")
+        assert len(forks) == 1
+        self._cpus(monkeypatch, 1)
+        assert run_cli(capsys, "verify", "--suite", "all") == split
+        assert len(forks) == 1
+        rc, out, err = split
+        assert (rc, err) == (0, "")
+        golden = json.loads((DATA / "verify_records.json").read_text())
+        assert json.loads(out)["rows"] == [
+            {"suite": suite, "name": name, "passed": passed, "detail": detail}
+            for suite in cli._SUITE_NAMES for name, passed, detail in golden[suite]]
+
+    def test_one_suite_does_not_fork(self, monkeypatch, capsys):
+        forks = self._forks(monkeypatch)
+        self._cpus(monkeypatch, 2)
+        self._stub_suites(monkeypatch)
+        assert run_cli(capsys, "verify", "--suite", "barriers")[0] == 0
+        assert forks == []
+
+    def test_worker_failure_reaches_flags(self, monkeypatch, capsys):
+        self._cpus(monkeypatch, 2)
+        self._stub_suites(monkeypatch, barriers=lambda: [checks.CheckRecord(
+            suite="barriers", name="seeded_bug", passed=False, detail="sign flipped")])
+        parent = os.getpid()
+        rc, out, err = run_cli(capsys, "verify", "--suite", "all")
+        assert rc == 1
+        payload = json.loads(out)
+        assert payload["flags"] == ["seeded_bug"]
+        assert [r["name"] for r in payload["rows"]] == [
+            "specfun_stub", "riccati_stub", "lemmas_stub", "seeded_bug"]
+        assert err == "FAILED: seeded_bug\n"
+        assert os.getpid() == parent
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_worker_exception_surfaces_as_sequential(self, monkeypatch, capsys, cpus):
+        calls = []
+
+        def crash():
+            calls.append(os.getpid())
+            raise RuntimeError("seeded crash in barriers")
+
+        self._cpus(monkeypatch, cpus)
+        self._stub_suites(monkeypatch, barriers=crash)
+        with pytest.raises(RuntimeError, match="seeded crash in barriers"):
+            main(["verify", "--suite", "all"])
+        # the parent ran the failed half itself (the worker's call is not
+        # recorded here: it appended to its own copy of the list)
+        assert calls == [os.getpid()]
+        assert capsys.readouterr().out == ""
+
+    def test_worker_killed_by_signal_is_rerun(self, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dies_in_worker():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), 9)
+            return [checks.CheckRecord(suite="barriers", name="rerun", passed=True,
+                                       detail="ok")]
+
+        self._cpus(monkeypatch, 2)
+        self._stub_suites(monkeypatch, barriers=dies_in_worker)
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert rc == 0
+        assert json.loads(out)["rows"][-1]["name"] == "rerun"
+
+    def test_parent_exception_kills_and_reaps_worker(self, monkeypatch, capsys):
+        def crash():
+            raise RuntimeError("seeded crash in specfun")
+
+        self._cpus(monkeypatch, 2)
+        self._stub_suites(monkeypatch, specfun=crash, barriers=lambda: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="seeded crash in specfun"):
+            main(["verify", "--suite", "all"])
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_process_outlives_verify(self):
+        proc = subprocess.Popen([sys.executable, "-m", "conelab.cli", "verify", "--suite", "all"],
+                                stdout=subprocess.DEVNULL, env=src_env(),
+                                start_new_session=True)
+        assert proc.wait(timeout=300) == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
 class TestColdImport:
     @staticmethod
     def _loaded_after(*argvs, watch=("scipy", "numpy")):
@@ -276,11 +424,8 @@ class TestColdImport:
             f"             if m in {watch!r} or m.split('.')[0] in {watch!r}),",
             "      file=sys.stderr)",
         ])
-        src = str(Path(conelab.cone.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, env=env, check=True)
+                             text=True, env=src_env(), check=True)
         return out.stderr.strip()
 
     def test_no_scipy_or_numpy_on_the_evaluation_path(self):
