@@ -3,13 +3,14 @@ Bernoulli cones.
 
 Modules mirror the analysis pipeline: specfun (hypergeometric and
 gamma-family kernel), cone (profiles, free-boundary root, stability
-criterion), riccati (log-derivative ODE and comparison barriers),
-spectrum (Robin link eigenvalues), lemmas (asymptotic bound checks),
+criterion, first link eigenvalue), riccati (log-derivative ODE, its
+cross-check against one mode-(0,0) shot of the link ODE, and comparison
+barriers), spectrum (the family scan), lemmas (asymptotic bound checks),
 checks (verification batteries, loaded by `verify` only), cli
 (command-line front end).  The package holds what the command line runs:
-the reference oracles the tests check it against (a Pruefer-angle
-shooting eigenvalue solver and a finite-difference discretization) live
-in tests/oracles.py.
+the reference oracles the tests check it against (link-ODE shooting for
+any mode (p, q), a Pruefer-angle eigenvalue solver and a finite-difference
+discretization) live in tests/oracles.py.
 
 The hot kernels are compiled (hand-written C) with a pure-Python
 fallback selected at import; see conelab._backend and BACKEND_NAME.
@@ -27,7 +28,7 @@ from conelab.cone import (
 )
 from conelab.riccati import BarrierSpec, RiccatiTrace, check_4_minus_n, verify_barrier
 from conelab.specfun import EvalResult, HypParams, hyp2f1
-from conelab.spectrum import Mode, family_scan
+from conelab.spectrum import family_scan
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,6 @@ __all__ = [
     "EvalResult",
     "HypParams",
     "hyp2f1",
-    "Mode",
     "family_scan",
     "indicial_roots",
 ]

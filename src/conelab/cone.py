@@ -102,7 +102,8 @@ def L_direct(p: ConeParams, alpha: float, ss: Sequence[float]) -> List[float]:
     F and F' of the degree-alpha profile from one hyp2f1_pair call (at
     s = 0, F = 1 exactly and L = k-1).  Raises ValueError when some s is
     not below 1; NonConvergenceError at the first s where F or F' is not
-    finite (the profile overflows binary64, above about n = 2,500); and at
+    finite (the profile overflows binary64: first between n = 1,600 and
+    1,800, at d = 30 as in (1800,1770), and at more d as n grows); and at
     the first s where the profile is not positive PoleEncounteredError when
     F's own bound settles F <= 0 (|F| above its err_estimate), else
     NonConvergenceError."""

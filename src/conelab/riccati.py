@@ -4,10 +4,11 @@ log-derivative function L(s) of cone.L_direct,
     2 s (1-s) L' + L^2 + (n s - k) L + P(s) = 0,
     P(s) = (n - 2k) s + ahat s (1-s) + (k-1),        ahat = alpha (alpha+n-2),
 
-a cross-check of L against the link ODE along spectrum.chained_shot, the
-mode-(0,0) shot of the link eigenvalue problem, and the two-piece comparison
-barriers, ending at the terminal points of lemmas, that propagate
-positivity of L up to the free-boundary root for alpha = 4 - n.
+a cross-check of L against one shot of the mode-(0,0) link ODE (the
+radial equation of the link eigenvalue problem, whose regular solution at
+lambda = ahat is the profile), and the two-piece comparison barriers,
+ending at the terminal points of lemmas, that propagate positivity of L up
+to the free-boundary root for alpha = 4 - n.
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
+from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, L_direct, RootResult
-from conelab.errors import NonConvergenceError, PoleEncounteredError, VariantUnavailableError
+from conelab.errors import (
+    IntegrationFailure,
+    NonConvergenceError,
+    PoleEncounteredError,
+    VariantUnavailableError,
+)
 from conelab.lemmas import overshoot_terminal_point, refined_terminal_point
-from conelab.spectrum import chained_shot
 
 __all__ = [
     "RiccatiTrace",
@@ -36,6 +42,8 @@ __all__ = [
 ]
 
 ODE_S_MAX = 1.0 - 1e-6  # the s = 1 end of the link ODE is singular again
+T_LAUNCH = 1e-6  # axis offset of the series launch of the link ODE
+ODE_TOL = 1e-11  # local error tolerance of the link-ODE integrator
 CROSS_CHECK_POINTS = 33  # grid of the L_cross_check trace
 BARRIER_GRID = 512  # Chebyshev points per smooth barrier piece
 
@@ -59,16 +67,42 @@ def P_poly(p: ConeParams, ahat: float, s: float) -> float:
 
 
 def _L_ode_trace(p: ConeParams, alpha: float, grid) -> list:
-    """L at the increasing points s of grid from the mode-(0,0) link ODE at
-    lambda = ahat: the regular solution Phi(t), s = t^2, is the profile, so
-    L = t (1-s) Phi'/Phi - (n-2) s + (k-1), along one chained shot."""
-    ts = [math.sqrt(s) for s in grid]
-    out = []
-    for s, t, (u, v, _) in zip(grid, ts, chained_shot(p, alpha_hat(p, alpha), ts)):
-        if u == 0.0:
-            raise PoleEncounteredError(
-                f"profile vanishes at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-        out.append(t * (1.0 - s) * v / u - (p.n - 2.0) * s + (p.k - 1.0))
+    """L at the increasing points s of grid from the mode-(0,0) link ODE
+
+        (1-t^2) Phi'' + ((k-1)/t - (n-1) t) Phi' + lambda Phi = 0
+
+    at lambda = ahat: the regular solution Phi(t), s = t^2, is the profile,
+    so L = t (1-s) Phi'/Phi - (n-2) s + (k-1).  One integration, carried
+    from point to point, starts at T_LAUNCH from the series
+    Phi = 1 + c2 t^2 + c4 t^4, which also gives the points at or below
+    T_LAUNCH.  Raises PoleEncounteredError when Phi vanishes by a grid
+    point, IntegrationFailure on a step collapse."""
+    n, k, lam = float(p.n), float(p.k), alpha_hat(p, alpha)
+    c2 = -lam / (2.0 * k)
+    c4 = c2 * (2.0 * n - lam) / (4.0 * (k + 2.0))
+
+    def launch(t: float) -> Tuple[float, float]:
+        return 1.0 + c2 * t * t + c4 * t ** 4, 2.0 * c2 * t + 4.0 * c4 * t ** 3
+
+    t0, zeros, out = T_LAUNCH, 0, []
+    u, v = launch(t0)
+    # resolve the local oscillation scale so step-wise sign counting is exact
+    max_step = min(0.25 / math.sqrt(1.0 + abs(lam)), (math.sqrt(grid[-1]) - T_LAUNCH) / 16.0)
+    for s in grid:
+        t = math.sqrt(s)
+        if t <= T_LAUNCH:
+            phi, dphi = launch(t)
+        else:
+            u, v, z, ok = robin_shoot(u, v, t0, t, n, k, lam, 0.0, 0.0,
+                                      ODE_TOL, 1e-300, max_step, 2_000_000)
+            if not ok:
+                raise IntegrationFailure(f"shooting step collapse before t={t} at "
+                                         f"(n,k)=({p.n},{p.k}), lambda={lam}")
+            t0, zeros, phi, dphi = t, zeros + z, u, v
+        if zeros or phi == 0.0:
+            raise PoleEncounteredError(f"profile vanishes {'before' if zeros else 'at'} s={s} "
+                                       f"for alpha={alpha}, (n,k)=({p.n},{p.k})")
+        out.append(t * (1.0 - s) * dphi / phi - (n - 2.0) * s + (k - 1.0))
     return out
 
 

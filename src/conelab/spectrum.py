@@ -1,109 +1,28 @@
-"""Robin eigenvalue problem on the spherical link of the cone, and the
-family scan.
+"""The family scan: the first eigenvalue lambda_1 of the Robin link
+problem and the decay rates gamma_+- over the cells 3 <= n <= 40,
+1 <= k <= n-2, with the monotonicity and range flags of the
+conjecture-evidence scan.
 
-For a separated mode (p, q) the radial factor solves
-
-    (1-t^2) Phi'' + ((k-1)/t - (n-1) t) Phi'
-        + (lambda - p(p+n-k-2)/(1-t^2) - q(q+k-2)/t^2) Phi = 0
-
-with the regular Frobenius branch Phi ~ t^q at the axis and the Robin
-matching Phi'/Phi = ((n-2) t - (k-1)/t) / (1-t^2) at the free-boundary
-root.  For the mode (0, 0) the regular solution at lambda is the profile
-2F1(a, b; k/2; t^2), a + b = (n-2)/2, ab = -lambda/4, so the matching is
-the stability margin vanishing in lambda: cone.verdict takes lambda_1
-and gamma_+- from that root for every cell, and family_scan tabulates
-them.  chained_shot integrates the link ODE for riccati's cross-check of
-L.  The tests' oracles (tests/oracles.py), Pruefer-angle shooting for any
-mode and index and a finite-difference discretization, reuse
-chained_shot and the mode potentials.
+For the mode (0, 0) the regular solution of the link ODE at lambda is the
+profile 2F1(a, b; k/2; t^2), a + b = (n-2)/2, ab = -lambda/4, so the
+Robin matching at the free-boundary root is the stability margin
+vanishing in lambda: cone.verdict takes lambda_1 and gamma_+- from that
+root for every cell, and family_scan tabulates them.  Shooting the link
+problem for any mode and index is the tests' oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, find_root, verdict
-from conelab.errors import IntegrationFailure
 
 __all__ = [
-    "Mode",
     "ScanRow",
     "ScanReport",
-    "chained_shot",
     "family_cells",
     "family_scan",
 ]
-
-
-@dataclass(frozen=True)
-class Mode:
-    """Spherical harmonic degrees on the two sphere factors."""
-
-    p: int = 0
-    q: int = 0
-
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError("mode degrees must be nonnegative")
-
-
-T_LAUNCH = 1e-6  # axis offset of the Frobenius launch
-ODE_TOL = 1e-11  # local error tolerance of the shooting integrator
-
-
-def _mode_potentials(p_: ConeParams, mode: Mode) -> Tuple[float, float]:
-    P2 = mode.p * (mode.p + p_.n - p_.k - 2.0)
-    Q2 = mode.q * (mode.q + p_.k - 2.0)
-    return P2, Q2
-
-
-def _frobenius_launch(p_: ConeParams, mode: Mode, lam: float,
-                      tl: float) -> Tuple[float, float]:
-    """Fourth-order series launch of the regular branch Phi ~ t^q.
-
-    Substituting Phi = t^q (1 + c2 t^2 + c4 t^4) into the mode ODE gives
-        c2 = (q(q+n-2) + P2 - lam) / (2 (2q + k)),
-        c4 = (c2 ((q+2)(q+n) - lam + P2) + P2) / (4 (2q + k + 2)).
-    """
-    n, k, q = p_.n, p_.k, mode.q
-    P2, _ = _mode_potentials(p_, mode)
-    c2 = (q * (q + n - 2.0) + P2 - lam) / (2.0 * (2.0 * q + k))
-    c4 = (c2 * ((q + 2.0) * (q + n) - lam + P2) + P2) / (4.0 * (2.0 * q + k + 2.0))
-    poly = 1.0 + c2 * tl * tl + c4 * tl ** 4
-    dpoly = 2.0 * c2 * tl + 4.0 * c4 * tl ** 3
-    if q == 0:
-        return poly, dpoly
-    u = tl ** q * poly
-    v = q * tl ** (q - 1) * poly + tl ** q * dpoly
-    return u, v
-
-
-def chained_shot(pars: ConeParams, lam: float, ts: Sequence[float],
-                 mode: Mode = Mode()) -> List[Tuple[float, float, int]]:
-    """(u, v, zeros) at each increasing t of ts, for (u, v) a positive
-    multiple of (Phi, Phi') and zeros the interior sign changes of Phi so
-    far: one integration from the Frobenius launch at T_LAUNCH, carried
-    from point to point; points at or below the launch take the series.
-    Raises IntegrationFailure on a step collapse."""
-    P2, Q2 = _mode_potentials(pars, mode)
-    t0, zeros, out = T_LAUNCH, 0, []
-    u, v = _frobenius_launch(pars, mode, lam, t0)
-    # resolve the local oscillation scale so step-wise sign counting is exact
-    max_step = min(0.25 / math.sqrt(1.0 + abs(lam)), (ts[-1] - T_LAUNCH) / 16.0)
-    for t in ts:
-        if t <= T_LAUNCH:
-            out.append((*_frobenius_launch(pars, mode, lam, t), 0))
-            continue
-        u, v, z, ok = robin_shoot(u, v, t0, t, float(pars.n), float(pars.k), lam, P2, Q2,
-                                  ODE_TOL, 1e-300, max_step, 2_000_000)
-        if not ok:
-            raise IntegrationFailure(f"shooting step collapse before t={t} at "
-                                     f"(n,k)=({pars.n},{pars.k}), lambda={lam}")
-        t0, zeros = t, zeros + z
-        out.append((u, v, zeros))
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,97 @@
 """Reference oracles for the Robin link eigenvalue problem, used by the
-tests only: find_eigenvalue shoots for any mode and index (the Pruefer
-angle at the free-boundary root), fd_oracle_lambda1 takes the lowest
-eigenvalue of a finite-difference discretization.  Of the library's
-solvers they share only spectrum.chained_shot (the link-ODE integration)
-and cone.illinois (the root solver); the library takes lambda_1 from the
-margin root in cone.verdict instead."""
+tests only.  For a separated mode (p, q) the radial factor solves
+
+    (1-t^2) Phi'' + ((k-1)/t - (n-1) t) Phi'
+        + (lambda - p(p+n-k-2)/(1-t^2) - q(q+k-2)/t^2) Phi = 0
+
+with the regular Frobenius branch Phi ~ t^q at the axis and the Robin
+matching Phi'/Phi = ((n-2) t - (k-1)/t) / (1-t^2) at the free-boundary
+root.  chained_shot integrates it for any mode, find_eigenvalue shoots for
+any mode and index (the Pruefer angle at the free-boundary root), and
+fd_oracle_lambda1 takes the lowest eigenvalue of a finite-difference
+discretization.  Of the library they share only the robin_shoot kernel
+(driven here with the mode potentials P2 and Q2) and cone.illinois (the
+root solver); the library takes lambda_1 from the margin root in
+cone.verdict instead, and its Riccati cross-check shoots mode (0,0) only."""
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, RootResult, illinois, indicial_roots
-from conelab.errors import BracketFailure, NonConvergenceError
-from conelab.spectrum import Mode, _mode_potentials, chained_shot
+from conelab.errors import BracketFailure, IntegrationFailure, NonConvergenceError
 
 BC_RESIDUAL_MAX = 1e-9  # largest accepted |Phi'/Phi - Robin side| at the root
+
+
+T_LAUNCH = 1e-6  # axis offset of the Frobenius launch
+ODE_TOL = 1e-11  # local error tolerance of the shooting integrator
+
+
+@dataclass(frozen=True)
+class Mode:
+    """Spherical harmonic degrees on the two sphere factors."""
+
+    p: int = 0
+    q: int = 0
+
+    def __post_init__(self):
+        if self.p < 0 or self.q < 0:
+            raise ValueError("mode degrees must be nonnegative")
+
+
+def _mode_potentials(p_: ConeParams, mode: Mode) -> Tuple[float, float]:
+    P2 = mode.p * (mode.p + p_.n - p_.k - 2.0)
+    Q2 = mode.q * (mode.q + p_.k - 2.0)
+    return P2, Q2
+
+
+def _frobenius_launch(p_: ConeParams, mode: Mode, lam: float,
+                      tl: float) -> Tuple[float, float]:
+    """Fourth-order series launch of the regular branch Phi ~ t^q.
+
+    Substituting Phi = t^q (1 + c2 t^2 + c4 t^4) into the mode ODE gives
+        c2 = (q(q+n-2) + P2 - lam) / (2 (2q + k)),
+        c4 = (c2 ((q+2)(q+n) - lam + P2) + P2) / (4 (2q + k + 2)).
+    """
+    n, k, q = p_.n, p_.k, mode.q
+    P2, _ = _mode_potentials(p_, mode)
+    c2 = (q * (q + n - 2.0) + P2 - lam) / (2.0 * (2.0 * q + k))
+    c4 = (c2 * ((q + 2.0) * (q + n) - lam + P2) + P2) / (4.0 * (2.0 * q + k + 2.0))
+    poly = 1.0 + c2 * tl * tl + c4 * tl ** 4
+    dpoly = 2.0 * c2 * tl + 4.0 * c4 * tl ** 3
+    if q == 0:
+        return poly, dpoly
+    u = tl ** q * poly
+    v = q * tl ** (q - 1) * poly + tl ** q * dpoly
+    return u, v
+
+
+def chained_shot(pars: ConeParams, lam: float, ts: Sequence[float],
+                 mode: Mode) -> List[Tuple[float, float, int]]:
+    """(u, v, zeros) at each increasing t of ts, for (u, v) a positive
+    multiple of (Phi, Phi') and zeros the interior sign changes of Phi so
+    far: one integration from the Frobenius launch at T_LAUNCH, carried
+    from point to point; points at or below the launch take the series.
+    Raises IntegrationFailure on a step collapse."""
+    P2, Q2 = _mode_potentials(pars, mode)
+    t0, zeros, out = T_LAUNCH, 0, []
+    u, v = _frobenius_launch(pars, mode, lam, t0)
+    # resolve the local oscillation scale so step-wise sign counting is exact
+    max_step = min(0.25 / math.sqrt(1.0 + abs(lam)), (ts[-1] - T_LAUNCH) / 16.0)
+    for t in ts:
+        if t <= T_LAUNCH:
+            out.append((*_frobenius_launch(pars, mode, lam, t), 0))
+            continue
+        u, v, z, ok = robin_shoot(u, v, t0, t, float(pars.n), float(pars.k), lam, P2, Q2,
+                                  ODE_TOL, 1e-300, max_step, 2_000_000)
+        if not ok:
+            raise IntegrationFailure(f"shooting step collapse before t={t} at "
+                                     f"(n,k)=({pars.n},{pars.k}), lambda={lam}")
+        t0, zeros = t, zeros + z
+        out.append((u, v, zeros))
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ something that X defines rather than re-exports.  __init__.py imports only
 to re-export, and `from __future__` imports are compiler directives, so
 both are exempt from the second rule, and __init__.py from the fourth;
 _backend's choice of kernel module is exempt from the third.  Every name
-in a module's __all__ is used by the library outside __init__.py, and
+in a module's __all__ is used by the library outside __init__.py,
 every function, class and constant a module defines is used outside its
-own definition or re-exported by __init__.py."""
+own definition or re-exported by __init__.py, and every defaulted
+parameter is passed by some library call."""
 
 import ast
 import sys
@@ -137,3 +138,43 @@ def test_top_level_names_are_used_by_the_library():
                     for name in _defined(ast.Module(body=[node], type_ignores=[]))
                     if name != "__all__" and counts[name] == (name in r))
     assert not unused, f"defined but never used by the library: {unused}"
+
+
+
+def _defaulted(fn):
+    """(position, name) of each parameter of fn that has a default;
+    keyword-only ones have position None."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    return ([(i, x.arg) for i, x in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+            + [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def test_defaulted_parameters_are_passed_by_the_library():
+    # a default that no library call overrides is a parameter nobody sets:
+    # some call in src/conelab passes each defaulted parameter, by position
+    # or by keyword.  Calls resolve by name, ClassName(...) to the class's
+    # own __init__, and a method's positions skip self.  cli.main(argv) is
+    # exempt: the console entry point calls it bare.
+    trees = {p.name: _tree(p) for p in MODULES}
+    defs = []  # (label, called as, function, position offset)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{module}:{node.name}", node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{module}:{node.name}.{f.name}",
+                          node.name if f.name == "__init__" else f.name, f, 1)
+                         for f in node.body if isinstance(f, ast.FunctionDef)]
+    passed = {}  # called name -> keywords and positions passed, "*" for unpacking
+    for tree in trees.values():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            passed.setdefault(name, set()).update(
+                {"*" if kw.arg is None else kw.arg for kw in call.keywords},
+                {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(call.args)})
+    unpassed = sorted(f"{label}({arg})" for label, called, fn, offset in defs
+                      if label != "cli.py:main" for i, arg in _defaulted(fn)
+                      if not passed.get(called, set())
+                      & {"*", arg, None if i is None else i - offset})
+    assert not unpassed, f"defaulted parameters no library call passes: {unpassed}"

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conelab import spectrum
+from conelab import riccati
 from conelab.cone import ConeParams, find_root
-from conelab.errors import VariantUnavailableError
+from conelab.errors import PoleEncounteredError, VariantUnavailableError
 from conelab.riccati import (
     BarrierVariant,
     RiccatiTrace,
@@ -19,6 +19,7 @@ from conelab.riccati import (
     linear_root_relation,
     verify_barrier,
 )
+from oracles import Mode, chained_shot
 
 
 def p_poly_roots_in_unit(p, ahat):
@@ -75,18 +76,62 @@ class TestLEval:
         # one robin_shoot call per grid point past s = 0, each starting
         # where the previous one ended
         calls = []
-        real = spectrum.robin_shoot
+        real = riccati.robin_shoot
 
         def spy(*args):
             calls.append(args[2:4])
             return real(*args)
 
-        monkeypatch.setattr(spectrum, "robin_shoot", spy)
+        monkeypatch.setattr(riccati, "robin_shoot", spy)
         p = ConeParams(10, 4)
         tr = L_cross_check(p, -4.0, find_root(p).s_nk)
         assert len(calls) == len(tr.grid) - 1
         assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
         assert calls[-1][1] == math.sqrt(tr.grid[-1])
+
+    def test_sign_change_between_points_is_a_pole(self, monkeypatch):
+        # a zero of the profile strictly between two grid points leaves u
+        # nonzero at both; the shot's zero count still reports it
+        real = riccati.robin_shoot
+
+        def one_zero(*args):
+            u, v, _, ok = real(*args)
+            return u, v, 1, ok
+
+        monkeypatch.setattr(riccati, "robin_shoot", one_zero)
+        with pytest.raises(PoleEncounteredError,
+                           match=r"profile vanishes before s=0\.01875 for alpha=-3\.5, "
+                                 r"\(n,k\)=\(9,4\)"):
+            L_cross_check(ConeParams(9, 4), -3.5, 0.6)
+
+    def test_launch_matches_oracle_bit_for_bit(self, monkeypatch):
+        # the mode-(0,0) series launch behind L_cross_check against the
+        # oracle's Frobenius launch for any mode, on the same grid: the same
+        # floats at the launch, after every shot and in L, s = 0 included
+        shots = []
+        real = riccati.robin_shoot
+
+        def spy(*args):
+            res = real(*args)
+            shots.append((args[:2], res[:2]))
+            return res
+
+        monkeypatch.setattr(riccati, "robin_shoot", spy)
+        for n, k, alpha in [(7, 1, -2.5), (9, 4, -3.5), (8, 6, -4.0), (20, 3, -9.0),
+                            (40, 38, -19.0)]:
+            p = ConeParams(n, k)
+            shots.clear()
+            tr = L_cross_check(p, alpha, find_root(p).s_nk)
+            lam = riccati.alpha_hat(p, alpha)
+            ref = chained_shot(p, lam, [math.sqrt(s) for s in tr.grid], Mode())
+            launch = chained_shot(p, lam, [riccati.T_LAUNCH], Mode())[0][:2]
+            L_ref = [math.sqrt(s) * (1.0 - s) * v / u - (n - 2.0) * s + (k - 1.0)
+                     for s, (u, v, _) in zip(tr.grid, ref)]
+            assert lam != 0.0 and tr.grid[0] == 0.0 and len(shots) == len(tr.grid) - 1
+            assert [x.hex() for x in shots[0][0]] == [x.hex() for x in launch]
+            assert ([[x.hex() for x in uv] for _, uv in shots]
+                    == [[x.hex() for x in r[:2]] for r in ref[1:]])
+            assert [x.hex() for x in tr.values_ode] == [x.hex() for x in L_ref]
 
     def test_s_domain(self):
         with pytest.raises(ValueError):
