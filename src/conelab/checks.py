@@ -13,14 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 from conelab import lemmas, riccati
-from conelab.cone import ConeParams, L_direct, find_root
-from conelab.riccati import (
-    BarrierVariant,
-    L_cross_check,
-    check_4_minus_n,
-    linear_root_relation,
-    verify_barrier,
-)
+from conelab.cone import ConeParams, L_direct, check_4_minus_n, find_root
+from conelab.riccati import BarrierVariant, L_cross_check, linear_root_relation, verify_barrier
 from conelab.specfun import (
     HypParams,
     digamma,

@@ -23,9 +23,8 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from conelab import reference
-from conelab.cone import ConeParams, Verdict, find_root, verdict
+from conelab.cone import ConeParams, Verdict, check_4_minus_n, find_root, verdict
 from conelab.errors import ConelabError
-from conelab.riccati import check_4_minus_n
 from conelab.spectrum import family_cells, family_scan
 
 

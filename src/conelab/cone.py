@@ -1,10 +1,11 @@
 """Cone geometry for the invariant one-phase family: profile functions
 and their log-derivative L, the free-boundary root, the strict stability
-criterion (read from L), and verdict, the one stability step per cone.
-verdict evaluates the criterion margin at the threshold exponent (2-n)/2
-once and takes from it both the verdict and the bracket of the margin's
-root in lambda, lambda_1, whose indicial roots gamma_+- bound the
-admissible homogeneity interval.  Functions evaluated at the free
+criterion (read from L), the sign of L at the root for the subsolution
+exponent alpha = 4-n (check_4_minus_n), and verdict, the one stability
+step per cone.  verdict evaluates the criterion margin at the threshold
+exponent (2-n)/2 once and takes from it both the verdict and the bracket
+of the margin's root in lambda, lambda_1, whose indicial roots gamma_+-
+bound the admissible homogeneity interval.  Functions evaluated at the free
 boundary take the RootResult of find_root.  The normalization c_{n,k},
 the t-derivative of a profile and the boundary mean curvature, which no
 command prints, live with the tests.
@@ -35,6 +36,7 @@ __all__ = [
     "cubic_bound",
     "find_root",
     "stability_margin",
+    "check_4_minus_n",
     "verdict",
     "indicial_roots",
 ]
@@ -247,6 +249,20 @@ def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
         raise NonConvergenceError(f"margin at alpha={alpha} for (n,k)=({p.n},{p.k}) is "
                                   f"{margin!r}, not finite", value=margin)
     return margin
+
+
+def check_4_minus_n(p: ConeParams, r: RootResult) -> Tuple[bool, Optional[float]]:
+    """Is 4-n an admissible exponent?  True iff L(s_{n,k}) > 0 at alpha = 4-n;
+    the margin returned is that L value; NonConvergenceError when it is not
+    finite.  At n = 3 the degree-(4-n) profile is f itself, so L has a pole
+    at the root: (False, None) is returned."""
+    if p.n == 3:
+        return False, None
+    margin = L_direct(p, 4.0 - p.n, (r.s_nk,))[0]
+    if not math.isfinite(margin):
+        raise NonConvergenceError(f"margin at alpha={4.0 - p.n} for (n,k)=({p.n},{p.k}) is "
+                                  f"{margin!r}, not finite", value=margin)
+    return margin > 0.0, margin
 
 
 def indicial_roots(lam: float, n: int) -> Optional[Tuple[float, float]]:

@@ -8,7 +8,8 @@ a cross-check of L against one shot of the mode-(0,0) link ODE (the
 radial equation of the link eigenvalue problem, whose regular solution at
 lambda = ahat is the profile), and the two-piece comparison barriers,
 ending at the terminal points of lemmas, that propagate positivity of L up
-to the free-boundary root for alpha = 4 - n.
+to the free-boundary root for alpha = 4 - n.  The sign of L at that root
+is cone.check_4_minus_n.  Of the commands only `verify` loads this module.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
 from conelab._backend import robin_shoot
-from conelab.cone import ConeParams, L_direct, RootResult
+from conelab.cone import ConeParams, L_direct
 from conelab.errors import (
     IntegrationFailure,
-    NonConvergenceError,
     PoleEncounteredError,
     VariantUnavailableError,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "barrier_phi",
     "linear_root_relation",
     "verify_barrier",
-    "check_4_minus_n",
 ]
 
 ODE_S_MAX = 1.0 - 1e-6  # the s = 1 end of the link ODE is singular again
@@ -270,17 +269,3 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
                          min_L_minus_phi=l_minus_phi,
                          L_at_s_star=L_star, comparison_passed=comparison_passed,
                          passed=comparison_passed and jump_left > jump_right)
-
-
-def check_4_minus_n(p: ConeParams, r: RootResult) -> Tuple[bool, Optional[float]]:
-    """Is 4-n an admissible exponent?  True iff L(s_{n,k}) > 0 at alpha = 4-n;
-    the margin returned is that L value; NonConvergenceError when it is not
-    finite.  At n = 3 the degree-(4-n) profile is f itself, so L has a pole
-    at the root: (False, None) is returned."""
-    if p.n == 3:
-        return False, None
-    margin = L_direct(p, 4.0 - p.n, (r.s_nk,))[0]
-    if not math.isfinite(margin):
-        raise NonConvergenceError(f"margin at alpha={4.0 - p.n} for (n,k)=({p.n},{p.k}) is "
-                                  f"{margin!r}, not finite", value=margin)
-    return margin > 0.0, margin

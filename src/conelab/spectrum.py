@@ -65,7 +65,8 @@ def family_scan(n_range: Tuple[int, int]) -> ScanReport:
     the monotonicity and range flags of the conjecture-evidence scan.
 
     Rows come in (n, k) order.  The bound flags are evaluated on the n >= 7
-    rows, where the family is strictly stable.
+    rows, where the family is strictly stable; a flag that has no row or
+    consecutive pair to judge passes, and a note names it.
     """
     rows = [_scan_cell(n, k) for n, k in family_cells(*n_range)]
 
@@ -94,13 +95,16 @@ def family_scan(n_range: Tuple[int, int]) -> ScanReport:
     lbar = [r.lambda1 for r in bar]
     lbar_dec = all(b < a for a, b in zip(lbar, lbar[1:]))
 
-    flags = {
-        "lambda1_strictly_increasing_in_k": inc_k,
-        "lambda1_above_8_minus_2n": above,
-        "gamma_minus_in_2mn_4mn": gm_rng,
-        "gamma_plus_in_m2_0": gp_rng,
-        "gamma_bar_strictly_increasing": gbar_inc,
-        "gamma_bar_in_m2_m1": gbar_rng,
-        "lambda_bar_strictly_decreasing": lbar_dec,
+    judged = {
+        "lambda1_strictly_increasing_in_k": (inc_k, sum(len(g) - 1 for g in by_n.values())),
+        "lambda1_above_8_minus_2n": (above, len(stable_rows)),
+        "gamma_minus_in_2mn_4mn": (gm_rng, len(stable_rows)),
+        "gamma_plus_in_m2_0": (gp_rng, len(stable_rows)),
+        "gamma_bar_strictly_increasing": (gbar_inc, len(bar) - 1),
+        "gamma_bar_in_m2_m1": (gbar_rng, len(bar)),
+        "lambda_bar_strictly_decreasing": (lbar_dec, len(bar) - 1),
     }
+    notes += [f"flag {name} judged no row or pair: it passes vacuously"
+              for name, (_, count) in judged.items() if count < 1]
+    flags = {name: ok for name, (ok, _) in judged.items()}
     return ScanReport(rows=tuple(rows), flags=flags, notes=tuple(notes))

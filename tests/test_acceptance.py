@@ -16,7 +16,14 @@ import pytest
 
 from conelab import reference
 from conelab.checks import run_suites
-from conelab.cone import ConeParams, Verdict, find_root, indicial_roots, verdict
+from conelab.cone import (
+    ConeParams,
+    Verdict,
+    check_4_minus_n,
+    find_root,
+    indicial_roots,
+    verdict,
+)
 from conelab.lemmas import (
     estimate_z0,
     limit_profile_u,
@@ -24,7 +31,7 @@ from conelab.lemmas import (
     phi_c_eval,
     root_bound_check,
 )
-from conelab.riccati import BarrierVariant, check_4_minus_n, verify_barrier
+from conelab.riccati import BarrierVariant, verify_barrier
 from conelab.specfun import laplace_quad
 from oracles import fd_oracle_lambda1, find_eigenvalue
 

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import conelab.cone
-import conelab.riccati
 from conelab import checks, cli
 from conelab.cli import main
 
@@ -60,7 +59,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("n, k", [(3000, 2990), (5000, 2500)])
     def test_profile_overflow_is_named(self, capsys, n, k):
-        # above about n = 2,500 the threshold profile leaves binary64
+        # the threshold profile leaves binary64 first between n = 1,600 and
+        # 1,800, at d = 30, and at more d as n grows; both cells lie past it
         rc, out, err = run_cli(capsys, "analyze", "--n", str(n), "--k", str(k))
         assert rc == 2
         assert out == ""
@@ -80,7 +80,6 @@ class TestAnalyze:
             return [value] * len(ss) if a == alpha else real(p, a, ss)
 
         monkeypatch.setattr(conelab.cone, "L_direct", faulty)
-        monkeypatch.setattr(conelab.riccati, "L_direct", faulty)
         rc, out, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
                                "--format", "json")
         assert rc == 2
@@ -234,6 +233,22 @@ class TestScan:
         assert lines[0] == "n,k,t_nk,lambda1,gamma_plus,gamma_minus"
         # n = 3..5 cones are unstable far below threshold: complex roots
         assert all(line.split(",")[4] == "nan" for line in lines[1:])
+
+    @pytest.mark.parametrize("n_max, vacuous", [
+        (6, ["lambda1_strictly_increasing_in_k", "lambda1_above_8_minus_2n",
+             "gamma_minus_in_2mn_4mn", "gamma_plus_in_m2_0", "gamma_bar_strictly_increasing",
+             "gamma_bar_in_m2_m1", "lambda_bar_strictly_decreasing"]),
+        (7, ["gamma_bar_strictly_increasing", "lambda_bar_strictly_decreasing"]),
+        (8, []),
+    ])
+    def test_flags_that_judged_nothing_are_noted(self, capsys, n_max, vacuous):
+        # the flags judge the n >= 7 rows, the two bar-monotonicity flags
+        # consecutive k = n-2 rows; a flag with nothing to judge passes, and
+        # says so once on stderr, while stdout and the exit code stay
+        rc, out, err = run_cli(capsys, "scan", "--n-max", str(n_max), "--format", "json")
+        assert (rc, json.loads(out)["flags"]) == (0, [])
+        assert err == "".join(f"note: flag {name} judged no row or pair: it passes vacuously\n"
+                              for name in vacuous)
 
     def test_nmax_validation(self, capsys):
         rc, _, _ = run_cli(capsys, "scan", "--n-max", "55")
@@ -445,3 +460,23 @@ class TestColdImport:
                                   watch=("conelab.checks",)) == "[]"
         assert self._loaded_after(("verify", "--suite", "specfun"),
                                   watch=("conelab.checks",)) == "['conelab.checks']"
+
+    def test_each_command_loads_only_its_layers(self):
+        # analyze, table and scan load the pipeline up to spectrum; riccati,
+        # lemmas and checks load for verify only, and the package root
+        # loads nothing but the kernel backend
+        kernels = {"compiled": "_kernels", "python": "_pykernels"}[conelab.BACKEND_NAME]
+        backend = ["conelab", "conelab._backend", f"conelab.{kernels}"]
+        runs = backend + [f"conelab.{m}" for m in
+                          ("cli", "cone", "errors", "reference", "specfun", "spectrum")]
+        for argv in (("analyze", "--n", "7", "--k", "1"), ("table", "--n", "7", "8"),
+                     ("scan", "--n-max", "8")):
+            assert self._loaded_after(argv, watch=("conelab",)) == repr(sorted(runs)), argv
+        verifies = runs + ["conelab.checks", "conelab.lemmas", "conelab.riccati"]
+        assert (self._loaded_after(("verify", "--suite", "specfun"), watch=("conelab",))
+                == repr(sorted(verifies)))
+        script = ("import sys, conelab; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'conelab'))")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=src_env(), check=True)
+        assert out.stdout.strip() == repr(sorted(backend))

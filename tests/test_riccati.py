@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conelab import riccati
-from conelab.cone import ConeParams, find_root
+from conelab.cone import ConeParams, check_4_minus_n, find_root
 from conelab.errors import PoleEncounteredError, VariantUnavailableError
 from conelab.riccati import (
     BarrierVariant,
@@ -15,7 +15,6 @@ from conelab.riccati import (
     L_direct,
     P_poly,
     barrier_phi,
-    check_4_minus_n,
     linear_root_relation,
     verify_barrier,
 )
