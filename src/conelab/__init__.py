@@ -4,10 +4,12 @@ Bernoulli cones.
 Modules mirror the analysis pipeline: specfun (hypergeometric and
 gamma-family kernel), cone (profiles, free-boundary root, stability
 criterion, its margin at alpha = 4-n, and verdict with the first link
-eigenvalue and decay rates), spectrum (the family scan), riccati
-(log-derivative ODE, its cross-check against one mode-(0,0) shot of the
-link ODE, and comparison barriers), lemmas (asymptotic bound checks),
-checks (verification batteries), cli (command-line front end).  The
+eigenvalue and decay rates), riccati (log-derivative ODE, its
+cross-check against one mode-(0,0) shot of the link ODE, and comparison
+barriers), lemmas (asymptotic bound checks), checks (verification
+batteries), reference (the embedded reference table), errors (the
+exception types) and cli (command-line front end, with the one cone
+record behind analyze, table and scan, and the scan's flags).  The
 package root binds only BACKEND_NAME and __version__, so each command
 loads what it runs: riccati, lemmas and checks load for `verify` only.
 The reference oracles the tests check the library against live in

@@ -2,11 +2,13 @@
 
 Subcommands: analyze (one cone), table (family table, optionally compared
 against the embedded reference), verify (invariant batteries), scan
-(conjecture-evidence scan).  JSON output is always the top-level object
+(conjecture-evidence scan).  One cone record, _cone_record, gives the
+rows of analyze, table and scan.  JSON output is always the top-level object
 {"schema_version": 1, "rows": [...], "flags": [...]}; CSV uses a fixed
 header, %.6f numeric cells, LF newlines, UTF-8 without BOM.
 
-Exit codes: 0 success, 1 check or comparison failure, 2 usage error.
+Exit codes: 0 success, 1 check or comparison failure, 2 usage error,
+141 (128 + SIGPIPE) when the reader closes stdout early.
 
 `verify --suite all` runs its second half of suites in one forked worker
 process when the process may use two CPUs; the output is unchanged.
@@ -20,12 +22,11 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from conelab import reference
 from conelab.cone import ConeParams, Verdict, check_4_minus_n, find_root, verdict
 from conelab.errors import ConelabError
-from conelab.spectrum import family_cells, family_scan
 
 
 def _fmt_cell(x) -> str:
@@ -49,17 +50,29 @@ def _emit_json(rows: List[dict], flags: List[str]) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _cone_record(n: int, k: int) -> dict:
+def family_cells(n_lo: int, n_hi: int) -> List[Tuple[int, int]]:
+    """The cells (n, k), n_lo <= n <= n_hi and 1 <= k <= n-2, in (n, k)
+    order; raises ValueError, naming the range, unless
+    3 <= n_lo <= n_hi <= 40."""
+    if not 3 <= n_lo <= n_hi <= 40:
+        raise ValueError(f"n_range must satisfy 3 <= n_lo <= n_hi <= 40, "
+                         f"got n_lo={n_lo}, n_hi={n_hi}")
+    return [(n, k) for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
+
+
+def _cone_record(n: int, k: int, margin4: bool = True) -> dict:
+    """find_root, then verdict, then the subsolution margin at degree 4-n,
+    which scan skips with margin4=False: it keeps the first six keys."""
     pars = ConeParams(n, k)
     root = find_root(pars)
     rep = verdict(pars, root)
-    _, margin4 = check_4_minus_n(pars, root)
+    m4 = check_4_minus_n(pars, root)[1] if margin4 else None
     flags: List[str] = []
     if rep.gamma_plus is None:
         flags.append("complex_indicial_roots")
     if rep.verdict is Verdict.BORDERLINE_STABLE:
         flags.append("borderline_margin")
-    if margin4 is None:
+    if margin4 and m4 is None:
         flags.append("margin_4_minus_n_undefined")
     for col in ("t", "neg_lambda1", "neg_gamma_plus"):
         if (col, n, k) in reference.FLAGGED_ENTRIES:
@@ -72,7 +85,7 @@ def _cone_record(n: int, k: int) -> dict:
         "gamma_plus": rep.gamma_plus,
         "gamma_minus": rep.gamma_minus,
         "verdict": rep.verdict.value,
-        "margin_4_minus_n": margin4,
+        "margin_4_minus_n": m4,
         "flags": flags,
     }
 
@@ -218,19 +231,61 @@ def cmd_verify(args) -> int:
 _SCAN_HEADER = ("n", "k", "t_nk", "lambda1", "gamma_plus", "gamma_minus")
 
 
+def _scan_flags(rows: List[dict]) -> Tuple[List[str], List[str]]:
+    """(failed flags, notes) of the scan's rows, in (n, k) order.  The
+    flags judge the n >= 7 rows, where the family is strictly stable; a
+    flag that has no row or consecutive pair to judge passes, and a note
+    names it."""
+    notes: List[str] = []
+    stable_rows = [r for r in rows if r["n"] >= 7]
+    by_n: Dict[int, List[dict]] = {}
+    for r in stable_rows:
+        by_n.setdefault(r["n"], []).append(r)
+
+    inc_k = True
+    for n, group in by_n.items():
+        lams = [r["lambda1"] for r in group]
+        if any(b <= a for a, b in zip(lams, lams[1:])):
+            inc_k = False
+            notes.append(f"lambda1 not strictly increasing in k at n={n}")
+    above = all(r["lambda1"] > 8.0 - 2.0 * r["n"] for r in stable_rows)
+    gm_rng = all(r["gamma_minus"] is not None
+                 and 2.0 - r["n"] < r["gamma_minus"] < 4.0 - r["n"] for r in stable_rows)
+    gp_rng = all(r["gamma_plus"] is not None
+                 and -2.0 < r["gamma_plus"] < 0.0 for r in stable_rows)
+    bar = [group[-1] for n, group in by_n.items() if group[-1]["k"] == n - 2]
+    gbar_vals = [r["gamma_plus"] for r in bar]
+    gbar_inc = all(b > a for a, b in zip(gbar_vals, gbar_vals[1:]))
+    gbar_rng = all(g is not None and -2.0 < g < -1.0 for g in gbar_vals)
+    # signed first eigenvalue of the k = n-2 member: -5.55 > -6.54 > ...
+    lbar = [r["lambda1"] for r in bar]
+    lbar_dec = all(b < a for a, b in zip(lbar, lbar[1:]))
+
+    judged = {
+        "lambda1_strictly_increasing_in_k": (inc_k, sum(len(g) - 1 for g in by_n.values())),
+        "lambda1_above_8_minus_2n": (above, len(stable_rows)),
+        "gamma_minus_in_2mn_4mn": (gm_rng, len(stable_rows)),
+        "gamma_plus_in_m2_0": (gp_rng, len(stable_rows)),
+        "gamma_bar_strictly_increasing": (gbar_inc, len(bar) - 1),
+        "gamma_bar_in_m2_m1": (gbar_rng, len(bar)),
+        "lambda_bar_strictly_decreasing": (lbar_dec, len(bar) - 1),
+    }
+    notes += [f"flag {name} judged no row or pair: it passes vacuously"
+              for name, (_, count) in judged.items() if count < 1]
+    return sorted(name for name, (ok, _) in judged.items() if not ok), notes
+
+
 def cmd_scan(args) -> int:
-    rep = family_scan((3, args.n_max))
-    failed = sorted(name for name, ok in rep.flags.items() if not ok)
+    records = [_cone_record(n, k, margin4=False) for n, k in family_cells(3, args.n_max)]
+    rows = [{key: r[key] for key in _SCAN_HEADER} for r in records]
+    failed, notes = _scan_flags(rows)
     if args.format == "json":
-        rows = [dataclasses.asdict(r) for r in rep.rows]
         _emit_json(rows, failed)
     else:
-        rows = [(r.n, r.k, r.t_nk, r.lambda1, r.gamma_plus, r.gamma_minus)
-                for r in rep.rows]
-        _emit_csv(_SCAN_HEADER, rows)
+        _emit_csv(_SCAN_HEADER, [list(r.values()) for r in rows])
     for name in failed:
         print(f"FLAG FAILED: {name}", file=sys.stderr)
-    for note in rep.notes:
+    for note in notes:
         print(f"note: {note}", file=sys.stderr)
     return 1 if failed else 0
 
@@ -270,7 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head`); devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ConelabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -328,7 +328,9 @@ def _log_case(a: float, b: float, c: float, s: float, dp):
               sum_{k>=0} (a+m)_k (b+m)_k m! / (k! (k+m)!) u^k
                   [log u - psi(k+1) - psi(k+m+1) + psi(a+k+m) + psi(b+k+m)],
 
-    with psi advanced by psi(x+1) = psi(x) + 1/x.  The series stops once a
+    with psi advanced by psi(x+1) = psi(x) + 1/x.  The finite part and
+    psi(m+1) take m terms each, so m above MAX_TERMS raises
+    NonConvergenceError before either sum.  The series stops once a
     geometric bound on its tail clears the tolerance.  The error bound
     adds the rounding of every term, psi value and gamma ratio, and the
     first-order effect of the distance from the intended (a, b, c), up to dp
@@ -345,6 +347,9 @@ def _log_case(a: float, b: float, c: float, s: float, dp):
             return _euler_terminating(a, b, c, s, dp)
         (ca, d_ca), (cb, d_cb), _ = _complements(a, b, c, dp)
         a, b, m, euler, shift = ca, cb, -m, _safe_pow(u, m), d_ca + d_cb + dc
+    if m > MAX_TERMS:
+        raise NonConvergenceError(
+            f"log-case finite sum needs {m} terms, above {MAX_TERMS}, at s={s}")
     am, bm = a + m, b + m
     shift += (_rounding((c, -a, -b), m) + _rounding((a, m), am)
               + _rounding((b, m), bm))

@@ -7,6 +7,7 @@ they skip only when no C compiler exists."""
 
 import importlib.util
 import math
+import random
 import shlex
 import shutil
 import sysconfig
@@ -83,6 +84,46 @@ def test_shoot_kernel_bit_identical(_kernels):
                     args = (1.0, -lam * 1e-6, 1e-6, 0.9 - 0.5 / k, float(n), float(k),
                             lam, 0.0, q * (q + k - 2.0), 1e-11, 1e-300, 0.03, 2_000_000)
                     assert _kernels.robin_shoot(*args) == _pykernels.robin_shoot(*args)
+
+
+def _same(x, y):
+    """Tuples equal field for field, NaN equal to NaN, and of the same
+    types, so an int count never matches a float or a bool."""
+    return len(x) == len(y) and all(
+        type(p) is type(q) and (p == q or (p != p and q != q)) for p, q in zip(x, y))
+
+
+def _series_draw(rng):
+    a = rng.choice([-float(rng.randint(0, 30)), rng.uniform(-60.0, 60.0)])
+    b = rng.choice([-0.5, -float(rng.randint(0, 30)), rng.uniform(-60.0, 60.0)])
+    # c + i <= 0 for the first terms, where no tail bound exists; a
+    # nonpositive integer c is a pole of every term and no kernel input
+    c = rng.choice([rng.uniform(0.01, 80.0), -rng.randint(0, 20) - rng.uniform(0.01, 0.99)])
+    s = rng.choice([0.0, 1.0 - rng.uniform(0.0, 1e-8), rng.uniform(-0.999, 0.999)])
+    return a, b, c, s, rng.choice([1e-15, 1e-8]), 1e-280, rng.choice([0, 1, 5, 500, 2000])
+
+
+def _shot_draw(rng):
+    n = rng.randint(3, 40)
+    k = rng.randint(1, n - 2)
+    p, q = rng.randint(0, 3), rng.randint(0, 3)
+    t0 = rng.uniform(1e-6, 0.05)
+    return (t0 ** q, q * t0 ** (q - 1) if q else -1e-6, t0, rng.uniform(0.3, 0.95),
+            float(n), float(k), rng.uniform(-2.0 * n, 80.0),
+            p * (p + n - k - 2.0), q * (q + k - 2.0), rng.choice([1e-11, 1e-8]), 1e-300,
+            rng.uniform(0.01, 0.05), rng.choice([3, 50, 2_000_000]))
+
+
+def test_kernels_bit_identical_on_seeded_draws(_kernels):
+    # exhausted budgets, infinite tail bounds, terminating and b = -1/2
+    # series, and shots cut by the step limit, compared to the last bit
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        args = _series_draw(rng)
+        assert _same(_kernels.hyp2f1_series(*args), _pykernels.hyp2f1_series(*args)), args
+    for _ in range(150):
+        args = _shot_draw(rng)
+        assert _same(_kernels.robin_shoot(*args), _pykernels.robin_shoot(*args)), args
 
 
 def test_backend_name_exposed():

@@ -67,6 +67,13 @@ class TestAnalyze:
         assert err.startswith("error: profile overflows binary64 at s=")
         assert f"(n,k)=({n},{k}): F = " in err
 
+    def test_log_case_budget_is_named(self, capsys):
+        # the profiles of (160008, 80004) take the log case with
+        # c-a-b = (d-2)/2 = 40001, one term above the series budget
+        rc, out, err = run_cli(capsys, "analyze", "--n", "160008", "--k", "80004")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: log-case finite sum needs 40001 terms, above 40000, at s=")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("alpha", [-2.5, -3.0], ids=["threshold", "4_minus_n"])
@@ -255,13 +262,70 @@ class TestScan:
         assert rc == 2
 
     @pytest.mark.parametrize("n_max", ["41", "2"])
-    def test_nmax_range_checked_by_family_scan(self, capsys, n_max):
-        # main turns family_scan's ValueError into exit 2
+    def test_nmax_range_checked_by_family_cells(self, capsys, n_max):
+        # main turns family_cells's ValueError into exit 2
         rc, out, err = run_cli(capsys, "scan", "--n-max", n_max)
         assert rc == 2
         assert out == ""
         assert err == ("error: n_range must satisfy 3 <= n_lo <= n_hi <= 40, "
                        f"got n_lo=3, n_hi={n_max}\n")
+
+
+class TestFamilyScan:
+    # scan's rows are table's records cut to its six columns, and
+    # cli._scan_flags judges them
+    def test_flags_hold_to_twelve(self, capsys):
+        rc, out, err = run_cli(capsys, "scan", "--n-max", "12", "--format", "json")
+        assert (rc, json.loads(out)["flags"], err) == (0, [], "")
+
+    def test_row_ordering_and_gamma_consistency(self, capsys):
+        rc, out, _ = run_cli(capsys, "scan", "--n-max", "8", "--format", "json")
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        keys = [(r["n"], r["k"]) for r in rows]
+        assert keys == sorted(keys) == cli.family_cells(3, 8)
+        for r in rows:
+            if r["gamma_plus"] is not None:
+                got = conelab.cone.indicial_roots(r["lambda1"], r["n"])
+                assert abs(got[1] - r["gamma_plus"]) < 1e-10
+
+    def test_range_validation(self):
+        with pytest.raises(ValueError):
+            cli.family_cells(2, 10)
+        with pytest.raises(ValueError):
+            cli.family_cells(7, 41)
+
+    def test_scan_rows_are_table_records(self, capsys):
+        _, scan, _ = run_cli(capsys, "scan", "--n-max", "9", "--format", "json")
+        _, table, _ = run_cli(capsys, "table", "--n", "3", "9", "--format", "json")
+        cut = [{key: r[key] for key in cli._SCAN_HEADER} for r in json.loads(table)["rows"]]
+        assert json.loads(scan)["rows"] == cut
+
+    def test_failed_flag_is_named(self):
+        # lambda1 falling in k at n = 8 fails its flag and is noted; the
+        # other flags hold on these rows
+        rows = [{"n": n, "k": k, "lambda1": lam, "gamma_plus": 0.1 * n - 2.2,
+                 "gamma_minus": 4.2 - 1.1 * n}
+                for n, k, lam in [(7, 5, -5.5), (8, 5, -6.0), (8, 6, -6.5)]]
+        assert cli._scan_flags(rows) == (
+            ["lambda1_strictly_increasing_in_k"],
+            ["lambda1 not strictly increasing in k at n=8"])
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [("table", "--n", "3", "40"), ("scan", "--n-max", "40")],
+                             ids=lambda argv: argv[0])
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        # a reader that leaves early (`conelab table ... | head -1`) is no
+        # usage error: exit 128 + SIGPIPE, with nothing on stderr
+        rfd, wfd = os.pipe()
+        os.close(rfd)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "conelab.cli", *argv], stdout=wfd,
+                                  stderr=subprocess.PIPE, env=src_env(), timeout=120)
+        finally:
+            os.close(wfd)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestConfig:
@@ -462,13 +526,13 @@ class TestColdImport:
                                   watch=("conelab.checks",)) == "['conelab.checks']"
 
     def test_each_command_loads_only_its_layers(self):
-        # analyze, table and scan load the pipeline up to spectrum; riccati,
+        # analyze, table and scan load the pipeline up to cone; riccati,
         # lemmas and checks load for verify only, and the package root
         # loads nothing but the kernel backend
         kernels = {"compiled": "_kernels", "python": "_pykernels"}[conelab.BACKEND_NAME]
         backend = ["conelab", "conelab._backend", f"conelab.{kernels}"]
         runs = backend + [f"conelab.{m}" for m in
-                          ("cli", "cone", "errors", "reference", "specfun", "spectrum")]
+                          ("cli", "cone", "errors", "reference", "specfun")]
         for argv in (("analyze", "--n", "7", "--k", "1"), ("table", "--n", "7", "8"),
                      ("scan", "--n-max", "8")):
             assert self._loaded_after(argv, watch=("conelab",)) == repr(sorted(runs)), argv

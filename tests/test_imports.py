@@ -9,9 +9,11 @@ _backend's choice of kernel module is exempt from the third.  Every name
 in a module's __all__ is used by the library outside __init__.py,
 every function, class and constant a module defines is used outside its
 own definition or re-exported by __init__.py, and every defaulted
-parameter is passed by some library call."""
+parameter is passed by some library call.  The README's Layout table
+lists exactly the public modules."""
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -178,3 +180,12 @@ def test_defaulted_parameters_are_passed_by_the_library():
                       if not passed.get(called, set())
                       & {"*", arg, None if i is None else i - offset})
     assert not unpassed, f"defaulted parameters no library call passes: {unpassed}"
+
+
+def test_readme_layout_lists_the_public_modules():
+    # one row of the Layout table per src/conelab module whose name does
+    # not start with an underscore, and no row for a module that is gone
+    readme = (SRC.parents[1] / "README.md").read_text()
+    rows = [m.group(1) for line in readme.splitlines()
+            for m in [re.match(r"\| `conelab\.(\w+)` \|", line)] if m]
+    assert sorted(rows) == sorted(p.stem for p in MODULES if not p.name.startswith("_"))

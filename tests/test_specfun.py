@@ -143,6 +143,13 @@ class TestHyp2f1:
         with pytest.raises(NonConvergenceError):
             hyp2f1(HypParams(30.0, 25.0, 1.5), 0.45)
 
+    def test_log_case_finite_sum_budget(self):
+        # c-a-b = 40001: the finite part of DLMF 15.8.10 and psi(m+1)
+        # would each take more terms than MAX_TERMS allows a series
+        with pytest.raises(NonConvergenceError,
+                           match="log-case finite sum needs 40001 terms, above 40000, at s="):
+            hyp2f1(HypParams(1.5, -0.5, 40002.0), 0.995)
+
     def test_strategy_bookkeeping(self):
         assert hyp2f1(HypParams(2.0, 1.0, 3.0), 0.3).strategy is Strategy.DIRECT_SERIES
         # c - a nonpositive integer beyond the switch point: Euler transform

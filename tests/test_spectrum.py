@@ -1,6 +1,6 @@
 """Link spectrum tests: the shooting and finite-difference oracles of
-oracles.py, the first eigenvalue from the margin root against them,
-indicial roots, and the family scan."""
+oracles.py, the first eigenvalue from the margin root against them, and
+indicial roots."""
 
 import math
 import sys
@@ -19,7 +19,6 @@ from conelab.cone import (
     verdict,
 )
 from conelab.errors import BracketFailure, NonConvergenceError
-from conelab.spectrum import family_scan
 from oracles import (
     Mode,
     _fd_matrix,
@@ -322,23 +321,3 @@ class TestVerdictDuality:
                 stable = lam > -((n - 2) / 2.0) ** 2
                 assert stable == (verdict(p, root).verdict is Verdict.STRICTLY_STABLE)
 
-
-class TestFamilyScan:
-    def test_flags_hold_to_twelve(self):
-        rep = family_scan((7, 12))
-        assert all(rep.flags.values()), rep.flags
-
-    def test_row_ordering_and_gamma_consistency(self):
-        rep = family_scan((6, 8))
-        keys = [(r.n, r.k) for r in rep.rows]
-        assert keys == sorted(keys)
-        for r in rep.rows:
-            if r.gamma_plus is not None:
-                got = indicial_roots(r.lambda1, r.n)
-                assert abs(got[1] - r.gamma_plus) < 1e-10
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            family_scan((2, 10))
-        with pytest.raises(ValueError):
-            family_scan((7, 41))
