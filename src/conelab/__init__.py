@@ -12,8 +12,12 @@ exception types) and cli (command-line front end, with the one cone
 record behind analyze, table and scan, and the scan's flags).  The
 package root binds only BACKEND_NAME and __version__, so each command
 loads what it runs: riccati, lemmas and checks load for `verify` only.
-The reference oracles the tests check the library against live in
-tests/oracles.py.
+The record types (ConeParams, HypParams, RootResult, StabilityReport,
+CheckRecord, BoundCheck and riccati's) are typing.NamedTuples, so no
+command loads dataclasses, which would pull in inspect and ast.
+ConeParams, HypParams and BoundCheck validate (BoundCheck also computes
+passed) in __new__, which _make and _replace skip.  The reference
+oracles the tests check the library against live in tests/oracles.py.
 
 The hot kernels are compiled (hand-written C) with a pure-Python
 fallback selected at import; see conelab._backend and BACKEND_NAME.

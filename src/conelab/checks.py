@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
 from conelab import lemmas, riccati
 from conelab.cone import ConeParams, L_direct, check_4_minus_n, find_root
@@ -29,8 +28,7 @@ __all__ = ["CheckRecord", "SUITES", "run_suites"]
 SEED = 20260214
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     suite: str
     name: str
     passed: bool

@@ -17,7 +17,6 @@ process when the process may use two CPUs; the output is unchanged.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -178,8 +177,9 @@ _SUITE_NAMES = ("specfun", "riccati", "lemmas", "barriers")
 
 def _run_suites_split(names: List[str]) -> list:
     """checks.run_suites(names), the second half in one forked worker when
-    two CPUs are available; a failed worker's half reruns here, so an error
-    surfaces as on one process and no record is lost or made up."""
+    two CPUs are available; all of it here when the pipe or the fork fails,
+    and a failed worker's half reruns here, so an error surfaces as on one
+    process and no record is lost or made up."""
     from conelab import checks
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -190,12 +190,19 @@ def _run_suites_split(names: List[str]) -> list:
         return checks.run_suites(tail)
     sys.stdout.flush()
     sys.stderr.flush()
-    rfd, wfd = os.pipe()
-    pid = os.fork()
+    fds: List[int] = []
+    try:
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:  # the worker is only a speed-up
+        for fd in fds:
+            os.close(fd)
+        return checks.run_suites(names)
+    rfd, wfd = fds
     if pid == 0:  # the worker never returns into the caller's stack
         try:
             with os.fdopen(wfd, "w") as pipe:
-                json.dump([dataclasses.astuple(r) for r in checks.run_suites(tail)], pipe)
+                json.dump(checks.run_suites(tail), pipe)
             os._exit(0)
         finally:
             os._exit(1)
@@ -221,7 +228,7 @@ def cmd_verify(args) -> int:
     names = list(_SUITE_NAMES) if args.suite == "all" else [args.suite]
     records = _run_suites_split(names)
     failed = [r.name for r in records if not r.passed]
-    rows = [dataclasses.asdict(r) for r in records]
+    rows = [r._asdict() for r in records]
     _emit_json(rows, failed)
     for name in failed:
         print(f"FAILED: {name}", file=sys.stderr)

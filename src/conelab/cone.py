@@ -18,9 +18,8 @@ alpha = 1 member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from conelab.errors import BracketFailure, NonConvergenceError, PoleEncounteredError
 from conelab.specfun import HypParams, hyp2f1, hyp2f1_pair, hyp2f1_sym
@@ -46,26 +45,24 @@ ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
 ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
 
 
-@dataclass(frozen=True)
-class ConeParams:
+class ConeParams(NamedTuple("ConeParams", [("n", int), ("k", int)])):
     """Dimension split (n, k) indexing an invariant cone; d = n - k."""
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"n >= 3 required, got n={self.n}")
-        if not 1 <= self.k <= self.n - 2:
-            raise ValueError(f"k must lie in [1, n-2], got (n,k)=({self.n},{self.k})")
+    def __new__(cls, n: int, k: int):
+        if n < 3:
+            raise ValueError(f"n >= 3 required, got n={n}")
+        if not 1 <= k <= n - 2:
+            raise ValueError(f"k must lie in [1, n-2], got (n,k)=({n},{k})")
+        return super().__new__(cls, n, k)
 
     @property
     def d(self) -> int:
         return self.n - self.k
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     """Free-boundary root of the solution profile, with provenance."""
 
     t_nk: float
@@ -80,8 +77,7 @@ class Verdict(Enum):
     STRICTLY_STABLE = "strictly_stable"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """A cone's stability step: the criterion margin at alpha = (2-n)/2 and
     its verdict, lambda_1 with |margin| there, and the indicial roots of
     lambda_1 (None for a complex pair)."""

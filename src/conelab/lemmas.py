@@ -10,8 +10,7 @@ asserted here, callers decide what a failure means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from conelab.cone import ConeParams, find_root, profile_g, stability_margin
 from conelab.errors import RangeUnsupported
@@ -28,25 +27,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One verified inequality: computed RELATION claimed."""
+class BoundCheck(NamedTuple("BoundCheck", [
+        ("name", str), ("parameters", Dict[str, float]), ("claimed", float),
+        ("computed", float), ("relation", str), ("passed", bool)])):
+    """One verified inequality: computed RELATION claimed.  The sixth
+    field, passed, is worked out here and is not an argument."""
 
-    name: str
-    parameters: Dict[str, float]
-    claimed: float
-    computed: float
-    relation: str  # ">" or "<"
-    passed: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.relation == ">":
-            ok = self.computed > self.claimed
-        elif self.relation == "<":
-            ok = self.computed < self.claimed
+    def __new__(cls, name: str, parameters: Dict[str, float], claimed: float,
+                computed: float, relation: str):  # relation: ">" or "<"
+        if relation == ">":
+            ok = computed > claimed
+        elif relation == "<":
+            ok = computed < claimed
         else:
-            raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "passed", ok)
+            raise ValueError(f"unknown relation {relation!r}")
+        return super().__new__(cls, name, parameters, claimed, computed, relation, ok)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self[:5]
 
 
 def _bound_constant(ratio: float) -> float:

@@ -15,9 +15,8 @@ is cone.check_4_minus_n.  Of the commands only `verify` loads this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from conelab._backend import robin_shoot
 from conelab.cone import ConeParams, L_direct
@@ -47,8 +46,7 @@ CROSS_CHECK_POINTS = 33  # grid of the L_cross_check trace
 BARRIER_GRID = 512  # Chebyshev points per smooth barrier piece
 
 
-@dataclass(frozen=True)
-class RiccatiTrace:
+class RiccatiTrace(NamedTuple):
     alpha_hat: float
     grid: Tuple[float, ...]
     values_direct: Tuple[float, ...]
@@ -131,16 +129,14 @@ class BarrierVariant(Enum):
     SMALL_D = "SmallD"
 
 
-@dataclass(frozen=True)
-class BarrierSpec:
+class BarrierSpec(NamedTuple):
     variant: BarrierVariant
     s_star: float
     roots: Optional[Tuple[float, float]]  # (r_minus, r_plus)
     delta: Optional[float]
 
 
-@dataclass(frozen=True)
-class BarrierReport:
+class BarrierReport(NamedTuple):
     spec: BarrierSpec
     max_residual_linear: float
     max_residual_curved: float

@@ -29,7 +29,6 @@ the scaled functions erfcx and e^x E1(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -78,17 +77,15 @@ class EvalResult(NamedTuple):
     strategy: Strategy
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(NamedTuple("HypParams", [("a", float), ("b", float), ("c", float)])):
     """Parameter triple of 2F1(a, b; c; .); c must be strictly positive."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise DomainError(f"c must be positive, got c={self.c}")
+    def __new__(cls, a: float, b: float, c: float):
+        if not c > 0.0:
+            raise DomainError(f"c must be positive, got c={c}")
+        return super().__new__(cls, a, b, c)
 
 
 _U = 2.0 ** -53  # unit roundoff of binary64

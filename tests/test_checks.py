@@ -26,6 +26,13 @@ def test_suite_green(suite):
     assert [[r.name, r.passed, r.detail] for r in records] == golden
 
 
+def test_check_record_contract():
+    rec = CheckRecord(suite="specfun", name="x", passed=True, detail="ok")
+    assert repr(rec) == "CheckRecord(suite='specfun', name='x', passed=True, detail='ok')"
+    with pytest.raises(AttributeError):
+        rec.passed = False
+
+
 def test_records_carry_suite_names():
     for rec in run_suites(["specfun"]):
         assert rec.suite == "specfun"

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, output schemas, determinism,
 comparison behavior."""
 
+import errno
 import json
 import math
 import os
@@ -398,6 +399,12 @@ class TestVerifySplit:
             monkeypatch.setitem(checks.SUITES, name, suites.get(name, lambda name=name: [
                 checks.CheckRecord(suite=name, name=f"{name}_stub", passed=True, detail="ok")]))
 
+    @staticmethod
+    def _golden_rows():
+        golden = json.loads((DATA / "verify_records.json").read_text())
+        return [{"suite": suite, "name": name, "passed": passed, "detail": detail}
+                for suite in cli._SUITE_NAMES for name, passed, detail in golden[suite]]
+
     def test_split_matches_one_cpu_and_golden(self, monkeypatch, capsys):
         forks = self._forks(monkeypatch)
         self._cpus(monkeypatch, 2)
@@ -408,10 +415,31 @@ class TestVerifySplit:
         assert len(forks) == 1
         rc, out, err = split
         assert (rc, err) == (0, "")
-        golden = json.loads((DATA / "verify_records.json").read_text())
-        assert json.loads(out)["rows"] == [
-            {"suite": suite, "name": name, "passed": passed, "detail": detail}
-            for suite in cli._SUITE_NAMES for name, passed, detail in golden[suite]]
+        assert json.loads(out)["rows"] == self._golden_rows()
+
+    def test_fork_failure_runs_every_suite_here(self, monkeypatch, capsys):
+        pipe_fds = []
+
+        def recording_pipe():
+            fds = pipe()
+            pipe_fds.extend(fds)
+            return fds
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        pipe = os.pipe
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        self._cpus(monkeypatch, 2)
+        rc, out, err = run_cli(capsys, "verify", "--suite", "all")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["rows"] == self._golden_rows()
+        assert len(pipe_fds) == 2
+        for fd in pipe_fds:  # both ends were closed
+            with pytest.raises(OSError) as exc:
+                os.fstat(fd)
+            assert exc.value.errno == errno.EBADF
 
     def test_one_suite_does_not_fork(self, monkeypatch, capsys):
         forks = self._forks(monkeypatch)
@@ -524,6 +552,18 @@ class TestColdImport:
                                   watch=("conelab.checks",)) == "[]"
         assert self._loaded_after(("verify", "--suite", "specfun"),
                                   watch=("conelab.checks",)) == "['conelab.checks']"
+
+    def test_commands_load_no_dataclasses_or_inspect(self):
+        # dataclasses brings in inspect, ast, dis and tokenize, some 10 ms
+        # of every cold start; a module a bare interpreter already loads
+        # (a site hook) is not the commands' doing and is not watched
+        script = "import sys; print(sorted(sys.modules))"
+        bare = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=src_env(), check=True).stdout
+        watch = tuple(m for m in ("dataclasses", "inspect") if repr(m) not in bare)
+        assert self._loaded_after(("analyze", "--n", "7", "--k", "1"), ("table", "--n", "7", "8"),
+                                  ("scan", "--n-max", "9"), ("verify", "--suite", "all"),
+                                  watch=watch) == "[]"
 
     def test_each_command_loads_only_its_layers(self):
         # analyze, table and scan load the pipeline up to cone; riccati,

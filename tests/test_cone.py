@@ -16,6 +16,8 @@ from conelab.cone import (
     ROOT_F_TOL,
     ConeParams,
     L_direct,
+    RootResult,
+    StabilityReport,
     Verdict,
     _cubic_root_in_s,
     cubic_bound,
@@ -54,6 +56,39 @@ class TestConeParams:
             ConeParams(7, 6)
         with pytest.raises(ValueError):
             ConeParams(7, 0)
+
+    def test_record_contract(self):
+        # keyword construction, repr, equality, immutability, and the
+        # exact validation messages
+        p = ConeParams(n=7, k=1)
+        assert (p.n, p.k, p.d) == (7, 1, 6)
+        assert repr(p) == "ConeParams(n=7, k=1)"
+        assert p == ConeParams(7, 1) and hash(p) == hash(ConeParams(7, 1))
+        with pytest.raises(AttributeError):
+            p.n = 8
+        with pytest.raises(ValueError, match=r"^k must lie in \[1, n-2\], got \(n,k\)=\(7,0\)$"):
+            ConeParams(7, 0)
+        with pytest.raises(ValueError, match=r"^n >= 3 required, got n=2$"):
+            ConeParams(n=2, k=1)
+
+
+class TestRecords:
+    def test_root_result(self):
+        r = RootResult(t_nk=0.5, s_nk=0.25, s_bracket=(0.2, 0.3), residual=0.0)
+        assert r.s_bracket == (0.2, 0.3)
+        assert repr(r) == "RootResult(t_nk=0.5, s_nk=0.25, s_bracket=(0.2, 0.3), residual=0.0)"
+        with pytest.raises(AttributeError):
+            r.t_nk = 0.6
+
+    def test_stability_report(self):
+        rep = StabilityReport(margin=1.0, verdict=Verdict.STRICTLY_STABLE, lambda1=-5.0,
+                              residual=0.0, gamma_minus=None, gamma_plus=-1.0)
+        assert rep.verdict is Verdict.STRICTLY_STABLE
+        assert repr(rep) == ("StabilityReport(margin=1.0, "
+                             "verdict=<Verdict.STRICTLY_STABLE: 'strictly_stable'>, "
+                             "lambda1=-5.0, residual=0.0, gamma_minus=None, gamma_plus=-1.0)")
+        with pytest.raises(AttributeError):
+            rep.margin = 0.0
 
 
 class TestProfiles:

@@ -1,6 +1,7 @@
 """Asymptotic bound harness tests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +27,20 @@ class TestBoundCheck:
         assert BoundCheck("a", {}, 1.0, 0.5, "<").passed
         with pytest.raises(ValueError):
             BoundCheck("a", {}, 1.0, 0.5, ">=")
+
+    def test_record_contract(self):
+        # passed is a sixth field computed from the other five, not an argument
+        chk = BoundCheck(name="x", parameters={"n": 7}, claimed=1.0, computed=2.0, relation=">")
+        assert chk.passed is True
+        assert repr(chk) == ("BoundCheck(name='x', parameters={'n': 7}, claimed=1.0, "
+                             "computed=2.0, relation='>', passed=True)")
+        with pytest.raises(AttributeError):
+            chk.passed = False
+        assert pickle.loads(pickle.dumps(chk)) == chk
+        with pytest.raises(TypeError):
+            BoundCheck("x", {}, 1.0, 2.0, ">", True)
+        with pytest.raises(ValueError, match=r"^unknown relation '='$"):
+            BoundCheck("x", {}, 1.0, 2.0, "=")
 
 
 class TestRootBound:

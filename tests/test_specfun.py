@@ -138,6 +138,15 @@ class TestHyp2f1:
         with pytest.raises(DomainError):
             HypParams(1.0, 1.0, -2.0)
 
+    def test_params_record_contract(self):
+        p = HypParams(a=0.5, b=-0.25, c=1.5)
+        assert (p.a, p.b, p.c) == (0.5, -0.25, 1.5)
+        assert repr(p) == "HypParams(a=0.5, b=-0.25, c=1.5)"
+        with pytest.raises(AttributeError):
+            p.c = 2.0
+        with pytest.raises(DomainError, match=r"^c must be positive, got c=0\.0$"):
+            HypParams(1.0, 1.0, c=0.0)
+
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "MAX_TERMS", 64)
         with pytest.raises(NonConvergenceError):
