@@ -6,18 +6,18 @@ gamma-family kernel), cone (profiles, free-boundary root, stability
 criterion, its margin at alpha = 4-n, and verdict with the first link
 eigenvalue and decay rates), riccati (log-derivative ODE, its
 cross-check against one mode-(0,0) shot of the link ODE, and comparison
-barriers), lemmas (asymptotic bound checks), checks (verification
-batteries), reference (the embedded reference table), errors (the
-exception types) and cli (command-line front end, with the one cone
-record behind analyze, table and scan, and the scan's flags).  The
-package root binds only BACKEND_NAME and __version__, so each command
-loads what it runs: riccati, lemmas and checks load for `verify` only.
-The record types (ConeParams, HypParams, RootResult, StabilityReport,
-CheckRecord, BoundCheck and riccati's) are typing.NamedTuples, so no
-command loads dataclasses, which would pull in inspect and ast.
-ConeParams, HypParams and BoundCheck validate (BoundCheck also computes
-passed) in __new__, which _make and _replace skip.  The reference
-oracles the tests check the library against live in tests/oracles.py.
+barriers with their terminal points), checks (verification batteries
+and the asymptotic bounds they check), reference (the embedded
+reference table), errors (the exception types) and cli (command-line
+front end, with the one cone record behind analyze, table and scan, and
+the scan's flags).  The package root binds only BACKEND_NAME and
+__version__, so each command loads what it runs: riccati and checks
+load for `verify` only.  The record types (ConeParams, HypParams,
+RootResult, StabilityReport, CheckRecord and riccati's) are
+typing.NamedTuples, so no command loads dataclasses, which would pull
+in inspect and ast.  ConeParams and HypParams validate in __new__,
+which _make and _replace skip.  The reference oracles the tests check
+the library against live in tests/oracles.py.
 
 The hot kernels are compiled (hand-written C) with a pure-Python
 fallback selected at import; see conelab._backend and BACKEND_NAME.

@@ -1,29 +1,39 @@
-"""Invariant batteries behind the `verify` command.
+"""Invariant batteries behind the `verify` command, and the asymptotic
+bounds of the large-n lemmas they check: the root bounds, the
+boundary-layer limit profile, the threshold function phi_c and the
+overshoot bound.
 
-Each suite returns CheckRecord entries; a record never raises, so a
-broken build reports every failure in one pass.  Randomized draws use a
-fixed seed: identical invocations produce identical reports.
+Each suite returns CheckRecord entries, and a failed check is a record
+with passed False, so one pass reports every failed check; a suite that
+raises a library error instead ends `verify` with exit 2 and no report.
+Randomized draws use a fixed seed: identical invocations produce
+identical reports.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, NamedTuple, Sequence
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from conelab import lemmas, riccati
-from conelab.cone import ConeParams, L_direct, check_4_minus_n, find_root
-from conelab.riccati import BarrierVariant, L_cross_check, linear_root_relation, verify_barrier
+from conelab import riccati
+from conelab.cone import (ConeParams, L_direct, check_4_minus_n, find_root, profile_g,
+                          stability_margin)
+from conelab.errors import RangeUnsupported
+from conelab.riccati import (BarrierVariant, L_cross_check, linear_root_relation,
+                             overshoot_terminal_point, refined_terminal_point, verify_barrier)
 from conelab.specfun import (
     HypParams,
     digamma,
+    erfcx,
     hyp2f1,
     hyp2f1_deriv,
     hyp2f1_integral,
     laplace_quad,
 )
 
-__all__ = ["CheckRecord", "SUITES", "run_suites"]
+__all__ = ["CheckRecord", "SUITES", "run_suites", "root_bound_check", "limit_profile_u",
+           "estimate_z0", "phi_c_eval", "overshoot_check"]
 
 SEED = 20260214
 
@@ -41,6 +51,14 @@ def _rec(suite: str, name: str, passed: bool, detail: str) -> CheckRecord:
 
 def _linspace(lo: float, hi: float, m: int) -> List[float]:
     return [lo + (hi - lo) * i / (m - 1) for i in range(m)]
+
+
+def _digamma_log_margins(x0: float) -> Tuple[float, float]:
+    """Smallest margins of log(x - 1/2) < psi(x) < log(x) on 100 points
+    from x0 to 1e3, clustered toward x0."""
+    xs = [x0 + (1000.0 - x0) * (i / 99.0) ** 2 for i in range(100)]
+    return (min(digamma(x) - math.log(x - 0.5) for x in xs),
+            min(math.log(x) - digamma(x) for x in xs))
 
 
 # ---------------------------------------------------------------------- specfun
@@ -112,9 +130,7 @@ def specfun_suite() -> List[CheckRecord]:
                     ok, f"max derivative {worst_val:.3e} (must be < 0)"))
 
     # digamma bracketed by logs on (1/2, 1e3]
-    xs = [0.55 + (1000.0 - 0.55) * (i / 99.0) ** 2 for i in range(100)]
-    lo = min(digamma(x) - math.log(x - 0.5) for x in xs)
-    hi = min(math.log(x) - digamma(x) for x in xs)
+    lo, hi = _digamma_log_margins(0.55)
     out.append(_rec("specfun", "digamma_log_bounds_100",
                     lo > 0.0 and hi > 0.0,
                     f"min margins {lo:.3e}, {hi:.3e} (must be > 0)"))
@@ -204,23 +220,120 @@ def riccati_suite() -> List[CheckRecord]:
 
 # ----------------------------------------------------------------------- lemmas
 
+def root_bound_check(pars: ConeParams) -> bool:
+    """s_{n,k} < k/n + c/sqrt(n) with c in {3/5, 2/5, 9/25} on the three
+    ratio sub-intervals; requires n >= 60 and k/n in [1/3, 15/16]."""
+    n, k = pars.n, pars.k
+    ratio = k / n
+    if n < 60 or not (1.0 / 3.0 - 1e-12 <= ratio <= 15.0 / 16.0 + 1e-12):
+        raise RangeUnsupported(
+            f"root bound needs n >= 60 and k/n in [1/3, 15/16], got (n,k)=({n},{k})")
+    c = 3.0 / 5.0 if ratio <= 7.0 / 8.0 else 2.0 / 5.0 if ratio <= 9.0 / 10.0 else 9.0 / 25.0
+    return find_root(pars).s_nk < ratio + c / math.sqrt(n)
+
+
+def limit_profile_u(xi: float) -> float:
+    """Boundary-layer limit profile u(xi) = exp(-xi^2/2) / int_{-inf}^{xi}
+    exp(-r^2/2) dr; solves u' + u^2 + xi u = 0 with u ~ -xi at -inf.
+
+    Written through the scaled complement erfcx so numerator and
+    denominator never underflow together in the far left tail."""
+    return 1.0 / (math.sqrt(math.pi / 2.0) * erfcx(-xi / math.sqrt(2.0)))
+
+
+def estimate_z0(n_large: int, lam: float) -> float:
+    """Finite-n estimator of the universal first zero of the rescaled limit
+    equation: (s_{n,k} - k/n) sqrt(n) / sqrt(2 (k/n)(1 - k/n)) at
+    k = round(lam n)."""
+    if n_large < 500:
+        raise RangeUnsupported("estimator needs n >= 500")
+    if not 1.0 / 3.0 - 1e-12 <= lam <= 15.0 / 16.0 + 1e-12:
+        raise RangeUnsupported("lam must lie in [1/3, 15/16]")
+    k = round(lam * n_large)
+    pars = ConeParams(n_large, k)
+    s = find_root(pars).s_nk
+    ratio = k / n_large
+    return (s - ratio) * math.sqrt(n_large) / math.sqrt(2.0 * ratio * (1.0 - ratio))
+
+
+def phi_c_eval(lam: float, c: float) -> float:
+    """Threshold function phi_c(lam) = 2 lam (1-lam)
+    exp(-c^2/(4 lam (1-lam))) / int_{-inf}^{c} exp(-r^2/(4 lam (1-lam))) dr,
+    which is sd u(c/sd) for sd = sqrt(2 lam (1-lam)) (substitute r = sd x)."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie in (0, 1)")
+    sd = math.sqrt(2.0 * lam * (1.0 - lam))
+    return sd * limit_profile_u(c / sd)
+
+
+def overshoot_check(pars: ConeParams) -> bool:
+    """Either s_{n,k} < k/n or (n s - k)^2 < 2 n (1 - s), equivalently
+    s < overshoot_terminal_point, for n/2 <= k <= n-12; for the band
+    n-11 <= k <= n-4 (and n >= 16 d) s < refined_terminal_point is
+    checked instead."""
+    n, k = pars.n, pars.k
+    s = find_root(pars).s_nk
+    if n / 2.0 <= k <= n - 12:
+        return s < k / n or (n * s - k) ** 2 < 2.0 * n * (1.0 - s)
+    if n - 11 <= k <= n - 4 and n >= 16 * pars.d:
+        return s < refined_terminal_point(pars)
+    raise RangeUnsupported(
+        f"overshoot bound needs n/2 <= k <= n-12, or n-11 <= k <= n-4 with "
+        f"n >= 16 d; got (n,k)=({n},{k})")
+
+
 def lemmas_suite() -> List[CheckRecord]:
     out: List[CheckRecord] = []
 
-    for chk in lemmas.proof_constants_check():
-        out.append(_rec("lemmas", f"constants.{chk.name}", chk.passed,
-                        f"{chk.computed:.6g} {chk.relation} {chk.claimed:.6g}"))
+    def constant(name: str, computed: float, relation: str, claimed: float) -> None:
+        passed = computed > claimed if relation == ">" else computed < claimed
+        out.append(_rec("lemmas", f"constants.{name}", passed,
+                        f"{computed:.6g} {relation} {claimed:.6g}"))
 
-    # root estimates on a 20-point sample across the three ratio bands
+    # displayed constants of the proofs: log(x - 1/2) < psi(x) < log(x),
+    # sampled on (1/2, 1e3], and special values of psi
+    lower_margin, upper_margin = _digamma_log_margins(0.6)
+    constant("digamma_lower_bound", lower_margin, ">", 0.0)
+    constant("digamma_upper_bound", upper_margin, ">", 0.0)
+    constant("digamma_at_3_lower", digamma(3.0), ">", math.log(2.5))
+    constant("digamma_at_3_upper", digamma(3.0), "<", math.log(3.0))
+    euler_gamma = 0.5772156649015328606
+    constant("digamma_at_1", abs(digamma(1.0) + euler_gamma), "<", 1e-14)
+    constant("digamma_at_half",
+             abs(digamma(0.5) + euler_gamma + 2.0 * math.log(2.0)), "<", 1e-13)
+    constant("digamma_reflection_mhalf",
+             abs(digamma(-0.5) - digamma(0.5) - 2.0), "<", 1e-13)
+
+    # profile positivity g_{n,k,alpha} > 0 on [0, t_{n,k}] for alpha in (1-n, 1)
+    g_min = math.inf
+    for (n, k) in [(5, 2), (7, 1), (9, 4), (12, 10), (15, 7)]:
+        pars = ConeParams(n, k)
+        t_nk = find_root(pars).t_nk
+        for frac_a in (0.05, 0.3, 0.5, 0.7, 0.95):
+            alpha = (1.0 - n) + frac_a * (1.0 - (1.0 - n))
+            for j in range(21):
+                g_min = min(g_min, profile_g(pars, alpha, t_nk * j / 21.0))
+    constant("profile_positive_on_root_interval", g_min, ">", 0.0)
+
+    # axisymmetric edge case: margin at alpha = 4-n exceeds 5e-2 for n = 7..10
+    m_min = math.inf
+    for n in range(7, 11):
+        pars = ConeParams(n, 1)
+        m_min = min(m_min, stability_margin(pars, 4.0 - n, find_root(pars)))
+    constant("axisymmetric_edge_margin", m_min, ">", 5e-2)
+
+    # the exponential bound of the jump comparison, and u(0) = sqrt(2/pi)
+    constant("exp_105_bound", math.exp(1.05), "<", 2.9)
+    constant("u_at_zero", abs(limit_profile_u(0.0) - math.sqrt(2.0 / math.pi)), "<", 1e-12)
+
+    # root estimates on a 19-cell sample across the three ratio bands
     sample = []
     for n in (60, 100, 200):
         for frac in (0.34, 0.5, 0.7, 0.86, 0.89, 0.92, 0.9375):
             k = round(frac * n)
             if 1.0 / 3.0 <= k / n <= 15.0 / 16.0:
                 sample.append((n, k))
-    sample = sample[:20]
-    fails = [f"({n},{k})" for (n, k) in sample
-             if not lemmas.root_bound_check(ConeParams(n, k)).passed]
+    fails = [f"({n},{k})" for (n, k) in sample if not root_bound_check(ConeParams(n, k))]
     out.append(_rec("lemmas", "root_sqrt_bounds_sample",
                     not fails, f"{len(sample)} cells; failures: {fails or 'none'}"))
 
@@ -230,7 +343,7 @@ def lemmas_suite() -> List[CheckRecord]:
     for n in (60, 80, 100):
         for k in range(int(math.ceil(n / 2)), n - 11):
             total += 1
-            if not lemmas.overshoot_check(ConeParams(n, k)).passed:
+            if not overshoot_check(ConeParams(n, k)):
                 fails.append(f"({n},{k})")
     out.append(_rec("lemmas", "overshoot_disjunction",
                     not fails, f"{total} cells; failures: {fails or 'none'}"))
@@ -244,28 +357,28 @@ def lemmas_suite() -> List[CheckRecord]:
         pars = ConeParams(n, k)
         s = find_root(pars).s_nk
         quad_ok = (n * s - k) ** 2 <= 2.0 * n * (1.0 - s) or s < k / n
-        star_ok = s < lemmas.overshoot_terminal_point(pars) or s < k / n
+        star_ok = s < overshoot_terminal_point(pars) or s < k / n
         ok = ok and (quad_ok == star_ok)
     out.append(_rec("lemmas", "overshoot_form_equivalence",
                     ok, "quadratic and terminal-point forms agree on 20 draws"))
 
     # boundary-layer first-zero estimator
-    z0 = lemmas.estimate_z0(2000, 0.5)
+    z0 = estimate_z0(2000, 0.5)
     out.append(_rec("lemmas", "z0_estimate_window",
                     0.74 <= z0 <= 0.80, f"z0(2000, 1/2) = {z0:.5f} (window [0.74, 0.80])"))
-    za, zb = lemmas.estimate_z0(2000, 1.0 / 3.0), lemmas.estimate_z0(2000, 2.0 / 3.0)
+    za, zb = estimate_z0(2000, 1.0 / 3.0), estimate_z0(2000, 2.0 / 3.0)
     out.append(_rec("lemmas", "z0_ratio_independence",
                     abs(za - zb) <= 0.02, f"|{za:.4f} - {zb:.4f}| <= 0.02"))
-    ladder = [lemmas.estimate_z0(m, 0.5) for m in (500, 1000, 2000)]
+    ladder = [estimate_z0(m, 0.5) for m in (500, 1000, 2000)]
     drift = max(abs(a - b) for a, b in zip(ladder, ladder[1:]))
     out.append(_rec("lemmas", "z0_ladder_convergence",
                     drift <= 0.02, f"ladder {['%.4f' % z for z in ladder]}, drift {drift:.4f}"))
 
     # threshold battery
     thr = [
-        ("phi_35_at_78", lemmas.phi_c_eval(7 / 8, 3 / 5), 91 / 1090),
-        ("phi_25_at_910", lemmas.phi_c_eval(9 / 10, 2 / 5), 1 / 10),
-        ("phi_925_at_1516", lemmas.phi_c_eval(15 / 16, 9 / 25), 91 / 1000),
+        ("phi_35_at_78", phi_c_eval(7 / 8, 3 / 5), 91 / 1090),
+        ("phi_25_at_910", phi_c_eval(9 / 10, 2 / 5), 1 / 10),
+        ("phi_925_at_1516", phi_c_eval(15 / 16, 9 / 25), 91 / 1000),
     ]
     for name, got, bound in thr:
         out.append(_rec("lemmas", f"threshold.{name}", got > bound,
@@ -285,10 +398,10 @@ def lemmas_suite() -> List[CheckRecord]:
     for _ in range(60):
         lam = rng.uniform(0.05, 0.95)
         c = rng.uniform(-1.0, 1.5)
-        v = lemmas.phi_c_eval(lam, c)
+        v = phi_c_eval(lam, c)
         pos = pos and v > 0.0
         h = 1e-5
-        v2 = lemmas.phi_c_eval(lam + h, c + h)
+        v2 = phi_c_eval(lam + h, c + h)
         lip = max(lip, abs(v2 - v) / (2 * h))
     out.append(_rec("lemmas", "phi_c_positive_and_lipschitz",
                     pos and lip < 1e3, f"positive on 60 draws; max slope {lip:.3g}"))

@@ -7,9 +7,10 @@ log-derivative function L(s) of cone.L_direct,
 a cross-check of L against one shot of the mode-(0,0) link ODE (the
 radial equation of the link eigenvalue problem, whose regular solution at
 lambda = ahat is the profile), and the two-piece comparison barriers,
-ending at the terminal points of lemmas, that propagate positivity of L up
-to the free-boundary root for alpha = 4 - n.  The sign of L at that root
-is cone.check_4_minus_n.  Of the commands only `verify` loads this module.
+ending at the terminal points of the overshoot bound, that propagate
+positivity of L up to the free-boundary root for alpha = 4 - n.  The
+sign of L at that root is cone.check_4_minus_n.  Of the commands only
+`verify` loads this module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from conelab.errors import (
     PoleEncounteredError,
     VariantUnavailableError,
 )
-from conelab.lemmas import overshoot_terminal_point, refined_terminal_point
 
 __all__ = [
     "RiccatiTrace",
@@ -34,6 +34,8 @@ __all__ = [
     "BarrierReport",
     "L_cross_check",
     "P_poly",
+    "overshoot_terminal_point",
+    "refined_terminal_point",
     "barrier_phi",
     "linear_root_relation",
     "verify_barrier",
@@ -147,6 +149,19 @@ class BarrierReport(NamedTuple):
     L_at_s_star: float
     comparison_passed: bool
     passed: bool
+
+
+def overshoot_terminal_point(pars: ConeParams) -> float:
+    """The equivalent terminal-point form 1 - (d+1-sqrt(2d+1))/n of the
+    overshoot bound."""
+    d = pars.d
+    return 1.0 - (d + 1.0 - math.sqrt(2.0 * d + 1.0)) / pars.n
+
+
+def refined_terminal_point(pars: ConeParams) -> float:
+    """The refined terminal point 1 - (2d+1-2 sqrt(2d+1))/(2n)."""
+    d = pars.d
+    return 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * pars.n)
 
 
 def barrier_phi(p: ConeParams) -> Tuple[BarrierSpec, Callable[[float], float]]:

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from conelab import reference
-from conelab.checks import run_suites
+from conelab.checks import (
+    estimate_z0,
+    limit_profile_u,
+    overshoot_check,
+    phi_c_eval,
+    root_bound_check,
+    run_suites,
+)
 from conelab.cone import (
     ConeParams,
     Verdict,
@@ -23,13 +30,6 @@ from conelab.cone import (
     find_root,
     indicial_roots,
     verdict,
-)
-from conelab.lemmas import (
-    estimate_z0,
-    limit_profile_u,
-    overshoot_check,
-    phi_c_eval,
-    root_bound_check,
 )
 from conelab.riccati import BarrierVariant, verify_barrier
 from conelab.specfun import laplace_quad
@@ -266,10 +266,10 @@ class TestC11AsymptoticRoots:
         sample = sample[:27]
         assert len(sample) >= 20
         bad = [f"({n},{k})" for (n, k) in sample
-               if not root_bound_check(ConeParams(n, k)).passed]
+               if not root_bound_check(ConeParams(n, k))]
         for n in (60, 80, 100):
             for k in range(int(math.ceil(n / 2)), n - 11):
-                if not overshoot_check(ConeParams(n, k)).passed:
+                if not overshoot_check(ConeParams(n, k)):
                     bad.append(f"overshoot({n},{k})")
         z0 = estimate_z0(2000, 0.5)
         if not 0.74 <= z0 <= 0.80:

@@ -566,8 +566,8 @@ class TestColdImport:
                                   watch=watch) == "[]"
 
     def test_each_command_loads_only_its_layers(self):
-        # analyze, table and scan load the pipeline up to cone; riccati,
-        # lemmas and checks load for verify only, and the package root
+        # analyze, table and scan load the pipeline up to cone; riccati
+        # and checks load for verify only, and the package root
         # loads nothing but the kernel backend
         kernels = {"compiled": "_kernels", "python": "_pykernels"}[conelab.BACKEND_NAME]
         backend = ["conelab", "conelab._backend", f"conelab.{kernels}"]
@@ -576,7 +576,7 @@ class TestColdImport:
         for argv in (("analyze", "--n", "7", "--k", "1"), ("table", "--n", "7", "8"),
                      ("scan", "--n-max", "8")):
             assert self._loaded_after(argv, watch=("conelab",)) == repr(sorted(runs)), argv
-        verifies = runs + ["conelab.checks", "conelab.lemmas", "conelab.riccati"]
+        verifies = runs + ["conelab.checks", "conelab.riccati"]
         assert (self._loaded_after(("verify", "--suite", "specfun"), watch=("conelab",))
                 == repr(sorted(verifies)))
         script = ("import sys, conelab; "

@@ -1,61 +1,54 @@
 """Asymptotic bound harness tests."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
 
-from conelab.cone import ConeParams, find_root
-from conelab.errors import RangeUnsupported
-from conelab.lemmas import (
-    BoundCheck,
+from conelab import checks
+from conelab.checks import (
     estimate_z0,
+    lemmas_suite,
     limit_profile_u,
     overshoot_check,
-    overshoot_terminal_point,
     phi_c_eval,
-    proof_constants_check,
     root_bound_check,
 )
+from conelab.cone import ConeParams, find_root
+from conelab.errors import RangeUnsupported
+from conelab.riccati import overshoot_terminal_point, refined_terminal_point
 
 
-class TestBoundCheck:
-    def test_relation_semantics(self):
-        assert BoundCheck("a", {}, 1.0, 2.0, ">").passed
-        assert not BoundCheck("a", {}, 1.0, 0.5, ">").passed
-        assert BoundCheck("a", {}, 1.0, 0.5, "<").passed
-        with pytest.raises(ValueError):
-            BoundCheck("a", {}, 1.0, 0.5, ">=")
-
-    def test_record_contract(self):
-        # passed is a sixth field computed from the other five, not an argument
-        chk = BoundCheck(name="x", parameters={"n": 7}, claimed=1.0, computed=2.0, relation=">")
-        assert chk.passed is True
-        assert repr(chk) == ("BoundCheck(name='x', parameters={'n': 7}, claimed=1.0, "
-                             "computed=2.0, relation='>', passed=True)")
-        with pytest.raises(AttributeError):
-            chk.passed = False
-        assert pickle.loads(pickle.dumps(chk)) == chk
-        with pytest.raises(TypeError):
-            BoundCheck("x", {}, 1.0, 2.0, ">", True)
-        with pytest.raises(ValueError, match=r"^unknown relation '='$"):
-            BoundCheck("x", {}, 1.0, 2.0, "=")
+def _root_at(monkeypatch, s):
+    """Make the bound checks see s as the free-boundary root s_{n,k}."""
+    monkeypatch.setattr(checks, "find_root",
+                        lambda pars: find_root(pars)._replace(s_nk=s))
 
 
 class TestRootBound:
     def test_half_ratio(self):
-        chk = root_bound_check(ConeParams(60, 30))
-        assert chk.passed
-        assert chk.claimed == 0.5 + 3.0 / (5.0 * math.sqrt(60))
+        assert root_bound_check(ConeParams(60, 30)) is True
 
     def test_high_ratio_band(self):
-        chk = root_bound_check(ConeParams(64, 57))
-        assert chk.passed and chk.parameters["c"] == 2.0 / 5.0
+        assert root_bound_check(ConeParams(64, 57)) is True
 
     def test_top_band(self):
-        chk = root_bound_check(ConeParams(96, 88))
-        assert chk.passed and chk.parameters["c"] == 9.0 / 25.0
+        assert root_bound_check(ConeParams(96, 88)) is True
+
+    @pytest.mark.parametrize("n, k, c", [
+        (60, 30, 3 / 5),  # k/n <= 7/8
+        (64, 57, 2 / 5),  # 7/8 < k/n <= 9/10
+        (96, 88, 9 / 25),  # 9/10 < k/n <= 15/16
+    ])
+    def test_band_constant_at_its_boundary(self, monkeypatch, n, k, c):
+        # the bound is strict: one ulp below k/n + c/sqrt(n) passes, the
+        # bound itself and one ulp above fail
+        bound = k / n + c / math.sqrt(n)
+        pars = ConeParams(n, k)
+        for s, want in ((math.nextafter(bound, 0.0), True), (bound, False),
+                        (math.nextafter(bound, 1.0), False)):
+            _root_at(monkeypatch, s)
+            assert root_bound_check(pars) is want, (s, bound)
 
     def test_range_guard(self):
         with pytest.raises(RangeUnsupported):
@@ -159,16 +152,30 @@ class TestPhiC:
 
 class TestOvershoot:
     def test_basic_band(self):
-        assert overshoot_check(ConeParams(60, 40)).passed
+        assert overshoot_check(ConeParams(60, 40)) is True
 
     def test_full_bands(self):
         for n in (60, 80, 100):
             for k in range(int(math.ceil(n / 2)), n - 11):
-                assert overshoot_check(ConeParams(n, k)).passed
+                assert overshoot_check(ConeParams(n, k))
 
     def test_refined_band(self):
-        chk = overshoot_check(ConeParams(200, 192))
-        assert chk.passed and chk.name == "overshoot_bound_refined"
+        assert overshoot_check(ConeParams(200, 192)) is True
+
+    def test_refined_band_decides_by_refined_point(self, monkeypatch):
+        # at (200,192), d = 8, the quadratic form ends at 0.97562 and the
+        # refined terminal point at 0.97812; between them only the refined
+        # form passes, and the check follows it
+        pars = ConeParams(200, 192)
+        s_quad, s_ref = overshoot_terminal_point(pars), refined_terminal_point(pars)
+        assert s_quad < s_ref
+        s = 0.5 * (s_quad + s_ref)
+        n, k = pars.n, pars.k
+        assert not (s < k / n or (n * s - k) ** 2 < 2.0 * n * (1.0 - s))
+        _root_at(monkeypatch, s)
+        assert overshoot_check(pars) is True
+        _root_at(monkeypatch, math.nextafter(s_ref, 1.0))
+        assert overshoot_check(pars) is False
 
     def test_form_equivalence(self):
         rng = np.random.default_rng(4)
@@ -189,13 +196,16 @@ class TestOvershoot:
 
 
 class TestProofConstants:
-    def test_battery_passes(self):
-        battery = proof_constants_check()
-        assert len(battery) >= 10
-        for chk in battery:
-            assert chk.passed, f"{chk.name}: {chk.computed} vs {chk.claimed}"
+    @pytest.fixture(scope="class")
+    def constants(self):
+        return [r for r in lemmas_suite() if r.name.startswith("constants.")]
 
-    def test_exp_bound_present(self):
-        names = {c.name for c in proof_constants_check()}
-        assert "exp_105_bound" in names
-        assert "axisymmetric_edge_margin" in names
+    def test_battery_passes(self, constants):
+        assert len(constants) >= 10
+        for rec in constants:
+            assert rec.passed, f"{rec.name}: {rec.detail}"
+
+    def test_exp_bound_present(self, constants):
+        names = {r.name for r in constants}
+        assert "constants.exp_105_bound" in names
+        assert "constants.axisymmetric_edge_margin" in names
