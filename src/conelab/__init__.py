@@ -2,9 +2,11 @@
 Bernoulli cones.
 
 Modules mirror the analysis pipeline: specfun (hypergeometric and
-gamma-family kernel), cone (profiles, free-boundary root, stability
-criterion, its margin at alpha = 4-n, and verdict with the first link
-eigenvalue and decay rates), riccati (log-derivative ODE, its
+gamma-family kernel, behind the free-boundary root), cone (profiles,
+free-boundary root, the log-derivative L from Gauss's continued
+fraction, the stability criterion read from it, its margin at
+alpha = 4-n, and verdict with the first link eigenvalue and decay
+rates), riccati (log-derivative ODE, its
 cross-check against one mode-(0,0) shot of the link ODE, and comparison
 barriers with their terminal points), checks (verification batteries
 and the asymptotic bounds they check), reference (the embedded

@@ -33,7 +33,7 @@ from conelab.specfun import (
 )
 
 __all__ = ["CheckRecord", "SUITES", "run_suites", "root_bound_check", "limit_profile_u",
-           "estimate_z0", "phi_c_eval", "overshoot_check"]
+           "estimate_z0", "phi_c_eval", "overshoot_forms", "overshoot_check"]
 
 SEED = 20260214
 
@@ -266,15 +266,23 @@ def phi_c_eval(lam: float, c: float) -> float:
     return sd * limit_profile_u(c / sd)
 
 
+def overshoot_forms(pars: ConeParams, s: float) -> Tuple[bool, bool]:
+    """The overshoot bound at s in its two equivalent forms: s < k/n or
+    (n s - k)^2 < 2 n (1 - s), and s < k/n or s < overshoot_terminal_point.
+    Both are strict, so at the terminal point itself both fail."""
+    n, k = pars.n, pars.k
+    return (s < k / n or (n * s - k) ** 2 < 2.0 * n * (1.0 - s),
+            s < k / n or s < overshoot_terminal_point(pars))
+
+
 def overshoot_check(pars: ConeParams) -> bool:
-    """Either s_{n,k} < k/n or (n s - k)^2 < 2 n (1 - s), equivalently
-    s < overshoot_terminal_point, for n/2 <= k <= n-12; for the band
-    n-11 <= k <= n-4 (and n >= 16 d) s < refined_terminal_point is
-    checked instead."""
+    """The quadratic form of overshoot_forms at s_{n,k}, for
+    n/2 <= k <= n-12; for the band n-11 <= k <= n-4 (and n >= 16 d)
+    s < refined_terminal_point is checked instead."""
     n, k = pars.n, pars.k
     s = find_root(pars).s_nk
     if n / 2.0 <= k <= n - 12:
-        return s < k / n or (n * s - k) ** 2 < 2.0 * n * (1.0 - s)
+        return overshoot_forms(pars, s)[0]
     if n - 11 <= k <= n - 4 and n >= 16 * pars.d:
         return s < refined_terminal_point(pars)
     raise RangeUnsupported(
@@ -355,9 +363,7 @@ def lemmas_suite() -> List[CheckRecord]:
         n = rng.randrange(60, 140)
         k = rng.randrange(n // 2 + 1, n - 11)
         pars = ConeParams(n, k)
-        s = find_root(pars).s_nk
-        quad_ok = (n * s - k) ** 2 <= 2.0 * n * (1.0 - s) or s < k / n
-        star_ok = s < overshoot_terminal_point(pars) or s < k / n
+        quad_ok, star_ok = overshoot_forms(pars, find_root(pars).s_nk)
         ok = ok and (quad_ok == star_ok)
     out.append(_rec("lemmas", "overshoot_form_equivalence",
                     ok, "quadratic and terminal-point forms agree on 20 draws"))
@@ -417,10 +423,12 @@ BARRIER_N = (96, 200, 400)
 def barriers_suite() -> List[CheckRecord]:
     out: List[CheckRecord] = []
     skipped = []
+    gaps = []  # (s* - s_nk, n, k): positivity reaches the root only below s*
     for n in BARRIER_N:
         for d in BARRIER_D:
             pars = ConeParams(n, n - d)
             rep = verify_barrier(pars)
+            gaps.append((rep.spec.s_star - find_root(pars).s_nk, n, n - d))
             applicable = n >= 5 * d
             name = f"barrier_n{n}_d{d}"
             if applicable:
@@ -444,6 +452,9 @@ def barriers_suite() -> List[CheckRecord]:
     if skipped:
         out.append(_rec("barriers", "jump_range_note", True,
                         "pairs outside the n >= 5d jump range: " + ", ".join(skipped)))
+    gap, n, k = min(gaps)
+    out.append(_rec("barriers", "root_below_terminal_point", gap > 0.0,
+                    f"s_nk < s* at {len(gaps)} cells; smallest gap {gap:.3e} at ({n},{k})"))
 
     for n in (12, 20, 64, 200):
         s_star, lin_zero, ok = linear_root_relation(ConeParams(n, n - 4))

@@ -1,7 +1,8 @@
 """Cone geometry for the invariant one-phase family: profile functions
-and their log-derivative L, the free-boundary root, the strict stability
-criterion (read from L), the sign of L at the root for the subsolution
-exponent alpha = 4-n (check_4_minus_n), and verdict, the one stability
+and their log-derivative L (from Gauss's continued fraction, so it never
+overflows), the free-boundary root, the strict stability criterion (read
+from L), the sign of L at the root for the subsolution exponent
+alpha = 4-n (check_4_minus_n), and verdict, the one stability
 step per cone.  verdict evaluates the criterion margin at the threshold
 exponent (2-n)/2 once and takes from it both the verdict and the bracket
 of the margin's root in lambda, lambda_1, whose indicial roots gamma_+-
@@ -21,8 +22,8 @@ import math
 from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from conelab.errors import BracketFailure, NonConvergenceError, PoleEncounteredError
-from conelab.specfun import HypParams, hyp2f1, hyp2f1_pair, hyp2f1_sym
+from conelab.errors import BracketFailure, DomainError, NonConvergenceError
+from conelab.specfun import MAX_TERMS, HypParams, hyp2f1
 
 __all__ = [
     "ConeParams",
@@ -43,6 +44,8 @@ __all__ = [
 MARGIN_TOL = 1e-9  # borderline band on the criterion margin; largest |margin| at lambda_1
 ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
 ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
+CF_TOL = 1e-13  # L_direct's bound on L's change from cutting the fraction at half depth
+_TINY = 1e-300  # stands in for a level's exact zero denominator (Lentz's device)
 
 
 class ConeParams(NamedTuple("ConeParams", [("n", int), ("k", int)])):
@@ -95,39 +98,68 @@ def profile_params(p: ConeParams, alpha: float) -> HypParams:
     return HypParams((p.n + alpha - 2.0) / 2.0, -alpha / 2.0, p.k / 2.0)
 
 
-def L_direct(p: ConeParams, alpha: float, ss: Sequence[float]) -> List[float]:
-    """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) at each s of the grid ss, with
-    F and F' of the degree-alpha profile from one hyp2f1_pair call (at
-    s = 0, F = 1 exactly and L = k-1).  Raises ValueError when some s is
-    not below 1; NonConvergenceError at the first s where F or F' is not
-    finite (the profile overflows binary64: first between n = 1,600 and
-    1,800, at d = 30 as in (1800,1770), and at more d as n grows); and at
-    the first s where the profile is not positive PoleEncounteredError when
-    F's own bound settles F <= 0 (|F| above its err_estimate), else
-    NonConvergenceError."""
-    if not all(s < 1.0 for s in ss):
-        raise ValueError("s must be below 1")
+def L_direct(p: ConeParams, alpha: complex, ss: Sequence[float]) -> List[float]:
+    """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) of the degree-alpha profile F at
+    each s of the grid ss, for alpha in [2-n, 0] (a, b >= 0, so F >= 1) or
+    alpha = (2-n)/2 + i w (a, b a conjugate pair, F >= 1 too; the real part
+    is returned).  Euler's form F = (1-s)^(c-a-b) G, G = 2F1(A, B; c; s),
+    A = c-b, B = c-a, gives L = (k-1) - ks + 2(1-s) sAB / (c/R - sB) with
+    R = F(A+1, B+1; c+1; s) / F(A+1, B; c; s) = 1/(1 - k1 s/(1 - k2 s/...)),
+    Gauss's continued fraction (DLMF 15.7.5): only ratios, so nothing
+    overflows.  It is evaluated backward from a depth 2N, with the fixed
+    point of the levels' limit u = 1/(1 - su/4) as tail; the same pass
+    gives L's first-order change from a cut at N, and L at 2N is returned
+    once that is at most CF_TOL max(1, |L|), else N grows as the limit
+    contraction rho = (1-sqrt(1-s))/(1+sqrt(1-s)) asks, by half at least.
+    Raises DomainError for any other alpha, ValueError for s outside
+    [0, 1), and NonConvergenceError past MAX_TERMS levels (about
+    9/sqrt(1-s) are needed)."""
+    n, k = p.n, p.k
+    if not (2 - n <= alpha.real <= 0 and (alpha.imag == 0 or alpha.real == (2 - n) / 2)):
+        raise DomainError(f"alpha={alpha} for (n,k)=({n},{k}) outside [2-n, 0] = [{2 - n}, 0] "
+                          f"and off the line Re alpha = (2-n)/2")
+    if not all(0.0 <= s < 1.0 for s in ss):
+        raise ValueError("s must lie in [0, 1)")
+    c = 0.5 * k
+    A, B = 0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha)
+    a1, b1 = c - B - 1.0, c - A - 1.0  # a - 1 and b - 1
+    ks: list = []  # k_1, k_2, ... of R, shared by the grid
+
+    def cut(s: float, half: int):
+        """(L cut at depth 2 half, |its first-order change if cut at half|)."""
+        for i in range(len(ks) // 2 + 1, half + 1):
+            x = c + 2.0 * i
+            ks.append((A + i) * (a1 + i) / ((x - 2.0) * (x - 1.0)))
+            ks.append((B + i) * (b1 + i) / ((x - 1.0) * x))
+        u = w = 2.0 * (1.0 - math.sqrt(1.0 - s)) / s
+        for kj in ks[2 * half - 1:half - 1:-1]:
+            u = 1.0 / ((1.0 - s * kj * u) or _TINY)
+        gap, slope = u - w, 1.0  # slope: du / du(level half + 1), down to level 2
+        for kj in ks[half - 1:0:-1]:
+            kz = s * kj
+            u = 1.0 / ((1.0 - kz * u) or _TINY)
+            slope *= kz * u * u
+        den = c * (1.0 - s * ks[0] * u) - s * B
+        x = 2.0 * (1.0 - s) * s * A * B / den
+        return (k - 1.0) - k * s + x, abs(gap * slope * x * c * s * ks[0] / den)
+
     out = []
-    for s, (F, Fp) in zip(ss, hyp2f1_pair(profile_params(p, alpha), ss)):
-        if not (math.isfinite(F.value) and math.isfinite(Fp.value)):
-            raise NonConvergenceError(
-                f"profile overflows binary64 at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k}): "
-                f"F = {F.value!r}, F' = {Fp.value!r}")
-        if not F.value > 0.0:
-            if abs(F.value) > F.err_estimate:
-                raise PoleEncounteredError(
-                    f"profile vanishes before s={s} for alpha={alpha}, (n,k)=({p.n},{p.k})")
-            raise NonConvergenceError(
-                f"profile sign unsettled at s={s} for alpha={alpha}, (n,k)=({p.n},{p.k}): "
-                f"F = {F.value!r} within its err_estimate {F.err_estimate!r}",
-                value=F.value, err_estimate=F.err_estimate)
-        out.append(_link_L(p, s, F.value, Fp.value))
+    for s in ss:
+        L, half = k - 1.0, 4
+        q = math.sqrt(1.0 - s)
+        while s > 0.0:  # L(0) = k-1 exactly
+            L, change = cut(s, half)
+            target = CF_TOL * max(1.0, abs(L))
+            if change <= target:
+                break
+            more = math.log(change / target) / -math.log(max((1.0 - q) / (1.0 + q), _TINY))
+            half = max(half + half // 2, half + 1 + int(more if more < MAX_TERMS else MAX_TERMS))
+            if 2 * half > MAX_TERMS:
+                raise NonConvergenceError(
+                    f"continued fraction of L needs more than {MAX_TERMS} levels at s={s} "
+                    f"for alpha={alpha}, (n,k)=({n},{k})", value=L.real, terms_used=2 * half)
+        out.append(L.real)
     return out
-
-
-def _link_L(p: ConeParams, s: float, F: float, Fp: float) -> float:
-    """L(s) from the profile value F and its s-derivative Fp."""
-    return 2.0 * s * (1.0 - s) * Fp / F - (p.n - 2.0) * s + (p.k - 1.0)
 
 
 def profile_g(p: ConeParams, alpha: float, t: float) -> float:
@@ -236,10 +268,10 @@ def find_root(p: ConeParams) -> RootResult:
                       s_bracket=(s_lo, s_hi), residual=residual)
 
 
-def stability_margin(p: ConeParams, alpha: float, r: RootResult) -> float:
+def stability_margin(p: ConeParams, alpha: complex, r: RootResult) -> float:
     """g'_alpha/g_alpha - rhs at the root, which is L(s_nk) / (t (1 - t^2));
-    positive exactly on the admissible interval.  Raises NonConvergenceError
-    when it is not finite."""
+    positive exactly on the admissible interval.  alpha is any exponent
+    L_direct takes.  Raises NonConvergenceError when it is not finite."""
     margin = L_direct(p, alpha, (r.s_nk,))[0] / (r.t_nk * (1.0 - r.s_nk))
     if not math.isfinite(margin):
         raise NonConvergenceError(f"margin at alpha={alpha} for (n,k)=({p.n},{p.k}) is "
@@ -279,9 +311,11 @@ def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
     The criterion margin at alpha = (2-n)/2 = -h, h = (n-2)/2, gives the
     verdict (MARGIN_TOL wide borderline band).  lambda_1 is the root in
     lambda of the margin of the mode-(0,0) profile 2F1(a, b; k/2; s),
-    a + b = h, ab = -lambda/4: stability_margin at gamma_+ for
-    lambda >= -h^2, and below, where a, b are a complex pair, from
-    hyp2f1_sym's F >= 1 (no zero: the ground state).  The margin decreases
+    a + b = h, ab = -lambda/4: stability_margin at the exponent
+    gamma_+ = lambda / (h + sqrt(h^2 + lambda)), which below lambda = -h^2
+    is the complex -h + i sqrt(-h^2 - lambda), where a and b are a conjugate
+    pair and L_direct's fraction runs in complex arithmetic (F >= 1 there
+    too: no zero, the ground state).  The margin decreases
     in lambda, and at lambda = -h^2 it is the threshold margin (gamma_+ =
     -h exactly), so that one evaluation also picks the bracket: [-h^2, 0]
     when it is positive, else [-(n-2)^2 - 1, -h^2].  Raises BracketFailure
@@ -292,11 +326,9 @@ def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
     h = (p.n - 2.0) / 2.0
 
     def margin_at(lam: float) -> float:
-        roots = indicial_roots(lam, p.n)
-        if roots is not None:
-            return stability_margin(p, roots[1], r)
-        F, Fp = hyp2f1_sym(h, -lam / 4.0, p.k / 2.0, r.s_nk)
-        return _link_L(p, r.s_nk, F.value, Fp.value) / (r.t_nk * (1.0 - r.s_nk))
+        rad = h * h + lam
+        return stability_margin(p, lam / (h + math.sqrt(rad)) if rad >= 0.0
+                                else complex(-h, math.sqrt(-rad)), r)
 
     margin = stability_margin(p, -h, r)
     if margin > MARGIN_TOL:

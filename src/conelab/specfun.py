@@ -12,11 +12,9 @@ Evaluation strategy for 2F1(a, b; c; s) on s in (-1, 1]:
   DLMF 15.8.10 (Abramowitz & Stegun 15.3.10-15.3.12) when it is.
 
 Derivatives come from the parameter shift F' = ab/c F(a+1, b+1; c+1; s)
-(hyp2f1_deriv).  hyp2f1_pair returns F and F' at every point of a grid of
-s, with the work that does not depend on s (shifted parameters,
-prefactor, error growth) done once per grid.  The three take their
-strategy from one router, _route, so a pair equals the two separate
-calls at each point.
+(hyp2f1_deriv); both take their strategy from one router, _route.  The
+stability criterion uses neither: its log-derivative L comes from
+Gauss's continued fraction in cone.L_direct.
 
 Every err_estimate is a first-order bound on the rounding, truncation
 and parameter-rounding error of the value it comes with.  All routines
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from conelab._backend import hyp2f1_series as _series_kernel
 from conelab.errors import DomainError, NonConvergenceError, PoleError
@@ -46,8 +44,6 @@ __all__ = [
     "digamma",
     "hyp2f1",
     "hyp2f1_deriv",
-    "hyp2f1_pair",
-    "hyp2f1_sym",
     "hyp2f1_integral",
     "laplace_quad",
     "erfcx",
@@ -428,11 +424,11 @@ def _euler_block(a: float, b: float, c: float) -> bool:
 
 def _route(a: float, b: float, c: float, s: float, dp, growth: float):
     """(value, err_estimate, terms_used, strategy) of 2F1(a, b; c; s) by the
-    strategy of the module docstring, for hyp2f1, hyp2f1_deriv and
-    hyp2f1_pair alike.  The bound covers (a, b, c) lying up to dp from the
-    intended parameters, with growth = _err_growth(a, b, c, dp), which a
-    grid works out once.  Like the other private routes it returns a plain
-    tuple: the EvalResult is built once per public result."""
+    strategy of the module docstring, for hyp2f1 and hyp2f1_deriv alike.
+    The bound covers (a, b, c) lying up to dp from the intended parameters,
+    with growth = _err_growth(a, b, c, dp), 1 for exact parameters.  Like
+    the other private routes it returns a plain tuple: the EvalResult is
+    built once per public result."""
     if not -1.0 < s <= 1.0:
         raise DomainError(f"s={s} outside (-1, 1]")
     if s == 0.0:
@@ -479,28 +475,16 @@ def hyp2f1_deriv(p: HypParams, s: float, m: int) -> EvalResult:
     shifted parameters and of the prefactor, which may be subnormal."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return _derivative(p, m)(s)
-
-
-def _derivative(p: HypParams, m: int):
-    """The function s -> hyp2f1_deriv(p, s, m), with the shifted
-    parameters, the prefactor and the error growth worked out once."""
     if any(d is not None and d < m for d in (_nonpos_int(p.a), _nonpos_int(p.b))):
-        def below_degree(s: float) -> EvalResult:
-            if not -1.0 < s <= 1.0:
-                raise DomainError(f"s={s} outside (-1, 1]")
-            return EvalResult(0.0, 0.0, 0, Strategy.DIRECT_SERIES)
-        return below_degree
+        if not -1.0 < s <= 1.0:
+            raise DomainError(f"s={s} outside (-1, 1]")
+        return EvalResult(0.0, 0.0, 0, Strategy.DIRECT_SERIES)
     pref, pref_err, dp = _shift_prefactor(p.a, p.b, p.c, m)
     a, b, c = p.a + m, p.b + m, p.c + m
-    growth = _err_growth(a, b, c, dp)
-
-    def shifted(s: float) -> EvalResult:
-        value, err, terms, strategy = _route(a, b, c, s, dp, growth)
-        out = pref * value
-        return EvalResult(out, abs(pref) * err + pref_err * abs(value) + _U * abs(out) + _ETA,
-                          terms, strategy)
-    return shifted
+    value, err, terms, strategy = _route(a, b, c, s, dp, _err_growth(a, b, c, dp))
+    out = pref * value
+    return EvalResult(out, abs(pref) * err + pref_err * abs(value) + _U * abs(out) + _ETA,
+                      terms, strategy)
 
 
 def _shift_prefactor(a: float, b: float, c: float, m: int):
@@ -513,53 +497,6 @@ def _shift_prefactor(a: float, b: float, c: float, m: int):
                 + _U * abs(pref) + _ETA)
     return pref, pref_err, (_rounding((a, m), a + m), _rounding((b, m), b + m),
                             _rounding((c, m), c + m))
-
-
-def hyp2f1_pair(p: HypParams, ss: Sequence[float]) -> List[Tuple[EvalResult, EvalResult]]:
-    """[(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)) for s in ss], equal field for
-    field, as F and then F' take the same route at each point; for finite
-    parameters it raises what the first failing point raises.  The shifted
-    parameters, the prefactor of F' and the growth of its error bound are
-    worked out once for the grid."""
-    a, b, c = p.a, p.b, p.c
-    deriv = _derivative(p, 1)
-    return [(EvalResult(*_route(a, b, c, s, _EXACT, 1.0)), deriv(s)) for s in ss]
-
-
-def hyp2f1_sym(sigma: float, prod: float, c: float, s: float) -> Tuple[EvalResult, EvalResult]:
-    """2F1(a, b; c; s) and its s-derivative from a + b = sigma >= 0 and
-    ab = prod >= 0 (a and b may be a complex pair), c > 0, 0 <= s < 1.
-
-    F' = d0 sum e_m and F = 1 + d0 sum t_m for d0 = prod/c, e_0 = 1,
-    t_m = e_m s/(m+1) and e_(m+1) = t_m (j^2 + j sigma + prod)/(j + c), j = m+1:
-    positive terms that do not underflow, 8 roundings per step as in the
-    series kernel, and geometric tails, since e_i / e_(i-1) <= q =
-    s (1 + max(sigma - c, 0)/(i + c) + prod/((i + c) i)) for every i >= m+2."""
-    if not (sigma >= 0.0 and prod >= 0.0 and c > 0.0 and 0.0 <= s < 1.0):
-        raise DomainError(f"hyp2f1_sym outside its domain: ({sigma}, {prod}, {c}, {s})")
-    es, ts, e = [], [], 1.0
-    for m in range(MAX_TERMS):
-        es.append(e)
-        ts.append(e * s / (m + 1.0))
-        j, i = m + 1.0, m + 2.0
-        e = ts[-1] * ((j * j + j * sigma + prod) / (j + c))
-        q = s * (1.0 + max(sigma - c, 0.0) / (i + c) + prod / ((i + c) * i))
-        tail_e = e / (1.0 - q) if q < 1.0 else math.inf  # bounds sum_(k>m) e_k
-        if tail_e <= REL_TOL:  # sum e >= 1 and sum t >= s: both tails are relative
-            break
-    else:
-        raise NonConvergenceError(f"hyp2f1_sym exhausted {MAX_TERMS} terms at s={s}",
-                                  terms_used=MAX_TERMS)
-    d0, sum_e, sum_t = prod / c, math.fsum(es), math.fsum(ts)
-    f, fp = 1.0 + d0 * sum_t, d0 * sum_e
-    # e_k, t_k round 8k, 8k+2 times, then fsum, d0 and the product once each;
-    # a subnormal d0 or F' errs by _ETA (sum_e + 1) instead
-    rounds_e = math.fsum((8.0 * k + 3.0) * x for k, x in enumerate(es))
-    rounds_t = math.fsum((8.0 * k + 5.0) * x for k, x in enumerate(ts))
-    f_err = 1.12e-16 * (d0 * rounds_t + f) + d0 * tail_e * s / i
-    fp_err = 1.12e-16 * d0 * rounds_e + d0 * tail_e + _ETA * (sum_e + 1.0)
-    return (EvalResult(f, f_err, m + 1, Strategy.DIRECT_SERIES),
-            EvalResult(fp, fp_err, m + 1, Strategy.DIRECT_SERIES))
 
 
 # tanh-sinh window and finest level: at |x| = 6.5 the endpoint factor
@@ -577,9 +514,11 @@ def hyp2f1_integral(p: HypParams, s: float) -> EvalResult:
     (Takahasi & Mori 1974).  u = (1 + tanh(pi/2 sinh x))/2 turns the
     integrand into pi cosh x u^b (1-u)^(c-b) (1-us)^(-a); its endpoint
     factors are taken through w = min(u, 1-u) = 1/(1 + exp(pi sinh|x|)),
-    so neither end cancels.  The step h = 2^-L halves per level on nodes
-    |x| <= TS_X_MAX until two levels agree to 1e-13; the error estimate is
-    their difference plus the outermost terms, which bound the truncation.
+    so neither end cancels.  The nodes stop at the first integer x, at
+    most TS_X_MAX, whose terms fall below 1e-20 of the sum so far; the step
+    h = 2^-L halves per level on the nodes inside that cut until two levels
+    agree to 1e-13.  The error estimate is their difference plus the
+    outermost terms, which bound the truncation.
     """
     a, b, c = p.a, p.b, p.c
     if not c > b > 0.0:
@@ -603,22 +542,30 @@ def hyp2f1_integral(p: HypParams, s: float) -> EvalResult:
         v_left, v_right = math.exp(left), math.exp(right)
         return v_left + v_right, v_left * (abs(left) + 8.0) + v_right * (abs(right) + 8.0)
 
-    def level_sum(xs) -> Tuple[float, float]:
-        terms = [pair(x) for x in xs]
+    def level_sum(terms) -> Tuple[float, float]:
         return math.fsum(t[0] for t in terms), math.fsum(t[1] for t in terms)
 
-    # level 0: h = 1 on the integers; every later level adds the odd
-    # multiples of the halved step, so the last node is TS_X_MAX
+    # level 0: h = 1 on the integers, out to the first x whose pair term is
+    # below 1e-20 of the running sum (TS_X_MAX at most); every later level
+    # adds the odd multiples of the halved step inside that cut
     v0, r0 = pair(0.0)
-    total, rounds = level_sum(float(j) for j in range(1, int(TS_X_MAX) + 1))
-    total, rounds = total + 0.5 * v0, rounds + 0.5 * r0
+    terms = [(0.5 * v0, 0.5 * r0)]
+    run, x_cut = 0.5 * v0, 0
+    while x_cut < int(TS_X_MAX):
+        x_cut += 1
+        terms.append(pair(float(x_cut)))
+        run += terms[-1][0]
+        if terms[-1][0] < 1e-20 * run:
+            break
+    total, rounds = level_sum(terms)
     h, val = 1.0, total
     for _ in range(TS_MAX_LEVEL):
         h *= 0.5
-        odd = [j * h for j in range(1, int(TS_X_MAX / h) + 1, 2)]
-        add, add_r = level_sum(odd)
+        odd = [j * h for j in range(1, int(x_cut / h) + 1, 2)]
+        level = [pair(x) for x in odd]
+        add, add_r = level_sum(level)
         total, rounds = total + add, rounds + add_r
-        edge = pair(odd[-1])[0]
+        edge = level[-1][0]
         diff, val = abs(h * total - val), h * total
         if diff <= 1e-13 * val:
             break

@@ -49,24 +49,17 @@ class TestAnalyze:
         assert rc == 0
         assert "unstable" in out
 
-    def test_unsettled_profile_sign(self, capsys):
-        # F at the (1000, 997) threshold is negative within its own bound:
-        # no settled pole, so the message gives F and that bound
-        rc, out, err = run_cli(capsys, "analyze", "--n", "1000", "--k", "997")
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error: profile sign unsettled at s=")
-        assert "within its err_estimate" in err
-
-    @pytest.mark.parametrize("n, k", [(3000, 2990), (5000, 2500)])
-    def test_profile_overflow_is_named(self, capsys, n, k):
-        # the threshold profile leaves binary64 first between n = 1,600 and
-        # 1,800, at d = 30, and at more d as n grows; both cells lie past it
+    @pytest.mark.parametrize("n, k, lambda1", [(1000, 997, "-998.525395"),
+                                               (3000, 2990, "-2998.549172"),
+                                               (5000, 2500, "-4998.576581")])
+    def test_verdict_past_the_series_frontier(self, capsys, n, k, lambda1):
+        # L from the continued fraction never overflows and needs no sign of
+        # F: these cells used to exit 2 on an unsettled threshold sign
+        # (1000, 997) and on an overflowed profile (the other two)
         rc, out, err = run_cli(capsys, "analyze", "--n", str(n), "--k", str(k))
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error: profile overflows binary64 at s=")
-        assert f"(n,k)=({n},{k}): F = " in err
+        assert (rc, err) == (0, "")
+        assert f"first eigenvalue lambda1 = {lambda1}\n" in out
+        assert "verdict: strictly_stable\n" in out
 
     def test_log_case_budget_is_named(self, capsys):
         # the profiles of (160008, 80004) take the log case with

@@ -3,14 +3,11 @@ boundary quantities, criterion margins, admissible intervals, and the
 profile-function regressions."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 
-import conelab._backend
 import conelab.cone
-from conelab import specfun
 from conelab.cone import (
     MARGIN_TOL,
     ROOT_F_TOL,
@@ -29,8 +26,8 @@ from conelab.cone import (
     stability_margin,
     verdict,
 )
-from conelab.errors import NonConvergenceError, PoleEncounteredError
-from conelab.specfun import EvalResult, Strategy, _run_series, hyp2f1, hyp2f1_deriv, hyp2f1_pair
+from conelab.errors import DomainError, NonConvergenceError
+from conelab.specfun import EvalResult, Strategy, _run_series, hyp2f1, hyp2f1_deriv
 from oracles import boundary_rhs
 
 
@@ -371,12 +368,14 @@ class TestMarginsAndVerdicts:
             assert math.isclose(m1, m2, rel_tol=1e-11, abs_tol=1e-11)
 
     def test_pole_outside_positivity_range(self):
-        # at alpha = -7 < 1-n the (7,2) profile is the linear polynomial
-        # 1 - 3.5 t^2 with a zero at t^2 = 2/7; beyond it the log-derivative
-        # is flagged rather than silently continued
+        # at alpha = -7 < 2-n the (7,2) profile is the linear polynomial
+        # 1 - 3.5 t^2 with a zero at t^2 = 2/7; L is taken only on [2-n, 0],
+        # where the profile is at least 1, so the log-derivative is refused
+        # rather than continued past the pole
         p = ConeParams(7, 2)
         assert hyp2f1(profile_params(p, -7.0), 0.5).value == pytest.approx(-0.75)
-        with pytest.raises(PoleEncounteredError):
+        with pytest.raises(DomainError, match=r"^alpha=-7\.0 for \(n,k\)=\(7,2\) outside "
+                                              r"\[2-n, 0\] = \[-5, 0\]"):
             L_direct(p, -7.0, (0.5,))
 
     def test_verdict_examples(self):
@@ -430,104 +429,62 @@ class TestMarginsAndVerdicts:
             verdict(p, r)
 
 
-def _spy(monkeypatch, *raws):
-    """Record the name of every call of the functions raws through every
-    conelab namespace binding them."""
-    calls = []
-
-    def counted(raw):
-        def wrapper(*args, **kwargs):
-            calls.append(raw.__name__)
-            return raw(*args, **kwargs)
-        return wrapper
-
-    for raw in raws:
-        wrapped = counted(raw)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("conelab."):
-                for key, val in list(vars(mod).items()):
-                    if val is raw:
-                        monkeypatch.setattr(mod, key, wrapped)
-    return calls
-
-
-class TestLDirectPair:
-    # the (400, 394) barrier at alpha = 4 - n: 2F1(1, 198; 197; s)
+class TestLDirect:
+    # the (400, 394) barrier at alpha = 4 - n: F = 2F1(1, 198; 197; s)
     P, ALPHA = ConeParams(400, 394), 4.0 - 400.0
 
-    def _spy_all(self, monkeypatch):
-        return _spy(monkeypatch, conelab._backend.hyp2f1_series, specfun.hyp2f1,
-                    specfun.hyp2f1_deriv)
-
-    def test_direct_point_sums_two_series(self, monkeypatch):
-        calls = self._spy_all(monkeypatch)
-        # frozen from L computed with separate hyp2f1 and hyp2f1_deriv calls
-        assert L_direct(self.P, self.ALPHA, (0.3,)) == [274.2043415340087]
-        assert calls == ["hyp2f1_series", "hyp2f1_series"]
-
-    @pytest.mark.parametrize("m", [1, 4])
-    def test_direct_grid_shares_prefactor(self, monkeypatch, m):
-        # per grid: one prefactor of F'; per direct point: two kernel calls
-        ss = [0.05 * (j + 1) for j in range(m)]
-        want = [L_direct(self.P, self.ALPHA, (s,))[0] for s in ss]
-        calls = _spy(monkeypatch, conelab._backend.hyp2f1_series, specfun.hyp2f1,
-                     specfun.hyp2f1_deriv, specfun._shift_prefactor)
-        assert L_direct(self.P, self.ALPHA, ss) == want
-        assert sorted(calls) == ["_shift_prefactor"] + ["hyp2f1_series"] * (2 * m)
-
     def test_grid_equals_points(self):
-        # s = 0 (F = 1 exactly), the direct window and the Euler transform in one grid
+        # s = 0 (L = k-1 exactly) and the fraction's points in one grid
         ss = (0.3, 0.0, 0.7, 0.99276387818866, 0.0, 0.1)
         assert L_direct(self.P, self.ALPHA, ss) == [
             L_direct(self.P, self.ALPHA, (s,))[0] for s in ss]
         assert L_direct(self.P, self.ALPHA, ()) == []
 
-    @pytest.mark.parametrize("s, want", [(0.7, 115.82341137123751),
+    @pytest.mark.parametrize("s, want", [(0.3, 274.2043415340087), (0.7, 115.82341137123751),
                                          (0.99276387818866, 0.6865538506480675)])
-    def test_euler_point_keeps_value(self, s, want):
-        # d = 6 beyond the switch point, s_star included: both F and F'
-        # take the Euler transform
-        assert hyp2f1(profile_params(self.P, self.ALPHA), s).strategy is Strategy.EULER_TRANSFORM
-        assert L_direct(self.P, self.ALPHA, (s,)) == [want]
+    def test_keeps_series_values(self, s, want):
+        # frozen from L computed with F and F' as series (the direct one at
+        # 0.3, the terminating Euler transform beyond), which sum without
+        # cancellation here
+        assert L_direct(self.P, self.ALPHA, (s,))[0] == pytest.approx(want, rel=1e-13, abs=0)
 
-    def test_pole_on_direct_route(self, monkeypatch):
-        # F = 1 - 3.5 s < 0 at s = 0.5 for (7, 2), alpha = -7
-        calls = self._spy_all(monkeypatch)
-        with pytest.raises(PoleEncounteredError):
-            L_direct(ConeParams(7, 2), -7.0, (0.5,))
-        assert calls == ["hyp2f1_series", "hyp2f1_series"]
+    @pytest.mark.parametrize("alpha", [0.5, -5.5, math.nan, complex(-2.0, 1.0), math.inf])
+    def test_domain(self, alpha):
+        # [2-n, 0] = [-5, 0] at n = 7, and the line Re alpha = -5/2 of the
+        # conjugate pair; the ends of both are served
+        p = ConeParams(7, 2)
+        with pytest.raises(DomainError, match=r"outside \[2-n, 0\] = \[-5, 0\] and off the "
+                                              r"line Re alpha = \(2-n\)/2"):
+            L_direct(p, alpha, (0.5,))
+        for ok in (-5.0, 0.0, complex(-2.5, 0.0), complex(-2.5, 40.0)):
+            assert math.isfinite(L_direct(p, ok, (0.5,))[0])
+        for s in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^s must lie in \[0, 1\)$"):
+                L_direct(p, -2.0, (0.5, s))
 
-    def test_unsettled_sign_is_no_pole(self):
-        # at the (1000, 997) threshold the profile 2F1(249.5, 249.5; 498.5; s)
-        # takes the connection at 1 and comes back negative, but within its
-        # err_estimate: 40-digit mpmath gives F = +3.38e144 at s_nk
-        p = ConeParams(1000, 997)
-        r = find_root(p)
-        F = hyp2f1_pair(profile_params(p, -499.0), (r.s_nk,))[0][0]
-        assert F.strategy is Strategy.CONNECTION_AT_1
-        assert F.value < 0.0 and abs(F.value) <= F.err_estimate
-        with pytest.raises(NonConvergenceError, match=r"unsettled at s=.*err_estimate") as exc:
-            L_direct(p, -499.0, (r.s_nk,))
-        assert (exc.value.value, exc.value.err_estimate) == (F.value, F.err_estimate)
+    def test_pair_branch_meets_real_branch(self):
+        # at lambda = -h^2 the conjugate pair closes: alpha = -h + 0i takes
+        # the complex arithmetic, alpha = -h the real one
+        p, ss = ConeParams(9, 4), (0.2, 0.6, 0.9)
+        assert L_direct(p, complex(-3.5, 0.0), ss) == pytest.approx(
+            L_direct(p, -3.5, ss), rel=1e-14, abs=1e-14)
 
-    @pytest.mark.parametrize("F, Fp", [(math.inf, 1.0), (math.nan, 1.0), (-math.inf, 1.0),
-                                       (1.0, math.inf), (1.0, math.nan), (math.inf, math.inf)])
-    def test_non_finite_profile_is_named(self, monkeypatch, F, Fp):
-        # an overflowed F or F' is neither a pole nor an unsettled sign
-        def fake_pair(hp, ss):
-            return [(EvalResult(F, 0.0, 1, Strategy.DIRECT_SERIES),
-                     EvalResult(Fp, 0.0, 1, Strategy.DIRECT_SERIES)) for _ in ss]
-
-        monkeypatch.setattr(conelab.cone, "hyp2f1_pair", fake_pair)
+    def test_stall_raises(self, monkeypatch):
+        # near s = 1 the fraction needs about 9 / sqrt(1-s) levels; a budget
+        # below that is a NonConvergenceError, never a silent cut
+        monkeypatch.setattr(conelab.cone, "MAX_TERMS", 64)
         with pytest.raises(NonConvergenceError,
-                           match=r"overflows binary64 at s=0\.5 for alpha=-7\.0, "
-                                 r"\(n,k\)=\(7,2\): F = .*, F' = "):
-            L_direct(ConeParams(7, 2), -7.0, (0.5,))
+                           match=r"^continued fraction of L needs more than 64 levels at "
+                                 r"s=0\.999 for alpha=-6\.0, \(n,k\)=\(13,9\)$"):
+            L_direct(ConeParams(13, 9), -6.0, (0.3, 0.999))
 
-    def test_pole_names_its_point(self):
-        # F = 1 - 3.5 s is positive at s = 0.2 and negative at s = 0.5
-        with pytest.raises(PoleEncounteredError, match=r"before s=0\.5 "):
-            L_direct(ConeParams(7, 2), -7.0, (0.2, 0.5, 0.1))
+    def test_no_overflow_past_the_series_frontier(self):
+        # (3000, 2990): F at the threshold alpha = -1499 leaves binary64
+        # near the root, L does not
+        p = ConeParams(3000, 2990)
+        r = find_root(p)
+        assert not math.isfinite(hyp2f1(profile_params(p, -1499.0), r.s_nk).value)
+        assert math.isfinite(L_direct(p, -1499.0, (r.s_nk,))[0])
 
 
 class TestAdmissibleInterval:

@@ -7,10 +7,11 @@ sweeps found at fault, and two ends of the range.  Each line holds
 (n, k); the class, which is the verdict or the cause of the exit 2; t_nk
 and lambda1 where `analyze` prints them; and whether the threshold value
 F of the degree-(2-n)/2 profile at s_nk lies outside its own
-err_estimate (null where find_root or that F fails).  Classes must match
+err_estimate (null where find_root or that F fails; the verdict does not
+use that F, since L comes from a continued fraction).  Classes must match
 exactly and numbers to 1e-12 relative, so a change that moves a class
 says why.  A 20-cell subset is checked against 40-digit mpmath: the root,
-and the sign of the threshold F where a verdict is printed.
+and where a verdict is printed, the threshold margin it was read from.
 
 Rewrite the data file, only for a change that moves these outcomes on
 purpose, with
@@ -24,18 +25,17 @@ from pathlib import Path
 
 import pytest
 
+import conelab
 from conelab import cli
-from conelab.cone import ConeParams, find_root, profile_params
+from conelab.cone import ConeParams, find_root, profile_params, stability_margin
 from conelab.errors import ConelabError
 from conelab.specfun import hyp2f1
 
 DATA = Path(__file__).resolve().parent / "data" / "large_cells.json"
+SRC = Path(conelab.__file__).resolve().parent
 
 # the exit-2 causes, told apart by their messages
 CAUSES = {
-    "profile sign unsettled": "sign_unsettled",
-    "hyp2f1_sym exhausted": "hyp2f1_sym_exhausted",
-    "profile overflows binary64": "overflow",
     "profile not finite": "profile_not_finite",
     "no sign change": "no_sign_change",
     "profile vanishes": "pole",
@@ -110,14 +110,23 @@ def test_outcomes_match_pinned(pinned):
     assert not moved, f"{len(moved)} cells moved:\n" + "\n".join(moved[:20])
 
 
+def test_causes_are_library_messages():
+    # a cause whose message the library no longer raises is stale
+    source = "".join(path.read_text() for path in SRC.glob("*.py"))
+    assert [text for text in CAUSES if text not in source] == []
+
+
 @pytest.mark.parametrize("n, k", MPMATH_CELLS, ids=lambda c: str(c))
 def test_against_mpmath(n, k):
     # the library root lies within 1e-12 relative of mpmath's (the profile
-    # changes sign across that band), and where a verdict is printed the
-    # threshold F at s_nk has the sign of 40-digit mpmath
+    # changes sign across that band), and where a verdict is printed it has
+    # the sign of the threshold margin L(s_nk) / (t (1 - t^2)) from 40-digit
+    # F'/F at the library's root, and the library's margin lies within
+    # 1e-10 relative of it
     mpmath = pytest.importorskip("mpmath")
     p = ConeParams(n, k)
-    s_nk = find_root(p).s_nk
+    r = find_root(p)
+    s_nk = r.s_nk
     with mpmath.workdps(40):
         def mp_profile(alpha, s):
             hp = profile_params(p, alpha)
@@ -126,12 +135,17 @@ def test_against_mpmath(n, k):
         band = mpmath.mpf(s_nk) * mpmath.mpf(10) ** -12
         assert mp_profile(1.0, s_nk - band) > 0 > mp_profile(1.0, s_nk + band)
         try:
-            cli._cone_record(n, k)
+            rec = cli._cone_record(n, k)
         except ConelabError:
             return
         threshold = (2.0 - n) / 2.0
-        F = hyp2f1(profile_params(p, threshold), s_nk).value
-        assert (F > 0) == (mp_profile(threshold, s_nk) > 0), F
+        hp = profile_params(p, threshold)
+        a, b, c, s = (mpmath.mpf(x) for x in (*hp, s_nk))
+        ratio = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, s) / mp_profile(threshold, s_nk)
+        want = (2 * s * (1 - s) * ratio - (n - 2) * s + (k - 1)) / (mpmath.sqrt(s) * (1 - s))
+        got = stability_margin(p, threshold, r)
+        assert abs(got - want) <= 1e-10 * abs(want), (got, float(want))
+        assert rec["verdict"] == ("strictly_stable" if want > 0 else "unstable"), float(want)
 
 
 if __name__ == "__main__":

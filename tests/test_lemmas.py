@@ -11,6 +11,7 @@ from conelab.checks import (
     lemmas_suite,
     limit_profile_u,
     overshoot_check,
+    overshoot_forms,
     phi_c_eval,
     root_bound_check,
 )
@@ -183,10 +184,22 @@ class TestOvershoot:
             n = int(rng.integers(60, 140))
             k = int(rng.integers(n // 2 + 1, n - 11))
             pars = ConeParams(n, k)
-            s = find_root(pars).s_nk
-            quad_ok = s < k / n or (n * s - k) ** 2 <= 2.0 * n * (1.0 - s)
-            star_ok = s < k / n or s < overshoot_terminal_point(pars)
+            quad_ok, star_ok = overshoot_forms(pars, find_root(pars).s_nk)
             assert quad_ok == star_ok
+
+    def test_terminal_point_fails_both_forms(self, monkeypatch):
+        # at (64,40), d = 24, the terminal point is 46/64 exactly, and there
+        # (n s - k)^2 = 2 n (1 - s) = 36 exactly: a non-strict quadratic form
+        # would pass where the terminal-point form fails
+        pars = ConeParams(64, 40)
+        s = 46.0 / 64.0
+        assert overshoot_terminal_point(pars) == s
+        assert (64 * s - 40) ** 2 == 2.0 * 64 * (1.0 - s) == 36.0
+        assert overshoot_forms(pars, s) == (False, False)
+        _root_at(monkeypatch, s)
+        assert overshoot_check(pars) is False
+        _root_at(monkeypatch, math.nextafter(s, 0.0))
+        assert overshoot_check(pars) is True
 
     def test_range_guard(self):
         with pytest.raises(RangeUnsupported):

@@ -1,11 +1,14 @@
-"""Cross-checks against 40-digit mpmath: every err_estimate of hyp2f1 and
-hyp2f1_deriv and hyp2f1_sym is a bound on the true error, and the
-free-boundary roots, the decay rates gamma+ and the first eigenvalues of
-the cells with complex gamma+- agree with roots of mpmath's 2F1.  Skipped
-when mpmath or hypothesis is not installed."""
+"""Cross-checks against 40-digit mpmath: every err_estimate of hyp2f1,
+hyp2f1_deriv and hyp2f1_integral is a bound on the true error; L from
+Gauss's continued fraction agrees with 50-digit F'/F, for real exponents
+and the conjugate pair; and the free-boundary roots, the decay rates
+gamma+ and the first eigenvalues of the cells with complex gamma+- agree
+with roots of mpmath's 2F1.  Skipped when mpmath or hypothesis is not
+installed."""
 
 import json
 import math
+import random
 
 import pytest
 
@@ -14,9 +17,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conelab import checks  # noqa: E402
 from conelab.cli import main  # noqa: E402
-from conelab.cone import ConeParams, find_root, indicial_roots, profile_params  # noqa: E402
-from conelab.specfun import HypParams, Strategy, hyp2f1, hyp2f1_deriv, hyp2f1_sym  # noqa: E402
+from conelab.cone import (ConeParams, L_direct, find_root, indicial_roots,  # noqa: E402
+                          profile_params)
+from conelab.specfun import (HypParams, Strategy, hyp2f1, hyp2f1_deriv,  # noqa: E402
+                             hyp2f1_integral)
 
 BOUND_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                           database=None)
@@ -173,37 +179,77 @@ def test_deriv_bound(a, b, c, s, m):
         f"{float(err):.3e}, reported {r.err_estimate:.3e}")
 
 
-# a + b = sigma and ab = prod: a complex pair when prod > sigma^2 / 4
+def test_integral_bound_on_suite_draws():
+    """hyp2f1_integral, whose nodes stop where their terms fall below 1e-20
+    of the sum, within its err_estimate of 40-digit mpmath on the 200 draws
+    of verify's series_vs_integral_200."""
+    rng = random.Random(checks.SEED)
+    for _ in range(200):
+        b = rng.uniform(0.2, 4.0)
+        c = b + rng.uniform(0.2, 4.0)
+        a = rng.uniform(-2.0, 5.0)
+        s = rng.uniform(0.0, 0.95)
+        r = hyp2f1_integral(HypParams(a, b, c), s)
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpf(r.value) - _reference(a, b, c, s))
+        assert err <= r.err_estimate, (a, b, c, s, float(err), r.err_estimate)
+
+
+def _mp_L(n, k, alpha, s):
+    """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) of the degree-alpha profile at
+    50 digits; alpha may be complex, and then the real part is taken."""
+    with mpmath.workdps(50):
+        al, s_ = mpmath.mpmathify(alpha), mpmath.mpf(s)
+        a, b, c = (n + al - 2) / 2, -al / 2, mpmath.mpf(k) / 2
+        ratio = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, s_) / mpmath.hyp2f1(a, b, c, s_)
+        return mpmath.re(2 * s_ * (1 - s_) * ratio - (n - 2) * s_ + (k - 1))
+
+
 @st.composite
-def symmetric_pair(draw):
-    sigma = draw(st.floats(0.0, 10.0))
+def L_args(draw):
+    """(n, k, alpha, s) with d = n - k >= 3: alpha in [2-n, 0], or
+    (2-n)/2 + i w, the conjugate pair below lambda = -h^2 (w up to n, past
+    the sqrt(3) h of the deepest bracket end); s up to 1 - 1e-6."""
+    n = draw(st.integers(4, 60))
+    k = draw(st.integers(1, n - 3))
     if draw(st.booleans()):
-        prod = sigma * sigma / 4.0 + draw(st.floats(0.0, 30.0))
+        alpha = draw(st.floats(2.0 - n, 0.0))
     else:
-        prod = sigma * sigma / 4.0 * draw(st.floats(0.0, 1.0))
-    return sigma, prod
+        alpha = complex((2.0 - n) / 2.0, draw(st.floats(0.0, float(n))))
+    s = draw(st.one_of(st.floats(0.0, 0.9), st.floats(0.9, 1.0 - 1e-6)))
+    return n, k, alpha, s
 
 
 @BOUND_SETTINGS
-@given(symmetric_pair(), st.floats(0.1, 10.0), st.floats(0.0, 0.95, exclude_min=True))
-# a subnormal prod: the terms must not underflow, nor the reference cancel
-@example((0.0, 5e-324), 1.0, 0.5)
-@example((1.0, 5.562684646265e-312), 1.0, 0.5)
-def test_sym_bound(pair, c, s):
-    """hyp2f1_sym's F and F' within their err_estimate of 40-digit mpmath,
-    whose hyp2f1 takes the roots a, b of x^2 - sigma x + prod, be they real
-    or complex; b = prod / a does not cancel when prod is tiny."""
-    sigma, prod = pair
-    F, Fp = hyp2f1_sym(sigma, prod, c, s)
-    with mpmath.workdps(40):
-        half = mpmath.mpf(sigma) / 2
-        a = half + mpmath.sqrt(half * half - mpmath.mpf(prod))
-        b, c_, s_ = (prod / a if a else a), mpmath.mpf(c), mpmath.mpf(s)
-        want = mpmath.re(mpmath.hyp2f1(a, b, c_, s_))
-        want_p = mpmath.re(a * b / c_ * mpmath.hyp2f1(a + 1, b + 1, c_ + 1, s_))
-        for got, ref in [(F, want), (Fp, want_p)]:
-            err = abs(mpmath.mpf(got.value) - ref)
-            assert err <= got.err_estimate, (sigma, prod, c, s, float(err), got.err_estimate)
+@given(L_args())
+# G = 2F1(1/2, 1; 3; s): every level k_j is 1/4, where a stop on the step
+# ratio of the modified Lentz method never fires
+@example((11, 6, -5.0, 0.9999))
+@example((11, 6, -5.0, 1.0 - 1e-6))
+# the ends of the range, and limit_at_one's slowest point
+@example((7, 1, -5.0, 0.9))
+@example((7, 1, 0.0, 0.9))
+@example((13, 9, -6.0, 1.0 - 1e-6))
+def test_L_direct_against_mpmath(args):
+    """L_direct within 1e-12 max(1, |L|) of 50-digit mpmath for d >= 3."""
+    n, k, alpha, s = args
+    got = L_direct(ConeParams(n, k), alpha, (s,))[0]
+    want = _mp_L(n, k, alpha, s)
+    assert abs(got - want) <= 1e-12 * max(1, abs(want)), (n, k, alpha, s, got, float(want))
+
+
+@pytest.mark.parametrize("n", [4, 7, 20, 100])
+def test_L_direct_d2_near_one(n):
+    """At d = 2, c - a - b = 0 and G = F has a logarithmic end at s = 1;
+    there L_direct loses accuracy to rounding over the thousands of
+    near-neutral levels it needs, however deep it goes: 4.6e-12 relative
+    at s = 1 - 1e-6 at worst over these cells.  The bound states it."""
+    p = ConeParams(n, n - 2)
+    for alpha in (2.0 - n, (2.0 - n) / 2.0, -0.3):
+        for s in (0.99, 0.9999, 1.0 - 1e-6):
+            got = L_direct(p, alpha, (s,))[0]
+            want = _mp_L(n, n - 2, alpha, s)
+            assert abs(got - want) <= 1e-11 * max(1, abs(want)), (n, alpha, s)
 
 
 @pytest.mark.parametrize("lam, n", [(-1e-10, 9), (-1e-6, 40)])

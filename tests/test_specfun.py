@@ -8,8 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import conelab._backend
 from conelab import specfun
@@ -23,14 +21,13 @@ from conelab.specfun import (
     hyp2f1,
     hyp2f1_deriv,
     hyp2f1_integral,
-    hyp2f1_pair,
     laplace_quad,
 )
 
 EULER_GAMMA = 0.5772156649015328606
 
-# repr of every field of hyp2f1, hyp2f1_deriv (m = 1, 2) and hyp2f1_pair
-# on _route_cases(), as the evaluation routes gave them when the file was
+# repr of every field of hyp2f1 and hyp2f1_deriv (m = 1, 2) on
+# _route_cases(), as the evaluation routes gave them when the file was
 # written; rewrite it with `PYTHONPATH=src python tests/test_specfun.py`
 # only for a change that is meant to move a value, and say which and why
 ROUTES_GOLDEN = Path(__file__).parent / "data" / "hyp2f1_routes.json"
@@ -229,62 +226,24 @@ class TestDeriv:
                 assert hyp2f1_deriv(HypParams(a, -0.5, c), s, m).value < 0.0
 
 
-def _outcome(call):
-    """What call returns, or the type and message of the exception it raises."""
-    try:
-        return call()
-    except Exception as exc:  # noqa: BLE001 - the type and message are compared
-        return type(exc), str(exc)
-
-
-@st.composite
-def pair_args(draw):
-    """(a, b, c, ss) across every route of hyp2f1 and of F''s shifted series:
-    generic or terminating parameters, an Euler block (c is a multiple of
-    2^-8, so c - (c + j) is exactly -j), c-a-b an integer or within 1e-9 of
-    one; the grid ss mixes s = 0, the direct window, beyond the switch
-    point, where the Euler, connection and log routes take over, and s
-    above 0.99."""
-    c = draw(st.integers(1, 4096)) / 256.0
-    a, b = draw(st.floats(-8.0, 20.0)), draw(st.floats(-8.0, 20.0))
-    route = draw(st.sampled_from(("generic", "terminating", "euler", "log")))
-    if route == "terminating":
-        a = -float(draw(st.integers(0, 6)))
-    elif route == "euler":
-        a = c + draw(st.integers(0, 2))
-    elif route == "log":
-        b = c - a - draw(st.integers(-3, 3)) + draw(st.sampled_from((0.0, 1e-10, -5e-10)))
-    s = st.one_of(st.just(0.0),
-                  st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
-                  st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
-                  st.floats(0.99, 1.0, exclude_max=True))
-    return a, b, c, draw(st.lists(s, min_size=1, max_size=6))
-
-
 class TestPair:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(pair_args())
-    # L_direct's barrier points of (n, k) = (400, 394) and (400, 380) at
-    # alpha = 4 - n: s_star (Euler transform for d = 6, capped direct
-    # series for d = 20) and points inside the direct window
-    @example((1.0, 198.0, 197.0, [0.99276387818866, 0.3, 0.0, 0.7]))
-    @example((1.0, 198.0, 190.0, [0.9635078105935821]))
-    @example((0.0, 2.5, 1.5, [0.4, 0.0]))  # F' = 0: hyp2f1_deriv's shortcut
-    @example((-1.0, 3.5, 1.0, [0.2, 0.5]))  # the (7, 2) profile at alpha = -7, where F < 0
-    # domain errors: of F at s = 1 and beyond, of F' alone at s = 1, at a
-    # later point of the grid
-    @example((2.0, 1.5, 1.0, [0.3, 1.0, 0.5]))
-    @example((1.0, 1.0, 2.0, [1.5]))
-    @example((0.7, 0.4, 1.9, [0.2, 0.0, 1.0, 1.5]))
-    def test_equals_separate_calls(self, args):
-        _assert_pair_matches(*args)
+    """F and F' of one parameter triple, each through its own route."""
 
     @pytest.mark.parametrize("max_terms", [64, 153, 154])
     def test_budget_exhaustion(self, monkeypatch, max_terms):
-        # at s = 0.45 F needs 153 terms and F''s shifted series 154: both,
-        # only F' or neither exhaust the budget, after a point that may not
+        # F needs 34, 98 and 153 terms at s = 0.05, 0.3 and 0.45, and F''s
+        # shifted series 34, 99 and 154: each raises exactly where its
+        # series outgrows the budget
         monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
-        _assert_pair_matches(30.0, 25.0, 1.5, [0.05, 0.45, 0.3])
+        p = HypParams(30.0, 25.0, 1.5)
+        for s, need_f, need_fp in ((0.05, 34, 34), (0.3, 98, 99), (0.45, 153, 154)):
+            for call, need in ((lambda: hyp2f1(p, s), need_f),
+                               (lambda: hyp2f1_deriv(p, s, 1), need_fp)):
+                if need <= max_terms:
+                    assert call().terms_used == need
+                else:
+                    with pytest.raises(NonConvergenceError, match="direct series exhausted"):
+                        call()
 
     def test_failed_capped_attempt_runs_once(self, monkeypatch):
         # F = 2F1(60, 60; 1; 0.98) and F''s shifted 2F1(61, 61; 2; 0.98):
@@ -297,18 +256,10 @@ class TestPair:
             return conelab._backend.hyp2f1_series(*args)
 
         monkeypatch.setattr(specfun, "_series_kernel", counted)
-        (f, fp), = hyp2f1_pair(HypParams(60.0, 60.0, 1.0), [0.98])
+        p = HypParams(60.0, 60.0, 1.0)
+        f, fp = hyp2f1(p, 0.98), hyp2f1_deriv(p, 0.98, 1)
         assert f.strategy is fp.strategy is Strategy.EULER_TRANSFORM
         assert budgets == [8000, specfun.MAX_TERMS] * 2
-
-    def test_empty_grid(self):
-        assert hyp2f1_pair(HypParams(1.0, 2.0, 3.0), []) == []
-
-
-def _assert_pair_matches(a, b, c, ss):
-    p = HypParams(a, b, c)
-    want = _outcome(lambda: [(hyp2f1(p, s), hyp2f1_deriv(p, s, 1)) for s in ss])
-    assert _outcome(lambda: hyp2f1_pair(p, ss)) == want
 
 
 def _route_cases():
@@ -317,7 +268,9 @@ def _route_cases():
     beyond the switch point, the Euler block, a capped direct attempt that
     converges and one that does not, s above 0.99, c-a-b an integer (of
     either sign, or 0) or within 1e-9 of one, s = 0 and s = 1, domain
-    errors, TestPair's examples, then seeded draws like pair_args'."""
+    errors, the barrier points of (n, k) = (400, 394) and (400, 380) at
+    alpha = 4 - n, then seeded draws of generic, terminating, Euler-block
+    and log-case parameters."""
     cases = [
         (1.2, 0.7, 2.0, [0.0, 0.3, 0.5, -0.2, -0.6, -0.95]),
         (-3.0, 2.5, 1.5, [0.8, 0.995, -0.9]),  # terminating, F' and F'' too
@@ -357,15 +310,13 @@ def _route_cases():
 
 
 def _fields(call):
-    """repr of every field of what call returns (an EvalResult, or a list
-    of pairs of them), or the type and message of the exception it raises."""
+    """repr of every field of the EvalResult call returns, or the type and
+    message of the exception it raises."""
     try:
         out = call()
     except Exception as exc:  # noqa: BLE001 - the type and message are recorded
         return [type(exc).__name__, str(exc)]
-    if isinstance(out, EvalResult):
-        return [repr(x) for x in out]
-    return [[[repr(x) for x in r] for r in pair] for pair in out]
+    return [repr(x) for x in out]
 
 
 def _route_records():
@@ -377,7 +328,6 @@ def _route_records():
             "points": [[_fields(lambda: hyp2f1(p, s)),
                         _fields(lambda: hyp2f1_deriv(p, s, 1)),
                         _fields(lambda: hyp2f1_deriv(p, s, 2))] for s in ss],
-            "pair": _fields(lambda: hyp2f1_pair(p, ss)),
         })
     return records
 
