@@ -6,17 +6,17 @@ gamma-family kernel, behind the free-boundary root), cone (profiles,
 free-boundary root, the log-derivative L from Gauss's continued
 fraction, the stability criterion read from it, its margin at
 alpha = 4-n, and verdict with the first link eigenvalue and decay
-rates), riccati (log-derivative ODE, its
-cross-check against one mode-(0,0) shot of the link ODE, and comparison
-barriers with their terminal points), checks (verification batteries
-and the asymptotic bounds they check), reference (the embedded
-reference table), errors (the exception types) and cli (command-line
-front end, with the one cone record behind analyze, table and scan, and
-the scan's flags).  The package root binds only BACKEND_NAME and
-__version__, so each command loads what it runs: riccati and checks
-load for `verify` only.  The record types (ConeParams, HypParams,
-RootResult, StabilityReport, CheckRecord and riccati's) are
-typing.NamedTuples, so no command loads dataclasses, which would pull
+rates), checks (verification batteries, each beside what it checks:
+the log-derivative ODE and its cross-check against one mode-(0,0) shot
+of the link ODE, the asymptotic bounds of the large-n lemmas, and the
+comparison barriers with their terminal points), reference (the
+embedded reference table), errors (the exception types) and cli
+(command-line front end, with the one cone record behind analyze, table
+and scan, and the scan's flags).  The package root binds only
+BACKEND_NAME and __version__, so each command loads what it runs:
+checks loads for `verify` only.  The record types (ConeParams,
+HypParams, RootResult, StabilityReport, CheckRecord and BarrierReport)
+are typing.NamedTuples, so no command loads dataclasses, which would pull
 in inspect and ast.  ConeParams and HypParams validate in __new__,
 which _make and _replace skip.  The reference oracles the tests check
 the library against live in tests/oracles.py.

@@ -71,7 +71,8 @@ PyDoc_STRVAR(hyp2f1_series_doc,
 "predicted next term both clear the tolerance, which avoids premature\n"
 "exits when a Pochhammer factor passes near zero.\n\n"
 "The error estimate is a first-order bound on the rounding of every term\n"
-"and of the sum, plus a geometric bound on the truncated tail.\n\n"
+"and of the sum, plus a geometric bound on the truncated tail.  A total\n"
+"that is not finite is never converged.\n\n"
 "Returns (value, err_estimate, terms_used, converged).");
 
 static PyObject *
@@ -100,7 +101,10 @@ hyp2f1_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         rounds += (8.0 * m + 10.0) * fabs(term);
         if (term == 0.0)
             /* terminating series (a or b a nonpositive integer) */
-            return Py_BuildValue("(ddlO)", total, 1.12e-16 * rounds, m + 1, Py_True);
+            return Py_BuildValue("(ddlO)", total, 1.12e-16 * rounds, m + 1,
+                                 isfinite(total) ? Py_True : Py_False);
+        /* an infinite total clears every tolerance, so both exits report
+         * a total that is not finite as not converged */
         double tol = PYMAX(abs_tol, rel_tol * fabs(total));
         if (fabs(term) <= tol) {
             double ratio_next = (a + m + 1.0) * (b + m + 1.0) / ((c + m + 1.0) * (m + 2.0)) * s;
@@ -108,7 +112,7 @@ hyp2f1_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             if (nxt <= tol)
                 return Py_BuildValue("(ddlO)", total,
                                      tail_bound(a, b, c, s, m + 2.0, nxt) + 1.12e-16 * rounds,
-                                     m + 1, Py_True);
+                                     m + 1, isfinite(total) ? Py_True : Py_False);
         }
     }
     return Py_BuildValue("(ddlO)", total, fabs(term) + 1.12e-16 * rounds, max_terms,

@@ -6,7 +6,7 @@ Squares are written as products: Python's x ** 2 calls pow(), which can
 differ from x * x in the last bit.
 """
 
-from math import fabs, inf, sqrt
+from math import fabs, inf, isfinite, sqrt
 
 BACKEND = "python"
 
@@ -44,6 +44,8 @@ def hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms):
     `rounds` sums |term| times its rounding count, in units of 2^-53
     (1.12e-16 leaves 1% for higher orders); the truncated tail adds a
     geometric bound, infinite when the term ratio cannot be bounded below 1.
+    An overflowed total clears every tolerance, so a total that is not
+    finite is never converged.
 
     Returns (value, err_estimate, terms_used, converged).
     """
@@ -61,14 +63,14 @@ def hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms):
         total = tnew
         rounds += (8.0 * m + 10.0) * fabs(term)
         if term == 0.0:
-            return (total, 1.12e-16 * rounds, m + 1, True)
+            return (total, 1.12e-16 * rounds, m + 1, isfinite(total))
         tol = max(abs_tol, rel_tol * fabs(total))
         if fabs(term) <= tol:
             ratio_next = (a + m + 1.0) * (b + m + 1.0) / ((c + m + 1.0) * (m + 2.0)) * s
             nxt = fabs(term * ratio_next)
             if nxt <= tol:
                 return (total, _tail_bound(a, b, c, s, m + 2.0, nxt) + 1.12e-16 * rounds,
-                        m + 1, True)
+                        m + 1, isfinite(total))
     return (total, fabs(term) + 1.12e-16 * rounds, max_terms, False)
 
 

@@ -49,13 +49,15 @@ def _emit_json(rows: List[dict], flags: List[str]) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def family_cells(n_lo: int, n_hi: int) -> List[Tuple[int, int]]:
+def family_cells(n_lo: int, n_hi: int, option: str = "--n") -> List[Tuple[int, int]]:
     """The cells (n, k), n_lo <= n <= n_hi and 1 <= k <= n-2, in (n, k)
-    order; raises ValueError, naming the range, unless
-    3 <= n_lo <= n_hi <= 40."""
+    order; raises ValueError unless 3 <= n_lo <= n_hi <= 40, naming the
+    option that set the range: table's --n N_MIN N_MAX, or scan's
+    --n-max N_MAX, whose N_MIN is 3."""
     if not 3 <= n_lo <= n_hi <= 40:
-        raise ValueError(f"n_range must satisfy 3 <= n_lo <= n_hi <= 40, "
-                         f"got n_lo={n_lo}, n_hi={n_hi}")
+        if option == "--n-max":
+            raise ValueError(f"--n-max must satisfy 3 <= N_MAX <= 40, got {n_hi}")
+        raise ValueError(f"--n must satisfy 3 <= N_MIN <= N_MAX <= 40, got {n_lo} {n_hi}")
     return [(n, k) for n in range(n_lo, n_hi + 1) for k in range(1, n - 1)]
 
 
@@ -283,7 +285,8 @@ def _scan_flags(rows: List[dict]) -> Tuple[List[str], List[str]]:
 
 
 def cmd_scan(args) -> int:
-    records = [_cone_record(n, k, margin4=False) for n, k in family_cells(3, args.n_max)]
+    records = [_cone_record(n, k, margin4=False)
+               for n, k in family_cells(3, args.n_max, "--n-max")]
     rows = [{key: r[key] for key in _SCAN_HEADER} for r in records]
     failed, notes = _scan_flags(rows)
     if args.format == "json":

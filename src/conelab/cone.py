@@ -9,7 +9,10 @@ of the margin's root in lambda, lambda_1, whose indicial roots gamma_+-
 bound the admissible homogeneity interval.  Functions evaluated at the free
 boundary take the RootResult of find_root.  The normalization c_{n,k},
 the t-derivative of a profile and the boundary mean curvature, which no
-command prints, live with the tests.
+command prints, live with the tests.  The checks of L that only `verify`
+runs (its Riccati equation, its cross-check against the link ODE, and
+the barriers that carry L > 0 up to the root at alpha = 4-n) live in
+conelab.checks.
 
 Profiles are hypergeometric in s = t^2: the degree-alpha harmonic profile
 is 2F1((n+alpha-2)/2, -alpha/2; k/2; t^2), and the solution profile is its

@@ -103,6 +103,15 @@ def _series_draw(rng):
     return a, b, c, s, rng.choice([1e-15, 1e-8]), 1e-280, rng.choice([0, 1, 5, 500, 2000])
 
 
+def _overflow_draw(rng):
+    # a near 1e5 and c = a/2, as in the profiles of n near 2e5: the total
+    # overflows on some draws and not on others
+    a = rng.uniform(1e3, 2e5)
+    b = rng.choice([-0.5, rng.uniform(-60.0, 60.0), -float(rng.randint(100, 400))])
+    return (a, b, a * rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.99),
+            rng.choice([1e-15, 1e-8]), 1e-280, rng.choice([500, 5000, 40000]))
+
+
 def _shot_draw(rng):
     n = rng.randint(3, 40)
     k = rng.randint(1, n - 2)
@@ -116,7 +125,8 @@ def _shot_draw(rng):
 
 def test_kernels_bit_identical_on_seeded_draws(_kernels):
     # exhausted budgets, infinite tail bounds, terminating and b = -1/2
-    # series, and shots cut by the step limit, compared to the last bit
+    # series, shots cut by the step limit, and totals that overflow,
+    # compared to the last bit
     rng = random.Random(20261019)
     for _ in range(1500):
         args = _series_draw(rng)
@@ -124,6 +134,24 @@ def test_kernels_bit_identical_on_seeded_draws(_kernels):
     for _ in range(150):
         args = _shot_draw(rng)
         assert _same(_kernels.robin_shoot(*args), _pykernels.robin_shoot(*args)), args
+    overflowed = 0
+    for _ in range(60):
+        args = _overflow_draw(rng)
+        got = _kernels.hyp2f1_series(*args)
+        assert _same(got, _pykernels.hyp2f1_series(*args)), args
+        assert math.isfinite(got[0]) or got[3] is False, args
+        overflowed += not math.isfinite(got[0])
+    assert overflowed >= 10
+
+
+def test_overflowed_total_is_not_converged(_kernels):
+    # the total of 2F1(80003.5, -1/2; 40001.5; 0.6506) overflows to -inf,
+    # which clears every tolerance; it was reported converged, and
+    # `analyze --n 160008 --k 80003` then failed on f = nan
+    args = (80003.5, -0.5, 40001.5, 0.6506, 1e-15, 1e-280, 40000)
+    for kernels in (_kernels, _pykernels):
+        value, err, _, converged = kernels.hyp2f1_series(*args)
+        assert (value, err, converged) == (-math.inf, math.inf, False)
 
 
 def test_backend_name_exposed():

@@ -12,7 +12,8 @@ from conelab.checks import CheckRecord, run_suites
 
 # (name, passed, detail) of every record, per suite, as `verify` reported
 # them when the file was written; a change that moves any of them must
-# regenerate the file and explain why
+# regenerate the file, with `PYTHONPATH=src python tests/test_checks.py`,
+# and explain why
 GOLDEN = Path(__file__).parent / "data" / "verify_records.json"
 
 
@@ -54,3 +55,11 @@ def test_verify_exit_code_on_seeded_failure(monkeypatch, capsys):
     payload = json.loads(captured.out)
     assert payload["flags"] == ["seeded_bug"]
     assert "FAILED: seeded_bug" in captured.err
+
+
+if __name__ == "__main__":
+    # rewrite the golden file from the records of every suite, in run order
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: [\n"
+        + ",\n".join("  " + json.dumps([r.name, r.passed, r.detail]) for r in run_suites([name]))
+        + "\n ]" for name in checks.SUITES) + "\n}\n")

@@ -12,12 +12,13 @@ from conelab.checks import (
     limit_profile_u,
     overshoot_check,
     overshoot_forms,
+    overshoot_terminal_point,
     phi_c_eval,
+    refined_terminal_point,
     root_bound_check,
 )
 from conelab.cone import ConeParams, find_root
 from conelab.errors import RangeUnsupported
-from conelab.riccati import overshoot_terminal_point, refined_terminal_point
 
 
 def _root_at(monkeypatch, s):

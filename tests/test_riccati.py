@@ -5,19 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from conelab import riccati
-from conelab.cone import ConeParams, check_4_minus_n, find_root
-from conelab.errors import PoleEncounteredError, VariantUnavailableError
-from conelab.riccati import (
-    BarrierVariant,
-    RiccatiTrace,
+from conelab import checks
+from conelab.checks import (
     L_cross_check,
-    L_direct,
     P_poly,
+    alpha_hat,
     barrier_phi,
     linear_root_relation,
+    overshoot_terminal_point,
+    refined_terminal_point,
     verify_barrier,
 )
+from conelab.cone import ConeParams, L_direct, check_4_minus_n, find_root
+from conelab.errors import PoleEncounteredError, VariantUnavailableError
 from oracles import Mode, chained_shot
 
 
@@ -59,45 +59,46 @@ class TestLEval:
         assert min(vals) > 3e-2
 
     def test_modes_agree(self):
-        tr = L_cross_check(ConeParams(9, 4), -3.5, 0.6)
-        for d, o in zip(tr.values_direct, tr.values_ode):
+        _, direct, ode, _ = L_cross_check(ConeParams(9, 4), -3.5, 0.6)
+        for d, o in zip(direct, ode):
             assert math.isclose(d, o, rel_tol=1e-8, abs_tol=1e-9)
 
     def test_crosscheck_trace(self):
         p = ConeParams(8, 3)
-        tr = L_cross_check(p, -3.0, find_root(p).s_nk)
-        assert isinstance(tr, RiccatiTrace)
-        assert tr.values_direct[0] == float(p.k - 1)
-        assert tr.max_discrepancy <= 1e-7 * (1.0 + max(abs(v) for v in tr.values_direct))
-        assert tr.alpha_hat == -3.0 * (-3.0 + 8.0 - 2.0)
+        grid, direct, ode, disc = L_cross_check(p, -3.0, find_root(p).s_nk)
+        assert len(grid) == len(direct) == len(ode) == checks.CROSS_CHECK_POINTS
+        assert direct[0] == float(p.k - 1)
+        assert disc == max(abs(a - b) for a, b in zip(direct, ode))
+        assert disc <= 1e-7 * (1.0 + max(abs(v) for v in direct))
+        assert alpha_hat(p, -3.0) == -3.0 * (-3.0 + 8.0 - 2.0)
 
     def test_crosscheck_is_one_chained_shot(self, monkeypatch):
         # one robin_shoot call per grid point past s = 0, each starting
         # where the previous one ended
         calls = []
-        real = riccati.robin_shoot
+        real = checks.robin_shoot
 
         def spy(*args):
             calls.append(args[2:4])
             return real(*args)
 
-        monkeypatch.setattr(riccati, "robin_shoot", spy)
+        monkeypatch.setattr(checks, "robin_shoot", spy)
         p = ConeParams(10, 4)
-        tr = L_cross_check(p, -4.0, find_root(p).s_nk)
-        assert len(calls) == len(tr.grid) - 1
+        grid = L_cross_check(p, -4.0, find_root(p).s_nk)[0]
+        assert len(calls) == len(grid) - 1
         assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
-        assert calls[-1][1] == math.sqrt(tr.grid[-1])
+        assert calls[-1][1] == math.sqrt(grid[-1])
 
     def test_sign_change_between_points_is_a_pole(self, monkeypatch):
         # a zero of the profile strictly between two grid points leaves u
         # nonzero at both; the shot's zero count still reports it
-        real = riccati.robin_shoot
+        real = checks.robin_shoot
 
         def one_zero(*args):
             u, v, _, ok = real(*args)
             return u, v, 1, ok
 
-        monkeypatch.setattr(riccati, "robin_shoot", one_zero)
+        monkeypatch.setattr(checks, "robin_shoot", one_zero)
         with pytest.raises(PoleEncounteredError,
                            match=r"profile vanishes before s=0\.01875 for alpha=-3\.5, "
                                  r"\(n,k\)=\(9,4\)"):
@@ -108,29 +109,29 @@ class TestLEval:
         # oracle's Frobenius launch for any mode, on the same grid: the same
         # floats at the launch, after every shot and in L, s = 0 included
         shots = []
-        real = riccati.robin_shoot
+        real = checks.robin_shoot
 
         def spy(*args):
             res = real(*args)
             shots.append((args[:2], res[:2]))
             return res
 
-        monkeypatch.setattr(riccati, "robin_shoot", spy)
+        monkeypatch.setattr(checks, "robin_shoot", spy)
         for n, k, alpha in [(7, 1, -2.5), (9, 4, -3.5), (8, 6, -4.0), (20, 3, -9.0),
                             (40, 38, -19.0)]:
             p = ConeParams(n, k)
             shots.clear()
-            tr = L_cross_check(p, alpha, find_root(p).s_nk)
-            lam = riccati.alpha_hat(p, alpha)
-            ref = chained_shot(p, lam, [math.sqrt(s) for s in tr.grid], Mode())
-            launch = chained_shot(p, lam, [riccati.T_LAUNCH], Mode())[0][:2]
+            grid, _, ode, _ = L_cross_check(p, alpha, find_root(p).s_nk)
+            lam = alpha_hat(p, alpha)
+            ref = chained_shot(p, lam, [math.sqrt(s) for s in grid], Mode())
+            launch = chained_shot(p, lam, [checks.T_LAUNCH], Mode())[0][:2]
             L_ref = [math.sqrt(s) * (1.0 - s) * v / u - (n - 2.0) * s + (k - 1.0)
-                     for s, (u, v, _) in zip(tr.grid, ref)]
-            assert lam != 0.0 and tr.grid[0] == 0.0 and len(shots) == len(tr.grid) - 1
+                     for s, (u, v, _) in zip(grid, ref)]
+            assert lam != 0.0 and grid[0] == 0.0 and len(shots) == len(grid) - 1
             assert [x.hex() for x in shots[0][0]] == [x.hex() for x in launch]
             assert ([[x.hex() for x in uv] for _, uv in shots]
                     == [[x.hex() for x in r[:2]] for r in ref[1:]])
-            assert [x.hex() for x in tr.values_ode] == [x.hex() for x in L_ref]
+            assert [x.hex() for x in ode] == [x.hex() for x in L_ref]
 
     def test_s_domain(self):
         with pytest.raises(ValueError):
@@ -145,9 +146,9 @@ class TestLEval:
             k = int(rng.integers(1, n - 1))
             alpha = rng.uniform(2.0 - n + 0.2, -0.2)
             pars = ConeParams(n, k)
-            tr = L_cross_check(pars, alpha, find_root(pars).s_nk)
-            scale = 1.0 + max(abs(v) for v in tr.values_direct)
-            assert tr.max_discrepancy <= 1e-7 * scale
+            _, direct, _, disc = L_cross_check(pars, alpha, find_root(pars).s_nk)
+            scale = 1.0 + max(abs(v) for v in direct)
+            assert disc <= 1e-7 * scale
 
     def test_single_sign_change(self):
         rng = np.random.default_rng(6)
@@ -205,13 +206,13 @@ class TestPPoly:
 class TestBarriers:
     def test_terminal_value_zero(self):
         for (n, d) in [(200, 40), (96, 12), (96, 6), (400, 11)]:
-            spec, phi = barrier_phi(ConeParams(n, n - d))
-            assert abs(phi(spec.s_star)) < 1e-12
+            s_star, _, _, phi = barrier_phi(ConeParams(n, n - d))
+            assert abs(phi(s_star)) < 1e-12
 
     def test_jump_left_limit(self):
         n, d = 200, 40
         p = ConeParams(n, n - d)
-        spec, phi = barrier_phi(p)
+        phi = barrier_phi(p)[3]
         kn = (n - d) / n
         left = phi(kn * (1.0 - 1e-13))
         assert math.isclose(left, 4.0 * kn - 1.0, rel_tol=1e-9)
@@ -220,8 +221,8 @@ class TestBarriers:
         # phi(k/n) <= 2 on the large-d branch for k/n >= 15/16
         for (n, d) in [(200, 12), (400, 20), (640, 40)]:
             p = ConeParams(n, n - d)
-            spec, phi = barrier_phi(p)
-            assert spec.variant is BarrierVariant.LARGE_D
+            s_star, _, _, phi = barrier_phi(p)
+            assert s_star == overshoot_terminal_point(p)  # the large-d barrier
             assert phi(p.k / p.n) <= 2.0 + 1e-12
 
     def test_closed_form_solves_terminal_ode(self):
@@ -230,28 +231,29 @@ class TestBarriers:
         from scipy.integrate import solve_ivp
         for (n, d) in [(96, 7), (200, 40), (400, 9)]:
             p = ConeParams(n, n - d)
-            spec, phi = barrier_phi(p)
-            B = -(spec.roots[0] + spec.roots[1])
-            C = spec.roots[0] * spec.roots[1]
+            s_star, (r_minus, r_plus), _, phi = barrier_phi(p)
+            B = -(r_minus + r_plus)
+            C = r_minus * r_plus
             sol = solve_ivp(
                 lambda s, y: [-(y[0] ** 2 + B * y[0] + C) / (2 * s * (1 - s))],
-                (spec.s_star, p.k / p.n), [0.0], rtol=1e-12, atol=1e-14,
+                (s_star, p.k / p.n), [0.0], rtol=1e-12, atol=1e-14,
                 dense_output=True)
-            for s in np.linspace(p.k / p.n, spec.s_star, 7):
+            for s in np.linspace(p.k / p.n, s_star, 7):
                 assert math.isclose(phi(float(s)), float(sol.sol(s)[0]),
                                     rel_tol=1e-8, abs_tol=1e-9)
 
     def test_small_d_discriminant(self):
         for d in range(6, 12):
-            spec, _ = barrier_phi(ConeParams(96, 96 - d))
-            assert spec.variant is BarrierVariant.SMALL_D
-            assert spec.delta > 101.0 / 100.0
+            p = ConeParams(96, 96 - d)
+            s_star, _, delta, _ = barrier_phi(p)
+            assert s_star == refined_terminal_point(p)  # the small-d barrier
+            assert delta > 101.0 / 100.0
 
     def test_strictly_decreasing_on_curved_piece(self):
         for (n, d) in [(96, 8), (200, 40), (400, 12)]:
             p = ConeParams(n, n - d)
-            spec, phi = barrier_phi(p)
-            grid = np.linspace(p.k / p.n, spec.s_star, 200)
+            s_star, _, _, phi = barrier_phi(p)
+            grid = np.linspace(p.k / p.n, s_star, 200)
             vals = [phi(float(s)) for s in grid]
             assert all(b < a for a, b in zip(vals, vals[1:]))
             assert all(v >= 0.0 for v in vals)
@@ -260,9 +262,9 @@ class TestBarriers:
         # n s_star - k equals A + 1/2 exactly at the refined terminal point
         for (n, d) in [(96, 6), (200, 11), (400, 8)]:
             p = ConeParams(n, n - d)
-            spec, _ = barrier_phi(p)
+            s_star = barrier_phi(p)[0]
             A = math.sqrt(2.0 * d + 1.0) - 1.0
-            assert math.isclose(n * spec.s_star - p.k, A + 0.5, rel_tol=1e-12)
+            assert math.isclose(n * s_star - p.k, A + 0.5, rel_tol=1e-12)
 
     def test_variant_unavailable(self):
         with pytest.raises(VariantUnavailableError):
@@ -274,7 +276,7 @@ class TestBarriers:
         assert rep.L_at_s_star > 0.0
         assert rep.max_residual_linear < 0.0
         assert rep.max_residual_curved < 0.0
-        assert rep.jump_decreasing
+        assert rep.jump_left > rep.jump_right
         assert rep.min_L_minus_phi >= -1e-9
 
     def test_linear_relation_d4(self):
