@@ -21,8 +21,9 @@ in inspect and ast.  ConeParams and HypParams validate in __new__,
 which _make and _replace skip.  The reference oracles the tests check
 the library against live in tests/oracles.py.
 
-The hot kernels are compiled (hand-written C) with a pure-Python
-fallback selected at import; see conelab._backend and BACKEND_NAME.
+The hot kernels (the Gauss series, the link ODE shot and the continued
+fraction of L) are compiled (hand-written C) with a pure-Python fallback
+selected at import; see conelab._backend and BACKEND_NAME.
 """
 
 from conelab._backend import BACKEND_NAME

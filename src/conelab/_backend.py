@@ -1,4 +1,6 @@
-"""Kernel backend selection.
+"""Kernel backend selection for the three hot kernels: hyp2f1_series (the
+Gauss series), robin_shoot (the link ODE shot) and L_fraction (the
+continued fraction behind cone.L_direct).
 
 The compiled extension (conelab._kernels, built from the hand-written
 _kernels.c when a C compiler is available) is preferred; the pure-Python
@@ -21,3 +23,4 @@ BACKEND_NAME: str = kernels.BACKEND
 
 hyp2f1_series = kernels.hyp2f1_series
 robin_shoot = kernels.robin_shoot
+L_fraction = kernels.L_fraction

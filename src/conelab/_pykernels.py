@@ -1,4 +1,6 @@
-"""Pure-Python fallback for the compiled kernels (conelab._kernels).
+"""Pure-Python fallback for the compiled kernels (conelab._kernels): the
+hypergeometric series, the Robin shooting integrator and the continued
+fraction of the log-derivative L.
 
 Mirrors the C source (_kernels.c) statement for statement so the two
 backends produce the same floating-point results; keep the two in sync.
@@ -6,7 +8,7 @@ Squares are written as products: Python's x ** 2 calls pow(), which can
 differ from x * x in the last bit.
 """
 
-from math import fabs, inf, isfinite, sqrt
+from math import fabs, inf, isfinite, log, sqrt
 
 BACKEND = "python"
 
@@ -176,3 +178,62 @@ def robin_shoot(u0, v0, t_start, t_end, n, k, lam, p2, q2,
         if h < 1e-14 * (t_end - t_start):
             return (u, v, zeros, False)
     return (u, v, zeros, False)
+
+
+_TINY = 1e-300  # stands in for a level's exact zero denominator (Lentz's device)
+
+
+def L_fraction(A, B, c, k, ss, cf_tol, max_terms):
+    """L = (k-1) - ks + 2(1-s) sAB / (c/R - sB) at each s of the grid ss,
+    with R = 1/(1 - k1 s/(1 - k2 s/...)) Gauss's continued fraction for
+    F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).  A and B are both
+    floats or both complex (the conjugate pair; the real part of L is
+    returned); the levels k_j are shared by the grid.
+
+    Evaluated backward from a depth 2N, with the fixed point of the
+    levels' limit u = 1/(1 - su/4) as tail; the same pass gives L's
+    first-order change from a cut at N, and L at 2N is taken once that is
+    at most cf_tol max(1, |L|), else N grows as the limit contraction
+    rho = (1-sqrt(1-s))/(1+sqrt(1-s)) asks, by half at least.  s = 0 gives
+    L = k-1 exactly.  Needs c > 0, cf_tol > 0 and every s in [0, 1), as
+    cone.L_direct ensures.
+
+    Returns (Ls, None), or (Ls so far, (s, L, levels)) at the first point
+    whose fraction would need more than max_terms levels.
+    """
+    a1, b1 = c - B - 1.0, c - A - 1.0  # a - 1 and b - 1
+    ks = []  # k_1, k_2, ... of R, shared by the grid
+
+    def cut(s, half):
+        """(L cut at depth 2 half, |its first-order change if cut at half|)."""
+        for i in range(len(ks) // 2 + 1, half + 1):
+            x = c + 2.0 * i
+            ks.append((A + i) * (a1 + i) / ((x - 2.0) * (x - 1.0)))
+            ks.append((B + i) * (b1 + i) / ((x - 1.0) * x))
+        u = w = 2.0 * (1.0 - sqrt(1.0 - s)) / s
+        for kj in ks[2 * half - 1:half - 1:-1]:
+            u = 1.0 / ((1.0 - s * kj * u) or _TINY)
+        gap, slope = u - w, 1.0  # slope: du / du(level half + 1), down to level 2
+        for kj in ks[half - 1:0:-1]:
+            kz = s * kj
+            u = 1.0 / ((1.0 - kz * u) or _TINY)
+            slope *= kz * u * u
+        den = c * (1.0 - s * ks[0] * u) - s * B
+        x = 2.0 * (1.0 - s) * s * A * B / den
+        return (k - 1.0) - k * s + x, abs(gap * slope * x * c * s * ks[0] / den)
+
+    out = []
+    for s in ss:
+        L, half = k - 1.0, 4
+        q = sqrt(1.0 - s)
+        while s > 0.0:  # L(0) = k-1 exactly
+            L, change = cut(s, half)
+            target = cf_tol * max(1.0, abs(L))
+            if change <= target:
+                break
+            more = log(change / target) / -log(max((1.0 - q) / (1.0 + q), _TINY))
+            half = max(half + half // 2, half + 1 + int(more if more < max_terms else max_terms))
+            if 2 * half > max_terms:
+                return out, (s, L.real, 2 * half)
+        out.append(L.real)
+    return out, None

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
+from conelab._backend import L_fraction
 from conelab.errors import BracketFailure, DomainError, NonConvergenceError
 from conelab.specfun import MAX_TERMS, HypParams, hyp2f1
 
@@ -48,7 +49,6 @@ MARGIN_TOL = 1e-9  # borderline band on the criterion margin; largest |margin| a
 ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
 ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
 CF_TOL = 1e-13  # L_direct's bound on L's change from cutting the fraction at half depth
-_TINY = 1e-300  # stands in for a level's exact zero denominator (Lentz's device)
 
 
 class ConeParams(NamedTuple("ConeParams", [("n", int), ("k", int)])):
@@ -101,7 +101,7 @@ def profile_params(p: ConeParams, alpha: float) -> HypParams:
     return HypParams((p.n + alpha - 2.0) / 2.0, -alpha / 2.0, p.k / 2.0)
 
 
-def L_direct(p: ConeParams, alpha: complex, ss: Sequence[float]) -> List[float]:
+def L_direct(p: ConeParams, alpha: complex, ss: Iterable[float]) -> List[float]:
     """L(s) = 2s(1-s) F'/F - (n-2)s + (k-1) of the degree-alpha profile F at
     each s of the grid ss, for alpha in [2-n, 0] (a, b >= 0, so F >= 1) or
     alpha = (2-n)/2 + i w (a, b a conjugate pair, F >= 1 too; the real part
@@ -109,59 +109,26 @@ def L_direct(p: ConeParams, alpha: complex, ss: Sequence[float]) -> List[float]:
     A = c-b, B = c-a, gives L = (k-1) - ks + 2(1-s) sAB / (c/R - sB) with
     R = F(A+1, B+1; c+1; s) / F(A+1, B; c; s) = 1/(1 - k1 s/(1 - k2 s/...)),
     Gauss's continued fraction (DLMF 15.7.5): only ratios, so nothing
-    overflows.  It is evaluated backward from a depth 2N, with the fixed
-    point of the levels' limit u = 1/(1 - su/4) as tail; the same pass
-    gives L's first-order change from a cut at N, and L at 2N is returned
-    once that is at most CF_TOL max(1, |L|), else N grows as the limit
-    contraction rho = (1-sqrt(1-s))/(1+sqrt(1-s)) asks, by half at least.
-    Raises DomainError for any other alpha, ValueError for s outside
-    [0, 1), and NonConvergenceError past MAX_TERMS levels (about
-    9/sqrt(1-s) are needed)."""
+    overflows.  The kernel L_fraction evaluates it backward, deep enough
+    that L's first-order change from cutting at half the depth is at most
+    CF_TOL max(1, |L|).  Raises DomainError for any other alpha, ValueError
+    for s outside [0, 1), and NonConvergenceError past MAX_TERMS levels
+    (about 9/sqrt(1-s) are needed)."""
     n, k = p.n, p.k
     if not (2 - n <= alpha.real <= 0 and (alpha.imag == 0 or alpha.real == (2 - n) / 2)):
         raise DomainError(f"alpha={alpha} for (n,k)=({n},{k}) outside [2-n, 0] = [{2 - n}, 0] "
                           f"and off the line Re alpha = (2-n)/2")
+    ss = tuple(ss)
     if not all(0.0 <= s < 1.0 for s in ss):
         raise ValueError("s must lie in [0, 1)")
     c = 0.5 * k
     A, B = 0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha)
-    a1, b1 = c - B - 1.0, c - A - 1.0  # a - 1 and b - 1
-    ks: list = []  # k_1, k_2, ... of R, shared by the grid
-
-    def cut(s: float, half: int):
-        """(L cut at depth 2 half, |its first-order change if cut at half|)."""
-        for i in range(len(ks) // 2 + 1, half + 1):
-            x = c + 2.0 * i
-            ks.append((A + i) * (a1 + i) / ((x - 2.0) * (x - 1.0)))
-            ks.append((B + i) * (b1 + i) / ((x - 1.0) * x))
-        u = w = 2.0 * (1.0 - math.sqrt(1.0 - s)) / s
-        for kj in ks[2 * half - 1:half - 1:-1]:
-            u = 1.0 / ((1.0 - s * kj * u) or _TINY)
-        gap, slope = u - w, 1.0  # slope: du / du(level half + 1), down to level 2
-        for kj in ks[half - 1:0:-1]:
-            kz = s * kj
-            u = 1.0 / ((1.0 - kz * u) or _TINY)
-            slope *= kz * u * u
-        den = c * (1.0 - s * ks[0] * u) - s * B
-        x = 2.0 * (1.0 - s) * s * A * B / den
-        return (k - 1.0) - k * s + x, abs(gap * slope * x * c * s * ks[0] / den)
-
-    out = []
-    for s in ss:
-        L, half = k - 1.0, 4
-        q = math.sqrt(1.0 - s)
-        while s > 0.0:  # L(0) = k-1 exactly
-            L, change = cut(s, half)
-            target = CF_TOL * max(1.0, abs(L))
-            if change <= target:
-                break
-            more = math.log(change / target) / -math.log(max((1.0 - q) / (1.0 + q), _TINY))
-            half = max(half + half // 2, half + 1 + int(more if more < MAX_TERMS else MAX_TERMS))
-            if 2 * half > MAX_TERMS:
-                raise NonConvergenceError(
-                    f"continued fraction of L needs more than {MAX_TERMS} levels at s={s} "
-                    f"for alpha={alpha}, (n,k)=({n},{k})", value=L.real, terms_used=2 * half)
-        out.append(L.real)
+    out, stall = L_fraction(A, B, c, k, ss, CF_TOL, MAX_TERMS)
+    if stall is not None:
+        s, L, levels = stall
+        raise NonConvergenceError(
+            f"continued fraction of L needs more than {MAX_TERMS} levels at s={s} "
+            f"for alpha={alpha}, (n,k)=({n},{k})", value=L, terms_used=levels)
     return out
 
 

@@ -144,6 +144,59 @@ def test_kernels_bit_identical_on_seeded_draws(_kernels):
     assert overflowed >= 10
 
 
+def _fraction_draw(rng):
+    # L_direct's arguments: alpha over [2-n, 0] with both ends and
+    # alpha = -k (A = 0), or the conjugate pair (2-n)/2 + i w with w = 0
+    # and large w; d = 2 often; s = 0, s near 1 and plain points; now and
+    # then a budget small enough to stall
+    n = rng.choice([rng.randint(3, 40), rng.randint(3, 400), rng.randint(3, 2000)])
+    k = rng.choice([rng.randint(1, n - 2), n - 2])
+    h = (n - 2) / 2
+    if rng.random() < 0.6:
+        alpha = rng.choice([2.0 - n, 0.0, -float(k),
+                            -float(rng.randint(0, n - 2)), rng.uniform(2.0 - n, 0.0)])
+    else:
+        alpha = complex(-h, rng.choice([0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 100.0),
+                                        10.0 ** rng.uniform(2.0, 6.0)]))
+    ss = [rng.choice([0.0, rng.random(), rng.uniform(0.9, 0.999), 1.0 - 10.0 ** rng.uniform(-6.0, -1.0),
+                      1.0 - 1e-6]) for _ in range(rng.randint(1, 3))]
+    max_terms = rng.choice([40000] * 6 + [8, 20, 64, 300])
+    return (0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha), 0.5 * k, k, ss, 1e-13, max_terms)
+
+
+def test_fraction_kernel_bit_identical_on_seeded_draws(_kernels):
+    # values, and on a stall the point, L and the level count, to the last bit
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(400):
+        args = _fraction_draw(rng)
+        got, want = _kernels.L_fraction(*args), _pykernels.L_fraction(*args)
+        assert _same(got[0], want[0]), args
+        assert (got[1] is None and want[1] is None) or _same(got[1], want[1]), args
+        kinds.add((type(args[0]), got[1] is None))
+    assert kinds == {(float, True), (float, False), (complex, True), (complex, False)}
+    # (7,5) at alpha = -2.5: d = 2, where s = 1 - 1e-6 needs about 13,600 levels
+    args = (1.25, 1.25, 2.5, 5, [0.0, 0.5, 1.0 - 1e-6], 1e-13, 40000)
+    got = _kernels.L_fraction(*args)
+    assert got == _pykernels.L_fraction(*args) and got[0][0] == 4.0 and got[1] is None
+
+
+@pytest.mark.parametrize("name, args", [
+    ("hyp2f1_series", (1.0, 1.0, 1.0, 0.5, 1e-15, 1e-280)),
+    ("hyp2f1_series", (1.0, 1.0, "1", 0.5, 1e-15, 1e-280, 100)),
+    ("L_fraction", (1.0, 1.0, 0.5, 1, [0.5], 1e-13)),
+    ("L_fraction", (1.0, 1.0, 0.5, 1, [0.5], 1e-13, 100, 0)),
+    ("L_fraction", (1.0, 1.0, "0.5", 1, [0.5], 1e-13, 100)),
+    ("L_fraction", ("1", 1.0, 0.5, 1, [0.5], 1e-13, 100)),
+    ("L_fraction", (1j, 1.0, 0.5, 1, ["0.5"], 1e-13, 100)),
+    ("L_fraction", (1.0, 1.0, 0.5, 1, 0.5, 1e-13, 100)),
+    ("L_fraction", (1.0, 1.0, 0.5, 1, [0.5], 1e-13, 100.0)),
+])
+def test_kernel_argument_errors(_kernels, name, args):
+    with pytest.raises(TypeError):
+        getattr(_kernels, name)(*args)
+
+
 def test_overflowed_total_is_not_converged(_kernels):
     # the total of 2F1(80003.5, -1/2; 40001.5; 0.6506) overflows to -inf,
     # which clears every tolerance; it was reported converged, and

@@ -487,6 +487,14 @@ class TestLDirect:
         assert math.isfinite(L_direct(p, -1499.0, (r.s_nk,))[0])
 
 
+def test_L_direct_takes_an_iterator():
+    # the s-range check once consumed a generator before the fraction saw
+    # it, and an empty list came back
+    p = ConeParams(7, 2)
+    assert L_direct(p, -2.0, (s for s in (0.1, 0.2))) == L_direct(p, -2.0, (0.1, 0.2))
+    assert len(L_direct(p, -2.0, iter([0.0, 0.5, 0.9]))) == 3
+
+
 class TestAdmissibleInterval:
     def test_seven_one_endpoints(self):
         # endpoints solve alpha(alpha + n - 2) = lambda1; frozen from the
