@@ -1,18 +1,18 @@
-"""Cone geometry for the invariant one-phase family: profile functions
-and their log-derivative L (from Gauss's continued fraction, so it never
-overflows), the free-boundary root, the strict stability criterion (read
-from L), the sign of L at the root for the subsolution exponent
-alpha = 4-n (check_4_minus_n), and verdict, the one stability
-step per cone.  verdict evaluates the criterion margin at the threshold
-exponent (2-n)/2 once and takes from it both the verdict and the bracket
-of the margin's root in lambda, lambda_1, whose indicial roots gamma_+-
-bound the admissible homogeneity interval.  Functions evaluated at the free
-boundary take the RootResult of find_root.  The normalization c_{n,k},
-the t-derivative of a profile and the boundary mean curvature, which no
-command prints, live with the tests.  The checks of L that only `verify`
-runs (its Riccati equation, its cross-check against the link ODE, and
-the barriers that carry L > 0 up to the root at alpha = 4-n) live in
-conelab.checks.
+"""Cone geometry for the invariant one-phase family: profile functions and
+their log-derivative L (from Gauss's continued fraction, so it never
+overflows), the free-boundary root (one solve of illinois, the package's
+root solver, on [0, s_up]), the strict stability criterion (read from L),
+the sign of L at the root for the subsolution exponent alpha = 4-n
+(check_4_minus_n), and verdict, the one stability step per cone.  verdict
+evaluates the criterion margin at the threshold exponent (2-n)/2 once and
+takes from it both the verdict and the bracket of the margin's root in
+lambda, lambda_1, whose indicial roots gamma_+- bound the admissible
+homogeneity interval.  Functions evaluated at the free boundary take the
+RootResult of find_root.  The normalization c_{n,k}, the t-derivative of a
+profile and the boundary mean curvature, which no command prints, live
+with the tests.  The checks of L that only `verify` runs (its Riccati
+equation, its cross-check against the link ODE, and the barriers that
+carry L > 0 up to the root at alpha = 4-n) live in conelab.checks.
 
 Profiles are hypergeometric in s = t^2: the degree-alpha harmonic profile
 is 2F1((n+alpha-2)/2, -alpha/2; k/2; t^2), and the solution profile is its
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-9  # borderline band on the criterion margin; largest |margin| at lambda_1
-ROOT_SCAN_POINTS = 64  # descending scan that brackets the root from below
 ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
 CF_TOL = 1e-13  # L_direct's bound on L's change from cutting the fraction at half depth
 
@@ -154,17 +153,19 @@ def illinois(f, lo: float, f_lo: float, hi: float,
     """Shrink a bracket lo < hi of a root of the scalar function f, where
     f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package.
 
-    Illinois steps (Dowell & Jarratt, BIT 11, 1971): regula falsi that
-    halves the weight of the far end each time the same end moves twice in
-    a row.  A step not strictly inside (lo, hi), non-finite or rounded onto
-    an end, bisects (Brent, 1973, ch. 4) unless an end's |f| is at most
-    ROOT_F_TOL: on a steep bracket the rounded step says nothing of the
-    root.  Stops there, at an exact zero or at a bracket of at most 4 ulps,
-    and returns (x, |f(x)|, lo, hi): the final end x with the smaller |f|,
-    its unweighted |f|, and the final bracket.
+    Regula falsi of Illinois type (Dowell & Jarratt, BIT 11, 1971) with
+    Anderson & Bjoerck's weight (BIT 13, 1973): an end kept twice in a row
+    has its weight multiplied by m = 1 - f(x)/f(prev), f(prev) the value at
+    the end the step replaces, or by 1/2 if m <= 0.  A step not strictly
+    inside (lo, hi), non-finite or rounded onto an end, bisects (Brent,
+    1973, ch. 4) unless an end's |f| is at most ROOT_F_TOL: on a steep
+    bracket the rounded step says nothing of the root.  Stops there, at an
+    exact zero or at a bracket of at most 4 ulps, and returns (x, |f(x)|,
+    lo, hi): the final end x with the smaller |f|, its unweighted |f|, and
+    the final bracket.
     """
     w_lo = w_hi = 1.0
-    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    f_prev = 0.0  # f at the previous step's point, an end; 0.0 before the first step
     while f_hi < 0.0 and hi - lo > 4.0 * max(math.ulp(lo), math.ulp(hi)):
         g_lo, g_hi = w_lo * f_lo, w_hi * f_hi
         x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
@@ -173,14 +174,15 @@ def illinois(f, lo: float, f_lo: float, hi: float,
                 break
             x = 0.5 * (lo + hi)
         f_x = f(x)
+        m = 1.0
+        if f_prev != 0.0 and (f_x > 0.0) == (f_prev > 0.0):  # the same end replaced again
+            m = 1.0 - f_x / f_prev
+            m = m if m > 0.0 else 0.5
         if f_x > 0.0:
-            lo, f_lo, w_lo = x, f_x, 1.0
-            w_hi *= 0.5 if moved == 1 else 1.0
-            moved = 1
+            lo, f_lo, w_lo, w_hi = x, f_x, 1.0, w_hi * m
         else:
-            hi, f_hi, w_hi = x, f_x, 1.0
-            w_lo *= 0.5 if moved == -1 else 1.0
-            moved = -1
+            hi, f_hi, w_hi, w_lo = x, f_x, 1.0, w_lo * m
+        f_prev = f_x
     return (lo, f_lo, lo, hi) if f_lo < -f_hi else (hi, -f_hi, lo, hi)
 
 
@@ -200,13 +202,14 @@ _S_CAP = 1.0 - 2e-9  # largest admitted s; t stays below 1 - 1e-9
 def find_root(p: ConeParams) -> RootResult:
     """Locate the free-boundary root t_{n,k} of f_{n,k}.
 
-    The upper bracket end comes from the quadratic truncation
-    s <= 2k/(n-1), tightened by the cubic bound when that has a root below
-    1; the lower end by a descending scan, which ends at f(0) = 1 at the
-    latest.  illinois shrinks the scan bracket; the root is the final end
-    with the smaller |f|, and the residual, that |f|, is at most ROOT_F_TOL
-    unless the bracket closed to a few ulps.  f = -inf, the s -> 1 limit,
-    counts as negative; NonConvergenceError where f is +inf or NaN.
+    illinois solves on [0, s_up]: f(0) = 1, and s_up, where f <= 0 is
+    checked, is the quadratic truncation s <= 2k/(n-1), tightened by the
+    cubic bound when that has a root below 1.  f is concave (b = -1/2), so
+    the first chord from (0, 1) lands where f >= 0 and no scan is needed.
+    The root is the final end with the smaller |f|, and the residual, that
+    |f|, is at most ROOT_F_TOL unless the bracket closed to a few ulps.
+    f = -inf, the s -> 1 limit, counts as negative; NonConvergenceError
+    where f is +inf or NaN.
     """
     n, k = p.n, p.k
     s_up = min(2.0 * k / (n - 1.0), _S_CAP)
@@ -222,18 +225,11 @@ def find_root(p: ConeParams) -> RootResult:
                 f"profile not finite at s={s} for (n,k)=({n},{k}): f = {v!r}")
         return v
 
-    s_hi, f_hi = s_up, F(s_up)
-    if f_hi > 0.0:
+    f_up = F(s_up)
+    if f_up > 0.0:
         raise BracketFailure(
             f"profile positive at upper bracket s={s_up} for (n,k)=({n},{k})")
-    for j in range(1, ROOT_SCAN_POINTS + 1):
-        s_lo = s_up * (1.0 - j / ROOT_SCAN_POINTS)
-        f_lo = F(s_lo)
-        if f_lo > 0.0:
-            break
-        s_hi, f_hi = s_lo, f_lo
-
-    s_nk, residual, s_lo, s_hi = illinois(F, s_lo, f_lo, s_hi, f_hi)
+    s_nk, residual, s_lo, s_hi = illinois(F, 0.0, 1.0, s_up, f_up)
     return RootResult(t_nk=math.sqrt(s_nk), s_nk=s_nk,
                       s_bracket=(s_lo, s_hi), residual=residual)
 

@@ -11,7 +11,9 @@ any mode and index (the Pruefer angle at the free-boundary root), and
 fd_oracle_lambda1 takes the lowest eigenvalue of a finite-difference
 discretization.  Of the library they share only the robin_shoot kernel
 (driven here with the mode potentials P2 and Q2) and cone.illinois (the
-root solver); the library takes lambda_1 from the margin root in
+package's one root solver: regula falsi with Anderson & Bjoerck's weight,
+BIT 13, 1973, which the eigenvalue bracket shares with the root in s and
+lambda_1); the library takes lambda_1 from the margin root in
 cone.verdict instead, and its Riccati cross-check shoots mode (0,0) only."""
 
 import math

@@ -217,9 +217,7 @@ class TestFindRoot:
 
     def test_cubic_root_closed_form(self):
         # the real root in (0, 1] of 1 - a s - b s^2 - c s^3, or None where
-        # the bound stays positive at s = 1; at (30, 20) the last secant
-        # step lands within an ulp of the lower bracket end while the upper
-        # one is still 9.6e-10 away
+        # the bound stays positive at s = 1
         for (n, k) in [(3, 1), (7, 1), (9, 4), (30, 20), (40, 1), (27, 20), (12, 10)]:
             p = ConeParams(n, k)
             a = (n - 1.0) / (2.0 * k)
@@ -234,8 +232,9 @@ class TestFindRoot:
                 assert _cubic_root_in_s(p) is None, (n, k)
 
     def test_evaluation_budget(self, monkeypatch):
-        # the descending scan plus Illinois steps cost at most 24 profile
-        # evaluations per root on every cone with 3 <= n <= 40
+        # the upper end plus the steps from [0, s_up] cost at most 24 profile
+        # evaluations per root on every cone with 3 <= n <= 40, and at most
+        # 20 on the cells k = 1 (mod 3) at n = 150, 400 and 1000
         calls = []
 
         def counted(raw):
@@ -245,13 +244,15 @@ class TestFindRoot:
             return wrapper
 
         monkeypatch.setattr(conelab.cone, "hyp2f1", counted(hyp2f1))
-        worst = (0, (0, 0))
-        for n in range(3, 41):
-            for k in range(1, n - 1):
+        small = [(n, k) for n in range(3, 41) for k in range(1, n - 1)]
+        large = [(n, k) for n in (150, 400, 1000) for k in range(1, n - 1, 3)]
+        for cells, budget in ((small, 24), (large, 20)):
+            worst = (0, (0, 0))
+            for (n, k) in cells:
                 calls.clear()
                 find_root(ConeParams(n, k))
                 worst = max(worst, (len(calls), (n, k)))
-        assert worst[0] <= 24, worst
+            assert worst[0] <= budget, worst
 
     @pytest.mark.parametrize("v", [math.inf, math.nan])
     def test_non_finite_profile_raises(self, monkeypatch, v):
@@ -263,15 +264,48 @@ class TestFindRoot:
             find_root(ConeParams(7, 1))
 
     def test_steep_bracket_bisects(self):
+        def solve(f, lo, hi):
+            # illinois on [lo, hi], checked for its invariants; the root and
+            # the (x, f(x)) it evaluated, in order
+            seen = []
+
+            def g(x):
+                seen.append((x, f(x)))
+                return seen[-1][1]
+
+            x, residual, b_lo, b_hi = illinois(g, lo, f(lo), hi, f(hi))
+            assert b_lo <= x <= b_hi and f(b_lo) > 0.0 >= f(b_hi)
+            assert residual == abs(f(x))
+            return x, seen
+
         # |f_hi / f_lo| = 2e31 > 1/ulp: the secant step rounds onto lo,
         # which is no root, so the solver bisects on to the root near
         # lo + 0.165 (hi - lo)
         lo, hi = 63.0 / 64.0, 1.0
         f = lambda x: 0.05 - 1e30 * ((x - lo) / (hi - lo)) ** 40
         x, residual, b_lo, b_hi = illinois(f, lo, f(lo), hi, f(hi))
-        assert residual <= ROOT_F_TOL
+        assert residual == abs(f(x)) <= ROOT_F_TOL
         assert b_lo <= x <= b_hi and f(b_lo) > 0.0 >= f(b_hi)
         assert abs(x - (lo + (hi - lo) * (0.05 / 1e30) ** (1.0 / 40.0))) <= 1e-14
+        # f = -inf at the upper end, the s -> 1 limit: the chord is NaN, so
+        # the first step bisects
+        f = lambda x: -math.inf if x == 1.0 else 1.0 + math.log1p(-x)
+        x, seen = solve(f, 0.0, 1.0)
+        assert seen[0][0] == 0.5
+        assert abs(x - (1.0 - math.exp(-1.0))) <= 1e-15
+        # f rises again on (0.2, 0.7), so a step can keep an end with
+        # f(x) >= f(prev) on the same side: m <= 0, and the weight halves.
+        # A weight that changed sign would put the next chord outside the
+        # bracket, and that step would bisect
+        f = lambda x: (0.7 - x) * (1.0 + 50.0 * (x - 0.2) ** 2)
+        x, seen = solve(f, 0.0, 1.0)
+        assert any((f0 > 0.0) == (f1 > 0.0) and f1 / f0 >= 1.0
+                   for (_, f0), (_, f1) in zip(seen, seen[1:]))
+        ends = [0.0, 1.0]
+        for x_i, f_i in seen:
+            assert x_i != 0.5 * (ends[0] + ends[1])
+            ends[f_i <= 0.0] = x_i
+        assert abs(x - 0.7) <= 1e-15
 
 
 class TestNormalizationAndBoundary:
