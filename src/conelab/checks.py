@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from conelab._backend import robin_shoot
 from conelab.cone import (ConeParams, L_direct, check_4_minus_n, find_root, profile_g,
-                          stability_margin)
+                          profile_params, refined_terminal_point, stability_margin)
 from conelab.errors import (IntegrationFailure, PoleEncounteredError, RangeUnsupported,
                             VariantUnavailableError)
 from conelab.specfun import (
@@ -37,8 +37,7 @@ from conelab.specfun import (
 __all__ = ["CheckRecord", "SUITES", "run_suites", "alpha_hat", "P_poly", "L_cross_check",
            "root_bound_check", "limit_profile_u", "estimate_z0", "phi_c_eval",
            "overshoot_forms", "overshoot_check", "overshoot_terminal_point",
-           "refined_terminal_point", "BarrierReport", "barrier_phi", "linear_root_relation",
-           "verify_barrier"]
+           "BarrierReport", "barrier_phi", "linear_root_relation", "verify_barrier"]
 
 SEED = 20260214
 
@@ -360,14 +359,15 @@ def overshoot_forms(pars: ConeParams, s: float) -> Tuple[bool, bool]:
 
 def overshoot_check(pars: ConeParams) -> bool:
     """The quadratic form of overshoot_forms at s_{n,k}, for
-    n/2 <= k <= n-12; for the band n-11 <= k <= n-4 (and n >= 16 d)
-    s < refined_terminal_point is checked instead."""
+    n/2 <= k <= n-12.  For the band n-11 <= k <= n-4 (and n >= 16 d),
+    s_{n,k} < refined_terminal_point, read as f < 0 there outside its
+    err_estimate: find_root's root lies below that point by construction."""
     n, k = pars.n, pars.k
-    s = find_root(pars).s_nk
     if n / 2.0 <= k <= n - 12:
-        return overshoot_forms(pars, s)[0]
+        return overshoot_forms(pars, find_root(pars).s_nk)[0]
     if n - 11 <= k <= n - 4 and n >= 16 * pars.d:
-        return s < refined_terminal_point(pars)
+        F = hyp2f1(profile_params(pars, 1.0), refined_terminal_point(pars))
+        return F.value < -F.err_estimate
     raise RangeUnsupported(
         f"overshoot bound needs n/2 <= k <= n-12, or n-11 <= k <= n-4 with "
         f"n >= 16 d; got (n,k)=({n},{k})")
@@ -529,12 +529,6 @@ def overshoot_terminal_point(pars: ConeParams) -> float:
     overshoot bound."""
     d = pars.d
     return 1.0 - (d + 1.0 - math.sqrt(2.0 * d + 1.0)) / pars.n
-
-
-def refined_terminal_point(pars: ConeParams) -> float:
-    """The refined terminal point 1 - (2d+1-2 sqrt(2d+1))/(2n)."""
-    d = pars.d
-    return 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * pars.n)
 
 
 def barrier_phi(p: ConeParams) -> Tuple[float, Tuple[float, float], float,

@@ -37,7 +37,7 @@ __all__ = [
     "profile_params",
     "L_direct",
     "profile_g",
-    "cubic_bound",
+    "refined_terminal_point",
     "find_root",
     "stability_margin",
     "check_4_minus_n",
@@ -138,40 +138,44 @@ def profile_g(p: ConeParams, alpha: float, t: float) -> float:
     return hyp2f1(profile_params(p, alpha), t * t).value
 
 
-def cubic_bound(p: ConeParams, t: float) -> float:
-    """Cubic-in-s upper bound for f_{n,k}(t); fixes the root bracket."""
-    n, k = p.n, p.k
-    s = t * t
-    return (1.0
-            - (n - 1.0) / (2.0 * k) * s
-            - (n * n - 1.0) / (8.0 * k * (k + 2.0)) * s * s
-            - (n * n - 1.0) * (n + 3.0) / (16.0 * k * (k + 2.0) * (k + 4.0)) * s ** 3)
+def refined_terminal_point(p: ConeParams) -> float:
+    """The refined terminal point 1 - (2d+1-2 sqrt(2d+1))/(2n) of the
+    overshoot bound."""
+    d = p.d
+    return 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * p.n)
 
 
 def illinois(f, lo: float, f_lo: float, hi: float,
              f_hi: float) -> Tuple[float, float, float, float]:
     """Shrink a bracket lo < hi of a root of the scalar function f, where
-    f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package.
+    f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package,
+    for find_root's root in s and verdict's lambda_1.
 
     Regula falsi of Illinois type (Dowell & Jarratt, BIT 11, 1971) with
     Anderson & Bjoerck's weight (BIT 13, 1973): an end kept twice in a row
     has its weight multiplied by m = 1 - f(x)/f(prev), f(prev) the value at
     the end the step replaces, or by 1/2 if m <= 0.  A step not strictly
-    inside (lo, hi), non-finite or rounded onto an end, bisects (Brent,
-    1973, ch. 4) unless an end's |f| is at most ROOT_F_TOL: on a steep
-    bracket the rounded step says nothing of the root.  Stops there, at an
-    exact zero or at a bracket of at most 4 ulps, and returns (x, |f(x)|,
-    lo, hi): the final end x with the smaller |f|, its unweighted |f|, and
-    the final bracket.
+    inside (lo, hi), non-finite or rounded onto an end, bisects unless an
+    end's |f| is at most ROOT_F_TOL: on a steep bracket the rounded step
+    says nothing of the root.  So does the fifth step since the bracket
+    last halved its width, Brent's guaranteed shrink (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): a bracket flat on one
+    side and steep on the other cannot stall the weighted chord.  Stops at
+    that ROOT_F_TOL end, at an exact zero or at a bracket of at most 4
+    ulps, and returns (x, |f(x)|, lo, hi): the final end x with the smaller
+    |f|, its unweighted |f|, and the final bracket.
     """
     w_lo = w_hi = 1.0
     f_prev = 0.0  # f at the previous step's point, an end; 0.0 before the first step
+    width, slow = hi - lo, 0  # the width when the bracket last halved; steps since
     while f_hi < 0.0 and hi - lo > 4.0 * max(math.ulp(lo), math.ulp(hi)):
         g_lo, g_hi = w_lo * f_lo, w_hi * f_hi
         x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
         if not lo < x < hi:
             if min(f_lo, -f_hi) <= ROOT_F_TOL:
                 break
+            x = 0.5 * (lo + hi)
+        elif slow == 4:
             x = 0.5 * (lo + hi)
         f_x = f(x)
         m = 1.0
@@ -183,39 +187,29 @@ def illinois(f, lo: float, f_lo: float, hi: float,
         else:
             hi, f_hi, w_hi, w_lo = x, f_x, 1.0, w_lo * m
         f_prev = f_x
+        slow += 1
+        if hi - lo <= 0.5 * width:
+            width, slow = hi - lo, 0
     return (lo, f_lo, lo, hi) if f_lo < -f_hi else (hi, -f_hi, lo, hi)
-
-
-def _cubic_root_in_s(p: ConeParams) -> Optional[float]:
-    """Root of the cubic bound in s on (0, 1], or None if the bound stays
-    positive there."""
-    f = lambda s: cubic_bound(p, math.sqrt(s))
-    f_one = f(1.0)
-    if f_one > 0.0:
-        return None
-    return illinois(f, 0.0, 1.0, 1.0, f_one)[0]
-
-
-_S_CAP = 1.0 - 2e-9  # largest admitted s; t stays below 1 - 1e-9
 
 
 def find_root(p: ConeParams) -> RootResult:
     """Locate the free-boundary root t_{n,k} of f_{n,k}.
 
     illinois solves on [0, s_up]: f(0) = 1, and s_up, where f <= 0 is
-    checked, is the quadratic truncation s <= 2k/(n-1), tightened by the
-    cubic bound when that has a root below 1.  f is concave (b = -1/2), so
-    the first chord from (0, 1) lands where f >= 0 and no scan is needed.
-    The root is the final end with the smaller |f|, and the residual, that
-    |f|, is at most ROOT_F_TOL unless the bracket closed to a few ulps.
-    f = -inf, the s -> 1 limit, counts as negative; NonConvergenceError
-    where f is +inf or NaN.
+    checked (else BracketFailure), is the smaller of the quadratic
+    truncation's root 2k/(n-1) and the refined terminal point of the
+    paper's overshoot lemma, which proves s_{n,k} below it for
+    n-11 <= k <= n-4, n >= 16 d, and lies 0.26/n or more below 1, where
+    the series overflows.  f is concave (b = -1/2), so the first chord
+    from (0, 1) lands where f >= 0 and no scan is needed.  The root is the
+    final end with the smaller |f|, and the residual, that |f|, is at most
+    ROOT_F_TOL unless the bracket closed to a few ulps.  f = -inf, the
+    s -> 1 limit, counts as negative; NonConvergenceError where f is +inf
+    or NaN.
     """
     n, k = p.n, p.k
-    s_up = min(2.0 * k / (n - 1.0), _S_CAP)
-    s_cubic = _cubic_root_in_s(p)
-    if s_cubic is not None:
-        s_up = min(s_up, s_cubic)
+    s_up = min(2.0 * k / (n - 1.0), refined_terminal_point(p))
     hp = profile_params(p, 1.0)
 
     def F(s: float) -> float:

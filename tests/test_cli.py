@@ -56,22 +56,27 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("n, k, lambda1", [(1000, 997, "-998.525395"),
                                                (3000, 2990, "-2998.549172"),
-                                               (5000, 2500, "-4998.576581")])
+                                               (5000, 2500, "-4998.576581"),
+                                               (160008, 80004, "-160006.576560")])
     def test_verdict_past_the_series_frontier(self, capsys, n, k, lambda1):
         # L from the continued fraction never overflows and needs no sign of
         # F: these cells used to exit 2 on an unsettled threshold sign
-        # (1000, 997) and on an overflowed profile (the other two)
+        # (1000, 997), on an overflowed profile (3000, 2990) and (5000,
+        # 2500), and on the log case's term budget (160008, 80004), whose
+        # root solve once evaluated near s = 1.  The profile changes sign
+        # across 1e-12 relative of the printed root in 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
         rc, out, err = run_cli(capsys, "analyze", "--n", str(n), "--k", str(k))
         assert (rc, err) == (0, "")
         assert f"first eigenvalue lambda1 = {lambda1}\n" in out
         assert "verdict: strictly_stable\n" in out
-
-    def test_log_case_budget_is_named(self, capsys):
-        # the profiles of (160008, 80004) take the log case with
-        # c-a-b = (d-2)/2 = 40001, one term above the series budget
-        rc, out, err = run_cli(capsys, "analyze", "--n", "160008", "--k", "80004")
-        assert (rc, out) == (2, "")
-        assert err.startswith("error: log-case finite sum needs 40001 terms, above 40000, at s=")
+        p = conelab.cone.ConeParams(n, k)
+        hp = conelab.cone.profile_params(p, 1.0)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(conelab.cone.find_root(p).s_nk)
+            band = s * mpmath.mpf(10) ** -12
+            assert mpmath.hyp2f1(hp.a, hp.b, hp.c, s - band) > 0
+            assert mpmath.hyp2f1(hp.a, hp.b, hp.c, s + band) < 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
@@ -117,15 +122,14 @@ class TestAnalyze:
         again = json.loads(json.dumps(row))
         assert again == row
 
-    def test_overflowed_profile_series_exits_on_its_cause(self, capsys):
-        # the direct series of the solution profile overflows to -inf at
-        # s = 0.6506; the kernel reports that total as not converged, so the
-        # router goes on to the connection formula, whose series stall, and
-        # the exit names them instead of a profile f = nan
+    def test_margin_residual_exit_is_named(self, capsys):
+        # at (160008, 80003) the margin's root in lambda leaves |margin|
+        # above MARGIN_TOL, below the margin's own error at this n; the
+        # exit names that step
         rc, out, err = run_cli(capsys, "analyze", "--n", "160008", "--k", "80003")
         assert (rc, out) == (2, "")
-        assert err == ("error: connection series stalled for (a,b,c,s)="
-                       "(80003.5,-0.5,40001.5,0.6506285419584766)\n")
+        assert err == ("error: margin root lambda1=-160006.57655781994 at (n,k)=(160008,80003) "
+                       "leaves residual 3.029e-09 above 1e-09\n")
 
 
 class TestTable:

@@ -16,13 +16,12 @@ from conelab.cone import (
     RootResult,
     StabilityReport,
     Verdict,
-    _cubic_root_in_s,
-    cubic_bound,
     find_root,
     illinois,
     indicial_roots,
     profile_g,
     profile_params,
+    refined_terminal_point,
     stability_margin,
     verdict,
 )
@@ -209,32 +208,45 @@ class TestFindRoot:
             # strictly decreasing along the sampled grid
             assert np.all(np.diff(vals) < 0)
 
-    def test_cubic_bound_majorizes(self):
-        for (n, k) in [(7, 1), (9, 4), (14, 9), (30, 20)]:
+    def test_upper_end_is_settled(self, monkeypatch):
+        # find_root's first evaluation is at s_up = min(2k/(n-1), s_ref),
+        # s_ref the refined terminal point; f there is negative outside its
+        # err_estimate on every cone with n <= 40 and on far cells of small
+        # d, and s_up stays (5 - 2 sqrt(5))/(2n) or more below 1, its
+        # distance at d = 2, up to the rounding of 1 - s_up (the series
+        # overflows near s = 1)
+        first = []
+        monkeypatch.setattr(conelab.cone, "hyp2f1",
+                            lambda hp, s: first.append(s) or hyp2f1(hp, s))
+        far = [(n, n - d) for n in (10 ** 4, 10 ** 5, 10 ** 6)
+               for d in (2, 3, 4, 5, 8, 20, 100)] + [(n, 3) for n in (10 ** 4, 10 ** 5, 10 ** 6)]
+        for (n, k) in [(n, k) for n in range(3, 41) for k in range(1, n - 1)] + far:
             p = ConeParams(n, k)
-            for t in np.linspace(0.01, 0.95, 100):
-                assert profile_g(p, 1.0, float(t)) <= cubic_bound(p, float(t)) + 1e-13
+            first.clear()
+            find_root(p)
+            s_up = min(2.0 * k / (n - 1.0), refined_terminal_point(p))
+            assert first[0] == s_up, (n, k)
+            F = hyp2f1(profile_params(p, 1.0), s_up)
+            assert F.value < -F.err_estimate, (n, k, F)
+            assert n * (1.0 - s_up) >= 2.5 - math.sqrt(5.0) - n * math.ulp(1.0), (n, k)
 
-    def test_cubic_root_closed_form(self):
-        # the real root in (0, 1] of 1 - a s - b s^2 - c s^3, or None where
-        # the bound stays positive at s = 1
-        for (n, k) in [(3, 1), (7, 1), (9, 4), (30, 20), (40, 1), (27, 20), (12, 10)]:
-            p = ConeParams(n, k)
-            a = (n - 1.0) / (2.0 * k)
-            b = (n * n - 1.0) / (8.0 * k * (k + 2.0))
-            c = (n * n - 1.0) * (n + 3.0) / (16.0 * k * (k + 2.0) * (k + 4.0))
-            real = [z.real for z in np.roots([-c, -b, -a, 1.0])
-                    if abs(z.imag) < 1e-9 and 0.0 < z.real <= 1.0]
-            if real:
-                assert abs(_cubic_root_in_s(p) - real[0]) <= 1e-14, (n, k)
-            else:
-                assert cubic_bound(p, 1.0) > 0.0
-                assert _cubic_root_in_s(p) is None, (n, k)
+    @pytest.mark.parametrize("n", [100000, 200000])
+    def test_far_d2_root_is_settled(self, n):
+        # d = 2 past the series' reach: the upper end once sat at
+        # s = 1 - 2e-9, where the profile overflowed, and the returned
+        # bracket's ends both lay inside their own err_estimate.  Now both
+        # ends are read outside it, and the root fits 1 - s ~ 0.39/n
+        p = ConeParams(n, n - 2)
+        r = find_root(p)
+        for s in r.s_bracket:
+            F = hyp2f1(profile_params(p, 1.0), s)
+            assert abs(F.value) > F.err_estimate, (s, F)
+        assert 1.0 - 1.0 / n < r.s_nk < refined_terminal_point(p)
 
     def test_evaluation_budget(self, monkeypatch):
-        # the upper end plus the steps from [0, s_up] cost at most 24 profile
+        # the upper end plus the steps from [0, s_up] cost at most 12 profile
         # evaluations per root on every cone with 3 <= n <= 40, and at most
-        # 20 on the cells k = 1 (mod 3) at n = 150, 400 and 1000
+        # 14 on the cells k = 1 (mod 3) at n = 150, 400 and 1000
         calls = []
 
         def counted(raw):
@@ -246,7 +258,7 @@ class TestFindRoot:
         monkeypatch.setattr(conelab.cone, "hyp2f1", counted(hyp2f1))
         small = [(n, k) for n in range(3, 41) for k in range(1, n - 1)]
         large = [(n, k) for n in (150, 400, 1000) for k in range(1, n - 1, 3)]
-        for cells, budget in ((small, 24), (large, 20)):
+        for cells, budget in ((small, 12), (large, 14)):
             worst = (0, (0, 0))
             for (n, k) in cells:
                 calls.clear()
@@ -283,10 +295,18 @@ class TestFindRoot:
         # lo + 0.165 (hi - lo)
         lo, hi = 63.0 / 64.0, 1.0
         f = lambda x: 0.05 - 1e30 * ((x - lo) / (hi - lo)) ** 40
-        x, residual, b_lo, b_hi = illinois(f, lo, f(lo), hi, f(hi))
-        assert residual == abs(f(x)) <= ROOT_F_TOL
-        assert b_lo <= x <= b_hi and f(b_lo) > 0.0 >= f(b_hi)
+        x, seen = solve(f, lo, hi)
+        assert abs(f(x)) <= ROOT_F_TOL
         assert abs(x - (lo + (hi - lo) * (0.05 / 1e30) ** (1.0 / 40.0))) <= 1e-14
+        # flat on one side and steep on the other: there Anderson &
+        # Bjoerck's weight alone crushes the far end's weight step after
+        # step (1,527,858, 543 and 336 evaluations on these three), and the
+        # bisection after four steps without halving bounds the work
+        assert len(seen) <= 40
+        for f, root in ((lambda x: 1.0 - math.exp(20.0 * (x - 0.5)), 0.5),
+                        (lambda x: 1e-3 - x ** 9, 0.1 ** (1.0 / 3.0))):
+            x, seen = solve(f, 0.0, 1.0)
+            assert len(seen) <= 40 and abs(x - root) <= 1e-15
         # f = -inf at the upper end, the s -> 1 limit: the chord is NaN, so
         # the first step bisects
         f = lambda x: -math.inf if x == 1.0 else 1.0 + math.log1p(-x)

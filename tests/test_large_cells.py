@@ -39,14 +39,15 @@ CAUSES = {
     "profile not finite": "profile_not_finite",
     "no sign change": "no_sign_change",
     "profile vanishes": "pole",
+    "leaves residual": "margin_residual",
 }
 
 # cells that sweeps found at fault: a steep root bracket (206,200) and
 # (1000,984), a threshold sign inside its bound (397,392), (400,393),
 # (1000,994) and (1000,997)
 FOUND_CELLS = ((206, 200), (397, 392), (400, 393), (1000, 984), (1000, 994), (1000, 997))
-# far out: a verdict at d = n/2 past the frontier, one at d = 3, and the
-# solution profile itself not finite
+# far out: a verdict at d = n/2 past the frontier, one at d = 3, and a
+# root whose margin root in lambda leaves a residual above MARGIN_TOL
 RANGE_ENDS = ((2500, 1250), (10000, 3), (100000, 50000))
 
 MPMATH_CELLS = (

@@ -14,11 +14,11 @@ from conelab.checks import (
     overshoot_forms,
     overshoot_terminal_point,
     phi_c_eval,
-    refined_terminal_point,
     root_bound_check,
 )
-from conelab.cone import ConeParams, find_root
+from conelab.cone import ConeParams, find_root, refined_terminal_point
 from conelab.errors import RangeUnsupported
+from conelab.specfun import EvalResult, Strategy
 
 
 def _root_at(monkeypatch, s):
@@ -165,19 +165,23 @@ class TestOvershoot:
         assert overshoot_check(ConeParams(200, 192)) is True
 
     def test_refined_band_decides_by_refined_point(self, monkeypatch):
-        # at (200,192), d = 8, the quadratic form ends at 0.97562 and the
-        # refined terminal point at 0.97812; between them only the refined
-        # form passes, and the check follows it
+        # at (200,192), d = 8, the quadratic form ends at 0.97562, below the
+        # root 0.97595, and the refined terminal point at 0.97812: only the
+        # refined claim holds.  find_root's upper end is that point, so its
+        # root lies below it by construction; the check reads the claim on
+        # the profile instead, which must be negative at s_ref outside its
+        # err_estimate
         pars = ConeParams(200, 192)
         s_quad, s_ref = overshoot_terminal_point(pars), refined_terminal_point(pars)
-        assert s_quad < s_ref
-        s = 0.5 * (s_quad + s_ref)
-        n, k = pars.n, pars.k
-        assert not (s < k / n or (n * s - k) ** 2 < 2.0 * n * (1.0 - s))
-        _root_at(monkeypatch, s)
+        s = find_root(pars).s_nk
+        assert s_quad < s < s_ref and not overshoot_forms(pars, s)[0]
         assert overshoot_check(pars) is True
-        _root_at(monkeypatch, math.nextafter(s_ref, 1.0))
-        assert overshoot_check(pars) is False
+        seen = []
+        for value, err, want in ((-1e-3, 1e-4, True), (-1e-3, 1e-3, False), (1e-3, 0.0, False)):
+            monkeypatch.setattr(checks, "hyp2f1", lambda hp, x: seen.append(x) or EvalResult(
+                value, err, 1, Strategy.DIRECT_SERIES))
+            assert overshoot_check(pars) is want
+        assert seen == [s_ref] * 3
 
     def test_form_equivalence(self):
         rng = np.random.default_rng(4)

@@ -13,10 +13,9 @@ from conelab.checks import (
     barrier_phi,
     linear_root_relation,
     overshoot_terminal_point,
-    refined_terminal_point,
     verify_barrier,
 )
-from conelab.cone import ConeParams, L_direct, check_4_minus_n, find_root
+from conelab.cone import ConeParams, L_direct, check_4_minus_n, find_root, refined_terminal_point
 from conelab.errors import PoleEncounteredError, VariantUnavailableError
 from oracles import Mode, chained_shot
 

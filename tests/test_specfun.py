@@ -156,6 +156,16 @@ class TestHyp2f1:
                            match="log-case finite sum needs 40001 terms, above 40000, at s="):
             hyp2f1(HypParams(1.5, -0.5, 40002.0), 0.995)
 
+    def test_overflowed_series_exits_on_its_cause(self):
+        # the direct series of 2F1(80003.5, -1/2; 40001.5; 0.6506) overflows
+        # to -inf; the kernel reports that total as not converged, so the
+        # router goes on to the connection formula, whose series stall, and
+        # the error names them instead of returning f = nan
+        with pytest.raises(NonConvergenceError,
+                           match=r"^connection series stalled for \(a,b,c,s\)="
+                                 r"\(80003\.5,-0\.5,40001\.5,0\.6506285419584766\)$"):
+            hyp2f1(HypParams(80003.5, -0.5, 40001.5), 0.6506285419584766)
+
     def test_strategy_bookkeeping(self):
         assert hyp2f1(HypParams(2.0, 1.0, 3.0), 0.3).strategy is Strategy.DIRECT_SERIES
         # c - a nonpositive integer beyond the switch point: Euler transform
