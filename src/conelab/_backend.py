@@ -1,6 +1,8 @@
-"""Kernel backend selection for the three hot kernels: hyp2f1_series (the
-Gauss series), robin_shoot (the link ODE shot) and L_fraction (the
-continued fraction behind cone.L_direct).
+"""Kernel backend selection for the five hot kernels: hyp2f1_series (the
+Gauss series), robin_shoot (the link ODE shot), L_fraction (the
+continued fraction behind cone.L_direct), ts_terms (the tanh-sinh nodes
+of specfun.hyp2f1_integral) and barrier_residual (the curved residual of
+checks.verify_barrier).
 
 The compiled extension (conelab._kernels, built from the hand-written
 _kernels.c when a C compiler is available) is preferred; the pure-Python
@@ -24,3 +26,5 @@ BACKEND_NAME: str = kernels.BACKEND
 hyp2f1_series = kernels.hyp2f1_series
 robin_shoot = kernels.robin_shoot
 L_fraction = kernels.L_fraction
+ts_terms = kernels.ts_terms
+barrier_residual = kernels.barrier_residual

@@ -1,5 +1,7 @@
 /* Compiled hot kernels: hypergeometric series summation, the Robin
- * shooting integrator and the continued fraction of the log-derivative L.
+ * shooting integrator, the continued fraction of the log-derivative L, the
+ * tanh-sinh terms of the Euler integral and the comparison barrier's
+ * curved residual.
  * conelab._pykernels mirrors this file statement for statement, so the two
  * backends produce the same floating-point results; keep the two in sync.
  * Build with -ffp-contract=off: a fused multiply-add rounds differently
@@ -7,6 +9,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <errno.h>
 #include <math.h>
 
 /* Python's max(a, b) and min(a, b): the first argument wins ties and NaNs */
@@ -523,6 +526,157 @@ done:
     return result;
 }
 
+/* The checks CPython's math module makes around one libm call r = f(x): a
+ * NaN from a non-NaN x is a ValueError, an infinity from a finite x an
+ * OverflowError where f can overflow, else a ValueError */
+static int
+math_check(double x, double r, int can_overflow)
+{
+    if (isnan(r) && !isnan(x))
+        PyErr_SetString(PyExc_ValueError, "math domain error");
+    else if (isinf(r) && isfinite(x))
+        PyErr_SetString(can_overflow ? PyExc_OverflowError : PyExc_ValueError,
+                        can_overflow ? "math range error" : "math domain error");
+    else
+        return 0;
+    return -1;
+}
+
+/* r = f(x) as math.f(x) computes it, or leave through done */
+#define MATH(r, f, x, can_overflow)                         \
+    do {                                                    \
+        double arg_ = (x);                                  \
+        r = f(arg_);                                        \
+        if (math_check(arg_, r, can_overflow) < 0)          \
+            goto done;                                      \
+    } while (0)
+
+PyDoc_STRVAR(ts_terms_doc,
+"ts_terms(a, b, cb, s, xs)\n\n"
+"Tanh-sinh terms of the Euler integral of 2F1(a, b; b + cb; s) at the\n"
+"nodes -x and +x of each x >= 0 in xs, where u = (1 + tanh(pi/2 sinh x))/2\n"
+"is w and 1 - w, w = 1/(1 + exp(pi sinh x)): the integrand\n"
+"pi cosh x u^b (1-u)^cb (1-us)^(-a) at both, taken through logarithms so\n"
+"neither end cancels.\n\n"
+"Returns (values, weights): per x the sum of both terms, and the sum of\n"
+"|term| (|log term| + 8), which bounds their rounding in units of 2^-53.\n"
+"Raises as the math module does where a libm call leaves its range.");
+
+static PyObject *
+ts_terms(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double p[4];
+    PyObject *xs, *values = NULL, *weights = NULL, *result = NULL;
+    Py_ssize_t i, n;
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "ts_terms() takes exactly 5 arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    for (i = 0; i < 4; i++) {
+        p[i] = PyFloat_AsDouble(args[i]);
+        if (p[i] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    const double a = p[0], b = p[1], cb = p[2], s = p[3], one_ms = 1.0 - s;
+    xs = PySequence_Fast(args[4], "ts_terms() needs a sequence of nodes");
+    if (xs == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(xs);
+    values = PyList_New(n);
+    weights = PyList_New(n);
+    if (values == NULL || weights == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        double x = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(xs, i));
+        double q, e, log_1mw, ch, jac, l1, l2, v_left, v_right;
+        PyObject *v, *r;
+        if (x == -1.0 && PyErr_Occurred())
+            goto done;
+        MATH(q, sinh, x, 1);
+        q = Py_MATH_PI * q;
+        MATH(e, exp, -q, 1);
+        MATH(log_1mw, log1p, e, 0);
+        log_1mw = -log_1mw;
+        const double log_w = log_1mw - q;
+        const double w = e / (1.0 + e);
+        MATH(ch, cosh, x, 1);
+        MATH(jac, log, Py_MATH_PI * ch, 0);
+        MATH(l1, log1p, -s * w, 0);
+        const double left = jac + b * log_w + cb * log_1mw - a * l1;
+        MATH(l2, log, one_ms + s * w, 0);
+        const double right = jac + b * log_1mw + cb * log_w - a * l2;
+        MATH(v_left, exp, left, 1);
+        MATH(v_right, exp, right, 1);
+        v = PyFloat_FromDouble(v_left + v_right);
+        r = PyFloat_FromDouble(v_left * (fabs(left) + 8.0) + v_right * (fabs(right) + 8.0));
+        if (v == NULL || r == NULL) {
+            Py_XDECREF(v);
+            Py_XDECREF(r);
+            goto done;
+        }
+        PyList_SET_ITEM(values, i, v);
+        PyList_SET_ITEM(weights, i, r);
+    }
+    result = PyTuple_Pack(2, values, weights);
+done:
+    Py_XDECREF(values);
+    Py_XDECREF(weights);
+    Py_DECREF(xs);
+    return result;
+}
+
+PyDoc_STRVAR(barrier_residual_doc,
+"barrier_residual(n, k, s_star, r_minus, r_plus, delta, s_end, grid)\n\n"
+"Largest R[phi] = (ns - k - B) phi(s) + P(s) - C over the grid-point\n"
+"Chebyshev grid of [k/n, s_end], for the curved piece of the comparison\n"
+"barrier at alpha = 4 - n: B = -(r- + r+) and C = r- r+, the\n"
+"P(s) = (n-2k) s + ahat s (1-s) + (k-1) of ahat = 2(4-n), and\n"
+"phi = r+ r- (Q - 1) / (r+ Q - r-), Q = (q0 (1-s)/s)^(sqrt(delta)/2),\n"
+"q0 = s_star / (1 - s_star).  Needs 0 < k/n <= s_end < s_star < 1, as\n"
+"checks.verify_barrier ensures, and grid >= 2 (else ValueError).");
+
+static PyObject *
+barrier_residual(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double p[7];
+    long grid, j;
+    if (parse_args("barrier_residual", args, nargs, 7, p, &grid) < 0)
+        return NULL;
+    const double n = p[0], k = p[1], s_star = p[2], r_minus = p[3], r_plus = p[4];
+    const double delta = p[5], s_end = p[6];
+    if (grid < 2) {
+        PyErr_Format(PyExc_ValueError, "barrier grid needs 2 points or more, got %ld", grid);
+        return NULL;
+    }
+    const double B = -(r_minus + r_plus), C = r_minus * r_plus;
+    const double q0 = s_star / (1.0 - s_star), expo = 0.5 * sqrt(delta);
+    const double ahat = 2.0 * (4.0 - n), lo = k / n;
+    double best = 0.0;
+    for (j = 0; j < grid; j++) {
+        double s = lo + (s_end - lo) * 0.5 * (1.0 - cos(Py_MATH_PI * j / (double)(grid - 1)));
+        double base = q0 * (1.0 - s) / s;
+        /* float ** float: pow() for the positive base, with its overflow
+         * an OverflowError */
+        double qs = pow(base, expo);
+        if (isinf(qs) && isfinite(base) && isfinite(expo)) {
+            errno = ERANGE;
+            return PyErr_SetFromErrno(PyExc_OverflowError);
+        }
+        double den = r_plus * qs - r_minus;
+        if (den == 0.0) {
+            PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+            return NULL;
+        }
+        double phi = r_plus * r_minus * (qs - 1.0) / den;
+        double res = (n * s - k - B) * phi + ((n - 2.0 * k) * s + ahat * s * (1.0 - s)
+                                              + (k - 1.0)) - C;
+        if (j == 0 || res > best)
+            best = res;
+    }
+    return PyFloat_FromDouble(best);
+}
+
 static PyMethodDef kernel_methods[] = {
     {"hyp2f1_series", (PyCFunction)(void (*)(void))hyp2f1_series, METH_FASTCALL,
      hyp2f1_series_doc},
@@ -530,6 +684,9 @@ static PyMethodDef kernel_methods[] = {
      robin_shoot_doc},
     {"L_fraction", (PyCFunction)(void (*)(void))L_fraction, METH_FASTCALL,
      L_fraction_doc},
+    {"ts_terms", (PyCFunction)(void (*)(void))ts_terms, METH_FASTCALL, ts_terms_doc},
+    {"barrier_residual", (PyCFunction)(void (*)(void))barrier_residual, METH_FASTCALL,
+     barrier_residual_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,6 +1,7 @@
 """Pure-Python fallback for the compiled kernels (conelab._kernels): the
-hypergeometric series, the Robin shooting integrator and the continued
-fraction of the log-derivative L.
+hypergeometric series, the Robin shooting integrator, the continued
+fraction of the log-derivative L, the tanh-sinh terms of the Euler
+integral and the curved residual of the comparison barrier.
 
 Mirrors the C source (_kernels.c) statement for statement so the two
 backends produce the same floating-point results; keep the two in sync.
@@ -8,7 +9,7 @@ Squares are written as products: Python's x ** 2 calls pow(), which can
 differ from x * x in the last bit.
 """
 
-from math import fabs, inf, isfinite, log, sqrt
+from math import cos, cosh, exp, fabs, inf, isfinite, log, log1p, pi, sinh, sqrt
 
 BACKEND = "python"
 
@@ -237,3 +238,59 @@ def L_fraction(A, B, c, k, ss, cf_tol, max_terms):
                 return out, (s, L.real, 2 * half)
         out.append(L.real)
     return out, None
+
+
+def ts_terms(a, b, cb, s, xs):
+    """Tanh-sinh terms of the Euler integral of 2F1(a, b; b + cb; s) at the
+    nodes -x and +x of each x >= 0 in xs, where u = (1 + tanh(pi/2 sinh x))/2
+    is w and 1 - w, w = 1/(1 + exp(pi sinh x)): the integrand
+    pi cosh x u^b (1-u)^cb (1-us)^(-a) at both, taken through logarithms so
+    neither end cancels.
+
+    Returns (values, weights): per x the sum of both terms, and the sum of
+    |term| (|log term| + 8), which bounds their rounding in units of 2^-53.
+    Raises as the math module does where a libm call leaves its range.
+    """
+    one_ms = 1.0 - s
+    values, weights = [], []
+    for x in xs:
+        q = pi * sinh(x)
+        e = exp(-q)
+        log_1mw = -log1p(e)
+        log_w = log_1mw - q
+        w = e / (1.0 + e)
+        jac = log(pi * cosh(x))
+        left = jac + b * log_w + cb * log_1mw - a * log1p(-s * w)
+        right = jac + b * log_1mw + cb * log_w - a * log(one_ms + s * w)
+        v_left, v_right = exp(left), exp(right)
+        values.append(v_left + v_right)
+        weights.append(v_left * (abs(left) + 8.0) + v_right * (abs(right) + 8.0))
+    return values, weights
+
+
+def barrier_residual(n, k, s_star, r_minus, r_plus, delta, s_end, grid):
+    """Largest R[phi] = (ns - k - B) phi(s) + P(s) - C over the grid-point
+    Chebyshev grid of [k/n, s_end], for the curved piece of the comparison
+    barrier at alpha = 4 - n: B = -(r- + r+) and C = r- r+, the
+    P(s) = (n-2k) s + ahat s (1-s) + (k-1) of ahat = 2(4-n), and
+    phi = r+ r- (Q - 1) / (r+ Q - r-), Q = (q0 (1-s)/s)^(sqrt(delta)/2),
+    q0 = s_star / (1 - s_star).  Needs 0 < k/n <= s_end < s_star < 1, as
+    checks.verify_barrier ensures, and grid >= 2 (else ValueError).
+    """
+    if grid < 2:
+        raise ValueError(f"barrier grid needs 2 points or more, got {grid}")
+    B = -(r_minus + r_plus)
+    C = r_minus * r_plus
+    q0 = s_star / (1.0 - s_star)
+    expo = 0.5 * sqrt(delta)
+    ahat = 2.0 * (4.0 - n)
+    lo = k / n
+    best = 0.0
+    for j in range(grid):
+        s = lo + (s_end - lo) * 0.5 * (1.0 - cos(pi * j / (grid - 1)))
+        qs = (q0 * (1.0 - s) / s) ** expo
+        phi = r_plus * r_minus * (qs - 1.0) / (r_plus * qs - r_minus)
+        res = (n * s - k - B) * phi + ((n - 2.0 * k) * s + ahat * s * (1.0 - s) + (k - 1.0)) - C
+        if j == 0 or res > best:
+            best = res
+    return best

@@ -19,7 +19,7 @@ import math
 import random
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from conelab._backend import robin_shoot
+from conelab._backend import barrier_residual, robin_shoot
 from conelab.cone import (ConeParams, L_direct, check_4_minus_n, find_root, profile_g,
                           profile_params, refined_terminal_point, stability_margin)
 from conelab.errors import (IntegrationFailure, PoleEncounteredError, RangeUnsupported,
@@ -603,12 +603,12 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     Checks, on Chebyshev grids per smooth piece: the subsolution residual
     R[phi] < 0, the comparison L - phi >= -1e-9 and the payoff
     L(s_star) > 0 (comparison_passed), and with them the decreasing jump
-    at k/n, jump_left > jump_right (passed).
+    at k/n, jump_left > jump_right (passed).  The curved piece's residual
+    over its BARRIER_GRID points runs in the barrier_residual kernel; the
+    linear piece, the jump, the L - phi sample and the payoff stay here.
     """
     s_star, roots, delta, phi = barrier_phi(p)
     n, k = float(p.n), float(p.k)
-    B_const = -(roots[0] + roots[1])
-    C_const = roots[0] * roots[1]
 
     def cheb(lo: float, hi: float, js) -> List[float]:
         """Points j of the BARRIER_GRID-point Chebyshev grid of [lo, hi]."""
@@ -624,16 +624,15 @@ def verify_barrier(p: ConeParams) -> BarrierReport:
     # monotone in s, so its largest value on the grid is at an end
     lin_lo, lin_hi = k / n * 1e-9, k / n * (1.0 - 1e-12)
     res_lin = max(2.0 * s * (k - n + 4.0) for s in cheb(lin_lo, lin_hi, (0, BARRIER_GRID - 1)))
-    # curved piece: R[phi] = (ns - k - B) phi + (P(s) - C)
-    cur = cheb(k / n, s_star - (s_star - k / n) * 1e-9, range(BARRIER_GRID))
-    res_cur = max((n * s - k - B_const) * phi(s) + P_poly(p, 2.0 * (4.0 - n), s) - C_const
-                  for s in cur)
+    # curved piece: R[phi] = (ns - k - B) phi + (P(s) - C), by the kernel
+    s_end = s_star - (s_star - k / n) * 1e-9
+    res_cur = barrier_residual(n, k, s_star, roots[0], roots[1], delta, s_end, BARRIER_GRID)
 
     jump_left = 4.0 * k / n - 1.0
     jump_right = phi(k / n)
 
-    step = BARRIER_GRID // 64
-    sample = cheb(lin_lo, lin_hi, range(0, BARRIER_GRID, step)) + cur[::step]
+    every = range(0, BARRIER_GRID, BARRIER_GRID // 64)
+    sample = cheb(lin_lo, lin_hi, every) + cheb(k / n, s_end, every)
     *L_sample, L_star = L_direct(p, alpha, sample + [s_star])
     l_minus_phi = min(L - phi(s) for s, L in zip(sample, L_sample))
 

@@ -213,10 +213,11 @@ def find_root(p: ConeParams) -> RootResult:
     hp = profile_params(p, 1.0)
 
     def F(s: float) -> float:
-        v = hyp2f1(hp, s).value
+        v, err, _, strategy = hyp2f1(hp, s)
         if math.isnan(v) or v == math.inf:  # -inf is the s -> 1 limit
             raise NonConvergenceError(
-                f"profile not finite at s={s} for (n,k)=({n},{k}): f = {v!r}")
+                f"profile not finite at s={s} for (n,k)=({n},{k}): f = {v!r} +- {err!r} "
+                f"by {strategy.value} at (a,b,c)=({hp.a},{hp.b},{hp.c})", value=v)
         return v
 
     f_up = F(s_up)

@@ -30,7 +30,7 @@ import math
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Tuple
 
-from conelab._backend import hyp2f1_series as _series_kernel
+from conelab._backend import hyp2f1_series as _series_kernel, ts_terms as _ts_terms
 from conelab.errors import DomainError, NonConvergenceError, PoleError
 
 __all__ = [
@@ -518,54 +518,39 @@ def hyp2f1_integral(p: HypParams, s: float) -> EvalResult:
     most TS_X_MAX, whose terms fall below 1e-20 of the sum so far; the step
     h = 2^-L halves per level on the nodes inside that cut until two levels
     agree to 1e-13.  The error estimate is their difference plus the
-    outermost terms, which bound the truncation.
+    outermost terms, which bound the truncation.  The terms at each node
+    pair come from the ts_terms kernel; the levels, the cut and the sums
+    stay here.  Raises DomainError unless b and c are finite with
+    c > b > 0 and s is finite and below 1.
     """
     a, b, c = p.a, p.b, p.c
-    if not c > b > 0.0:
-        raise DomainError(f"integral representation needs c > b > 0, got b={b}, c={c}")
-    if s >= 1.0:
-        raise DomainError("integral representation needs s < 1")
-    cb, one_ms = c - b, 1.0 - s
-
-    def pair(x: float) -> Tuple[float, float]:
-        # the nodes -x and +x, x >= 0, where u is w and 1 - w; returns the
-        # sum of both terms and of |term| (|log term| + 8), which bounds
-        # their rounding in units of 2^-53
-        q = math.pi * math.sinh(x)
-        e = math.exp(-q)
-        log_1mw = -math.log1p(e)
-        log_w = log_1mw - q
-        w = e / (1.0 + e)
-        jac = math.log(math.pi * math.cosh(x))
-        left = jac + b * log_w + cb * log_1mw - a * math.log1p(-s * w)
-        right = jac + b * log_1mw + cb * log_w - a * math.log(one_ms + s * w)
-        v_left, v_right = math.exp(left), math.exp(right)
-        return v_left + v_right, v_left * (abs(left) + 8.0) + v_right * (abs(right) + 8.0)
-
-    def level_sum(terms) -> Tuple[float, float]:
-        return math.fsum(t[0] for t in terms), math.fsum(t[1] for t in terms)
+    if not (c > b > 0.0 and math.isfinite(c)):
+        raise DomainError(f"integral representation needs finite c > b > 0, got b={b}, c={c}")
+    if not -math.inf < s < 1.0:
+        raise DomainError(f"integral representation needs a finite s < 1, got s={s}")
+    cb = c - b
 
     # level 0: h = 1 on the integers, out to the first x whose pair term is
     # below 1e-20 of the running sum (TS_X_MAX at most); every later level
     # adds the odd multiples of the halved step inside that cut
-    v0, r0 = pair(0.0)
-    terms = [(0.5 * v0, 0.5 * r0)]
+    (v0,), (r0,) = _ts_terms(a, b, cb, s, (0.0,))
+    values, weights = [0.5 * v0], [0.5 * r0]
     run, x_cut = 0.5 * v0, 0
     while x_cut < int(TS_X_MAX):
         x_cut += 1
-        terms.append(pair(float(x_cut)))
-        run += terms[-1][0]
-        if terms[-1][0] < 1e-20 * run:
+        (v,), (r,) = _ts_terms(a, b, cb, s, (float(x_cut),))
+        values.append(v)
+        weights.append(r)
+        run += v
+        if v < 1e-20 * run:
             break
-    total, rounds = level_sum(terms)
+    total, rounds = math.fsum(values), math.fsum(weights)
     h, val = 1.0, total
     for _ in range(TS_MAX_LEVEL):
         h *= 0.5
-        odd = [j * h for j in range(1, int(x_cut / h) + 1, 2)]
-        level = [pair(x) for x in odd]
-        add, add_r = level_sum(level)
-        total, rounds = total + add, rounds + add_r
-        edge = level[-1][0]
+        values, weights = _ts_terms(a, b, cb, s, [j * h for j in range(1, int(x_cut / h) + 1, 2)])
+        total, rounds = total + math.fsum(values), rounds + math.fsum(weights)
+        edge = values[-1]
         diff, val = abs(h * total - val), h * total
         if diff <= 1e-13 * val:
             break

@@ -181,6 +181,100 @@ def test_fraction_kernel_bit_identical_on_seeded_draws(_kernels):
     assert got == _pykernels.L_fraction(*args) and got[0][0] == 4.0 and got[1] is None
 
 
+def _ts_nodes():
+    """The nodes of every level of specfun.hyp2f1_integral out to its
+    widest cut: the integers of level 0, then the odd multiples of 2^-L."""
+    from conelab.specfun import TS_MAX_LEVEL, TS_X_MAX
+    x_max = int(TS_X_MAX)
+    nodes = [float(x) for x in range(x_max + 1)]
+    for level in range(1, TS_MAX_LEVEL + 1):
+        h = 0.5 ** level
+        nodes += [j * h for j in range(1, int(x_max / h) + 1, 2)]
+    return nodes
+
+
+def _outcome(kernel, *args):
+    """What a kernel returns, or the type and message of what it raises."""
+    try:
+        return kernel(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_ts_kernel_bit_identical_on_seeded_draws(_kernels):
+    # the verify suite's 200 draws, then wider ones: s near 1, negative s
+    # and large |a|, where exp overflows and both kernels raise alike
+    nodes = _ts_nodes()
+    rng = random.Random(20260214)
+    draws = []
+    for _ in range(200):
+        b = rng.uniform(0.2, 4.0)
+        c = b + rng.uniform(0.2, 4.0)
+        draws.append((rng.uniform(-2.0, 5.0), b, c - b, rng.uniform(0.0, 0.95)))
+    rng = random.Random(20261021)
+    for _ in range(400):
+        a = rng.choice([rng.uniform(-5.0, 10.0), rng.uniform(-3000.0, 3000.0)])
+        s = rng.choice([rng.uniform(-20.0, 0.0), rng.uniform(0.0, 1.0),
+                        1.0 - 10.0 ** rng.uniform(-15.0, -2.0)])
+        draws.append((a, rng.uniform(1e-3, 30.0), rng.uniform(1e-3, 30.0), s))
+    raised = 0
+    for a, b, cb, s in draws:
+        got = _outcome(_kernels.ts_terms, a, b, cb, s, nodes)
+        want = _outcome(_pykernels.ts_terms, a, b, cb, s, nodes)
+        assert type(got) is tuple and len(got) == 2
+        if isinstance(got[0], type):
+            raised += 1
+            assert got == want, (a, b, cb, s)
+        else:
+            assert all(_same(x, y) for x, y in zip(got, want)), (a, b, cb, s)
+    assert 10 <= raised <= 300, raised
+
+
+def _barrier_cells():
+    """The verify suite's 36 cells, then n up to 3000 and d = 6..59."""
+    from conelab.checks import BARRIER_D, BARRIER_N
+    rng = random.Random(20261022)
+    cells = [(n, d) for n in BARRIER_N for d in BARRIER_D]
+    cells += [(rng.randint(61, 3000), rng.randint(6, 59)) for _ in range(300)]
+    return cells
+
+
+def test_barrier_kernel_bit_identical_on_seeded_draws(_kernels):
+    # both kernels against each other and against the residual as
+    # verify_barrier wrote it before the kernel: barrier_phi's phi and
+    # P_poly on the Chebyshev grid of [k/n, s_end]
+    from conelab.checks import BARRIER_GRID, P_poly, barrier_phi
+    from conelab.cone import ConeParams
+    from conelab.errors import VariantUnavailableError
+    checked = 0
+    for n, d in _barrier_cells():
+        p = ConeParams(n, n - d)
+        try:
+            s_star, (r_minus, r_plus), delta, phi = barrier_phi(p)
+        except VariantUnavailableError:
+            continue
+        k = float(p.k)
+        s_end = s_star - (s_star - k / n) * 1e-9
+        args = (float(n), k, s_star, r_minus, r_plus, delta, s_end, BARRIER_GRID)
+        got = _kernels.barrier_residual(*args)
+        assert _same((got,), (_pykernels.barrier_residual(*args),)), (n, d)
+        grid = [k / n + (s_end - k / n) * 0.5 * (1.0 - math.cos(math.pi * j / (BARRIER_GRID - 1)))
+                for j in range(BARRIER_GRID)]
+        assert got == max((n * s - k + (r_minus + r_plus)) * phi(s)
+                          + P_poly(p, 2.0 * (4.0 - n), s) - r_minus * r_plus
+                          for s in grid), (n, d)
+        checked += 1
+    assert checked >= 300, checked
+
+
+@pytest.mark.parametrize("grid", [1, 0, -5])
+def test_barrier_kernel_needs_two_points(_kernels, grid):
+    args = (200.0, 160.0, 0.9, -3.0, -1.0, 4.0, 0.85, grid)
+    for kernels in (_kernels, _pykernels):
+        with pytest.raises(ValueError, match="2 points or more"):
+            kernels.barrier_residual(*args)
+
+
 @pytest.mark.parametrize("name, args", [
     ("hyp2f1_series", (1.0, 1.0, 1.0, 0.5, 1e-15, 1e-280)),
     ("hyp2f1_series", (1.0, 1.0, "1", 0.5, 1e-15, 1e-280, 100)),
@@ -191,6 +285,15 @@ def test_fraction_kernel_bit_identical_on_seeded_draws(_kernels):
     ("L_fraction", (1j, 1.0, 0.5, 1, ["0.5"], 1e-13, 100)),
     ("L_fraction", (1.0, 1.0, 0.5, 1, 0.5, 1e-13, 100)),
     ("L_fraction", (1.0, 1.0, 0.5, 1, [0.5], 1e-13, 100.0)),
+    ("ts_terms", (1.0, 1.0, 1.0, 0.5)),
+    ("ts_terms", (1.0, 1.0, 1.0, 0.5, [0.0], 1)),
+    ("ts_terms", (1.0, "1", 1.0, 0.5, [0.0])),
+    ("ts_terms", (1.0, 1.0, 1.0, 0.5, 0.0)),
+    ("ts_terms", (1.0, 1.0, 1.0, 0.5, ["0.5"])),
+    ("barrier_residual", (200.0, 160.0, 0.9, -3.0, -1.0, 4.0, 0.85)),
+    ("barrier_residual", (200.0, 160.0, 0.9, -3.0, -1.0, 4.0, 0.85, 512, 0)),
+    ("barrier_residual", (200.0, 160.0, "0.9", -3.0, -1.0, 4.0, 0.85, 512)),
+    ("barrier_residual", (200.0, 160.0, 0.9, -3.0, -1.0, 4.0, 0.85, 512.0)),
 ])
 def test_kernel_argument_errors(_kernels, name, args):
     with pytest.raises(TypeError):

@@ -132,6 +132,16 @@ class TestAnalyze:
                        "leaves residual 3.029e-09 above 1e-09\n")
 
 
+    def test_nan_profile_exit_is_named(self, capsys):
+        # the root solve meets a NaN from the connection formula; the exit
+        # names where, the strategy and the parameters, and prints no row
+        rc, out, err = run_cli(capsys, "analyze", "--n", "160008", "--k", "144006")
+        assert (rc, out) == (2, "")
+        assert err == ("error: profile not finite at s=0.9008052394776422 for "
+                       "(n,k)=(160008,144006): f = nan +- nan by ConnectionAt1 at "
+                       "(a,b,c)=(80003.5,-0.5,72003.0)\n")
+
+
 class TestTable:
     def test_csv_shape(self, capsys):
         rc, out, _ = run_cli(capsys, "table", "--n", "7", "7", "--format", "csv")

@@ -275,6 +275,16 @@ class TestFindRoot:
                            match=r"profile not finite at s=.* \(n,k\)=\(7,1\): f = "):
             find_root(ConeParams(7, 1))
 
+    def test_nan_profile_names_its_evaluation(self):
+        # at (160008, 144006) the connection formula's two terms overflow
+        # and cancel at s = 0.9008 (c-a-b = -8000), where the direct series
+        # reads f(0.9) = 0.0199; the exit names the strategy and (a,b,c)
+        with pytest.raises(NonConvergenceError) as info:
+            find_root(ConeParams(160008, 144006))
+        assert str(info.value) == (
+            "profile not finite at s=0.9008052394776422 for (n,k)=(160008,144006): "
+            "f = nan +- nan by ConnectionAt1 at (a,b,c)=(80003.5,-0.5,72003.0)")
+
     def test_steep_bracket_bisects(self):
         def solve(f, lo, hi):
             # illinois on [lo, hi], checked for its invariants; the root and

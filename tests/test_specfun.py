@@ -368,6 +368,14 @@ class TestIntegralOracle:
         with pytest.raises(DomainError):
             hyp2f1_integral(HypParams(1.0, 3.0, 2.0), 0.3)
 
+    @pytest.mark.parametrize("b, c, s", [(1.5, 2.5, math.nan), (1.5, 2.5, -math.inf),
+                                         (1.5, math.inf, 0.3), (math.inf, math.inf, 0.3)],
+                             ids=["s_nan", "s_minus_inf", "c_inf", "b_inf"])
+    def test_domain_non_finite(self, b, c, s):
+        # these returned NaN; hyp2f1 refuses them too
+        with pytest.raises(DomainError):
+            hyp2f1_integral(HypParams(1.0, b, c), s)
+
     @pytest.mark.parametrize("a,b,c,s", [
         (0.8, 1.2, 2.5, -0.6),  # negative argument
         (1.0, 0.2, 0.4, 0.9),  # b = 0.2: a window of 4 would miss by 4.7e-8
