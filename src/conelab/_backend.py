@@ -1,8 +1,9 @@
-"""Kernel backend selection for the five hot kernels: hyp2f1_series (the
+"""Kernel backend selection for the six hot kernels: hyp2f1_series (the
 Gauss series), robin_shoot (the link ODE shot), L_fraction (the
 continued fraction behind cone.L_direct), ts_terms (the tanh-sinh nodes
-of specfun.hyp2f1_integral) and barrier_residual (the curved residual of
-checks.verify_barrier).
+of specfun.hyp2f1_integral), barrier_residual (the curved residual of
+checks.verify_barrier) and illinois (the root solver of cone.find_root
+and cone.verdict).
 
 The compiled extension (conelab._kernels, built from the hand-written
 _kernels.c when a C compiler is available) is preferred; the pure-Python
@@ -28,3 +29,4 @@ robin_shoot = kernels.robin_shoot
 L_fraction = kernels.L_fraction
 ts_terms = kernels.ts_terms
 barrier_residual = kernels.barrier_residual
+illinois = kernels.illinois

@@ -1,7 +1,7 @@
-/* Compiled hot kernels: hypergeometric series summation, the Robin
- * shooting integrator, the continued fraction of the log-derivative L, the
- * tanh-sinh terms of the Euler integral and the comparison barrier's
- * curved residual.
+/* The six compiled hot kernels: hypergeometric series summation, the
+ * Robin shooting integrator, the continued fraction of the log-derivative
+ * L, the tanh-sinh terms of the Euler integral, the comparison barrier's
+ * curved residual and the root solver illinois.
  * conelab._pykernels mirrors this file statement for statement, so the two
  * backends produce the same floating-point results; keep the two in sync.
  * Build with -ffp-contract=off: a fused multiply-add rounds differently
@@ -68,6 +68,64 @@ tail_bound(double a, double b, double c, double s, double i, double nxt)
     return nxt / (1.0 - q);
 }
 
+/* One series sum: what hyp2f1_series returns */
+typedef struct {
+    double value, err;
+    long terms;
+    int converged;
+} SeriesSum;
+
+static SeriesSum
+series_sum(double a, double b, double c, double s, double rel_tol, double abs_tol,
+           long max_terms)
+{
+    SeriesSum r = {1.0, 0.0, 0, 1};
+    double term = 1.0;
+    double total = 1.0;
+    double comp = 0.0;
+    /* sum of |term| times its rounding count (8 per step, 2 in the sum),
+     * in units of 2^-53; 1.12e-16 leaves 1% for higher orders */
+    double rounds = 2.0;
+    long m;
+    if (s == 0.0)
+        return r;
+    for (m = 0; m < max_terms; m++) {
+        term = term * ((a + m) * (b + m) / ((c + m) * (m + 1.0)) * s);
+        double y = term - comp;
+        double tnew = total + y;
+        comp = (tnew - total) - y;
+        total = tnew;
+        rounds += (8.0 * m + 10.0) * fabs(term);
+        if (term == 0.0) {
+            /* terminating series (a or b a nonpositive integer) */
+            r.err = 1.12e-16 * rounds;
+            break;
+        }
+        double tol = PYMAX(abs_tol, rel_tol * fabs(total));
+        if (fabs(term) <= tol) {
+            double ratio_next = (a + m + 1.0) * (b + m + 1.0) / ((c + m + 1.0) * (m + 2.0)) * s;
+            double nxt = fabs(term * ratio_next);
+            if (nxt <= tol) {
+                r.err = tail_bound(a, b, c, s, m + 2.0, nxt) + 1.12e-16 * rounds;
+                break;
+            }
+        }
+    }
+    r.value = total;
+    if (m < max_terms) {
+        /* an infinite total clears every tolerance, so both exits report
+         * a total that is not finite as not converged */
+        r.terms = m + 1;
+        r.converged = isfinite(total);
+    }
+    else {
+        r.err = fabs(term) + 1.12e-16 * rounds;
+        r.terms = max_terms;
+        r.converged = 0;
+    }
+    return r;
+}
+
 PyDoc_STRVAR(hyp2f1_series_doc,
 "hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms)\n\n"
 "Sum the Gauss series sum_m (a)_m (b)_m / ((c)_m m!) s^m.\n\n"
@@ -83,44 +141,11 @@ static PyObject *
 hyp2f1_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     double p[6];
-    long max_terms, m;
+    long max_terms;
     if (parse_args("hyp2f1_series", args, nargs, 6, p, &max_terms) < 0)
         return NULL;
-    const double a = p[0], b = p[1], c = p[2], s = p[3];
-    const double rel_tol = p[4], abs_tol = p[5];
-    double term = 1.0;
-    double total = 1.0;
-    double comp = 0.0;
-    /* sum of |term| times its rounding count (8 per step, 2 in the sum),
-     * in units of 2^-53; 1.12e-16 leaves 1% for higher orders */
-    double rounds = 2.0;
-    if (s == 0.0)
-        return Py_BuildValue("(ddiO)", 1.0, 0.0, 0, Py_True);
-    for (m = 0; m < max_terms; m++) {
-        term = term * ((a + m) * (b + m) / ((c + m) * (m + 1.0)) * s);
-        double y = term - comp;
-        double tnew = total + y;
-        comp = (tnew - total) - y;
-        total = tnew;
-        rounds += (8.0 * m + 10.0) * fabs(term);
-        if (term == 0.0)
-            /* terminating series (a or b a nonpositive integer) */
-            return Py_BuildValue("(ddlO)", total, 1.12e-16 * rounds, m + 1,
-                                 isfinite(total) ? Py_True : Py_False);
-        /* an infinite total clears every tolerance, so both exits report
-         * a total that is not finite as not converged */
-        double tol = PYMAX(abs_tol, rel_tol * fabs(total));
-        if (fabs(term) <= tol) {
-            double ratio_next = (a + m + 1.0) * (b + m + 1.0) / ((c + m + 1.0) * (m + 2.0)) * s;
-            double nxt = fabs(term * ratio_next);
-            if (nxt <= tol)
-                return Py_BuildValue("(ddlO)", total,
-                                     tail_bound(a, b, c, s, m + 2.0, nxt) + 1.12e-16 * rounds,
-                                     m + 1, isfinite(total) ? Py_True : Py_False);
-        }
-    }
-    return Py_BuildValue("(ddlO)", total, fabs(term) + 1.12e-16 * rounds, max_terms,
-                         Py_False);
+    SeriesSum r = series_sum(p[0], p[1], p[2], p[3], p[4], p[5], max_terms);
+    return Py_BuildValue("(ddlO)", r.value, r.err, r.terms, r.converged ? Py_True : Py_False);
 }
 
 /* Dormand-Prince 5(4) tableau */
@@ -677,6 +702,136 @@ barrier_residual(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(best);
 }
 
+#define ROOT_F_TOL 1e-12 /* end |f| at which illinois stops instead of bisecting */
+
+/* math.ulp(x) */
+static double
+py_ulp(double x)
+{
+    if (isnan(x))
+        return x;
+    x = fabs(x);
+    if (isinf(x))
+        return x;
+    double x2 = nextafter(x, INFINITY);
+    if (isinf(x2))
+        return x - nextafter(x, -INFINITY);
+    return x2 - x;
+}
+
+PyDoc_STRVAR(illinois_doc,
+"illinois(f, lo, f_lo, hi, f_hi, series=None)\n\n"
+"Shrink a bracket lo < hi of a root of the scalar function f, where\n"
+"f_lo = f(lo) > 0 >= f_hi = f(hi): regula falsi of Illinois type with\n"
+"Anderson & Bjoerck's weight, which bisects a step not strictly inside\n"
+"the bracket unless an end's |f| is at most ROOT_F_TOL, and the fifth\n"
+"step since the bracket last halved its width.  Returns (x, |f(x)|, lo,\n"
+"hi): the final end with the smaller |f|, its |f|, and the final bracket.\n\n"
+"series, when given, is the specfun.SeriesSpan of f = 2F1(a, b; c; .):\n"
+"at a step in its span the kernel sums the Gauss series itself and calls\n"
+"f only where that sum does not converge.  What f raises passes through.");
+
+static PyObject *
+illinois(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double p[4];
+    double a = 0.0, b = 0.0, c = 0.0, s_full = 0.0, s_cut = 0.0, rel_tol = 0.0, abs_tol = 0.0;
+    long full_terms = 0, cut_terms = 0;
+    int have_series = 0;
+    Py_ssize_t i;
+    if (nargs != 5 && nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "illinois() takes 5 or 6 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *f = args[0];
+    for (i = 0; i < 4; i++) {
+        p[i] = PyFloat_AsDouble(args[i + 1]);
+        if (p[i] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    if (nargs == 6 && args[5] != Py_None) {
+        PyObject *span = PySequence_Tuple(args[5]);
+        if (span == NULL)
+            return NULL;
+        int ok = PyArg_ParseTuple(span, "dddddddll;illinois() needs a series span of 9 fields",
+                                  &a, &b, &c, &s_full, &s_cut, &rel_tol, &abs_tol,
+                                  &full_terms, &cut_terms);
+        Py_DECREF(span);
+        if (!ok)
+            return NULL;
+        have_series = 1;
+    }
+    double lo = p[0], f_lo = p[1], hi = p[2], f_hi = p[3];
+    double w_lo = 1.0, w_hi = 1.0;
+    double f_prev = 0.0; /* f at the previous step's point, an end; 0.0 before the first step */
+    double width = hi - lo; /* the width when the bracket last halved */
+    long slow = 0;          /* steps since */
+    while (f_hi < 0.0 && hi - lo > 4.0 * PYMAX(py_ulp(lo), py_ulp(hi))) {
+        double g_lo = w_lo * f_lo, g_hi = w_hi * f_hi;
+        double den = g_hi - g_lo;
+        if (den == 0.0) {
+            PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+            return NULL;
+        }
+        double x = hi - g_hi * (hi - lo) / den;
+        if (!(lo < x && x < hi)) {
+            if (PYMIN(f_lo, -f_hi) <= ROOT_F_TOL)
+                break;
+            x = 0.5 * (lo + hi);
+        }
+        else if (slow == 4) {
+            x = 0.5 * (lo + hi);
+        }
+        double f_x = 0.0;
+        int ok = 0;
+        if (have_series && -1.0 < x && x <= s_cut) {
+            SeriesSum r = series_sum(a, b, c, x, rel_tol, abs_tol,
+                                     x <= s_full ? full_terms : cut_terms);
+            f_x = r.value;
+            ok = r.converged;
+        }
+        if (!ok) {
+            PyObject *arg = PyFloat_FromDouble(x), *res;
+            if (arg == NULL)
+                return NULL;
+            res = PyObject_CallOneArg(f, arg);
+            Py_DECREF(arg);
+            if (res == NULL)
+                return NULL;
+            f_x = PyFloat_AsDouble(res);
+            Py_DECREF(res);
+            if (f_x == -1.0 && PyErr_Occurred())
+                return NULL;
+        }
+        double m = 1.0;
+        if (f_prev != 0.0 && (f_x > 0.0) == (f_prev > 0.0)) { /* the same end replaced again */
+            m = 1.0 - f_x / f_prev;
+            m = m > 0.0 ? m : 0.5;
+        }
+        if (f_x > 0.0) {
+            lo = x;
+            f_lo = f_x;
+            w_lo = 1.0;
+            w_hi = w_hi * m;
+        }
+        else {
+            hi = x;
+            f_hi = f_x;
+            w_hi = 1.0;
+            w_lo = w_lo * m;
+        }
+        f_prev = f_x;
+        slow += 1;
+        if (hi - lo <= 0.5 * width) {
+            width = hi - lo;
+            slow = 0;
+        }
+    }
+    if (f_lo < -f_hi)
+        return Py_BuildValue("(dddd)", lo, f_lo, lo, hi);
+    return Py_BuildValue("(dddd)", hi, -f_hi, lo, hi);
+}
+
 static PyMethodDef kernel_methods[] = {
     {"hyp2f1_series", (PyCFunction)(void (*)(void))hyp2f1_series, METH_FASTCALL,
      hyp2f1_series_doc},
@@ -687,6 +842,7 @@ static PyMethodDef kernel_methods[] = {
     {"ts_terms", (PyCFunction)(void (*)(void))ts_terms, METH_FASTCALL, ts_terms_doc},
     {"barrier_residual", (PyCFunction)(void (*)(void))barrier_residual, METH_FASTCALL,
      barrier_residual_doc},
+    {"illinois", (PyCFunction)(void (*)(void))illinois, METH_FASTCALL, illinois_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -700,7 +856,9 @@ PyMODINIT_FUNC
 PyInit__kernels(void)
 {
     PyObject *mod = PyModule_Create(&kernel_module);
-    if (mod != NULL && PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0)
+    if (mod != NULL && (PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0
+                        || PyModule_AddObject(mod, "ROOT_F_TOL",
+                                              PyFloat_FromDouble(ROOT_F_TOL)) < 0))
         Py_CLEAR(mod);
     return mod;
 }

@@ -1,7 +1,8 @@
 """Pure-Python fallback for the compiled kernels (conelab._kernels): the
 hypergeometric series, the Robin shooting integrator, the continued
 fraction of the log-derivative L, the tanh-sinh terms of the Euler
-integral and the curved residual of the comparison barrier.
+integral, the curved residual of the comparison barrier and the
+package's root solver.
 
 Mirrors the C source (_kernels.c) statement for statement so the two
 backends produce the same floating-point results; keep the two in sync.
@@ -9,7 +10,7 @@ Squares are written as products: Python's x ** 2 calls pow(), which can
 differ from x * x in the last bit.
 """
 
-from math import cos, cosh, exp, fabs, inf, isfinite, log, log1p, pi, sinh, sqrt
+from math import cos, cosh, exp, fabs, inf, isfinite, log, log1p, pi, sinh, sqrt, ulp
 
 BACKEND = "python"
 
@@ -294,3 +295,66 @@ def barrier_residual(n, k, s_star, r_minus, r_plus, delta, s_end, grid):
         if j == 0 or res > best:
             best = res
     return best
+
+
+ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
+
+
+def illinois(f, lo, f_lo, hi, f_hi, series=None):
+    """Shrink a bracket lo < hi of a root of the scalar function f, where
+    f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package,
+    for cone.find_root's root in s and cone.verdict's lambda_1.
+
+    Regula falsi of Illinois type (Dowell & Jarratt, BIT 11, 1971) with
+    Anderson & Bjoerck's weight (BIT 13, 1973): an end kept twice in a row
+    has its weight multiplied by m = 1 - f(x)/f(prev), f(prev) the value at
+    the end the step replaces, or by 1/2 if m <= 0.  A step not strictly
+    inside (lo, hi), non-finite or rounded onto an end, bisects unless an
+    end's |f| is at most ROOT_F_TOL: on a steep bracket the rounded step
+    says nothing of the root.  So does the fifth step since the bracket
+    last halved its width, Brent's guaranteed shrink (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): a bracket flat on one
+    side and steep on the other cannot stall the weighted chord.  Stops at
+    that ROOT_F_TOL end, at an exact zero or at a bracket of at most 4
+    ulps, and returns (x, |f(x)|, lo, hi): the final end x with the smaller
+    |f|, its unweighted |f|, and the final bracket.
+
+    series, when given, is the specfun.SeriesSpan of f = 2F1(a, b; c; .):
+    at a step x in its span the kernel sums the Gauss series itself, with
+    the span's budget and tolerances, and calls f only where that sum does
+    not converge.  f is called at every step outside the span, and at
+    every step when series is None.  What f raises passes through.
+    """
+    if series is not None:
+        a, b, c, s_full, s_cut, rel_tol, abs_tol, full_terms, cut_terms = series
+    w_lo = w_hi = 1.0
+    f_prev = 0.0  # f at the previous step's point, an end; 0.0 before the first step
+    width, slow = hi - lo, 0  # the width when the bracket last halved; steps since
+    while f_hi < 0.0 and hi - lo > 4.0 * max(ulp(lo), ulp(hi)):
+        g_lo, g_hi = w_lo * f_lo, w_hi * f_hi
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < x < hi:
+            if min(f_lo, -f_hi) <= ROOT_F_TOL:
+                break
+            x = 0.5 * (lo + hi)
+        elif slow == 4:
+            x = 0.5 * (lo + hi)
+        ok = False
+        if series is not None and -1.0 < x <= s_cut:
+            f_x, _, _, ok = hyp2f1_series(a, b, c, x, rel_tol, abs_tol,
+                                          full_terms if x <= s_full else cut_terms)
+        if not ok:
+            f_x = f(x)
+        m = 1.0
+        if f_prev != 0.0 and (f_x > 0.0) == (f_prev > 0.0):  # the same end replaced again
+            m = 1.0 - f_x / f_prev
+            m = m if m > 0.0 else 0.5
+        if f_x > 0.0:
+            lo, f_lo, w_lo, w_hi = x, f_x, 1.0, w_hi * m
+        else:
+            hi, f_hi, w_hi, w_lo = x, f_x, 1.0, w_lo * m
+        f_prev = f_x
+        slow += 1
+        if hi - lo <= 0.5 * width:
+            width, slow = hi - lo, 0
+    return (lo, f_lo, lo, hi) if f_lo < -f_hi else (hi, -f_hi, lo, hi)

@@ -464,7 +464,7 @@ def lemmas_suite() -> List[CheckRecord]:
     za, zb = estimate_z0(2000, 1.0 / 3.0), estimate_z0(2000, 2.0 / 3.0)
     out.append(_rec("lemmas", "z0_ratio_independence",
                     abs(za - zb) <= 0.02, f"|{za:.4f} - {zb:.4f}| <= 0.02"))
-    ladder = [estimate_z0(m, 0.5) for m in (500, 1000, 2000)]
+    ladder = [estimate_z0(m, 0.5) for m in (500, 1000)] + [z0]
     drift = max(abs(a - b) for a, b in zip(ladder, ladder[1:]))
     out.append(_rec("lemmas", "z0_ladder_convergence",
                     drift <= 0.02, f"ladder {['%.4f' % z for z in ladder]}, drift {drift:.4f}"))

@@ -9,9 +9,6 @@ header, %.6f numeric cells, LF newlines, UTF-8 without BOM.
 
 Exit codes: 0 success, 1 check or comparison failure, 2 usage error,
 141 (128 + SIGPIPE) when the reader closes stdout early.
-
-`verify --suite all` runs its second half of suites in one forked worker
-process when the process may use two CPUs; the output is unchanged.
 """
 
 from __future__ import annotations
@@ -177,58 +174,10 @@ def cmd_table(args) -> int:
 _SUITE_NAMES = ("specfun", "riccati", "lemmas", "barriers")
 
 
-def _run_suites_split(names: List[str]) -> list:
-    """checks.run_suites(names), the second half in one forked worker when
-    two CPUs are available; all of it here when the pipe or the fork fails,
-    and a failed worker's half reruns here, so an error surfaces as on one
-    process and no record is lost or made up."""
+def cmd_verify(args) -> int:
     from conelab import checks
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    cut = len(names) // 2 if cpus >= 2 and hasattr(os, "fork") else 0
-    head, tail = names[:cut], names[cut:]
-    if not head:  # one suite, one CPU or no fork
-        return checks.run_suites(tail)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    fds: List[int] = []
-    try:
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:  # the worker is only a speed-up
-        for fd in fds:
-            os.close(fd)
-        return checks.run_suites(names)
-    rfd, wfd = fds
-    if pid == 0:  # the worker never returns into the caller's stack
-        try:
-            with os.fdopen(wfd, "w") as pipe:
-                json.dump(checks.run_suites(tail), pipe)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(wfd)
-    try:
-        with os.fdopen(rfd) as pipe:
-            records = checks.run_suites(head)
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, 9)  # SIGKILL
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    try:
-        if status == 0:
-            return records + [checks.CheckRecord(*row) for row in json.loads(payload)]
-    except (ValueError, TypeError):
-        pass
-    return records + checks.run_suites(tail)
-
-
-def cmd_verify(args) -> int:
-    names = list(_SUITE_NAMES) if args.suite == "all" else [args.suite]
-    records = _run_suites_split(names)
+    records = checks.run_suites(_SUITE_NAMES if args.suite == "all" else [args.suite])
     failed = [r.name for r in records if not r.passed]
     rows = [r._asdict() for r in records]
     _emit_json(rows, failed)

@@ -1,7 +1,7 @@
 """Cone geometry for the invariant one-phase family: profile functions and
 their log-derivative L (from Gauss's continued fraction, so it never
 overflows), the free-boundary root (one solve of illinois, the package's
-root solver, on [0, s_up]), the strict stability criterion (read from L),
+root solver and a kernel of conelab._backend, on [0, s_up]), the strict stability criterion (read from L),
 the sign of L at the root for the subsolution exponent alpha = 4-n
 (check_4_minus_n), and verdict, the one stability step per cone.  verdict
 evaluates the criterion margin at the threshold exponent (2-n)/2 once and
@@ -25,9 +25,9 @@ import math
 from enum import Enum
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from conelab._backend import L_fraction
+from conelab._backend import L_fraction, illinois
 from conelab.errors import BracketFailure, DomainError, NonConvergenceError
-from conelab.specfun import MAX_TERMS, HypParams, hyp2f1
+from conelab.specfun import MAX_TERMS, HypParams, hyp2f1, series_span
 
 __all__ = [
     "ConeParams",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-9  # borderline band on the criterion margin; largest |margin| at lambda_1
-ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
 CF_TOL = 1e-13  # L_direct's bound on L's change from cutting the fraction at half depth
 
 
@@ -145,54 +144,6 @@ def refined_terminal_point(p: ConeParams) -> float:
     return 1.0 - (2.0 * d + 1.0 - 2.0 * math.sqrt(2.0 * d + 1.0)) / (2.0 * p.n)
 
 
-def illinois(f, lo: float, f_lo: float, hi: float,
-             f_hi: float) -> Tuple[float, float, float, float]:
-    """Shrink a bracket lo < hi of a root of the scalar function f, where
-    f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package,
-    for find_root's root in s and verdict's lambda_1.
-
-    Regula falsi of Illinois type (Dowell & Jarratt, BIT 11, 1971) with
-    Anderson & Bjoerck's weight (BIT 13, 1973): an end kept twice in a row
-    has its weight multiplied by m = 1 - f(x)/f(prev), f(prev) the value at
-    the end the step replaces, or by 1/2 if m <= 0.  A step not strictly
-    inside (lo, hi), non-finite or rounded onto an end, bisects unless an
-    end's |f| is at most ROOT_F_TOL: on a steep bracket the rounded step
-    says nothing of the root.  So does the fifth step since the bracket
-    last halved its width, Brent's guaranteed shrink (Algorithms for
-    Minimization without Derivatives, 1973, ch. 4): a bracket flat on one
-    side and steep on the other cannot stall the weighted chord.  Stops at
-    that ROOT_F_TOL end, at an exact zero or at a bracket of at most 4
-    ulps, and returns (x, |f(x)|, lo, hi): the final end x with the smaller
-    |f|, its unweighted |f|, and the final bracket.
-    """
-    w_lo = w_hi = 1.0
-    f_prev = 0.0  # f at the previous step's point, an end; 0.0 before the first step
-    width, slow = hi - lo, 0  # the width when the bracket last halved; steps since
-    while f_hi < 0.0 and hi - lo > 4.0 * max(math.ulp(lo), math.ulp(hi)):
-        g_lo, g_hi = w_lo * f_lo, w_hi * f_hi
-        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if not lo < x < hi:
-            if min(f_lo, -f_hi) <= ROOT_F_TOL:
-                break
-            x = 0.5 * (lo + hi)
-        elif slow == 4:
-            x = 0.5 * (lo + hi)
-        f_x = f(x)
-        m = 1.0
-        if f_prev != 0.0 and (f_x > 0.0) == (f_prev > 0.0):  # the same end replaced again
-            m = 1.0 - f_x / f_prev
-            m = m if m > 0.0 else 0.5
-        if f_x > 0.0:
-            lo, f_lo, w_lo, w_hi = x, f_x, 1.0, w_hi * m
-        else:
-            hi, f_hi, w_hi, w_lo = x, f_x, 1.0, w_lo * m
-        f_prev = f_x
-        slow += 1
-        if hi - lo <= 0.5 * width:
-            width, slow = hi - lo, 0
-    return (lo, f_lo, lo, hi) if f_lo < -f_hi else (hi, -f_hi, lo, hi)
-
-
 def find_root(p: ConeParams) -> RootResult:
     """Locate the free-boundary root t_{n,k} of f_{n,k}.
 
@@ -204,9 +155,12 @@ def find_root(p: ConeParams) -> RootResult:
     the series overflows.  f is concave (b = -1/2), so the first chord
     from (0, 1) lands where f >= 0 and no scan is needed.  The root is the
     final end with the smaller |f|, and the residual, that |f|, is at most
-    ROOT_F_TOL unless the bracket closed to a few ulps.  f = -inf, the
-    s -> 1 limit, counts as negative; NonConvergenceError where f is +inf
-    or NaN.
+    the kernels' ROOT_F_TOL unless the bracket closed to a few ulps.
+    f = -inf, the s -> 1 limit, counts as negative; NonConvergenceError
+    where f is +inf or NaN.  The solver sums the profile's Gauss series
+    itself wherever specfun's router would (series_span) and calls F at
+    the other steps: the same values, and F's errors, as if it called F at
+    every step.
     """
     n, k = p.n, p.k
     s_up = min(2.0 * k / (n - 1.0), refined_terminal_point(p))
@@ -224,7 +178,8 @@ def find_root(p: ConeParams) -> RootResult:
     if f_up > 0.0:
         raise BracketFailure(
             f"profile positive at upper bracket s={s_up} for (n,k)=({n},{k})")
-    s_nk, residual, s_lo, s_hi = illinois(F, 0.0, 1.0, s_up, f_up)
+    s_nk, residual, s_lo, s_hi = illinois(F, 0.0, 1.0, s_up, f_up,
+                                          series_span(hp.a, hp.b, hp.c))
     return RootResult(t_nk=math.sqrt(s_nk), s_nk=s_nk,
                       s_bracket=(s_lo, s_hi), residual=residual)
 

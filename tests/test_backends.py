@@ -6,6 +6,7 @@ build _kernels.c into a temporary directory with the flags of setup.py;
 they skip only when no C compiler exists."""
 
 import importlib.util
+import json
 import math
 import random
 import shlex
@@ -275,6 +276,129 @@ def test_barrier_kernel_needs_two_points(_kernels, grid):
             kernels.barrier_residual(*args)
 
 
+def _root_cells():
+    """find_root's cells: every cell with n <= 40, the large cells that
+    tests/data/large_cells.json pins, far cells of small d, and the cell
+    whose profile turns NaN at a step."""
+    pinned = json.loads((Path(__file__).resolve().parent / "data" / "large_cells.json").read_text())
+    return ([(n, k) for n in range(3, 41) for k in range(1, n - 1)]
+            + [(r["n"], r["k"]) for r in pinned]
+            + [(n, n - d) for n in (10 ** 4, 10 ** 6) for d in (2, 3, 8, 100)]
+            + [(160008, 144006)])
+
+
+def _direct(hp, s):
+    """Does the router take 2F1 at s as the direct series, and converge?"""
+    from conelab.errors import NonConvergenceError
+    from conelab.specfun import Strategy, hyp2f1
+    try:
+        return hyp2f1(hp, s).strategy is Strategy.DIRECT_SERIES
+    except NonConvergenceError:
+        return False
+
+
+def test_illinois_kernel_bit_identical_on_seeded_draws(_kernels, monkeypatch):
+    # find_root and verdict through each kernel: the same results, or the
+    # same error, to the last bit, and the same callback points; and with
+    # its series span the solver calls the profile exactly where the router
+    # takes no direct series, or that series does not converge
+    import conelab.cone as cone
+    from conelab.errors import ConelabError
+    from conelab.specfun import hyp2f1, series_span
+    called = []
+    monkeypatch.setattr(cone, "hyp2f1", lambda hp, s: called.append(s) or hyp2f1(hp, s))
+
+    def attempt(call):
+        """repr of what call() returns, or the type and message of the error
+        it raises, and the profile's points."""
+        called.clear()
+        try:
+            out = repr(call())
+        except ConelabError as exc:
+            out = (type(exc), str(exc))
+        return out, list(called)
+
+    def run(kernel, step, *args):
+        monkeypatch.setattr(cone, "illinois", kernel)
+        return attempt(lambda: step(*args))
+
+    raised = []
+    for n, k in _root_cells():
+        p = cone.ConeParams(n, k)
+        got = run(_kernels.illinois, cone.find_root, p)
+        assert got == run(_pykernels.illinois, cone.find_root, p), (n, k)
+        # without the span, every step calls the profile
+        steps = run(lambda *args: _pykernels.illinois(*args[:5]), cone.find_root, p)
+        assert steps[0] == got[0], (n, k)
+        hp = cone.profile_params(p, 1.0)
+        assert got[1] == steps[1][:1] + [s for s in steps[1][1:] if not _direct(hp, s)], (n, k)
+        if isinstance(got[0], tuple):
+            raised.append((n, k))
+        elif n <= 40 or n in (150, 400):
+            r = cone.find_root(p)
+            assert (run(_kernels.illinois, cone.verdict, p, r)
+                    == run(_pykernels.illinois, cone.verdict, p, r)), (n, k)
+    assert raised == [(160008, 144006)]
+    # the error of a callback passes through unchanged
+    seeded = RuntimeError("seeded")
+
+    def boom(x):
+        raise seeded
+
+    for kernels in (_kernels, _pykernels):
+        with pytest.raises(RuntimeError) as info:
+            kernels.illinois(boom, 0.0, 1.0, 1.0, -1.0)
+        assert info.value is seeded
+    # the flat-steep brackets of test_steep_bracket_bisects, and f = -inf
+    # at the upper end
+    lo = 63.0 / 64.0
+    for f, a, b in [(lambda x: 0.05 - 1e30 * ((x - lo) / (1.0 - lo)) ** 40, lo, 1.0),
+                    (lambda x: 1.0 - math.exp(20.0 * (x - 0.5)), 0.0, 1.0),
+                    (lambda x: 1e-3 - x ** 9, 0.0, 1.0),
+                    (lambda x: -math.inf if x == 1.0 else 1.0 + math.log1p(-x), 0.0, 1.0)]:
+        outs = []
+        for kernels in (_kernels, _pykernels):
+            called.clear()
+            outs.append((kernels.illinois(lambda x: called.append(x) or f(x), a, f(a), b, f(b)),
+                         list(called)))
+        assert _same(outs[0][0], outs[1][0]) and outs[0][1] == outs[1][1]
+    # spans whose sums stop short of converging, or reach past the router's
+    rng = random.Random(20261023)
+    for _ in range(300):
+        n = rng.choice([rng.randint(3, 40), rng.randint(41, 3000)])
+        p = cone.ConeParams(n, rng.randint(1, n - 2))
+        hp = cone.profile_params(p, 1.0)
+        span = series_span(hp.a, hp.b, hp.c)._replace(
+            s_full=rng.choice([0.5, 0.2, 0.0]), s_cut=rng.choice([0.5, 0.99, 0.999]),
+            full_terms=rng.choice([0, 3, 40000]), cut_terms=rng.choice([1, 20, 8000]))
+        s_up = min(2.0 * p.k / (n - 1.0), cone.refined_terminal_point(p))
+        f_up = hyp2f1(hp, s_up).value
+        if not f_up <= 0.0:
+            continue
+        profile = lambda s: cone.hyp2f1(hp, s).value
+        outs = [attempt(lambda: kernels.illinois(profile, 0.0, 1.0, s_up, f_up, span))
+                for kernels in (_kernels, _pykernels)]
+        assert outs[0] == outs[1], (n, p.k, span)
+
+
+def test_backends_export_the_same_kernels(_kernels):
+    # no kernel lands on one side only, and the solver's tolerance is shared
+    from conelab import _backend
+
+    def own(mod):
+        return {name for name, v in vars(mod).items() if callable(v) and not name.startswith("_")
+                and getattr(v, "__module__", None) == mod.__name__}
+
+    bound = {name for name, v in vars(_backend).items()
+             if callable(v) and not name.startswith("_")}
+    assert own(_kernels) == own(_pykernels) == bound
+    assert _kernels.ROOT_F_TOL == _pykernels.ROOT_F_TOL
+
+
+def _returns_text(x):
+    return "0.5"
+
+
 @pytest.mark.parametrize("name, args", [
     ("hyp2f1_series", (1.0, 1.0, 1.0, 0.5, 1e-15, 1e-280)),
     ("hyp2f1_series", (1.0, 1.0, "1", 0.5, 1e-15, 1e-280, 100)),
@@ -294,6 +418,15 @@ def test_barrier_kernel_needs_two_points(_kernels, grid):
     ("barrier_residual", (200.0, 160.0, 0.9, -3.0, -1.0, 4.0, 0.85, 512, 0)),
     ("barrier_residual", (200.0, 160.0, "0.9", -3.0, -1.0, 4.0, 0.85, 512)),
     ("barrier_residual", (200.0, 160.0, 0.9, -3.0, -1.0, 4.0, 0.85, 512.0)),
+    ("illinois", (math.sqrt, 0.0, 1.0, 1.0)),
+    ("illinois", (math.sqrt, 0.0, 1.0, 1.0, -1.0, None, 0)),
+    ("illinois", (math.sqrt, "0", 1.0, 1.0, -1.0)),
+    ("illinois", (math.sqrt, 0.0, 1.0, 1.0, -1.0, 0.5)),
+    ("illinois", (math.sqrt, 0.0, 1.0, 1.0, -1.0, (3.5, -0.5, 2.0, 0.5, 0.99))),
+    ("illinois", (math.sqrt, 0.0, 1.0, 1.0, -1.0,
+                  (3.5, -0.5, 2.0, 0.5, 0.99, 1e-15, 1e-280, 40000.0, 8000))),
+    ("illinois", (None, 0.0, 1.0, 1.0, -1.0)),
+    ("illinois", (_returns_text, 0.0, 1.0, 1.0, -1.0)),
 ])
 def test_kernel_argument_errors(_kernels, name, args):
     with pytest.raises(TypeError):

@@ -1,13 +1,11 @@
 """Command-line interface tests: exit codes, output schemas, determinism,
 comparison behavior."""
 
-import errno
 import json
 import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -384,6 +382,20 @@ class TestVerifySuites:
         # the parser spells the suite names out so that it need not load checks
         assert cli._SUITE_NAMES == tuple(checks.SUITES)
 
+    def test_all_suites_run_in_this_process(self, monkeypatch, capsys):
+        # no worker and no pipe; the rows are the golden records
+        def forbidden(*args):
+            raise AssertionError("verify made a process or a pipe")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        monkeypatch.setattr(os, "pipe", forbidden)
+        rc, out, err = run_cli(capsys, "verify", "--suite", "all")
+        assert (rc, err) == (0, "")
+        golden = json.loads((DATA / "verify_records.json").read_text())
+        assert json.loads(out)["rows"] == [
+            {"suite": suite, "name": name, "passed": passed, "detail": detail}
+            for suite in cli._SUITE_NAMES for name, passed, detail in golden[suite]]
+
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
@@ -391,151 +403,6 @@ class TestVerifySuites:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --suite: invalid choice: 'nope'" in captured.err
-
-
-class TestVerifySplit:
-    """verify --suite all runs its second half of suites in one forked
-    worker when two CPUs are available, with the output of one process."""
-
-    @staticmethod
-    def _cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-
-    @staticmethod
-    def _forks(monkeypatch):
-        forks = []
-
-        def counting_fork():
-            forks.append(os.getpid())
-            return fork()
-
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return forks
-
-    @staticmethod
-    def _stub_suites(monkeypatch, **suites):
-        # cheap stand-ins for every suite not given
-        for name in cli._SUITE_NAMES:
-            monkeypatch.setitem(checks.SUITES, name, suites.get(name, lambda name=name: [
-                checks.CheckRecord(suite=name, name=f"{name}_stub", passed=True, detail="ok")]))
-
-    @staticmethod
-    def _golden_rows():
-        golden = json.loads((DATA / "verify_records.json").read_text())
-        return [{"suite": suite, "name": name, "passed": passed, "detail": detail}
-                for suite in cli._SUITE_NAMES for name, passed, detail in golden[suite]]
-
-    def test_split_matches_one_cpu_and_golden(self, monkeypatch, capsys):
-        forks = self._forks(monkeypatch)
-        self._cpus(monkeypatch, 2)
-        split = run_cli(capsys, "verify", "--suite", "all")
-        assert len(forks) == 1
-        self._cpus(monkeypatch, 1)
-        assert run_cli(capsys, "verify", "--suite", "all") == split
-        assert len(forks) == 1
-        rc, out, err = split
-        assert (rc, err) == (0, "")
-        assert json.loads(out)["rows"] == self._golden_rows()
-
-    def test_fork_failure_runs_every_suite_here(self, monkeypatch, capsys):
-        pipe_fds = []
-
-        def recording_pipe():
-            fds = pipe()
-            pipe_fds.extend(fds)
-            return fds
-
-        def failing_fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        pipe = os.pipe
-        monkeypatch.setattr(os, "pipe", recording_pipe)
-        monkeypatch.setattr(os, "fork", failing_fork)
-        self._cpus(monkeypatch, 2)
-        rc, out, err = run_cli(capsys, "verify", "--suite", "all")
-        assert (rc, err) == (0, "")
-        assert json.loads(out)["rows"] == self._golden_rows()
-        assert len(pipe_fds) == 2
-        for fd in pipe_fds:  # both ends were closed
-            with pytest.raises(OSError) as exc:
-                os.fstat(fd)
-            assert exc.value.errno == errno.EBADF
-
-    def test_one_suite_does_not_fork(self, monkeypatch, capsys):
-        forks = self._forks(monkeypatch)
-        self._cpus(monkeypatch, 2)
-        self._stub_suites(monkeypatch)
-        assert run_cli(capsys, "verify", "--suite", "barriers")[0] == 0
-        assert forks == []
-
-    def test_worker_failure_reaches_flags(self, monkeypatch, capsys):
-        self._cpus(monkeypatch, 2)
-        self._stub_suites(monkeypatch, barriers=lambda: [checks.CheckRecord(
-            suite="barriers", name="seeded_bug", passed=False, detail="sign flipped")])
-        parent = os.getpid()
-        rc, out, err = run_cli(capsys, "verify", "--suite", "all")
-        assert rc == 1
-        payload = json.loads(out)
-        assert payload["flags"] == ["seeded_bug"]
-        assert [r["name"] for r in payload["rows"]] == [
-            "specfun_stub", "riccati_stub", "lemmas_stub", "seeded_bug"]
-        assert err == "FAILED: seeded_bug\n"
-        assert os.getpid() == parent
-
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_worker_exception_surfaces_as_sequential(self, monkeypatch, capsys, cpus):
-        calls = []
-
-        def crash():
-            calls.append(os.getpid())
-            raise RuntimeError("seeded crash in barriers")
-
-        self._cpus(monkeypatch, cpus)
-        self._stub_suites(monkeypatch, barriers=crash)
-        with pytest.raises(RuntimeError, match="seeded crash in barriers"):
-            main(["verify", "--suite", "all"])
-        # the parent ran the failed half itself (the worker's call is not
-        # recorded here: it appended to its own copy of the list)
-        assert calls == [os.getpid()]
-        assert capsys.readouterr().out == ""
-
-    def test_worker_killed_by_signal_is_rerun(self, monkeypatch, capsys):
-        parent = os.getpid()
-
-        def dies_in_worker():
-            if os.getpid() != parent:
-                os.kill(os.getpid(), 9)
-            return [checks.CheckRecord(suite="barriers", name="rerun", passed=True,
-                                       detail="ok")]
-
-        self._cpus(monkeypatch, 2)
-        self._stub_suites(monkeypatch, barriers=dies_in_worker)
-        rc, out, _ = run_cli(capsys, "verify", "--suite", "all")
-        assert rc == 0
-        assert json.loads(out)["rows"][-1]["name"] == "rerun"
-
-    def test_parent_exception_kills_and_reaps_worker(self, monkeypatch, capsys):
-        def crash():
-            raise RuntimeError("seeded crash in specfun")
-
-        self._cpus(monkeypatch, 2)
-        self._stub_suites(monkeypatch, specfun=crash, barriers=lambda: time.sleep(60))
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="seeded crash in specfun"):
-            main(["verify", "--suite", "all"])
-        assert time.monotonic() - start < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_no_process_outlives_verify(self):
-        proc = subprocess.Popen([sys.executable, "-m", "conelab.cli", "verify", "--suite", "all"],
-                                stdout=subprocess.DEVNULL, env=src_env(),
-                                start_new_session=True)
-        assert proc.wait(timeout=300) == 0
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
 
 
 class TestColdImport:
