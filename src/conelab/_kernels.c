@@ -727,9 +727,12 @@ PyDoc_STRVAR(illinois_doc,
 "the bracket unless an end's |f| is at most ROOT_F_TOL, and the fifth\n"
 "step since the bracket last halved its width.  Returns (x, |f(x)|, lo,\n"
 "hi): the final end with the smaller |f|, its |f|, and the final bracket.\n\n"
-"series, when given, is the specfun.SeriesSpan of f = 2F1(a, b; c; .):\n"
-"at a step in its span the kernel sums the Gauss series itself and calls\n"
-"f only where that sum does not converge.  What f raises passes through.");
+"series, when given, is specfun.series_span(a, b, c) of f = 2F1(a, b; c; .),\n"
+"the tuple (a, b, c, s_full, s_cut, rel_tol, abs_tol, full_terms,\n"
+"cut_terms): at a step x with -1 < x <= s_cut the kernel sums the Gauss\n"
+"series itself, with full_terms terms up to s_full and cut_terms beyond,\n"
+"and calls f only where that sum does not converge.  f is called at\n"
+"every other step.  What f raises passes through.");
 
 static PyObject *
 illinois(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -856,9 +859,14 @@ PyMODINIT_FUNC
 PyInit__kernels(void)
 {
     PyObject *mod = PyModule_Create(&kernel_module);
-    if (mod != NULL && (PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0
-                        || PyModule_AddObject(mod, "ROOT_F_TOL",
-                                              PyFloat_FromDouble(ROOT_F_TOL)) < 0))
+    if (mod == NULL)
+        return NULL;
+    PyObject *tol = PyFloat_FromDouble(ROOT_F_TOL);
+    /* PyModule_AddObjectRef takes no reference, and fails on a NULL tol */
+    int err = PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0
+              || PyModule_AddObjectRef(mod, "ROOT_F_TOL", tol) < 0;
+    Py_XDECREF(tol);
+    if (err)
         Py_CLEAR(mod);
     return mod;
 }

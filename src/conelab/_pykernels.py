@@ -319,10 +319,14 @@ def illinois(f, lo, f_lo, hi, f_hi, series=None):
     ulps, and returns (x, |f(x)|, lo, hi): the final end x with the smaller
     |f|, its unweighted |f|, and the final bracket.
 
-    series, when given, is the specfun.SeriesSpan of f = 2F1(a, b; c; .):
-    at a step x in its span the kernel sums the Gauss series itself, with
-    the span's budget and tolerances, and calls f only where that sum does
-    not converge.  f is called at every step outside the span, and at
+    series, when given, is specfun.series_span(a, b, c) of
+    f = 2F1(a, b; c; .), the tuple (a, b, c, s_full, s_cut, rel_tol,
+    abs_tol, full_terms, cut_terms): at a step x with -1 < x <= s_cut the
+    kernel sums the Gauss series itself, with full_terms terms up to s_full
+    and cut_terms beyond, and calls f only where that sum does not
+    converge.  So f = 2F1 is summed in the kernel wherever specfun's router
+    would sum it, with the router's values, and f's other routes and
+    errors stay f's.  f is called at every step outside the span, and at
     every step when series is None.  What f raises passes through.
     """
     if series is not None:

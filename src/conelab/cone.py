@@ -1,7 +1,7 @@
 """Cone geometry for the invariant one-phase family: profile functions and
 their log-derivative L (from Gauss's continued fraction, so it never
 overflows), the free-boundary root (one solve of illinois, the package's
-root solver and a kernel of conelab._backend, on [0, s_up]), the strict stability criterion (read from L),
+root solver, on [0, s_up]), the strict stability criterion (read from L),
 the sign of L at the root for the subsolution exponent alpha = 4-n
 (check_4_minus_n), and verdict, the one stability step per cone.  verdict
 evaluates the criterion margin at the threshold exponent (2-n)/2 once and

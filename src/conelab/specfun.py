@@ -7,13 +7,13 @@ Evaluation strategy for 2F1(a, b; c; s) on s in (-1, 1]:
 * s at or below the switch point: direct series with compensated summation;
 * beyond the switch point: a degree-at-most-2 Euler transform when the
   transformed series terminates that early, otherwise, up to s = 0.99, a
-  direct attempt capped at 8000 terms, then the 1-s connection formula:
-  DLMF 15.8.4 when c-a-b is not an integer, and its logarithmic limit
-  DLMF 15.8.10 (Abramowitz & Stegun 15.3.10-15.3.12) when it is.
+  direct attempt capped at CUT_TERMS terms, then the 1-s connection
+  formula: DLMF 15.8.4 when c-a-b is not an integer, and its logarithmic
+  limit DLMF 15.8.10 (Abramowitz & Stegun 15.3.10-15.3.12) when it is.
 
-series_span states where the direct series applies, and its budgets; the
-router reads them from it, and so does cone.find_root, whose solver sums
-the profile's series in the kernel wherever the router would.
+series_span states where the router takes the direct series, and with
+what budgets, for cone.find_root, whose solver sums the profile's series
+in the kernel wherever the router would.
 
 Derivatives come from the parameter shift F' = ab/c F(a+1, b+1; c+1; s)
 (hyp2f1_deriv); both take their strategy from one router, _route.  The
@@ -44,8 +44,8 @@ __all__ = [
     "REL_TOL",
     "ABS_TOL",
     "MAX_TERMS",
+    "CUT_TERMS",
     "SWITCH_POINT",
-    "SeriesSpan",
     "series_span",
     "digamma",
     "hyp2f1",
@@ -64,12 +64,15 @@ class Strategy(Enum):
 
 
 # series tolerances and budgets: relative and absolute stopping
-# tolerances, the term budget of one series, and the |s| up to which the
-# direct series is summed
+# tolerances, the term budget of one series, the budget of the direct
+# attempt past the switch point, and the |s| up to which the direct series
+# is summed
 REL_TOL = 1e-15
 ABS_TOL = 1e-280
 MAX_TERMS = 40000
+CUT_TERMS = 8000
 SWITCH_POINT = 0.5
+_CUT_POINT = 0.99  # the s up to which the direct attempt past SWITCH_POINT is made
 
 
 class EvalResult(NamedTuple):
@@ -422,36 +425,25 @@ def _log_case(a: float, b: float, c: float, s: float, dp):
     return value, err, m + k, Strategy.CONNECTION_AT_1
 
 
-class SeriesSpan(NamedTuple):
-    """Where _route sums 2F1(a, b; c; s) as the plain Gauss series, to the
-    tolerances rel_tol and abs_tol: with full_terms terms on
-    -1 < s <= s_full, where a series that does not converge raises
-    NonConvergenceError, and with cut_terms on s_full < s <= s_cut, where
-    one that does not converge gives way to the connection formula."""
-
-    a: float
-    b: float
-    c: float
-    s_full: float
-    s_cut: float
-    rel_tol: float
-    abs_tol: float
-    full_terms: int
-    cut_terms: int
-
-
-def series_span(a: float, b: float, c: float) -> SeriesSpan:
-    """The direct series' span of 2F1(a, b; c; .), the one statement of
-    its thresholds and budgets.  A terminating series (a or b a
-    nonpositive integer) is summed on all of (-1, 1); any other up to
-    SWITCH_POINT with MAX_TERMS, then, unless the Euler-transformed series
-    is a polynomial of degree at most 2, up to 0.99 with 8000 terms."""
+def series_span(a: float, b: float, c: float) -> Tuple[float, float, float, float, float,
+                                                     float, float, int, int]:
+    """Where _route sums 2F1(a, b; c; s) as the plain Gauss series, as the
+    tuple (a, b, c, s_full, s_cut, REL_TOL, ABS_TOL, MAX_TERMS, CUT_TERMS):
+    with MAX_TERMS terms on -1 < s <= s_full, where a series that does not
+    converge raises NonConvergenceError, and with CUT_TERMS on
+    s_full < s <= s_cut, where one that does not converge gives way to the
+    connection formula.  A terminating series (a or b a nonpositive
+    integer) is summed on all of (-1, 1); any other up to SWITCH_POINT,
+    then, unless the Euler-transformed series is a polynomial of degree at
+    most 2, up to _CUT_POINT.  _route tests the same constants and
+    predicates inline, on its hot path; the tests check that the two
+    agree."""
     if _nonpos_int(a) is not None or _nonpos_int(b) is not None:
         s_full = s_cut = 1.0 - _U  # the largest float below 1; s = 1 is Gauss's sum
     else:
         s_full = SWITCH_POINT
-        s_cut = s_full if _euler_block(a, b, c) else 0.99
-    return SeriesSpan(a, b, c, s_full, s_cut, REL_TOL, ABS_TOL, MAX_TERMS, 8000)
+        s_cut = s_full if _euler_block(a, b, c) else _CUT_POINT
+    return a, b, c, s_full, s_cut, REL_TOL, ABS_TOL, MAX_TERMS, CUT_TERMS
 
 
 def _euler_block(a: float, b: float, c: float) -> bool:
@@ -477,22 +469,19 @@ def _route(a: float, b: float, c: float, s: float, dp, growth: float):
                 f"2F1 at s=1 requires c-a-b > 0, got {c - a - b}")
         value, err = _gauss_at_one(a, b, c, dp)
         return value, err, 0, Strategy.CONNECTION_AT_1
-    span = series_span(a, b, c)
-    if s <= span.s_full:
-        value, err, terms, ok = _series_kernel(a, b, c, s, span.rel_tol, span.abs_tol,
-                                              span.full_terms)
+    if s <= SWITCH_POINT or _nonpos_int(a) is not None or _nonpos_int(b) is not None:
+        value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, MAX_TERMS)
         if not ok:
             raise NonConvergenceError(
-                f"direct series exhausted {span.full_terms} terms at s={s}",
+                f"direct series exhausted {MAX_TERMS} terms at s={s}",
                 value=value, err_estimate=err * growth, terms_used=terms)
         return value, err * growth, terms, Strategy.DIRECT_SERIES
-    if s <= span.s_cut:
-        value, err, terms, ok = _series_kernel(a, b, c, s, span.rel_tol, span.abs_tol,
-                                              span.cut_terms)
-        if ok:
-            return value, err * growth, terms, Strategy.DIRECT_SERIES
     if _euler_block(a, b, c):
         return _euler_terminating(a, b, c, s, dp)
+    if s <= _CUT_POINT:
+        value, err, terms, ok = _series_kernel(a, b, c, s, REL_TOL, ABS_TOL, CUT_TERMS)
+        if ok:
+            return value, err * growth, terms, Strategy.DIRECT_SERIES
     if not _near_int(c - a - b):
         return _connection_at_one(a, b, c, s, dp)
     return _log_case(a, b, c, s, dp)

@@ -342,6 +342,32 @@ def _route_records():
     return records
 
 
+def test_series_span_matches_router():
+    # series_span states where _route takes the direct series, for the
+    # solver kernel; the router tests the same constants inline, so on
+    # every route case, and on each side of the span's limits, the span's
+    # sum with its budget predicts the router's direct series, and its
+    # value, exactly
+    for a, b, c, ss in _route_cases():
+        span = specfun.series_span(a, b, c)
+        _, _, _, s_full, s_cut, rel_tol, abs_tol, full_terms, cut_terms = span
+        p = HypParams(a, b, c)
+        for s in ss + [x for lim in (s_full, s_cut) for x in (lim, math.nextafter(lim, 2.0))]:
+            if not -1.0 < s < 1.0:
+                continue
+            budget = full_terms if s <= s_full else cut_terms if s <= s_cut else 0
+            value, _, _, ok = conelab._backend.hyp2f1_series(a, b, c, s, rel_tol, abs_tol,
+                                                              budget)
+            try:
+                got = hyp2f1(p, s)
+            except NonConvergenceError:
+                got = None
+            if budget and ok:
+                assert got.strategy is Strategy.DIRECT_SERIES and got.value == value, (a, b, c, s)
+            else:
+                assert got is None or got.strategy is not Strategy.DIRECT_SERIES, (a, b, c, s)
+
+
 def test_routes_match_golden():
     golden = json.loads(ROUTES_GOLDEN.read_text())
     records = _route_records()
