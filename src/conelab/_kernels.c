@@ -55,14 +55,18 @@ ratio_sup(double x, double y, double i)
 
 /* Bound nxt / (1 - q) on the series tail whose first term, of size nxt, has
  * index i; q bounds the term ratio |s| (a+j)(b+j) / ((c+j)(j+1)) over
- * j >= i.  Infinite when no such q below 1 is found. */
+ * j >= i, by the smaller of two products of factor suprema and the joint
+ * ratio 1 + ((a+b-c-1) j + ab - c) / ((c+j)(1+j)).  Infinite when no such
+ * q below 1 is found. */
 static double
 tail_bound(double a, double b, double c, double s, double i, double nxt)
 {
     if (c + i <= 0.0)
         return INFINITY;
-    double q = fabs(s) * PYMIN(ratio_sup(a, c, i) * ratio_sup(b, 1.0, i),
-                               ratio_sup(a, 1.0, i) * ratio_sup(b, c, i));
+    double q = fabs(s) * PYMIN(PYMIN(ratio_sup(a, c, i) * ratio_sup(b, 1.0, i),
+                                     ratio_sup(a, 1.0, i) * ratio_sup(b, c, i)),
+                               1.0 + fabs(a + b - c - 1.0) / (c + i)
+                               + fabs(a * b - c) / ((c + i) * (1.0 + i)));
     if (q >= 1.0)
         return INFINITY;
     return nxt / (1.0 - q);

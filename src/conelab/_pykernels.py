@@ -26,11 +26,15 @@ def _ratio_sup(x, y, i):
 def _tail_bound(a, b, c, s, i, nxt):
     """Bound nxt / (1 - q) on the series tail whose first term, of size nxt,
     has index i; q bounds the term ratio |s| (a+j)(b+j) / ((c+j)(j+1)) over
-    j >= i.  Infinite when no such q below 1 is found."""
+    j >= i, by the smaller of two products of factor suprema and the joint
+    ratio 1 + ((a+b-c-1) j + ab - c) / ((c+j)(1+j)).  Infinite when no such
+    q below 1 is found."""
     if c + i <= 0.0:
         return inf
     q = fabs(s) * min(_ratio_sup(a, c, i) * _ratio_sup(b, 1.0, i),
-                      _ratio_sup(a, 1.0, i) * _ratio_sup(b, c, i))
+                      _ratio_sup(a, 1.0, i) * _ratio_sup(b, c, i),
+                      1.0 + fabs(a + b - c - 1.0) / (c + i)
+                      + fabs(a * b - c) / ((c + i) * (1.0 + i)))
     if q >= 1.0:
         return inf
     return nxt / (1.0 - q)

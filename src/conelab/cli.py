@@ -9,6 +9,11 @@ header, %.6f numeric cells, LF newlines, UTF-8 without BOM.
 
 Exit codes: 0 success, 1 check or comparison failure, 2 usage error,
 141 (128 + SIGPIPE) when the reader closes stdout early.
+
+main(argv) returns the exit code and leaves the process running, for
+tests and library callers.  run(argv), the entry point of `python -m
+conelab.cli` and of the `conelab` script, ends the process with that code
+once stdout and stderr are flushed, without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from conelab import reference
 from conelab.cone import ConeParams, Verdict, check_4_minus_n, find_root, verdict
@@ -296,5 +301,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
+    """The process entry point: main(argv), then flush stdout and stderr
+    and end the process with os._exit, skipping the interpreter's
+    teardown (its shutdown collections cost more than an analyze
+    computes).  argparse's SystemExit and any uncaught exception take the
+    usual exit; so does a final flush that raises."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a failed write, or a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

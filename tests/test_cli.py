@@ -35,6 +35,14 @@ def src_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+def stdio_env():
+    """src_env() with stdout block-buffered, as it is by default for a pipe
+    or a file, so that output still buffered at the exit shows."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 class TestAnalyze:
     def test_stable_json(self, capsys):
         rc, out, _ = run_cli(capsys, "analyze", "--n", "7", "--k", "1",
@@ -334,19 +342,116 @@ class TestFamilyScan:
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("argv", [("table", "--n", "3", "40"), ("scan", "--n-max", "40")],
+    @pytest.mark.parametrize("argv", [("table", "--n", "3", "40"), ("scan", "--n-max", "40"),
+                                      ("analyze", "--n", "7", "--k", "1"),
+                                      ("verify", "--suite", "all")],
                              ids=lambda argv: argv[0])
     def test_closed_stdout_exits_141_quietly(self, argv):
         # a reader that leaves early (`conelab table ... | head -1`) is no
-        # usage error: exit 128 + SIGPIPE, with nothing on stderr
+        # usage error: exit 128 + SIGPIPE, with nothing on stderr; what the
+        # failed flush left in stdout's buffer goes nowhere at the exit
         rfd, wfd = os.pipe()
         os.close(rfd)
         try:
             proc = subprocess.run([sys.executable, "-m", "conelab.cli", *argv], stdout=wfd,
-                                  stderr=subprocess.PIPE, env=src_env(), timeout=120)
+                                  stderr=subprocess.PIPE, env=stdio_env(), timeout=120)
         finally:
             os.close(wfd)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class TestProcessExit:
+    # `python -m conelab.cli` ends through cli.run, which skips the
+    # interpreter's teardown: the process must still give the bytes and
+    # the exit code of main() in process
+    @pytest.mark.parametrize("argv, code", [
+        (("analyze", "--n", "7", "--k", "1"), 0),
+        (("analyze", "--n", "7", "--k", "1", "--format", "json"), 0),
+        (("table", "--n", "7", "9"), 0),
+        (("table", "--n", "7", "9", "--format", "json"), 0),
+        (("table", "--n", "7", "12", "--compare"), 1),
+        (("scan", "--n-max", "9"), 0),
+        (("verify", "--suite", "specfun"), 0),
+        (("analyze", "--n", "2", "--k", "1"), 2),
+        (("analyze", "--n", "7"), 2),
+    ], ids=["analyze-text", "analyze-json", "table-csv", "table-json", "table-compare",
+            "scan", "verify-specfun", "analyze-bad-n", "analyze-usage"])
+    def test_process_matches_main(self, capsys, argv, code):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "conelab.cli", *argv],
+                              capture_output=True, env=stdio_env(), timeout=120)
+        assert rc == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            rc, captured.out.encode(), captured.err.encode())
+        if "--compare" in argv:
+            assert captured.err.count("MISMATCH ") == 5
+        elif code == 2:
+            assert captured.out == "" and captured.err.startswith(
+                "error: n >= 3" if "--k" in argv else "usage: conelab analyze")
+
+    def test_run_flushes_then_exits_with_the_code(self, monkeypatch):
+        flushed = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                flushed.append(self.name)
+
+        def exit_now(code):
+            raise RuntimeError(f"os._exit({code}) after {flushed}")
+
+        monkeypatch.setattr(cli, "main", lambda argv: 1)
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(os, "_exit", exit_now)
+        with pytest.raises(RuntimeError, match=r"os\._exit\(1\) after \['stdout', 'stderr'\]"):
+            cli.run([])
+
+    def test_failed_flush_takes_the_usual_exit(self, monkeypatch):
+        class Closed:
+            def flush(self):
+                raise ValueError("I/O operation on closed file")
+
+        def exit_now(code):
+            raise AssertionError("os._exit after a failed flush")
+
+        monkeypatch.setattr(cli, "main", lambda argv: 0)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        monkeypatch.setattr(os, "_exit", exit_now)
+        with pytest.raises(SystemExit) as exc:
+            cli.run([])
+        assert exc.value.code == 0
+
+    def test_commands_register_no_exit_callback(self):
+        # what the skipped teardown would run: no subcommand adds an atexit
+        # callback to those a bare interpreter has (site hooks may add some)
+        count = "import atexit; print(atexit._ncallbacks())"
+        bare = subprocess.run([sys.executable, "-c", count], capture_output=True,
+                              text=True, env=src_env(), check=True).stdout
+        script = "\n".join([
+            "import contextlib, io",
+            "from conelab.cli import main",
+            "for argv in [['analyze', '--n', '7', '--k', '1'], ['table', '--n', '7', '8'],",
+            "             ['scan', '--n-max', '9'], ['verify', '--suite', 'all']]:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            count,
+        ])
+        after = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, env=src_env(), check=True).stdout
+        assert after == bare
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"conelab": "conelab.cli:run"}
 
 
 class TestConfig:

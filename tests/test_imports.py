@@ -156,7 +156,7 @@ def test_defaulted_parameters_are_passed_by_the_library():
     # a default that no library call overrides is a parameter nobody sets:
     # some call in src/conelab passes each defaulted parameter, by position
     # or by keyword.  Calls resolve by name, ClassName(...) to the class's
-    # own __init__, and a method's positions skip self.  cli.main(argv) is
+    # own __init__, and a method's positions skip self.  cli.run(argv) is
     # exempt: the console entry point calls it bare.
     trees = {p.name: _tree(p) for p in MODULES}
     defs = []  # (label, called as, function, position offset)
@@ -176,7 +176,7 @@ def test_defaulted_parameters_are_passed_by_the_library():
                 {"*" if kw.arg is None else kw.arg for kw in call.keywords},
                 {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(call.args)})
     unpassed = sorted(f"{label}({arg})" for label, called, fn, offset in defs
-                      if label != "cli.py:main" for i, arg in _defaulted(fn)
+                      if label != "cli.py:run" for i, arg in _defaulted(fn)
                       if not passed.get(called, set())
                       & {"*", arg, None if i is None else i - offset})
     assert not unpassed, f"defaulted parameters no library call passes: {unpassed}"

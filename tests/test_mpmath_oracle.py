@@ -85,14 +85,20 @@ near_one = st.floats(0.99, 1.0 - 2e-9)
     (59.5, -0.5, 30.0, 0.95),
     (99.5, -0.5, 50.0, 0.9),
     (39.5, -0.5, 20.0, 0.97),
+    (37.0, 37.0, 73.0, 0.9886),
 ])
 def test_direct_series_bound_examples(a, b, c, s):
-    _assert_bounded(a, b, c, s, Strategy.DIRECT_SERIES, _require)
+    # accurate values, so each estimate is finite too
+    r = _assert_bounded(a, b, c, s, Strategy.DIRECT_SERIES, _require)
+    assert math.isfinite(r.err_estimate)
 
 
 @BOUND_SETTINGS
 @given(st.floats(-5.0, 60.0), st.floats(-3.0, 5.0), st.floats(0.1, 40.0),
        st.floats(-0.9, 0.5))
+# the joint term ratio bounds this tail, where the product of the factor
+# suprema exceeds 1 and the estimate was infinite
+@example(37.0, 37.0, 73.0, 0.9886)
 def test_direct_series_bound(a, b, c, s):
     _assert_bounded(a, b, c, s, Strategy.DIRECT_SERIES)
 
