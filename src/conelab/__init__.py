@@ -21,11 +21,11 @@ in inspect and ast.  ConeParams and HypParams validate in __new__,
 which _make and _replace skip.  The reference oracles the tests check
 the library against live in tests/oracles.py.
 
-The hot kernels (the Gauss series, the link ODE shot, the continued
-fraction of L, the tanh-sinh nodes of the Euler integral and the
-barrier's curved residual) are compiled (hand-written C) with a
-pure-Python fallback selected at import; see conelab._backend and
-BACKEND_NAME.
+The six hot kernels (the Gauss series, the link ODE shot, the continued
+fraction of L, the tanh-sinh nodes of the Euler integral, the barrier's
+curved residual and the root solver illinois) are compiled (hand-written
+C) with a pure-Python fallback selected at import; see conelab._backend
+and BACKEND_NAME.
 """
 
 from conelab._backend import BACKEND_NAME

@@ -10,9 +10,16 @@ _kernels.c when a C compiler is available) is preferred; the pure-Python
 mirror (conelab._pykernels) is the fallback.  Set
 CONELAB_PURE=1 to force the fallback, e.g. for the backend benchmark or
 to reproduce results on a build without a C compiler.
+
+An extension built from another _kernels.c than the one beside it, whose
+SOURCE_SHA256 is not KERNELS_SHA256, is an ImportError: it would compute
+with old numerics, or lack a kernel, under the name "compiled".
 """
 
 import os
+
+# SHA-256 of _kernels.c; tests/test_backends.py checks it against the file
+KERNELS_SHA256 = "fc7256144f42ac5733191986e72197f217526755244f491b94c855f62aec54e5"
 
 if os.environ.get("CONELAB_PURE", "") not in ("", "0"):
     from conelab import _pykernels as kernels
@@ -21,6 +28,11 @@ else:
         from conelab import _kernels as kernels  # type: ignore[no-redef]
     except ImportError:
         from conelab import _pykernels as kernels  # type: ignore[no-redef]
+    if kernels.BACKEND == "compiled" and getattr(kernels, "SOURCE_SHA256", None) != KERNELS_SHA256:
+        raise ImportError(
+            f"conelab._kernels ({kernels.__file__}) was built from another _kernels.c: its "
+            f"SHA-256 is {getattr(kernels, 'SOURCE_SHA256', None)!r}, the source's "
+            f"{KERNELS_SHA256!r}; rebuild it with `python setup.py build_ext --inplace --force`")
 
 BACKEND_NAME: str = kernels.BACKEND
 

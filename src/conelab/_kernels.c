@@ -7,6 +7,10 @@
  * Build with -ffp-contract=off: a fused multiply-add rounds differently
  * from the Python mirror. */
 
+#ifndef KERNELS_SHA256 /* setup.py defines it as the SHA-256 of this file */
+#define KERNELS_SHA256 ""
+#endif
+
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <errno.h>
@@ -272,89 +276,23 @@ robin_shoot(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(ddlO)", u, v, zeros, Py_False);
 }
 
-/* Complex arithmetic as CPython 3.11 spells it, so the conjugate-pair
- * fraction rounds as the mirror's complex objects do: a float operand is
- * promoted to (x, 0.0), products follow _Py_c_prod and quotients
- * _Py_c_quot (Smith's form).  C99 _Complex division (__divdc3) rounds
- * differently. */
-typedef struct {
-    double re, im;
-} Cx;
-
-static inline Cx
-cx(double re)
-{
-    Cx z = {re, 0.0};
-    return z;
-}
-
-static inline Cx
-cadd(Cx a, Cx b)
-{
-    Cx z = {a.re + b.re, a.im + b.im};
-    return z;
-}
-
-static inline Cx
-csub(Cx a, Cx b)
-{
-    Cx z = {a.re - b.re, a.im - b.im};
-    return z;
-}
-
-static inline Cx
-cmul(Cx a, Cx b)
-{
-    Cx z = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
-    return z;
-}
-
-/* b is never (0, 0): the callers test for it, as complex division raises */
-static inline Cx
-cdiv(Cx a, Cx b)
-{
-    const double abs_re = b.re < 0 ? -b.re : b.re;
-    const double abs_im = b.im < 0 ? -b.im : b.im;
-    Cx z;
-    if (abs_re >= abs_im) {
-        const double ratio = b.im / b.re;
-        const double denom = b.re + b.im * ratio;
-        z.re = (a.re + a.im * ratio) / denom;
-        z.im = (a.im - a.re * ratio) / denom;
-    }
-    else if (abs_im >= abs_re) {
-        const double ratio = b.re / b.im;
-        const double denom = b.re * ratio + b.im;
-        z.re = (a.re * ratio + a.im) / denom;
-        z.im = (a.im * ratio - a.re) / denom;
-    }
-    else {
-        z.re = z.im = NAN;
-    }
-    return z;
-}
-
 #define TINY 1e-300 /* stands in for a level's exact zero denominator (Lentz's device) */
 
-/* One grid's fraction: c, k, A, B, a1 = a - 1 and b1 = b - 1, and the
- * levels k_1, k_2, ... of R, shared by the grid and grown on demand.  For a
- * real exponent only the real parts are used. */
+/* One grid's fraction: A, B, q, c, k, a1 = a - 1 and b1 = b - 1, and its
+ * levels, shared by the grid and grown on demand */
 typedef struct {
-    int complex_mode;
-    double c, k;
-    Cx A, B, a1, b1;
-    Cx *ks;
+    double A, B, q, c, k, a1, b1;
+    double *ks;
     long len, cap;
 } Fraction;
 
-/* Make sure the levels k_1 .. k_{2 half} exist */
+/* Make room for n levels */
 static int
-grow_levels(Fraction *f, long half)
+reserve(Fraction *f, long n)
 {
-    long i;
-    if (2 * half > f->cap) {
-        long cap = PYMAX(2 * half, 2 * f->cap);
-        Cx *ks = PyMem_Realloc(f->ks, cap * sizeof(Cx));
+    if (n > f->cap) {
+        long cap = PYMAX(n, 2 * f->cap);
+        double *ks = PyMem_Realloc(f->ks, cap * sizeof(double));
         if (ks == NULL) {
             PyErr_NoMemory();
             return -1;
@@ -362,141 +300,133 @@ grow_levels(Fraction *f, long half)
         f->ks = ks;
         f->cap = cap;
     }
-    for (i = f->len / 2 + 1; i <= half; i++) {
-        double x = f->c + 2.0 * i;
-        double d1 = (x - 2.0) * (x - 1.0), d2 = (x - 1.0) * x;
-        if (f->complex_mode) {
-            f->ks[f->len++] = cdiv(cmul(cadd(f->A, cx(i)), cadd(f->a1, cx(i))), cx(d1));
-            f->ks[f->len++] = cdiv(cmul(cadd(f->B, cx(i)), cadd(f->b1, cx(i))), cx(d2));
-        }
-        else {
-            f->ks[f->len++] = cx((f->A.re + i) * (f->a1.re + i) / d1);
-            f->ks[f->len++] = cx((f->B.re + i) * (f->b1.re + i) / d2);
-        }
-    }
     return 0;
 }
 
-/* L cut at depth 2 half, its absolute value and the absolute value of its
- * first-order change if cut at half, for a real exponent */
+/* L cut at depth 2 half and the absolute value of its first-order change if
+ * cut at half, for a real pair A, B, from R's levels k_1, k_2, ... */
 static int
-cut_real(Fraction *f, double s, long half, Cx *L, double *absL, double *change)
+cut_real(Fraction *f, double s, long half, double *L, double *change)
 {
-    const Cx *ks = f->ks;
-    const double c = f->c, k = f->k, A = f->A.re, B = f->B.re;
+    const double c = f->c, k = f->k, A = f->A, B = f->B;
     double u, w, gap, slope = 1.0; /* slope: du / du(level half + 1), down to level 2 */
-    long j;
+    long i, j;
+    if (reserve(f, 2 * half) < 0)
+        return -1;
+    for (i = f->len / 2 + 1; i <= half; i++) {
+        double x = c + 2.0 * i;
+        f->ks[f->len++] = (A + i) * (f->a1 + i) / ((x - 2.0) * (x - 1.0));
+        f->ks[f->len++] = (B + i) * (f->b1 + i) / ((x - 1.0) * x);
+    }
+    const double *ks = f->ks;
     u = w = 2.0 * (1.0 - sqrt(1.0 - s)) / s;
     for (j = 2 * half - 1; j > half - 1; j--) {
-        double d = 1.0 - s * ks[j].re * u;
+        double d = 1.0 - s * ks[j] * u;
         u = 1.0 / (d != 0.0 ? d : TINY);
     }
     gap = u - w;
     for (j = half - 1; j > 0; j--) {
-        double kz = s * ks[j].re;
+        double kz = s * ks[j];
         double d = 1.0 - kz * u;
         u = 1.0 / (d != 0.0 ? d : TINY);
         slope *= kz * u * u;
     }
-    double den = c * (1.0 - s * ks[0].re * u) - s * B;
+    double den = c * (1.0 - s * ks[0] * u) - s * B;
     if (den == 0.0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
         return -1;
     }
     double x = 2.0 * (1.0 - s) * s * A * B / den;
-    *L = cx((k - 1.0) - k * s + x);
-    *absL = fabs(L->re);
-    *change = fabs(gap * slope * x * c * s * ks[0].re / den);
+    *L = (k - 1.0) - k * s + x;
+    *change = fabs(gap * slope * x * c * s * ks[0] / den);
     return 0;
 }
 
-/* The same for the conjugate pair, operation for operation as the mirror
- * runs it on Python complex and float objects */
+/* The same for the conjugate pair, from the odd contraction
+ * c/R = c(1 - s k1) - c s^2 k1k2 / D_1, D_j = 1 - s sigma_j - s^2 pi_j / D_{j+1},
+ * cut at top = ceil(half/2) of its levels: sigma_j = k_2j + k_2j+1 and
+ * pi_j = k_2j+1 k_2j+2 from j = 0 on, with sigma_0 = c k1 + B.  With
+ * P(m) = (A+m)(b1+m) - q, k_2j = P(j)/((x-1)x) - i sqrt(q)/x and
+ * k_2j+1 = P(j+1)/(x(x+1)) + i sqrt(q)/x at x = c + 2j. */
 static int
-cut_complex(Fraction *f, double s, long half, Cx *L, double *absL, double *change)
+cut_pair(Fraction *f, double s, long half, double *L, double *change)
 {
-    const Cx *ks = f->ks;
-    const double c = f->c, k = f->k;
-    const double w = 2.0 * (1.0 - sqrt(1.0 - s)) / s;
-    Cx u = cx(w), gap, slope = cx(1.0);
+    const long top = (half + 1) / 2;
+    const double A = f->A, q = f->q, c = f->c, k = f->k, b1 = f->b1, s2 = s * s;
+    const double tail = 0.5 * ((1.0 - 0.5 * s) + sqrt(1.0 - s));
+    double D = tail, v, t = 0.0, gap, slope = 1.0; /* slope: dD_1 / dD_(top+1), times s^2 pi_0 / D_1^2 */
     long j;
-    for (j = 2 * half - 1; j > half - 1; j--) {
-        Cx d = csub(cx(1.0), cmul(cmul(cx(s), ks[j]), u));
-        u = (d.re != 0.0 || d.im != 0.0) ? cdiv(cx(1.0), d) : cx(1.0 / TINY);
+    if (reserve(f, 4 * top + 2) < 0)
+        return -1;
+    for (j = f->len / 2; j <= 2 * top; j++) {
+        double x = c + 2.0 * j, m = j + 1.0;
+        double p1 = (A + m) * (b1 + m) - q;
+        f->ks[f->len++] = j ? (((A + j) * (b1 + j) - q) * (x + 1.0) + p1 * (x - 1.0))
+                              / ((x - 1.0) * x * (x + 1.0))
+                            : p1 / (c + 1.0) + A;
+        f->ks[f->len++] = ((A + m) * (A + m) + q) * ((b1 + m) * (b1 + m) + q)
+                          / (x * (x + 1.0) * (x + 1.0) * (x + 2.0));
     }
-    gap = csub(u, cx(w));
-    for (j = half - 1; j > 0; j--) {
-        Cx kz = cmul(cx(s), ks[j]);
-        Cx d = csub(cx(1.0), cmul(kz, u));
-        u = (d.re != 0.0 || d.im != 0.0) ? cdiv(cx(1.0), d) : cx(1.0 / TINY);
-        slope = cmul(slope, cmul(cmul(kz, u), u));
+    const double *ks = f->ks;
+    for (j = 2 * top; j > top; j--)
+        D = 1.0 - s * ks[2 * j] - s2 * ks[2 * j + 1] / (D != 0.0 ? D : TINY);
+    gap = D - tail;
+    for (j = top; j >= 0; j--) {
+        v = 1.0 / (D != 0.0 ? D : TINY);
+        t = s2 * ks[2 * j + 1] * v;
+        slope *= t * v;
+        D = 1.0 - s * ks[2 * j] - t;
     }
-    Cx den = csub(cmul(cx(c), csub(cx(1.0), cmul(cmul(cx(s), ks[0]), u))),
-                  cmul(cx(s), f->B));
-    if (den.re == 0.0 && den.im == 0.0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "complex division by zero");
+    double den = c - s * ks[0] - c * t;
+    if (den == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
         return -1;
     }
-    Cx x = cdiv(cmul(cmul(cx(2.0 * (1.0 - s) * s), f->A), f->B), den);
-    *L = cadd(cx((k - 1.0) - k * s), x);
-    Cx dL = cdiv(cmul(cmul(cmul(cmul(cmul(gap, slope), x), cx(c)), cx(s)), ks[0]), den);
-    *change = hypot(dL.re, dL.im); /* abs() of a complex */
-    *absL = hypot(L->re, L->im);
+    double x = 2.0 * (1.0 - s) * s * (A * A + q) / den;
+    *L = (k - 1.0) - k * s + x;
+    *change = fabs(gap * slope * c * x / den);
     return 0;
 }
 
 PyDoc_STRVAR(L_fraction_doc,
-"L_fraction(A, B, c, k, ss, cf_tol, max_terms)\n\n"
-"L = (k-1) - ks + 2(1-s) sAB / (c/R - sB) at each s of the grid ss, with\n"
+"L_fraction(A, B, q, c, k, ss, cf_tol, max_terms)\n\n"
+"L = (k-1) - ks + 2(1-s) s(AB+q) / (c/R - sB) at each s of the grid ss, with\n"
 "R = 1/(1 - k1 s/(1 - k2 s/...)) Gauss's continued fraction for\n"
-"F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).  A and B are both\n"
-"floats or both complex (the conjugate pair; the real part of L is\n"
-"returned); the levels k_j are shared by the grid.\n\n"
-"Evaluated backward from a depth 2N, with the fixed point of the levels'\n"
-"limit as tail; L at 2N is taken once its first-order change from a cut\n"
-"at N is at most cf_tol max(1, |L|), else N grows as the limit\n"
-"contraction asks, by half at least.  s = 0 gives L = k-1 exactly.\n\n"
+"F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).  q = 0 is a real\n"
+"pair A, B; q > 0 with A = B is the conjugate pair A +- i sqrt(q), whose L\n"
+"is real, evaluated by the odd contraction of the fraction, whose levels\n"
+"are real; any other q is a ValueError.  The levels are shared by the grid.\n\n"
+"Evaluated backward from a depth of about 2N of R's levels, with the fixed\n"
+"point of the levels' limit as tail; L is taken once its first-order\n"
+"change from a cut at N is at most cf_tol max(1, |L|), else N grows as the\n"
+"limit contraction asks, by half at least.  s = 0 gives L = k-1 exactly.\n\n"
 "Needs c > 0, cf_tol > 0 and every s in [0, 1), as cone.L_direct ensures.\n"
-"Returns (Ls, None), or (Ls so far, (s, L, levels)) at the first point\n"
-"whose fraction would need more than max_terms levels.");
-
-/* Read a float, or with as_complex a complex, as float() and complex() do */
-static int
-parse_number(PyObject *obj, int as_complex, Cx *z)
-{
-    if (as_complex) {
-        Py_complex v = PyComplex_AsCComplex(obj);
-        z->re = v.real;
-        z->im = v.imag;
-    }
-    else {
-        z->re = PyFloat_AsDouble(obj);
-        z->im = 0.0;
-    }
-    return z->re == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
+"Returns (Ls, None), or (None, (s, L, levels)) at the first point whose\n"
+"fraction would need more than max_terms levels.");
 
 static PyObject *
 L_fraction(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Fraction f = {0};
     PyObject *ss = NULL, *out = NULL, *result = NULL;
-    Cx c, k, cf_tol;
+    double p[5], cf_tol;
     Py_ssize_t i, n;
     long max_terms;
     int overflow;
-    if (nargs != 7) {
-        PyErr_Format(PyExc_TypeError, "L_fraction() takes exactly 7 arguments (%zd given)",
+    if (nargs != 8) {
+        PyErr_Format(PyExc_TypeError, "L_fraction() takes exactly 8 arguments (%zd given)",
                      nargs);
         return NULL;
     }
-    f.complex_mode = PyComplex_Check(args[0]) || PyComplex_Check(args[1]);
-    if (parse_number(args[0], f.complex_mode, &f.A) < 0
-            || parse_number(args[1], f.complex_mode, &f.B) < 0
-            || parse_number(args[2], 0, &c) < 0 || parse_number(args[3], 0, &k) < 0
-            || parse_number(args[5], 0, &cf_tol) < 0)
+    for (i = 0; i < 5; i++) {
+        p[i] = PyFloat_AsDouble(args[i]);
+        if (p[i] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    cf_tol = PyFloat_AsDouble(args[6]);
+    if (cf_tol == -1.0 && PyErr_Occurred())
         return NULL;
-    max_terms = PyLong_AsLongAndOverflow(args[6], &overflow);
+    max_terms = PyLong_AsLongAndOverflow(args[7], &overflow);
     if (max_terms == -1 && PyErr_Occurred())
         return NULL;
     /* a budget this large could not be allocated; the cap keeps the depth
@@ -505,14 +435,22 @@ L_fraction(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         max_terms = LONG_MAX / 4;
     else if (overflow < 0)
         max_terms = LONG_MIN;
-    ss = PySequence_Tuple(args[4]);
+    f.A = p[0];
+    f.B = p[1];
+    f.q = p[2];
+    f.c = p[3];
+    f.k = p[4];
+    if (!(f.q >= 0.0) || (f.q > 0.0 && f.A != f.B)) {
+        PyErr_Format(PyExc_ValueError, "L_fraction() needs q >= 0, and A == B where q > 0; "
+                     "got A=%R, B=%R, q=%R", args[0], args[1], args[2]);
+        return NULL;
+    }
+    f.a1 = f.c - f.B - 1.0;
+    f.b1 = f.c - f.A - 1.0;
+    int (*cut)(Fraction *, double, long, double *, double *) = f.q > 0.0 ? cut_pair : cut_real;
+    ss = PySequence_Tuple(args[5]);
     if (ss == NULL)
         return NULL;
-    f.c = c.re;
-    f.k = k.re;
-    /* the real parts round as c - B - 1.0 and c - A - 1.0 do in floats */
-    f.a1 = csub(csub(cx(f.c), f.B), cx(1.0));
-    f.b1 = csub(csub(cx(f.c), f.A), cx(1.0));
     n = PyTuple_GET_SIZE(ss);
     out = PyList_New(n);
     if (out == NULL)
@@ -521,28 +459,24 @@ L_fraction(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         double s = PyFloat_AsDouble(PyTuple_GET_ITEM(ss, i));
         if (s == -1.0 && PyErr_Occurred())
             goto done;
-        Cx L = cx(f.k - 1.0);
-        double absL, change;
+        double L = f.k - 1.0, change;
         long half = 4;
-        double q = sqrt(1.0 - s);
+        double r = sqrt(1.0 - s);
         while (s > 0.0) { /* L(0) = k-1 exactly */
-            if (grow_levels(&f, half) < 0
-                    || (f.complex_mode ? cut_complex : cut_real)(&f, s, half, &L, &absL,
-                                                                 &change) < 0)
+            if (cut(&f, s, half, &L, &change) < 0)
                 goto done;
-            double target = cf_tol.re * PYMAX(1.0, absL);
+            double target = cf_tol * PYMAX(1.0, fabs(L));
             if (change <= target)
                 break;
-            double more = log(change / target) / -log(PYMAX((1.0 - q) / (1.0 + q), TINY));
+            double more = log(change / target) / -log(PYMAX((1.0 - r) / (1.0 + r), TINY));
             half = PYMAX(half + half / 2,
                          half + 1 + (more < (double)max_terms ? (long)more : max_terms));
             if (2 * half > max_terms) {
-                result = Py_BuildValue("(N(ddl))", PyList_GetSlice(out, 0, i), s, L.re,
-                                       2 * half);
+                result = Py_BuildValue("(O(ddl))", Py_None, s, L, 2 * half);
                 goto done;
             }
         }
-        PyObject *value = PyFloat_FromDouble(L.re);
+        PyObject *value = PyFloat_FromDouble(L);
         if (value == NULL)
             goto done;
         PyList_SET_ITEM(out, i, value);
@@ -868,6 +802,7 @@ PyInit__kernels(void)
     PyObject *tol = PyFloat_FromDouble(ROOT_F_TOL);
     /* PyModule_AddObjectRef takes no reference, and fails on a NULL tol */
     int err = PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0
+              || PyModule_AddStringConstant(mod, "SOURCE_SHA256", KERNELS_SHA256) < 0
               || PyModule_AddObjectRef(mod, "ROOT_F_TOL", tol) < 0;
     Py_XDECREF(tol);
     if (err)

@@ -189,29 +189,36 @@ def robin_shoot(u0, v0, t_start, t_end, n, k, lam, p2, q2,
 _TINY = 1e-300  # stands in for a level's exact zero denominator (Lentz's device)
 
 
-def L_fraction(A, B, c, k, ss, cf_tol, max_terms):
-    """L = (k-1) - ks + 2(1-s) sAB / (c/R - sB) at each s of the grid ss,
-    with R = 1/(1 - k1 s/(1 - k2 s/...)) Gauss's continued fraction for
-    F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).  A and B are both
-    floats or both complex (the conjugate pair; the real part of L is
-    returned); the levels k_j are shared by the grid.
+def L_fraction(A, B, q, c, k, ss, cf_tol, max_terms):
+    """L = (k-1) - ks + 2(1-s) s(AB+q) / (c/R - sB) at each s of the grid
+    ss, with R = 1/(1 - k1 s/(1 - k2 s/...)) Gauss's continued fraction for
+    F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).  q = 0 is a real
+    pair A, B; q > 0 with A = B is the conjugate pair A +- i sqrt(q), whose
+    L is real; any other q is a ValueError.  Real arithmetic throughout:
+    the conjugate pair runs the odd contraction of the fraction (Lorentzen
+    & Waadeland, Continued Fractions, 2008, sec. 2.4), whose levels are
+    real (cut_pair).  The levels are shared by the grid.
 
-    Evaluated backward from a depth 2N, with the fixed point of the
-    levels' limit u = 1/(1 - su/4) as tail; the same pass gives L's
-    first-order change from a cut at N, and L at 2N is taken once that is
-    at most cf_tol max(1, |L|), else N grows as the limit contraction
-    rho = (1-sqrt(1-s))/(1+sqrt(1-s)) asks, by half at least.  s = 0 gives
-    L = k-1 exactly.  Needs c > 0, cf_tol > 0 and every s in [0, 1), as
-    cone.L_direct ensures.
+    Evaluated backward from a depth of about 2N of R's levels, with the
+    fixed point of the levels' limit k_j -> 1/4 as tail; the same pass
+    gives L's first-order change from a cut at N, and L is taken once that
+    is at most cf_tol max(1, |L|), else N grows as the limit contraction
+    rho = (1-sqrt(1-s))/(1+sqrt(1-s)) per level asks, by half at least.
+    s = 0 gives L = k-1 exactly.  Needs c > 0, cf_tol > 0 and every s in
+    [0, 1), as cone.L_direct ensures.
 
-    Returns (Ls, None), or (Ls so far, (s, L, levels)) at the first point
-    whose fraction would need more than max_terms levels.
+    Returns (Ls, None), or (None, (s, L, levels)) at the first point whose
+    fraction would need more than max_terms levels.
     """
+    if not q >= 0.0 or (q > 0.0 and A != B):
+        raise ValueError(f"L_fraction() needs q >= 0, and A == B where q > 0; "
+                         f"got A={A!r}, B={B!r}, q={q!r}")
     a1, b1 = c - B - 1.0, c - A - 1.0  # a - 1 and b - 1
-    ks = []  # k_1, k_2, ... of R, shared by the grid
+    ks = []  # the levels, shared by the grid
 
-    def cut(s, half):
-        """(L cut at depth 2 half, |its first-order change if cut at half|)."""
+    def cut_real(s, half):
+        """(L cut at depth 2 half, |its first-order change if cut at half|),
+        from R's levels k_1, k_2, ... in ks."""
         for i in range(len(ks) // 2 + 1, half + 1):
             x = c + 2.0 * i
             ks.append((A + i) * (a1 + i) / ((x - 2.0) * (x - 1.0)))
@@ -228,20 +235,51 @@ def L_fraction(A, B, c, k, ss, cf_tol, max_terms):
         x = 2.0 * (1.0 - s) * s * A * B / den
         return (k - 1.0) - k * s + x, abs(gap * slope * x * c * s * ks[0] / den)
 
+    def cut_pair(s, half):
+        """The same for the conjugate pair, from the odd contraction
+        c/R = c(1 - s k1) - c s^2 k1k2 / D_1,
+        D_j = 1 - s sigma_j - s^2 pi_j / D_{j+1}, cut at top = ceil(half/2)
+        of its levels.  ks holds sigma_j = k_2j + k_2j+1 and
+        pi_j = k_2j+1 k_2j+2 from j = 0 on, with sigma_0 = c k1 + B: with
+        P(m) = (A+m)(b1+m) - q, k_2j = P(j)/((x-1)x) - i sqrt(q)/x and
+        k_2j+1 = P(j+1)/(x(x+1)) + i sqrt(q)/x at x = c + 2j."""
+        top = (half + 1) // 2
+        for j in range(len(ks) // 2, 2 * top + 1):
+            x, m = c + 2.0 * j, j + 1.0
+            p1 = (A + m) * (b1 + m) - q
+            ks.append((((A + j) * (b1 + j) - q) * (x + 1.0) + p1 * (x - 1.0))
+                      / ((x - 1.0) * x * (x + 1.0)) if j else p1 / (c + 1.0) + A)
+            ks.append(((A + m) * (A + m) + q) * ((b1 + m) * (b1 + m) + q)
+                      / (x * (x + 1.0) * (x + 1.0) * (x + 2.0)))
+        s2 = s * s
+        D = tail = 0.5 * ((1.0 - 0.5 * s) + sqrt(1.0 - s))
+        for j in range(2 * top, top, -1):
+            D = 1.0 - s * ks[2 * j] - s2 * ks[2 * j + 1] / (D or _TINY)
+        gap, slope = D - tail, 1.0  # slope: dD_1 / dD_(top+1), times s^2 pi_0 / D_1^2
+        for j in range(top, -1, -1):
+            v = 1.0 / (D or _TINY)
+            t = s2 * ks[2 * j + 1] * v
+            slope *= t * v
+            D = 1.0 - s * ks[2 * j] - t
+        den = c - s * ks[0] - c * t
+        x = 2.0 * (1.0 - s) * s * (A * A + q) / den
+        return (k - 1.0) - k * s + x, abs(gap * slope * c * x / den)
+
+    cut = cut_pair if q > 0.0 else cut_real
     out = []
     for s in ss:
         L, half = k - 1.0, 4
-        q = sqrt(1.0 - s)
+        r = sqrt(1.0 - s)
         while s > 0.0:  # L(0) = k-1 exactly
             L, change = cut(s, half)
             target = cf_tol * max(1.0, abs(L))
             if change <= target:
                 break
-            more = log(change / target) / -log(max((1.0 - q) / (1.0 + q), _TINY))
+            more = log(change / target) / -log(max((1.0 - r) / (1.0 + r), _TINY))
             half = max(half + half // 2, half + 1 + int(more if more < max_terms else max_terms))
             if 2 * half > max_terms:
-                return out, (s, L.real, 2 * half)
-        out.append(L.real)
+                return None, (s, L, 2 * half)
+        out.append(L)
     return out, None
 
 

@@ -146,23 +146,25 @@ def test_kernels_bit_identical_on_seeded_draws(_kernels):
 
 
 def _fraction_draw(rng):
-    # L_direct's arguments: alpha over [2-n, 0] with both ends and
-    # alpha = -k (A = 0), or the conjugate pair (2-n)/2 + i w with w = 0
-    # and large w; d = 2 often; s = 0, s near 1 and plain points; now and
-    # then a budget small enough to stall
+    # L_direct's arguments (A, B, q): a real exponent over [2-n, 0] with
+    # both ends and alpha = -k (A = 0), or the conjugate pair
+    # (2-n)/2 +- i w, A = B and q = w^2/4, with w up to 1e6 (q up to
+    # 2.5e11); d = 2 often; s = 0, s near 1 and plain points; now and then
+    # a budget small enough to stall
     n = rng.choice([rng.randint(3, 40), rng.randint(3, 400), rng.randint(3, 2000)])
     k = rng.choice([rng.randint(1, n - 2), n - 2])
-    h = (n - 2) / 2
     if rng.random() < 0.6:
         alpha = rng.choice([2.0 - n, 0.0, -float(k),
                             -float(rng.randint(0, n - 2)), rng.uniform(2.0 - n, 0.0)])
+        w = 0.0
     else:
-        alpha = complex(-h, rng.choice([0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 100.0),
-                                        10.0 ** rng.uniform(2.0, 6.0)]))
+        alpha = (2.0 - n) / 2.0
+        w = rng.choice([rng.uniform(0.0, 3.0), rng.uniform(0.0, 100.0), 10.0 ** rng.uniform(2.0, 6.0)])
     ss = [rng.choice([0.0, rng.random(), rng.uniform(0.9, 0.999), 1.0 - 10.0 ** rng.uniform(-6.0, -1.0),
                       1.0 - 1e-6]) for _ in range(rng.randint(1, 3))]
     max_terms = rng.choice([40000] * 6 + [8, 20, 64, 300])
-    return (0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha), 0.5 * k, k, ss, 1e-13, max_terms)
+    return (0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha), 0.25 * w * w, 0.5 * k, k, ss, 1e-13,
+            max_terms)
 
 
 def test_fraction_kernel_bit_identical_on_seeded_draws(_kernels):
@@ -172,14 +174,27 @@ def test_fraction_kernel_bit_identical_on_seeded_draws(_kernels):
     for _ in range(400):
         args = _fraction_draw(rng)
         got, want = _kernels.L_fraction(*args), _pykernels.L_fraction(*args)
-        assert _same(got[0], want[0]), args
-        assert (got[1] is None and want[1] is None) or _same(got[1], want[1]), args
-        kinds.add((type(args[0]), got[1] is None))
-    assert kinds == {(float, True), (float, False), (complex, True), (complex, False)}
+        assert all((g is None and w is None) or _same(g, w) for g, w in zip(got, want)), args
+        kinds.add((args[2] > 0.0, got[1] is None))
+    assert kinds == {(False, True), (False, False), (True, True), (True, False)}
     # (7,5) at alpha = -2.5: d = 2, where s = 1 - 1e-6 needs about 13,600 levels
-    args = (1.25, 1.25, 2.5, 5, [0.0, 0.5, 1.0 - 1e-6], 1e-13, 40000)
+    args = (1.25, 1.25, 0.0, 2.5, 5, [0.0, 0.5, 1.0 - 1e-6], 1e-13, 40000)
     got = _kernels.L_fraction(*args)
     assert got == _pykernels.L_fraction(*args) and got[0][0] == 4.0 and got[1] is None
+
+
+@pytest.mark.parametrize("A, B, q", [(1.0, 1.0, -1e-300), (1.0, 1.0, math.nan),
+                                     (1.0, 2.0, 0.25), (1.0, 2.0, math.inf)])
+def test_fraction_takes_a_real_or_a_conjugate_pair(_kernels, A, B, q):
+    # q < 0 (or NaN) and q > 0 with A != B are no pair L_direct builds
+    args = (A, B, q, 0.5, 1, [0.5], 1e-13, 100)
+    msgs = []
+    for kernels in (_kernels, _pykernels):
+        with pytest.raises(ValueError) as info:
+            kernels.L_fraction(*args)
+        msgs.append(str(info.value))
+    assert msgs[0] == msgs[1] == (f"L_fraction() needs q >= 0, and A == B where q > 0; "
+                                  f"got A={A!r}, B={B!r}, q={q!r}")
 
 
 def _ts_nodes():
@@ -403,13 +418,13 @@ def _returns_text(x):
 @pytest.mark.parametrize("name, args", [
     ("hyp2f1_series", (1.0, 1.0, 1.0, 0.5, 1e-15, 1e-280)),
     ("hyp2f1_series", (1.0, 1.0, "1", 0.5, 1e-15, 1e-280, 100)),
-    ("L_fraction", (1.0, 1.0, 0.5, 1, [0.5], 1e-13)),
-    ("L_fraction", (1.0, 1.0, 0.5, 1, [0.5], 1e-13, 100, 0)),
-    ("L_fraction", (1.0, 1.0, "0.5", 1, [0.5], 1e-13, 100)),
-    ("L_fraction", ("1", 1.0, 0.5, 1, [0.5], 1e-13, 100)),
-    ("L_fraction", (1j, 1.0, 0.5, 1, ["0.5"], 1e-13, 100)),
-    ("L_fraction", (1.0, 1.0, 0.5, 1, 0.5, 1e-13, 100)),
-    ("L_fraction", (1.0, 1.0, 0.5, 1, [0.5], 1e-13, 100.0)),
+    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5], 1e-13)),
+    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100, 0)),
+    ("L_fraction", (1.0, 1.0, 0.0, "0.5", 1, [0.5], 1e-13, 100)),
+    ("L_fraction", ("1", 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100)),
+    ("L_fraction", (1j, 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100)),
+    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, 0.5, 1e-13, 100)),
+    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100.0)),
     ("ts_terms", (1.0, 1.0, 1.0, 0.5)),
     ("ts_terms", (1.0, 1.0, 1.0, 0.5, [0.0], 1)),
     ("ts_terms", (1.0, "1", 1.0, 0.5, [0.0])),
@@ -428,6 +443,10 @@ def _returns_text(x):
                   (3.5, -0.5, 2.0, 0.5, 0.99, 1e-15, 1e-280, 40000.0, 8000))),
     ("illinois", (None, 0.0, 1.0, 1.0, -1.0)),
     ("illinois", (_returns_text, 0.0, 1.0, 1.0, -1.0)),
+    # a string in the grid: the per-point loop's error path, alone and
+    # after a point already computed
+    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, ["0.5"], 1e-13, 100)),
+    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5, "0.5"], 1e-13, 100)),
 ])
 def test_kernel_argument_errors(_kernels, name, args):
     with pytest.raises(TypeError):
@@ -447,6 +466,57 @@ def test_overflowed_total_is_not_converged(_kernels):
 def test_backend_name_exposed():
     import conelab
     assert conelab.BACKEND_NAME in ("compiled", "python")
+
+
+def test_kernel_digest_matches_source():
+    # _backend's literal is the SHA-256 of the _kernels.c beside it, so an
+    # edit to the C must update it (and setup.py compiles it in)
+    import hashlib
+
+    from conelab import _backend
+    assert _backend.KERNELS_SHA256 == hashlib.sha256(KERNEL_SOURCE.read_bytes()).hexdigest()
+
+
+def _load_backend(monkeypatch, fake):
+    """Run _backend's import logic with conelab._kernels replaced by fake
+    (None: no extension), in a module of its own."""
+    import sys
+    import types
+
+    import conelab
+    monkeypatch.delenv("CONELAB_PURE", raising=False)
+    monkeypatch.setitem(sys.modules, "conelab._kernels", fake)
+    if isinstance(fake, types.ModuleType):
+        monkeypatch.setattr(conelab, "_kernels", fake, raising=False)
+    else:
+        monkeypatch.delattr(conelab, "_kernels", raising=False)
+    path = Path(conelab.__file__).with_name("_backend.py")
+    spec = importlib.util.spec_from_file_location("conelab_backend_probe", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_stale_extension_is_an_import_error(monkeypatch):
+    # an extension built from another _kernels.c, or before the digest was
+    # compiled in, must not load under the name "compiled"
+    import types
+    from conelab import _backend
+    for digest in ("0" * 64, None):
+        fake = types.ModuleType("conelab._kernels")
+        fake.__file__, fake.BACKEND = "/nowhere/_kernels.so", "compiled"
+        if digest is not None:
+            fake.SOURCE_SHA256 = digest
+        with pytest.raises(ImportError) as info:
+            _load_backend(monkeypatch, fake)
+        msg = str(info.value)
+        assert repr(digest) in msg and repr(_backend.KERNELS_SHA256) in msg
+        assert "`python setup.py build_ext --inplace --force`" in msg
+
+
+def test_missing_extension_falls_back(monkeypatch):
+    mod = _load_backend(monkeypatch, None)
+    assert mod.BACKEND_NAME == "python" and mod.L_fraction is _pykernels.L_fraction
 
 
 def test_pure_fallback_env(tmp_path):

@@ -531,11 +531,13 @@ class TestLDirect:
                 L_direct(p, -2.0, (0.5, s))
 
     def test_pair_branch_meets_real_branch(self):
-        # at lambda = -h^2 the conjugate pair closes: alpha = -h + 0i takes
-        # the complex arithmetic, alpha = -h the real one
+        # at lambda = -h^2 the conjugate pair closes: alpha = -h + 0i has
+        # q = 0 and takes the real fraction, as alpha = -h does; just off it
+        # the contracted one agrees
         p, ss = ConeParams(9, 4), (0.2, 0.6, 0.9)
-        assert L_direct(p, complex(-3.5, 0.0), ss) == pytest.approx(
-            L_direct(p, -3.5, ss), rel=1e-14, abs=1e-14)
+        assert L_direct(p, complex(-3.5, 0.0), ss) == L_direct(p, -3.5, ss)
+        assert L_direct(p, complex(-3.5, 1e-7), ss) == pytest.approx(
+            L_direct(p, -3.5, ss), rel=1e-13, abs=1e-13)
 
     def test_stall_raises(self, monkeypatch):
         # near s = 1 the fraction needs about 9 / sqrt(1-s) levels; a budget

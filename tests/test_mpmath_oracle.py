@@ -244,6 +244,46 @@ def test_L_direct_against_mpmath(args):
     assert abs(got - want) <= 1e-12 * max(1, abs(want)), (n, k, alpha, s, got, float(want))
 
 
+@pytest.mark.xfail(strict=True, reason="the fraction loses every digit here (CHANGES.md FOUND)")
+@pytest.mark.parametrize("n, k, alpha, s", [(397, 134, -0.19969747078938282, 0.8995963319405105),
+                                             (317, 139, -0.3259525388014026, 0.9906095480678031)])
+def test_L_direct_far_above_the_root_at_large_n(n, k, alpha, s):
+    """Outside the domain the library uses: alpha near 0 and s far above
+    the root, at n in the hundreds.  L_direct gives -222.37 and -2.635
+    where 50-digit F'/F gives -1.090415 and -1.0096874431, as specfun's
+    hyp2f1 and hyp2f1_deriv do."""
+    got = L_direct(ConeParams(n, k), alpha, (s,))[0]
+    want = _mp_L(n, k, alpha, s)
+    assert abs(got - want) <= 1e-12 * max(1, abs(want)), (got, float(want))
+
+
+@pytest.mark.parametrize("n", [61, 120, 200])
+def test_L_direct_pair_at_the_deepest_bracket_end(n):
+    """The conjugate pair at w = sqrt(3) h, about 0.87(n-2), the largest w
+    the lambda-solve reaches, past the n <= 60 of L_args: its contracted
+    levels round worse as w grows, and d = 3 near s = 1 is the slowest."""
+    h = (n - 2) / 2
+    alpha = complex(-h, math.sqrt(3.0) * h)
+    for k in (1, n // 2, n - 3):
+        for s in (0.3, 0.99, 1.0 - 1e-6):
+            got = L_direct(ConeParams(n, k), alpha, (s,))[0]
+            want = _mp_L(n, k, alpha, s)
+            assert abs(got - want) <= 1e-12 * max(1, abs(want)), (n, k, s, got, float(want))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the pair's contraction rounds worse at large w (CHANGES.md FOUND)")
+def test_L_direct_pair_far_past_the_bracket():
+    """(8,5) at w = 6855, far past any w the library asks for: L_direct
+    errs 4.2e-10 relative (the complex fraction it replaced erred 2.8e-13),
+    and cutting deeper does not change the value."""
+    n, k, s = 8, 5, 0.9999953446834792
+    alpha = complex((2.0 - n) / 2.0, 6855.0)
+    got = L_direct(ConeParams(n, k), alpha, (s,))[0]
+    want = _mp_L(n, k, alpha, s)
+    assert abs(got - want) <= 1e-12 * max(1, abs(want)), (got, float(want))
+
+
 @pytest.mark.parametrize("n", [4, 7, 20, 100])
 def test_L_direct_d2_near_one(n):
     """At d = 2, c - a - b = 0 and G = F has a logarithmic end at s = 1;
