@@ -19,7 +19,7 @@ with old numerics, or lack a kernel, under the name "compiled".
 import os
 
 # SHA-256 of _kernels.c; tests/test_backends.py checks it against the file
-KERNELS_SHA256 = "fc7256144f42ac5733191986e72197f217526755244f491b94c855f62aec54e5"
+KERNELS_SHA256 = "0dda6bdf1cdb3e2a68c93ac30316733ebd8d4a3ca61bf6047683b2641f5d1e32"
 
 if os.environ.get("CONELAB_PURE", "") not in ("", "0"):
     from conelab import _pykernels as kernels

@@ -135,7 +135,7 @@ series_sum(double a, double b, double c, double s, double rel_tol, double abs_to
 }
 
 PyDoc_STRVAR(hyp2f1_series_doc,
-"hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms)\n\n"
+"hyp2f1_series($module, a, b, c, s, rel_tol, abs_tol, max_terms, /)\n--\n\n"
 "Sum the Gauss series sum_m (a)_m (b)_m / ((c)_m m!) s^m.\n\n"
 "Compensated (Kahan) accumulation; stops once the current term and the\n"
 "predicted next term both clear the tolerance, which avoids premature\n"
@@ -185,8 +185,8 @@ rhs(const Ode *o, double t, double u, double v, double *du, double *dv)
 }
 
 PyDoc_STRVAR(robin_shoot_doc,
-"robin_shoot(u0, v0, t_start, t_end, n, k, lam, p2, q2, rtol, atol, max_step,\n"
-"            max_steps)\n\n"
+"robin_shoot($module, u0, v0, t_start, t_end, n, k, lam, p2, q2, rtol, atol,\n"
+"            max_step, max_steps, /)\n--\n\n"
 "Integrate the link eigenvalue ODE from the series launch point to the\n"
 "free boundary, counting interior sign changes of the solution.\n\n"
 "State is renormalized whenever it grows large; only the projective class\n"
@@ -278,20 +278,31 @@ robin_shoot(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 #define TINY 1e-300 /* stands in for a level's exact zero denominator (Lentz's device) */
 
-/* One grid's fraction: A, B, q, c, k, a1 = a - 1 and b1 = b - 1, and its
- * levels, shared by the grid and grown on demand */
+/* One grid's fraction: A, B, q, c, k, a1 = (c-B) - 1 and b1 = (c-A) - 1,
+ * and its levels sigma_j, pi_j, shared by the grid and grown on demand */
 typedef struct {
     double A, B, q, c, k, a1, b1;
     double *ks;
     long len, cap;
 } Fraction;
 
-/* Make room for n levels */
+/* L from the odd contraction
+ * c/R - sB = c - s sigma_0 - c s^2 pi_0 / D_1, D_j = 1 - s sigma_j - s^2 pi_j / D_{j+1},
+ * at its levels 0 to 2 top, top = ceil(half/2), and the absolute value of its
+ * first-order change if D_(top+1) took the tail's value.  With x = c + 2j and
+ * m = j + 1: sigma_0 = ((A+1)(a1+1) - q)/(c+1) + B,
+ * sigma_j = [((B+j)(b1+j) - q)(x+1) + ((A+m)(a1+m) - q)(x-1)] / ((x-1)x(x+1)),
+ * pi_j = ((A+m)(B+m) + q)((a1+m)(b1+m) + q) / (x(x+1)^2(x+2)). */
 static int
-reserve(Fraction *f, long n)
+cut(Fraction *f, double s, long half, double *L, double *change)
 {
-    if (n > f->cap) {
-        long cap = PYMAX(n, 2 * f->cap);
+    const long top = (half + 1) / 2;
+    const double A = f->A, B = f->B, q = f->q, c = f->c, a1 = f->a1, b1 = f->b1, s2 = s * s;
+    const double tail = 0.5 * ((1.0 - 0.5 * s) + sqrt(1.0 - s));
+    double D = tail, v, t = 0.0, gap, slope = 1.0; /* slope: dD_1 / dD_(top+1), times s^2 pi_0 / D_1^2 */
+    long j;
+    if (4 * top + 2 > f->cap) {
+        long cap = PYMAX(4 * top + 2, 2 * f->cap);
         double *ks = PyMem_Realloc(f->ks, cap * sizeof(double));
         if (ks == NULL) {
             PyErr_NoMemory();
@@ -300,71 +311,13 @@ reserve(Fraction *f, long n)
         f->ks = ks;
         f->cap = cap;
     }
-    return 0;
-}
-
-/* L cut at depth 2 half and the absolute value of its first-order change if
- * cut at half, for a real pair A, B, from R's levels k_1, k_2, ... */
-static int
-cut_real(Fraction *f, double s, long half, double *L, double *change)
-{
-    const double c = f->c, k = f->k, A = f->A, B = f->B;
-    double u, w, gap, slope = 1.0; /* slope: du / du(level half + 1), down to level 2 */
-    long i, j;
-    if (reserve(f, 2 * half) < 0)
-        return -1;
-    for (i = f->len / 2 + 1; i <= half; i++) {
-        double x = c + 2.0 * i;
-        f->ks[f->len++] = (A + i) * (f->a1 + i) / ((x - 2.0) * (x - 1.0));
-        f->ks[f->len++] = (B + i) * (f->b1 + i) / ((x - 1.0) * x);
-    }
-    const double *ks = f->ks;
-    u = w = 2.0 * (1.0 - sqrt(1.0 - s)) / s;
-    for (j = 2 * half - 1; j > half - 1; j--) {
-        double d = 1.0 - s * ks[j] * u;
-        u = 1.0 / (d != 0.0 ? d : TINY);
-    }
-    gap = u - w;
-    for (j = half - 1; j > 0; j--) {
-        double kz = s * ks[j];
-        double d = 1.0 - kz * u;
-        u = 1.0 / (d != 0.0 ? d : TINY);
-        slope *= kz * u * u;
-    }
-    double den = c * (1.0 - s * ks[0] * u) - s * B;
-    if (den == 0.0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-        return -1;
-    }
-    double x = 2.0 * (1.0 - s) * s * A * B / den;
-    *L = (k - 1.0) - k * s + x;
-    *change = fabs(gap * slope * x * c * s * ks[0] / den);
-    return 0;
-}
-
-/* The same for the conjugate pair, from the odd contraction
- * c/R = c(1 - s k1) - c s^2 k1k2 / D_1, D_j = 1 - s sigma_j - s^2 pi_j / D_{j+1},
- * cut at top = ceil(half/2) of its levels: sigma_j = k_2j + k_2j+1 and
- * pi_j = k_2j+1 k_2j+2 from j = 0 on, with sigma_0 = c k1 + B.  With
- * P(m) = (A+m)(b1+m) - q, k_2j = P(j)/((x-1)x) - i sqrt(q)/x and
- * k_2j+1 = P(j+1)/(x(x+1)) + i sqrt(q)/x at x = c + 2j. */
-static int
-cut_pair(Fraction *f, double s, long half, double *L, double *change)
-{
-    const long top = (half + 1) / 2;
-    const double A = f->A, q = f->q, c = f->c, k = f->k, b1 = f->b1, s2 = s * s;
-    const double tail = 0.5 * ((1.0 - 0.5 * s) + sqrt(1.0 - s));
-    double D = tail, v, t = 0.0, gap, slope = 1.0; /* slope: dD_1 / dD_(top+1), times s^2 pi_0 / D_1^2 */
-    long j;
-    if (reserve(f, 4 * top + 2) < 0)
-        return -1;
     for (j = f->len / 2; j <= 2 * top; j++) {
         double x = c + 2.0 * j, m = j + 1.0;
-        double p1 = (A + m) * (b1 + m) - q;
-        f->ks[f->len++] = j ? (((A + j) * (b1 + j) - q) * (x + 1.0) + p1 * (x - 1.0))
+        double p1 = (A + m) * (a1 + m) - q;
+        f->ks[f->len++] = j ? (((B + j) * (b1 + j) - q) * (x + 1.0) + p1 * (x - 1.0))
                               / ((x - 1.0) * x * (x + 1.0))
-                            : p1 / (c + 1.0) + A;
-        f->ks[f->len++] = ((A + m) * (A + m) + q) * ((b1 + m) * (b1 + m) + q)
+                            : p1 / (c + 1.0) + B;
+        f->ks[f->len++] = ((A + m) * (B + m) + q) * ((a1 + m) * (b1 + m) + q)
                           / (x * (x + 1.0) * (x + 1.0) * (x + 2.0));
     }
     const double *ks = f->ks;
@@ -382,51 +335,55 @@ cut_pair(Fraction *f, double s, long half, double *L, double *change)
         PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
         return -1;
     }
-    double x = 2.0 * (1.0 - s) * s * (A * A + q) / den;
-    *L = (k - 1.0) - k * s + x;
+    double x = 2.0 * (1.0 - s) * s * (A * B + q) / den;
+    *L = (f->k - 1.0) - f->k * s + x;
     *change = fabs(gap * slope * c * x / den);
     return 0;
 }
 
 PyDoc_STRVAR(L_fraction_doc,
-"L_fraction(A, B, q, c, k, ss, cf_tol, max_terms)\n\n"
-"L = (k-1) - ks + 2(1-s) s(AB+q) / (c/R - sB) at each s of the grid ss, with\n"
-"R = 1/(1 - k1 s/(1 - k2 s/...)) Gauss's continued fraction for\n"
-"F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).  q = 0 is a real\n"
-"pair A, B; q > 0 with A = B is the conjugate pair A +- i sqrt(q), whose L\n"
-"is real, evaluated by the odd contraction of the fraction, whose levels\n"
-"are real; any other q is a ValueError.  The levels are shared by the grid.\n\n"
+"L_fraction($module, n, k, alpha, q, ss, cf_tol, max_terms, /)\n--\n\n"
+"L = (k-1) - ks + 2(1-s) s(AB+q) / (c/R - sB) at each s of the grid ss, for\n"
+"the degree-alpha profile of the cone (n, k): A = (k+alpha)/2,\n"
+"B = (k+2-n-alpha)/2, c = k/2, and R = 1/(1 - k1 s/(1 - k2 s/...)) Gauss's\n"
+"continued fraction for F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).\n"
+"q = 0 is a real exponent; q > 0 at alpha = (2-n)/2 is the exponent\n"
+"alpha + 2i sqrt(q), whose A + i sqrt(q) and B - i sqrt(q) are a conjugate\n"
+"pair; any other q is a ValueError.  One fraction serves both: the odd\n"
+"contraction of R, whose levels are real, from c - A = -alpha/2 and\n"
+"c - B = (n-2+alpha)/2 formed from alpha, not from the rounded A and B.\n"
+"The levels are shared by the grid.\n\n"
 "Evaluated backward from a depth of about 2N of R's levels, with the fixed\n"
 "point of the levels' limit as tail; L is taken once its first-order\n"
 "change from a cut at N is at most cf_tol max(1, |L|), else N grows as the\n"
 "limit contraction asks, by half at least.  s = 0 gives L = k-1 exactly.\n\n"
-"Needs c > 0, cf_tol > 0 and every s in [0, 1), as cone.L_direct ensures.\n"
-"Returns (Ls, None), or (None, (s, L, levels)) at the first point whose\n"
-"fraction would need more than max_terms levels.");
+"Needs k > 0 and cf_tol > 0, as cone.L_direct ensures; every s of the grid\n"
+"must lie in [0, 1), checked before the first point is cut (else\n"
+"ValueError).  Returns (Ls, None), or (None, (s, L, levels)) at the first\n"
+"point whose fraction would need more than max_terms levels.");
 
 static PyObject *
 L_fraction(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Fraction f = {0};
-    PyObject *ss = NULL, *out = NULL, *result = NULL;
-    double p[5], cf_tol;
-    Py_ssize_t i, n;
+    PyObject *ss, *out, *result = NULL;
+    double p[4], cf_tol, *grid;
+    Py_ssize_t i, size;
     long max_terms;
     int overflow;
-    if (nargs != 8) {
-        PyErr_Format(PyExc_TypeError, "L_fraction() takes exactly 8 arguments (%zd given)",
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError, "L_fraction() takes exactly 7 arguments (%zd given)",
                      nargs);
         return NULL;
     }
-    for (i = 0; i < 5; i++) {
+    for (i = 0; i < 4; i++) {
         p[i] = PyFloat_AsDouble(args[i]);
         if (p[i] == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    cf_tol = PyFloat_AsDouble(args[6]);
+    cf_tol = PyFloat_AsDouble(args[5]);
     if (cf_tol == -1.0 && PyErr_Occurred())
         return NULL;
-    max_terms = PyLong_AsLongAndOverflow(args[7], &overflow);
+    max_terms = PyLong_AsLongAndOverflow(args[6], &overflow);
     if (max_terms == -1 && PyErr_Occurred())
         return NULL;
     /* a budget this large could not be allocated; the cap keeps the depth
@@ -435,31 +392,35 @@ L_fraction(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         max_terms = LONG_MAX / 4;
     else if (overflow < 0)
         max_terms = LONG_MIN;
-    f.A = p[0];
-    f.B = p[1];
-    f.q = p[2];
-    f.c = p[3];
-    f.k = p[4];
-    if (!(f.q >= 0.0) || (f.q > 0.0 && f.A != f.B)) {
-        PyErr_Format(PyExc_ValueError, "L_fraction() needs q >= 0, and A == B where q > 0; "
-                     "got A=%R, B=%R, q=%R", args[0], args[1], args[2]);
+    const double n = p[0], k = p[1], alpha = p[2], q = p[3];
+    if (!(q >= 0.0) || (q > 0.0 && alpha != 0.5 * (2.0 - n))) {
+        PyErr_Format(PyExc_ValueError, "L_fraction() needs q >= 0, and alpha = (2-n)/2 where "
+                     "q > 0; got n=%R, alpha=%R, q=%R", args[0], args[2], args[3]);
         return NULL;
     }
-    f.a1 = f.c - f.B - 1.0;
-    f.b1 = f.c - f.A - 1.0;
-    int (*cut)(Fraction *, double, long, double *, double *) = f.q > 0.0 ? cut_pair : cut_real;
-    ss = PySequence_Tuple(args[5]);
+    Fraction f = {0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha), q, 0.5 * k, k,
+                  0.5 * (n - 2.0 + alpha) - 1.0, -0.5 * alpha - 1.0, NULL, 0, 0};
+    ss = PySequence_Tuple(args[4]);
     if (ss == NULL)
         return NULL;
-    n = PyTuple_GET_SIZE(ss);
-    out = PyList_New(n);
-    if (out == NULL)
+    size = PyTuple_GET_SIZE(ss);
+    out = PyList_New(size);
+    grid = PyMem_Malloc((size ? size : 1) * sizeof(double));
+    if (out == NULL || grid == NULL) {
+        PyErr_NoMemory();
         goto done;
-    for (i = 0; i < n; i++) {
-        double s = PyFloat_AsDouble(PyTuple_GET_ITEM(ss, i));
-        if (s == -1.0 && PyErr_Occurred())
+    }
+    for (i = 0; i < size; i++) { /* the whole grid is checked before the first cut */
+        grid[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(ss, i));
+        if (grid[i] == -1.0 && PyErr_Occurred())
             goto done;
-        double L = f.k - 1.0, change;
+        if (!(0.0 <= grid[i] && grid[i] < 1.0)) {
+            PyErr_SetString(PyExc_ValueError, "s must lie in [0, 1)");
+            goto done;
+        }
+    }
+    for (i = 0; i < size; i++) {
+        double s = grid[i], L = k - 1.0, change;
         long half = 4;
         double r = sqrt(1.0 - s);
         while (s > 0.0) { /* L(0) = k-1 exactly */
@@ -483,6 +444,7 @@ L_fraction(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     result = PyTuple_Pack(2, out, Py_None);
 done:
+    PyMem_Free(grid);
     PyMem_Free(f.ks);
     Py_XDECREF(out);
     Py_DECREF(ss);
@@ -515,7 +477,7 @@ math_check(double x, double r, int can_overflow)
     } while (0)
 
 PyDoc_STRVAR(ts_terms_doc,
-"ts_terms(a, b, cb, s, xs)\n\n"
+"ts_terms($module, a, b, cb, s, xs, /)\n--\n\n"
 "Tanh-sinh terms of the Euler integral of 2F1(a, b; b + cb; s) at the\n"
 "nodes -x and +x of each x >= 0 in xs, where u = (1 + tanh(pi/2 sinh x))/2\n"
 "is w and 1 - w, w = 1/(1 + exp(pi sinh x)): the integrand\n"
@@ -590,7 +552,7 @@ done:
 }
 
 PyDoc_STRVAR(barrier_residual_doc,
-"barrier_residual(n, k, s_star, r_minus, r_plus, delta, s_end, grid)\n\n"
+"barrier_residual($module, n, k, s_star, r_minus, r_plus, delta, s_end, grid, /)\n--\n\n"
 "Largest R[phi] = (ns - k - B) phi(s) + P(s) - C over the grid-point\n"
 "Chebyshev grid of [k/n, s_end], for the curved piece of the comparison\n"
 "barrier at alpha = 4 - n: B = -(r- + r+) and C = r- r+, the\n"
@@ -658,7 +620,7 @@ py_ulp(double x)
 }
 
 PyDoc_STRVAR(illinois_doc,
-"illinois(f, lo, f_lo, hi, f_hi, series=None)\n\n"
+"illinois($module, f, lo, f_lo, hi, f_hi, series=None, /)\n--\n\n"
 "Shrink a bracket lo < hi of a root of the scalar function f, where\n"
 "f_lo = f(lo) > 0 >= f_hi = f(hi): regula falsi of Illinois type with\n"
 "Anderson & Bjoerck's weight, which bisects a step not strictly inside\n"

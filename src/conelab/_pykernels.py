@@ -40,7 +40,7 @@ def _tail_bound(a, b, c, s, i, nxt):
     return nxt / (1.0 - q)
 
 
-def hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms):
+def hyp2f1_series(a, b, c, s, rel_tol, abs_tol, max_terms, /):
     """Sum the Gauss series sum_m (a)_m (b)_m / ((c)_m m!) s^m.
 
     Compensated (Kahan) accumulation; stops once the current term and the
@@ -104,7 +104,7 @@ def _rhs(t, u, v, n, k, lam, p2, q2):
 
 
 def robin_shoot(u0, v0, t_start, t_end, n, k, lam, p2, q2,
-                rtol, atol, max_step, max_steps):
+                rtol, atol, max_step, max_steps, /):
     """Integrate the link eigenvalue ODE from the series launch point to the
     free boundary, counting interior sign changes of the solution.
 
@@ -189,67 +189,63 @@ def robin_shoot(u0, v0, t_start, t_end, n, k, lam, p2, q2,
 _TINY = 1e-300  # stands in for a level's exact zero denominator (Lentz's device)
 
 
-def L_fraction(A, B, q, c, k, ss, cf_tol, max_terms):
+def L_fraction(n, k, alpha, q, ss, cf_tol, max_terms, /):
     """L = (k-1) - ks + 2(1-s) s(AB+q) / (c/R - sB) at each s of the grid
-    ss, with R = 1/(1 - k1 s/(1 - k2 s/...)) Gauss's continued fraction for
-    F(A+1, B+1; c+1; s) / F(A+1, B; c; s) (DLMF 15.7.5).  q = 0 is a real
-    pair A, B; q > 0 with A = B is the conjugate pair A +- i sqrt(q), whose
-    L is real; any other q is a ValueError.  Real arithmetic throughout:
-    the conjugate pair runs the odd contraction of the fraction (Lorentzen
-    & Waadeland, Continued Fractions, 2008, sec. 2.4), whose levels are
-    real (cut_pair).  The levels are shared by the grid.
+    ss, for the degree-alpha profile of the cone (n, k): A = (k+alpha)/2,
+    B = (k+2-n-alpha)/2, c = k/2, and R = 1/(1 - k1 s/(1 - k2 s/...))
+    Gauss's continued fraction for F(A+1, B+1; c+1; s) / F(A+1, B; c; s)
+    (DLMF 15.7.5).  q = 0 is a real exponent; q > 0 at alpha = (2-n)/2 is
+    the exponent alpha + 2i sqrt(q), whose A + i sqrt(q) and B - i sqrt(q)
+    are a conjugate pair, and whose L is real; any other q is a ValueError.
 
-    Evaluated backward from a depth of about 2N of R's levels, with the
-    fixed point of the levels' limit k_j -> 1/4 as tail; the same pass
-    gives L's first-order change from a cut at N, and L is taken once that
-    is at most cf_tol max(1, |L|), else N grows as the limit contraction
-    rho = (1-sqrt(1-s))/(1+sqrt(1-s)) per level asks, by half at least.
-    s = 0 gives L = k-1 exactly.  Needs c > 0, cf_tol > 0 and every s in
-    [0, 1), as cone.L_direct ensures.
+    One fraction serves both: the odd contraction of R (Lorentzen &
+    Waadeland, Continued Fractions, 2008, sec. 2.4),
+    c/R - sB = c - s sigma_0 - c s^2 pi_0 / D_1,
+    D_j = 1 - s sigma_j - s^2 pi_j / D_{j+1}, whose levels are real for
+    either exponent.  With x = c + 2j, m = j + 1, a1 = (c-B) - 1 and
+    b1 = (c-A) - 1:
+    sigma_0 = ((A+1)(a1+1) - q)/(c+1) + B,
+    sigma_j = [((B+j)(b1+j) - q)(x+1) + ((A+m)(a1+m) - q)(x-1)]
+              / ((x-1) x (x+1)),
+    pi_j = ((A+m)(B+m) + q)((a1+m)(b1+m) + q) / (x (x+1)^2 (x+2)).
+    c - A = -alpha/2 and c - B = (n-2+alpha)/2 are formed from alpha, not
+    from the rounded A and B.  The levels are shared by the grid, and a
+    pi_j that vanishes (A or B a nonpositive integer) ends the fraction.
+
+    Evaluated backward from a depth of about 2N of R's levels, N of the
+    contraction's, with the fixed point ((1 - s/2) + sqrt(1-s))/2 of the
+    levels' limit sigma_j -> 1/2, pi_j -> 1/16 as tail; the same pass gives
+    L's first-order change from a cut at N of R's levels, and L is taken
+    once that is at most cf_tol max(1, |L|), else N grows as the limit
+    contraction rho = (1-sqrt(1-s))/(1+sqrt(1-s)) per level of R asks, by
+    half at least.  s = 0 gives L = k-1 exactly.  Needs k > 0 and
+    cf_tol > 0, as cone.L_direct ensures; every s of the grid must lie in
+    [0, 1), which is checked before the first point is cut (else
+    ValueError).
 
     Returns (Ls, None), or (None, (s, L, levels)) at the first point whose
-    fraction would need more than max_terms levels.
+    fraction would need more than max_terms of R's levels.
     """
-    if not q >= 0.0 or (q > 0.0 and A != B):
-        raise ValueError(f"L_fraction() needs q >= 0, and A == B where q > 0; "
-                         f"got A={A!r}, B={B!r}, q={q!r}")
-    a1, b1 = c - B - 1.0, c - A - 1.0  # a - 1 and b - 1
-    ks = []  # the levels, shared by the grid
+    if not q >= 0.0 or (q > 0.0 and alpha != 0.5 * (2.0 - n)):
+        raise ValueError(f"L_fraction() needs q >= 0, and alpha = (2-n)/2 where q > 0; "
+                         f"got n={n!r}, alpha={alpha!r}, q={q!r}")
+    ss = tuple(ss)
+    if not all(0.0 <= s < 1.0 for s in ss):
+        raise ValueError("s must lie in [0, 1)")
+    A, B, c = 0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha), 0.5 * k
+    a1, b1 = 0.5 * (n - 2.0 + alpha) - 1.0, -0.5 * alpha - 1.0  # (c-B) - 1 and (c-A) - 1
+    ks = []  # sigma_j and pi_j from j = 0 on, shared by the grid
 
-    def cut_real(s, half):
-        """(L cut at depth 2 half, |its first-order change if cut at half|),
-        from R's levels k_1, k_2, ... in ks."""
-        for i in range(len(ks) // 2 + 1, half + 1):
-            x = c + 2.0 * i
-            ks.append((A + i) * (a1 + i) / ((x - 2.0) * (x - 1.0)))
-            ks.append((B + i) * (b1 + i) / ((x - 1.0) * x))
-        u = w = 2.0 * (1.0 - sqrt(1.0 - s)) / s
-        for kj in ks[2 * half - 1:half - 1:-1]:
-            u = 1.0 / ((1.0 - s * kj * u) or _TINY)
-        gap, slope = u - w, 1.0  # slope: du / du(level half + 1), down to level 2
-        for kj in ks[half - 1:0:-1]:
-            kz = s * kj
-            u = 1.0 / ((1.0 - kz * u) or _TINY)
-            slope *= kz * u * u
-        den = c * (1.0 - s * ks[0] * u) - s * B
-        x = 2.0 * (1.0 - s) * s * A * B / den
-        return (k - 1.0) - k * s + x, abs(gap * slope * x * c * s * ks[0] / den)
-
-    def cut_pair(s, half):
-        """The same for the conjugate pair, from the odd contraction
-        c/R = c(1 - s k1) - c s^2 k1k2 / D_1,
-        D_j = 1 - s sigma_j - s^2 pi_j / D_{j+1}, cut at top = ceil(half/2)
-        of its levels.  ks holds sigma_j = k_2j + k_2j+1 and
-        pi_j = k_2j+1 k_2j+2 from j = 0 on, with sigma_0 = c k1 + B: with
-        P(m) = (A+m)(b1+m) - q, k_2j = P(j)/((x-1)x) - i sqrt(q)/x and
-        k_2j+1 = P(j+1)/(x(x+1)) + i sqrt(q)/x at x = c + 2j."""
+    def cut(s, half):
+        """(L from the contraction's levels 0 to 2 top, top = ceil(half/2),
+        and |its first-order change if D_(top+1) took the tail's value|)."""
         top = (half + 1) // 2
         for j in range(len(ks) // 2, 2 * top + 1):
             x, m = c + 2.0 * j, j + 1.0
-            p1 = (A + m) * (b1 + m) - q
-            ks.append((((A + j) * (b1 + j) - q) * (x + 1.0) + p1 * (x - 1.0))
-                      / ((x - 1.0) * x * (x + 1.0)) if j else p1 / (c + 1.0) + A)
-            ks.append(((A + m) * (A + m) + q) * ((b1 + m) * (b1 + m) + q)
+            p1 = (A + m) * (a1 + m) - q
+            ks.append((((B + j) * (b1 + j) - q) * (x + 1.0) + p1 * (x - 1.0))
+                      / ((x - 1.0) * x * (x + 1.0)) if j else p1 / (c + 1.0) + B)
+            ks.append(((A + m) * (B + m) + q) * ((a1 + m) * (b1 + m) + q)
                       / (x * (x + 1.0) * (x + 1.0) * (x + 2.0)))
         s2 = s * s
         D = tail = 0.5 * ((1.0 - 0.5 * s) + sqrt(1.0 - s))
@@ -262,10 +258,9 @@ def L_fraction(A, B, q, c, k, ss, cf_tol, max_terms):
             slope *= t * v
             D = 1.0 - s * ks[2 * j] - t
         den = c - s * ks[0] - c * t
-        x = 2.0 * (1.0 - s) * s * (A * A + q) / den
+        x = 2.0 * (1.0 - s) * s * (A * B + q) / den
         return (k - 1.0) - k * s + x, abs(gap * slope * c * x / den)
 
-    cut = cut_pair if q > 0.0 else cut_real
     out = []
     for s in ss:
         L, half = k - 1.0, 4
@@ -283,7 +278,7 @@ def L_fraction(A, B, q, c, k, ss, cf_tol, max_terms):
     return out, None
 
 
-def ts_terms(a, b, cb, s, xs):
+def ts_terms(a, b, cb, s, xs, /):
     """Tanh-sinh terms of the Euler integral of 2F1(a, b; b + cb; s) at the
     nodes -x and +x of each x >= 0 in xs, where u = (1 + tanh(pi/2 sinh x))/2
     is w and 1 - w, w = 1/(1 + exp(pi sinh x)): the integrand
@@ -311,7 +306,7 @@ def ts_terms(a, b, cb, s, xs):
     return values, weights
 
 
-def barrier_residual(n, k, s_star, r_minus, r_plus, delta, s_end, grid):
+def barrier_residual(n, k, s_star, r_minus, r_plus, delta, s_end, grid, /):
     """Largest R[phi] = (ns - k - B) phi(s) + P(s) - C over the grid-point
     Chebyshev grid of [k/n, s_end], for the curved piece of the comparison
     barrier at alpha = 4 - n: B = -(r- + r+) and C = r- r+, the
@@ -342,7 +337,7 @@ def barrier_residual(n, k, s_star, r_minus, r_plus, delta, s_end, grid):
 ROOT_F_TOL = 1e-12  # end |f| at which illinois stops instead of bisecting
 
 
-def illinois(f, lo, f_lo, hi, f_hi, series=None):
+def illinois(f, lo, f_lo, hi, f_hi, series=None, /):
     """Shrink a bracket lo < hi of a root of the scalar function f, where
     f_lo = f(lo) > 0 >= f_hi = f(hi); the one root solver of the package,
     for cone.find_root's root in s and cone.verdict's lambda_1.

@@ -107,33 +107,33 @@ def L_direct(p: ConeParams, alpha: complex, ss: Iterable[float]) -> List[float]:
     B = c-a, gives L = (k-1) - ks + 2(1-s) sAB / (c/R - sB) with
     R = F(A+1, B+1; c+1; s) / F(A+1, B; c; s) = 1/(1 - k1 s/(1 - k2 s/...)),
     Gauss's continued fraction (DLMF 15.7.5): only ratios, so nothing
-    overflows.  The kernel L_fraction evaluates it backward in real
-    arithmetic, from A = (k + Re alpha)/2, B = (k + 2 - n - Re alpha)/2 and
-    q = (Im alpha)^2/4 (for the pair A = B, and AB + q = |A + i sqrt(q)|^2),
+    overflows.  The kernel L_fraction takes (n, k, Re alpha, (Im alpha)^2/4)
+    and runs one fraction for every exponent, R's odd contraction, whose
+    levels are real for the pair too (AB + q = |A + i sqrt(q)|^2 there), in
+    real arithmetic and backward, with c - A = -alpha/2 and c - B =
+    (n-2+alpha)/2 formed from alpha rather than from the rounded A and B;
     deep enough that L's first-order change from cutting at half the depth
-    is at most CF_TOL max(1, |L|).  Raises DomainError for any other alpha,
-    ValueError for s outside [0, 1), and NonConvergenceError past MAX_TERMS
-    levels (about 9/sqrt(1-s) are needed).
+    is at most CF_TOL max(1, |L|).  Raises DomainError for any other
+    alpha, ValueError for an s outside [0, 1) anywhere in the grid, and
+    NonConvergenceError past MAX_TERMS levels (about 9/sqrt(1-s) are
+    needed).
 
     Checked against 50-digit mpmath within 1e-12 max(1, |L|) for n <= 60
-    and d >= 3 over that alpha range with w <= n and s <= 1 - 1e-6, within
-    1e-11 for d = 2, and within 1e-12 for the pair at w = sqrt(3)(n-2)/2,
-    the largest w the lambda-solve reaches, up to n = 200
-    (tests/test_mpmath_oracle.py).  Outside it the fraction can lose
-    digits: at n in the hundreds with alpha near 0 and s far above the
-    root every one, e.g. (397,134) at alpha = -0.1997 and s = 0.8996 gives
-    -222.37 for -1.0904; and the pair rounds worse as w grows, 4.2e-10
-    relative at (8,5) with w = 6855."""
+    and d >= 3 over that alpha range with w <= n and s <= 1 - 1e-6; for
+    real alpha at 61 <= n <= 400 up to the root s_nk, and at alpha = 4-n
+    on verify's barrier samples up to s*; within 1e-11 for d = 2; and
+    within 1e-12 for the pair at w = sqrt(3)(n-2)/2, the largest w the
+    lambda-solve reaches, up to n = 200 (tests/test_mpmath_oracle.py).
+    Outside it the fraction can lose digits: at n in the hundreds with
+    alpha near 0 and s far above the root every one, e.g. (397,134) at
+    alpha = -0.1997 and s = 0.8996 gives -222.37 for -1.0904; and the pair
+    rounds worse as w grows, 4.2e-10 relative at (8,5) with w = 6855."""
     n, k = p.n, p.k
     if not (2 - n <= alpha.real <= 0 and (alpha.imag == 0 or alpha.real == (2 - n) / 2)):
         raise DomainError(f"alpha={alpha} for (n,k)=({n},{k}) outside [2-n, 0] = [{2 - n}, 0] "
                           f"and off the line Re alpha = (2-n)/2")
-    ss = tuple(ss)
-    if not all(0.0 <= s < 1.0 for s in ss):
-        raise ValueError("s must lie in [0, 1)")
-    a = alpha.real
-    out, stall = L_fraction(0.5 * (k + a), 0.5 * (k + 2.0 - n - a), 0.25 * alpha.imag * alpha.imag,
-                            0.5 * k, k, ss, CF_TOL, MAX_TERMS)
+    out, stall = L_fraction(n, k, alpha.real, 0.25 * alpha.imag * alpha.imag, ss, CF_TOL,
+                            MAX_TERMS)
     if stall is not None:
         s, L, levels = stall
         raise NonConvergenceError(
@@ -242,11 +242,11 @@ def verdict(p: ConeParams, r: RootResult) -> StabilityReport:
     a + b = h, ab = -lambda/4: stability_margin at the exponent
     gamma_+ = lambda / (h + sqrt(h^2 + lambda)), which below lambda = -h^2
     is the complex -h + i sqrt(-h^2 - lambda), where a and b are a conjugate
-    pair and L_direct runs the fraction's odd contraction, whose levels are
-    real (F >= 1 there too: no zero, the ground state).  The margin decreases
-    in lambda, and at lambda = -h^2 it is the threshold margin (gamma_+ =
-    -h exactly), so that one evaluation also picks the bracket: [-h^2, 0]
-    when it is positive, else [-(n-2)^2 - 1, -h^2].  Raises BracketFailure
+    pair (F >= 1 there too: no zero, the ground state) and L_direct runs
+    the same real contracted fraction as for real exponents.  The margin
+    decreases in lambda, and at lambda = -h^2 it is the threshold margin
+    (gamma_+ = -h exactly), so that one evaluation also picks the bracket:
+    [-h^2, 0] when it is positive, else [-(n-2)^2 - 1, -h^2].  Raises BracketFailure
     when the margin does not change sign there, and NonConvergenceError
     when the threshold margin is not finite or |margin| at lambda_1 exceeds
     MARGIN_TOL.

@@ -6,6 +6,7 @@ build _kernels.c into a temporary directory with the flags of setup.py;
 they skip only when no C compiler exists."""
 
 import importlib.util
+import inspect
 import json
 import math
 import random
@@ -146,15 +147,16 @@ def test_kernels_bit_identical_on_seeded_draws(_kernels):
 
 
 def _fraction_draw(rng):
-    # L_direct's arguments (A, B, q): a real exponent over [2-n, 0] with
-    # both ends and alpha = -k (A = 0), or the conjugate pair
-    # (2-n)/2 +- i w, A = B and q = w^2/4, with w up to 1e6 (q up to
-    # 2.5e11); d = 2 often; s = 0, s near 1 and plain points; now and then
-    # a budget small enough to stall
+    # L_direct's arguments (n, k, alpha, q): a real exponent over [2-n, 0]
+    # with both ends, alpha = -k (A = 0) and alpha = 4-n (A = (4-d)/2, a
+    # nonpositive integer for even d >= 4, where the fraction ends), or
+    # the conjugate pair at alpha = (2-n)/2 with q = w^2/4, w up to 1e6 (q
+    # up to 2.5e11); d = 2 often; s = 0, s near 1 and plain points; now and
+    # then a budget small enough to stall
     n = rng.choice([rng.randint(3, 40), rng.randint(3, 400), rng.randint(3, 2000)])
     k = rng.choice([rng.randint(1, n - 2), n - 2])
     if rng.random() < 0.6:
-        alpha = rng.choice([2.0 - n, 0.0, -float(k),
+        alpha = rng.choice([2.0 - n, 0.0, -float(k), min(4.0 - n, 0.0),
                             -float(rng.randint(0, n - 2)), rng.uniform(2.0 - n, 0.0)])
         w = 0.0
     else:
@@ -163,8 +165,7 @@ def _fraction_draw(rng):
     ss = [rng.choice([0.0, rng.random(), rng.uniform(0.9, 0.999), 1.0 - 10.0 ** rng.uniform(-6.0, -1.0),
                       1.0 - 1e-6]) for _ in range(rng.randint(1, 3))]
     max_terms = rng.choice([40000] * 6 + [8, 20, 64, 300])
-    return (0.5 * (k + alpha), 0.5 * (k + 2.0 - n - alpha), 0.25 * w * w, 0.5 * k, k, ss, 1e-13,
-            max_terms)
+    return (n, k, alpha, 0.25 * w * w, ss, 1e-13, max_terms)
 
 
 def test_fraction_kernel_bit_identical_on_seeded_draws(_kernels):
@@ -175,26 +176,37 @@ def test_fraction_kernel_bit_identical_on_seeded_draws(_kernels):
         args = _fraction_draw(rng)
         got, want = _kernels.L_fraction(*args), _pykernels.L_fraction(*args)
         assert all((g is None and w is None) or _same(g, w) for g, w in zip(got, want)), args
-        kinds.add((args[2] > 0.0, got[1] is None))
+        kinds.add((args[3] > 0.0, got[1] is None))
     assert kinds == {(False, True), (False, False), (True, True), (True, False)}
-    # (7,5) at alpha = -2.5: d = 2, where s = 1 - 1e-6 needs about 13,600 levels
-    args = (1.25, 1.25, 0.0, 2.5, 5, [0.0, 0.5, 1.0 - 1e-6], 1e-13, 40000)
+    # (7,5) at alpha = -2.5: d = 2, where s = 1 - 1e-6 needs about 21,600 levels
+    args = (7, 5, -2.5, 0.0, [0.0, 0.5, 1.0 - 1e-6], 1e-13, 40000)
     got = _kernels.L_fraction(*args)
     assert got == _pykernels.L_fraction(*args) and got[0][0] == 4.0 and got[1] is None
 
 
-@pytest.mark.parametrize("A, B, q", [(1.0, 1.0, -1e-300), (1.0, 1.0, math.nan),
-                                     (1.0, 2.0, 0.25), (1.0, 2.0, math.inf)])
-def test_fraction_takes_a_real_or_a_conjugate_pair(_kernels, A, B, q):
-    # q < 0 (or NaN) and q > 0 with A != B are no pair L_direct builds
-    args = (A, B, q, 0.5, 1, [0.5], 1e-13, 100)
+@pytest.mark.parametrize("alpha, q", [(-2.5, -1e-300), (-2.5, math.nan),
+                                      (-2.0, 0.25), (-2.0, math.inf)])
+def test_fraction_takes_a_real_or_a_conjugate_pair(_kernels, alpha, q):
+    # q < 0 (or NaN), and q > 0 off alpha = (2-n)/2, are no exponent
+    # L_direct builds
+    args = (7, 1, alpha, q, [0.5], 1e-13, 100)
     msgs = []
     for kernels in (_kernels, _pykernels):
         with pytest.raises(ValueError) as info:
             kernels.L_fraction(*args)
         msgs.append(str(info.value))
-    assert msgs[0] == msgs[1] == (f"L_fraction() needs q >= 0, and A == B where q > 0; "
-                                  f"got A={A!r}, B={B!r}, q={q!r}")
+    assert msgs[0] == msgs[1] == (f"L_fraction() needs q >= 0, and alpha = (2-n)/2 where "
+                                  f"q > 0; got n=7, alpha={alpha!r}, q={q!r}")
+
+
+@pytest.mark.parametrize("ss", [[math.nan], [0.5, math.nan], [0.5, -0.1], [1.0 - 1e-6, 1.0]])
+def test_fraction_checks_the_whole_grid_first(_kernels, ss):
+    # every s must lie in [0, 1), NaN included; the grid is checked before
+    # the first point is cut, so a bad s after a point that would stall on
+    # this budget of 8 levels is still the ValueError
+    for kernels in (_kernels, _pykernels):
+        with pytest.raises(ValueError, match=r"^s must lie in \[0, 1\)$"):
+            kernels.L_fraction(7, 1, -2.5, 0.0, ss, 1e-13, 8)
 
 
 def _ts_nodes():
@@ -398,7 +410,9 @@ def test_illinois_kernel_bit_identical_on_seeded_draws(_kernels, monkeypatch):
 
 
 def test_backends_export_the_same_kernels(_kernels):
-    # no kernel lands on one side only, and the solver's tolerance is shared
+    # no kernel lands on one side only, each takes the same parameters (the
+    # text signatures of the C docstrings against the mirror's), and the
+    # solver's tolerance is shared
     from conelab import _backend
 
     def own(mod):
@@ -408,6 +422,9 @@ def test_backends_export_the_same_kernels(_kernels):
     bound = {name for name, v in vars(_backend).items()
              if callable(v) and not name.startswith("_")}
     assert own(_kernels) == own(_pykernels) == bound
+    for name in bound:
+        assert inspect.signature(getattr(_kernels, name)) == \
+            inspect.signature(getattr(_pykernels, name)), name
     assert _kernels.ROOT_F_TOL == _pykernels.ROOT_F_TOL
 
 
@@ -418,13 +435,13 @@ def _returns_text(x):
 @pytest.mark.parametrize("name, args", [
     ("hyp2f1_series", (1.0, 1.0, 1.0, 0.5, 1e-15, 1e-280)),
     ("hyp2f1_series", (1.0, 1.0, "1", 0.5, 1e-15, 1e-280, 100)),
-    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5], 1e-13)),
-    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100, 0)),
-    ("L_fraction", (1.0, 1.0, 0.0, "0.5", 1, [0.5], 1e-13, 100)),
-    ("L_fraction", ("1", 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100)),
-    ("L_fraction", (1j, 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100)),
-    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, 0.5, 1e-13, 100)),
-    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5], 1e-13, 100.0)),
+    ("L_fraction", (7, 1, -2.5, 0.0, [0.5], 1e-13)),
+    ("L_fraction", (7, 1, -2.5, 0.0, [0.5], 1e-13, 100, 0)),
+    ("L_fraction", (7, 1, -2.5, "0", [0.5], 1e-13, 100)),
+    ("L_fraction", ("7", 1, -2.5, 0.0, [0.5], 1e-13, 100)),
+    ("L_fraction", (7, 1, -2.5 + 1j, 0.0, [0.5], 1e-13, 100)),
+    ("L_fraction", (7, 1, -2.5, 0.0, 0.5, 1e-13, 100)),
+    ("L_fraction", (7, 1, -2.5, 0.0, [0.5], 1e-13, 100.0)),
     ("ts_terms", (1.0, 1.0, 1.0, 0.5)),
     ("ts_terms", (1.0, 1.0, 1.0, 0.5, [0.0], 1)),
     ("ts_terms", (1.0, "1", 1.0, 0.5, [0.0])),
@@ -443,10 +460,11 @@ def _returns_text(x):
                   (3.5, -0.5, 2.0, 0.5, 0.99, 1e-15, 1e-280, 40000.0, 8000))),
     ("illinois", (None, 0.0, 1.0, 1.0, -1.0)),
     ("illinois", (_returns_text, 0.0, 1.0, 1.0, -1.0)),
-    # a string in the grid: the per-point loop's error path, alone and
-    # after a point already computed
-    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, ["0.5"], 1e-13, 100)),
-    ("L_fraction", (1.0, 1.0, 0.0, 0.5, 1, [0.5, "0.5"], 1e-13, 100)),
+    # a string in the grid: the per-point conversion's error path, alone
+    # and after a point already read, with the grid and the result list to
+    # free
+    ("L_fraction", (7, 1, -2.5, 0.0, ["0.5"], 1e-13, 100)),
+    ("L_fraction", (7, 1, -2.5, 0.0, [0.5, "0.5"], 1e-13, 100)),
 ])
 def test_kernel_argument_errors(_kernels, name, args):
     with pytest.raises(TypeError):

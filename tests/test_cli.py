@@ -63,14 +63,20 @@ class TestAnalyze:
     @pytest.mark.parametrize("n, k, lambda1", [(1000, 997, "-998.525395"),
                                                (3000, 2990, "-2998.549172"),
                                                (5000, 2500, "-4998.576581"),
-                                               (160008, 80004, "-160006.576560")])
+                                               (100000, 50000, "-99998.576558"),
+                                               (160008, 80003, "-160006.576557"),
+                                               (160008, 80004, "-160006.576556")])
     def test_verdict_past_the_series_frontier(self, capsys, n, k, lambda1):
         # L from the continued fraction never overflows and needs no sign of
         # F: these cells used to exit 2 on an unsettled threshold sign
         # (1000, 997), on an overflowed profile (3000, 2990) and (5000,
-        # 2500), and on the log case's term budget (160008, 80004), whose
-        # root solve once evaluated near s = 1.  The profile changes sign
-        # across 1e-12 relative of the printed root in 40-digit arithmetic
+        # 2500), on the log case's term budget (160008, 80004), whose root
+        # solve once evaluated near s = 1, and on the margin's residual
+        # (100000, 50000) and (160008, 80003), while the fraction saw alpha
+        # only through the rounded A = (k + alpha)/2.  The profile changes
+        # sign across 1e-12 relative of the printed root in 40-digit
+        # arithmetic, and the printed lambda1 lies within 2e-6 of the root
+        # in lambda of the margin from 40-digit F'/F at that root
         mpmath = pytest.importorskip("mpmath")
         rc, out, err = run_cli(capsys, "analyze", "--n", str(n), "--k", str(k))
         assert (rc, err) == (0, "")
@@ -83,6 +89,18 @@ class TestAnalyze:
             band = s * mpmath.mpf(10) ** -12
             assert mpmath.hyp2f1(hp.a, hp.b, hp.c, s - band) > 0
             assert mpmath.hyp2f1(hp.a, hp.b, hp.c, s + band) < 0
+            h, c = mpmath.mpf(n - 2) / 2, mpmath.mpf(k) / 2
+
+            def L(lam):  # L(s) at gamma_+ of lam, whose sign is the margin's
+                alpha = lam / (h + mpmath.sqrt(h * h + lam))
+                a, b = (n + alpha - 2) / 2, -alpha / 2
+                ratio = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, s) / mpmath.hyp2f1(a, b, c, s)
+                return 2 * s * (1 - s) * ratio - (n - 2) * s + (k - 1)
+
+            start = mpmath.mpf(lambda1)
+            root = mpmath.findroot(L, (start - mpmath.mpf("1e-5"), start + mpmath.mpf("1e-5")),
+                                   solver="secant", tol=mpmath.mpf(10) ** -30)
+            assert abs(start - root) <= 2e-6, mpmath.nstr(root, 15)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
@@ -128,15 +146,21 @@ class TestAnalyze:
         again = json.loads(json.dumps(row))
         assert again == row
 
-    def test_margin_residual_exit_is_named(self, capsys):
-        # at (160008, 80003) the margin's root in lambda leaves |margin|
-        # above MARGIN_TOL, below the margin's own error at this n; the
-        # exit names that step
-        rc, out, err = run_cli(capsys, "analyze", "--n", "160008", "--k", "80003")
-        assert (rc, out) == (2, "")
-        assert err == ("error: margin root lambda1=-160006.57655781994 at (n,k)=(160008,80003) "
-                       "leaves residual 3.029e-09 above 1e-09\n")
+    def test_margin_residual_exit_is_named(self, monkeypatch, capsys):
+        # fault injection: the margin jumps by 2e-9 across its root, so the
+        # solve closes on a bracket whose ends both leave |margin| above
+        # MARGIN_TOL; the exit names that step
+        real = conelab.cone.stability_margin
 
+        def jumping(p, alpha, r):
+            m = real(p, alpha, r)
+            return m + math.copysign(2e-9, m)
+
+        monkeypatch.setattr(conelab.cone, "stability_margin", jumping)
+        rc, out, err = run_cli(capsys, "analyze", "--n", "7", "--k", "1")
+        assert (rc, out) == (2, "")
+        assert err == ("error: margin root lambda1=-5.698402217766398 at (n,k)=(7,1) "
+                       "leaves residual 2.000e-09 above 1e-09\n")
 
     def test_nan_profile_exit_is_named(self, capsys):
         # the root solve meets a NaN from the connection formula; the exit

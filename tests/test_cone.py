@@ -532,8 +532,8 @@ class TestLDirect:
 
     def test_pair_branch_meets_real_branch(self):
         # at lambda = -h^2 the conjugate pair closes: alpha = -h + 0i has
-        # q = 0 and takes the real fraction, as alpha = -h does; just off it
-        # the contracted one agrees
+        # q = 0 and is the real exponent alpha = -h; just off it, at
+        # q = 2.5e-15, the one fraction moves by no more than rounding
         p, ss = ConeParams(9, 4), (0.2, 0.6, 0.9)
         assert L_direct(p, complex(-3.5, 0.0), ss) == L_direct(p, -3.5, ss)
         assert L_direct(p, complex(-3.5, 1e-7), ss) == pytest.approx(

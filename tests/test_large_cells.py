@@ -46,8 +46,9 @@ CAUSES = {
 # (1000,984), a threshold sign inside its bound (397,392), (400,393),
 # (1000,994) and (1000,997)
 FOUND_CELLS = ((206, 200), (397, 392), (400, 393), (1000, 984), (1000, 994), (1000, 997))
-# far out: a verdict at d = n/2 past the frontier, one at d = 3, and a
-# root whose margin root in lambda leaves a residual above MARGIN_TOL
+# far out: verdicts at d = n/2 past the frontier and at d = 3; the margin
+# root of (100000, 50000) passes its residual test only with c - A and
+# c - B formed from alpha, not from the rounded A = (k + alpha)/2
 RANGE_ENDS = ((2500, 1250), (10000, 3), (100000, 50000))
 
 MPMATH_CELLS = (

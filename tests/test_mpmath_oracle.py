@@ -244,6 +244,45 @@ def test_L_direct_against_mpmath(args):
     assert abs(got - want) <= 1e-12 * max(1, abs(want)), (n, k, alpha, s, got, float(want))
 
 
+def test_L_direct_real_exponents_past_n60():
+    """Real exponents at 61 <= n <= 400, past the n <= 60 of L_args, where
+    verify and the verdict evaluate L: 40 seeded draws of alpha in
+    [2-n, 0] and s in (0, s_nk], within 1e-12 max(1, |L|)."""
+    rng = random.Random(20261021)
+    for _ in range(40):
+        n = rng.randint(61, 400)
+        p = ConeParams(n, rng.randint(1, n - 2))
+        alpha = rng.uniform(2.0 - n, 0.0)
+        s = find_root(p).s_nk * (1.0 - rng.random())
+        got = L_direct(p, alpha, (s,))[0]
+        want = _mp_L(n, p.k, alpha, s)
+        assert abs(got - want) <= 1e-12 * max(1, abs(want)), (n, p.k, alpha, s, got, float(want))
+
+
+@pytest.mark.parametrize("n", checks.BARRIER_N)
+def test_L_direct_on_the_barrier_samples(monkeypatch, n):
+    """alpha = 4-n on the comparison sample of each barrier cell of verify,
+    up to s*: every 32nd point of the grid verify_barrier hands L_direct,
+    and s*, within 1e-12 max(1, |L|).  For even d, A = (4-d)/2 is a
+    nonpositive integer and the fraction terminates."""
+    grids = []
+
+    def recorded(p, alpha, ss):
+        ss = list(ss)
+        grids.append((p, alpha, ss))
+        return L_direct(p, alpha, ss)
+
+    monkeypatch.setattr(checks, "L_direct", recorded)
+    for d in checks.BARRIER_D:
+        checks.verify_barrier(ConeParams(n, n - d))
+    assert len(grids) == len(checks.BARRIER_D)
+    for p, alpha, ss in grids:
+        points = ss[::32] + ss[-1:]
+        for s, got in zip(points, L_direct(p, alpha, points)):
+            want = _mp_L(n, p.k, alpha, s)
+            assert abs(got - want) <= 1e-12 * max(1, abs(want)), (n, p.k, s, got, float(want))
+
+
 @pytest.mark.xfail(strict=True, reason="the fraction loses every digit here (CHANGES.md FOUND)")
 @pytest.mark.parametrize("n, k, alpha, s", [(397, 134, -0.19969747078938282, 0.8995963319405105),
                                              (317, 139, -0.3259525388014026, 0.9906095480678031)])
@@ -288,7 +327,7 @@ def test_L_direct_pair_far_past_the_bracket():
 def test_L_direct_d2_near_one(n):
     """At d = 2, c - a - b = 0 and G = F has a logarithmic end at s = 1;
     there L_direct loses accuracy to rounding over the thousands of
-    near-neutral levels it needs, however deep it goes: 4.6e-12 relative
+    near-neutral levels it needs, however deep it goes: 3.2e-12 relative
     at s = 1 - 1e-6 at worst over these cells.  The bound states it."""
     p = ConeParams(n, n - 2)
     for alpha in (2.0 - n, (2.0 - n) / 2.0, -0.3):
